@@ -2,7 +2,8 @@
 
 Results are collected in input order, so any worker count yields the
 same output bit for bit. The worker cap comes from the environment
-variable DISPERSION_LAB_THREADS (default: serial).
+variable DISPERSION_LAB_THREADS (default: serial), clamped to the cores
+this process may run on.
 """
 
 import os
@@ -11,13 +12,21 @@ from concurrent.futures import ThreadPoolExecutor
 ENV_THREADS = "DISPERSION_LAB_THREADS"
 
 
+def usable_cores() -> int:
+    """Cores in this process's affinity mask; the cpu count where unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def worker_count() -> int:
     raw = os.environ.get(ENV_THREADS, "1")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, usable_cores()))
 
 
 def ordered_map(fn, items):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .grid_model import Grid
 from .scattering import detect_resonance
-from .spectral_operator import DiscreteHamiltonian
+from .spectral_operator import DiscreteHamiltonian, evolve, occupied_modes
 from .stochastic import BrownianEnsemble, sample_brownian
 
 INF = math.inf
@@ -296,21 +296,6 @@ def default_beta_min(grid: Grid) -> float:
     return 2.0 * np.pi * grid.h
 
 
-def _eigen_slice(H: DiscreteHamiltonian, u0: np.ndarray, project: bool, mode_tol: float):
-    """Eigenbasis data of u0 restricted to its occupied modes."""
-    c = H.to_eigenbasis(np.asarray(u0, dtype=complex))
-    if project and len(H.bound_state_indices):
-        c = c.copy()
-        c[H.bound_state_indices] = 0.0
-    if mode_tol > 0.0 and len(c):
-        act = np.abs(c) > mode_tol * np.max(np.abs(c))
-        return H.eigenvectors[:, act], H.eigenvalues[act], c[act]
-    return H.eigenvectors, H.eigenvalues, c
-
-
-_TAU_CHUNK = 1024  # fixed so results never depend on the worker count
-
-
 def _space_norms_at_taus(
     H: DiscreteHamiltonian,
     u0: np.ndarray,
@@ -319,22 +304,9 @@ def _space_norms_at_taus(
     project: bool,
     mode_tol: float,
 ) -> np.ndarray:
-    """L^p norms of e^{-i tau H} (P_ac) u0 for a flat list of phases.
-
-    One basis slice for all phases, applied in fixed-size column blocks;
-    the blocks are independent work units for the thread pool.
-    """
-    basis, lams, coef = _eigen_slice(H, u0, project, mode_tol)
-    taus = np.asarray(taus, dtype=float).ravel()
-    blocks = range(0, len(taus), _TAU_CHUNK)
-
-    def one_block(start: int) -> np.ndarray:
-        sl = taus[start : start + _TAU_CHUNK]
-        states = basis @ (np.exp(-1j * np.outer(lams, sl)) * coef[:, None])
-        return lp_norms_columns(states, p, H.grid)
-
-    parts = ordered_map(one_block, blocks)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    """L^p norms of e^{-i tau H} (P_ac) u0 for a flat list of phases."""
+    modes = occupied_modes(H, u0, project, mode_tol)
+    return evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, p, H.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -644,18 +616,10 @@ def strichartz_inhomogeneous_experiment(
         raise DomainError("forcing table must have shape (n_steps + 1, n_points)")
     mu = mu_inhomogeneous(r, p)
     pp = holder_conjugate(p)
-    lam = H.eigenvalues
-    gh = (
-        H.to_eigenbasis(forcing.astype(complex))
-        if forcing.ndim == 1
-        else H.to_eigenbasis(forcing.astype(complex).T).T
-    )
-    if project and len(H.bound_state_indices):
-        gh = gh.copy()
-        if gh.ndim == 1:
-            gh[H.bound_state_indices] = 0.0
-        else:
-            gh[:, H.bound_state_indices] = 0.0
+    # one coefficient column per time slice for a table; the mode cut keeps
+    # the union of the slices' occupied modes
+    modes = occupied_modes(H, forcing if forcing.ndim == 1 else forcing.T, project, mode_tol)
+    g = modes.coef[:, None] if forcing.ndim == 1 else modes.coef
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))
     rhs = np.empty(len(horizons))
@@ -664,13 +628,13 @@ def strichartz_inhomogeneous_experiment(
         dt = ens.dt
 
         def one_path(pi: int, _ens=ens, _dt=dt):
+            # Duhamel coefficients dt * sum_{s_j < t_k} e^{i beta(s_j) H} g(s_j),
+            # then propagated by e^{-i beta(t_k) H}
             b = _ens.values[pi]
-            phases = np.exp(1j * np.outer(b, lam))  # (n_t+1, n)
-            src = phases * gh[None, :] if gh.ndim == 1 else phases * gh
-            csum = np.cumsum(src, axis=0)
-            duh = np.zeros_like(phases)
-            duh[1:] = _dt * np.conj(phases[1:]) * csum[:-1]  # strictly s < t
-            states = H.from_eigenbasis(duh.T)
+            csum = np.cumsum(np.exp(1j * np.outer(modes.energies, b)) * g, axis=1)
+            duh = np.zeros_like(csum)
+            duh[:, 1:] = _dt * csum[:, :-1]  # strictly s < t
+            states = evolve(replace(modes, coef=duh), b)
             return lp_norms_columns(states, p, grid)
 
         norms = np.vstack(ordered_map(one_path, range(n_paths)))
@@ -690,6 +654,7 @@ def strichartz_inhomogeneous_experiment(
     rep.extras.update(
         {
             "mu": mu,
+            "n_modes": len(modes.energies),
             "ratios": ratios,
             "rhs_norms": rhs,
             "ratio_max_min": _ratio_spread(ratios),

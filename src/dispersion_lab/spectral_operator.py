@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
+from ._parallel import ordered_map
 from .errors import AliasingWarning, ConvergenceRegionError, DomainError, SizeError
 from .grid_model import Grid, PotentialGrid
 
@@ -48,10 +49,26 @@ class DiscreteHamiltonian:
         return out
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.T @ u
+        return real_basis_product(self.eigenvectors.T, u)
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ c
+        return real_basis_product(self.eigenvectors, c)
+
+
+def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """basis @ data for a real basis and real or complex data.
+
+    numpy would first copy the real basis to complex; viewing C-contiguous
+    complex data as interleaved (re, im) float64 pairs keeps the product a
+    single real GEMM.
+    """
+    data = np.asarray(data)
+    if data.dtype.kind != "c":
+        return basis @ data
+    data = np.ascontiguousarray(data, dtype=np.complex128)
+    pairs = data.reshape(len(data), int(np.prod(data.shape[1:]))).view(np.float64)
+    out = (basis @ pairs).view(np.complex128)
+    return out.reshape((basis.shape[0],) + data.shape[1:])
 
 
 def build_hamiltonian(V: PotentialGrid, dense_cap: int = DENSE_SOLVER_CAP) -> DiscreteHamiltonian:
@@ -149,6 +166,71 @@ def project_ac(H: DiscreteHamiltonian, u: np.ndarray) -> np.ndarray:
     return u - vb @ (vb.T @ u)
 
 
+# ---------------------------------------------------------------------------
+# propagation kernel: occupied modes -> phases -> one real GEMM per tau block
+
+_TAU_CHUNK = 1024  # fixed so results never depend on the worker count
+
+
+@dataclass(frozen=True)
+class OccupiedModes:
+    """Eigenbasis data of a datum restricted to its occupied modes.
+
+    coef is (m,) for one vector; an (m, k) table gives every tau its own
+    coefficient column.
+    """
+
+    basis: np.ndarray  # (n, m) real eigenvector columns
+    energies: np.ndarray  # (m,)
+    coef: np.ndarray  # (m,) or (m, k), complex
+
+
+def occupied_modes(
+    H: DiscreteHamiltonian, u: np.ndarray, project: bool = False, mode_tol: float = 0.0
+) -> OccupiedModes:
+    """Eigen coefficients of u, a vector (n,) or columns (n, k).
+
+    project zeroes the bound-state coefficients.  mode_tol > 0 keeps only
+    the eigenmodes whose amplitude exceeds mode_tol times the largest one
+    of the same column, in at least one column (the union of the columns'
+    occupied modes), trading a bounded truncation error for a smaller
+    basis product.
+    """
+    c = H.to_eigenbasis(np.asarray(u, dtype=complex))
+    if project and len(H.bound_state_indices):
+        c[H.bound_state_indices] = 0.0
+    if mode_tol > 0.0:
+        a = np.abs(c).reshape(len(c), -1)
+        keep = np.any(a > mode_tol * a.max(axis=0), axis=1)
+        return OccupiedModes(H.eigenvectors[:, keep], H.eigenvalues[keep], c[keep])
+    return OccupiedModes(H.eigenvectors, H.eigenvalues, c)
+
+
+def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
+    """Columns e^{-i tau_k H} u for a flat list of phases tau_k.
+
+    The phases are applied in fixed blocks of _TAU_CHUNK columns, which are
+    independent work units for the thread pool.  reduce, if given, maps
+    each block's (n, b) states to b per-column values, so only those are
+    kept.
+    """
+    taus = np.asarray(taus, dtype=float).ravel()
+    table = modes.coef.ndim == 2
+    if table and modes.coef.shape[1] != len(taus):
+        raise DomainError("a coefficient table needs one column per tau")
+
+    def one_block(start: int) -> np.ndarray:
+        sl = slice(start, start + _TAU_CHUNK)
+        coef = modes.coef[:, sl] if table else modes.coef[:, None]
+        phases = np.exp(-1j * np.outer(modes.energies, taus[sl]))
+        states = real_basis_product(modes.basis, phases * coef)
+        return states if reduce is None else reduce(states)
+
+    # an empty tau list still yields one (empty) block of the right shape
+    parts = ordered_map(one_block, range(0, max(len(taus), 1), _TAU_CHUNK))
+    return np.concatenate(parts, axis=-1)
+
+
 def propagate(
     H: DiscreteHamiltonian, tau: float, u: np.ndarray, project: bool = False
 ) -> np.ndarray:
@@ -163,23 +245,8 @@ def propagate_batch(
     project: bool = False,
     mode_tol: float = 0.0,
 ) -> np.ndarray:
-    """Columns e^{-i tau_k H} u for many phases tau_k at once.
-
-    mode_tol > 0 drops eigenmodes with relative amplitude below it,
-    trading a bounded truncation error for a smaller basis product.
-    """
-    taus = np.asarray(taus, dtype=float)
-    c = H.to_eigenbasis(np.asarray(u, dtype=complex))
-    if project and len(H.bound_state_indices):
-        c = c.copy()
-        c[H.bound_state_indices] = 0.0
-    if mode_tol > 0.0:
-        amax = np.max(np.abs(c)) if len(c) else 0.0
-        active = np.abs(c) > mode_tol * amax
-        phases = np.exp(-1j * np.outer(H.eigenvalues[active], taus))
-        return H.eigenvectors[:, active] @ (phases * c[active, None])
-    phases = np.exp(-1j * np.outer(H.eigenvalues, taus))
-    return H.eigenvectors @ (phases * c[:, None])
+    """Columns e^{-i tau_k H} u for many phases tau_k at once."""
+    return evolve(occupied_modes(H, u, project, mode_tol), taus)
 
 
 def free_resolvent_kernel(lam: float, branch: str, x: float, y: float) -> complex:

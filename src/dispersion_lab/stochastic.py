@@ -15,7 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityWarning
-from .spectral_operator import DiscreteHamiltonian, propagate_batch
+from .spectral_operator import (
+    DiscreteHamiltonian,
+    occupied_modes,
+    propagate_batch,
+    real_basis_product,
+)
+
+
+# the integrator's mode cut: round-off occupation of stiff modes would be
+# amplified without bound by the explicit step
+EM_MODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,21 +104,26 @@ def time_changed_propagate(
 ) -> list[PathSolution]:
     """u(t_k) = e^{-i beta(t_k) H} (P_ac) u0 for every path.
 
-    One basis transform per path; diagonal phases per snapshot time.
+    One eigenbasis slice of u0 and one kernel call for all paths.
     """
     if len(u0) != H.n:
         raise DomainError("u0 length does not match the Hamiltonian grid")
     if time_indices is None:
         time_indices = np.arange(ensemble.n_steps + 1)
     times = ensemble.times[time_indices]
-    out = []
-    for p in range(ensemble.n_paths):
-        taus = ensemble.values[p, time_indices]
-        states = propagate_batch(H, taus, u0, project=project, mode_tol=mode_tol)
-        out.append(
-            PathSolution(path_index=p, times=times, states=states, ac_projected=project)
+    k = len(times)
+    states = propagate_batch(
+        H, ensemble.values[:, time_indices], u0, project=project, mode_tol=mode_tol
+    )
+    return [
+        PathSolution(
+            path_index=p,
+            times=times,
+            states=states[:, p * k : (p + 1) * k],
+            ac_projected=project,
         )
-    return out
+        for p in range(ensemble.n_paths)
+    ]
 
 
 def ensemble_to_csv(ensemble: BrownianEnsemble, path) -> None:
@@ -147,28 +162,27 @@ def euler_maruyama_ito(
 ) -> np.ndarray:
     """Explicit Euler-Maruyama for du = -(1/2) H^2 u dt - i H u dbeta.
 
-    Runs in the eigenbasis, mode by mode.  n_steps must divide the
-    number of given increments; coarser steps sum consecutive fine
-    increments so every refinement level sees the same path.
+    Runs in the eigenbasis on the occupied modes of u0, for one path of
+    increments (n_fine,) or a batch (n_paths, n_fine) at once.  n_steps
+    must divide n_fine; coarser steps sum consecutive fine increments so
+    every refinement level sees the same path.  Returns u(T) as (n,) for
+    one path and as one column per path, (n, n_paths), for a batch; the
+    trajectory stacks u(t_k) for k = 0..n_steps along a leading axis.
     """
     increments = np.asarray(increments, dtype=float)
-    n_fine = len(increments)
+    paths = np.atleast_2d(increments)
+    n_fine = paths.shape[1]
     if n_steps < 1 or n_fine % n_steps != 0:
         raise DomainError(
             f"n_steps={n_steps} must divide the path's {n_fine} increments"
         )
     if len(u0) != H.n:
         raise DomainError("u0 length does not match the Hamiltonian grid")
-    group = n_fine // n_steps
-    dbeta = increments.reshape(n_steps, group).sum(axis=1)
+    dbeta = paths.reshape(len(paths), n_steps, n_fine // n_steps).sum(axis=2)
     dt = horizon / n_steps
-    lam = H.eigenvalues
-    c = H.to_eigenbasis(np.asarray(u0, dtype=complex))
-    amax = np.max(np.abs(c))
-    active = np.abs(c) > 1e-12 * amax if amax > 0 else np.zeros_like(lam, bool)
-    # round-off occupation of stiff modes would be amplified without bound
-    c = np.where(active, c, 0.0)
-    lam_max2 = float(np.max(lam[active] ** 2)) if active.any() else 0.0
+    modes = occupied_modes(H, u0, mode_tol=EM_MODE_TOL)
+    lam = modes.energies
+    lam_max2 = float(np.max(lam**2)) if len(lam) else 0.0
     if dt * lam_max2 > 1.0:
         warnings.warn(
             f"dt * max occupied eigenvalue^2 = {dt * lam_max2:.3g} > 1; "
@@ -177,13 +191,12 @@ def euler_maruyama_ito(
             stacklevel=2,
         )
     drift = 1.0 - 0.5 * lam**2 * dt
-    traj = np.empty((n_steps + 1, H.n), dtype=complex) if return_trajectory else None
-    if return_trajectory:
-        traj[0] = H.from_eigenbasis(c)
+    ilam = 1j * lam
+    c = np.tile(modes.coef, (len(paths), 1))  # (n_paths, n_modes)
+    traj = [real_basis_product(modes.basis, c.T)] if return_trajectory else None
     for k in range(n_steps):
-        c = c * (drift - 1j * lam * dbeta[k])
+        c = c * (drift - ilam * dbeta[:, k, None])
         if return_trajectory:
-            traj[k + 1] = H.from_eigenbasis(c)
-    if return_trajectory:
-        return traj
-    return H.from_eigenbasis(c)
+            traj.append(real_basis_product(modes.basis, c.T))
+    out = np.stack(traj) if return_trajectory else real_basis_product(modes.basis, c.T)
+    return out if increments.ndim == 2 else out[..., 0]

@@ -54,6 +54,24 @@ class TestConfig:
         with pytest.raises(ValidationError, match="params.gamma"):
             ExperimentConfig.from_dict(raw)
 
+    def test_unknown_top_level_key_reports_path(self):
+        raw = {"experiment": "dispersive", "grdi": {"n_points": 128}}
+        with pytest.raises(ValidationError, match="grdi: unknown key"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_params_must_be_an_object(self):
+        raw = {"experiment": "dispersive", "params": [1]}
+        with pytest.raises(ValidationError, match="params: expected an object"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_validate_rejects_bad_top_level_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"experiment": "dispersive", "grdi": {}, "params": [1]}))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "grdi: unknown key" in err and "params: expected an object" in err
+        assert "Traceback" not in err
+
     def test_inf_exponent_round_trips(self):
         raw = {"experiment": "strichartz-hom", "norms": {"r": "inf", "p": 2}}
         cfg = ExperimentConfig.from_dict(raw)

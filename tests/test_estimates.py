@@ -331,6 +331,37 @@ class TestStrichartz:
         expect = mixed_norm(norms[None, :], ens.times, spec)
         assert rep.values[0] == pytest.approx(expect, rel=0.02)
 
+    def test_inhom_mode_tol_cuts_modes_not_values(self, ham_free_1024_l30):
+        # the cut shrinks the Duhamel basis product; the dropped modes carry
+        # amplitudes below 1e-12 of the largest, so lhs moves by round-off
+        H = ham_free_1024_l30
+        g = odd_packet(H.grid, width=1.0)
+        args = (H, g, 2.0, 4.0, 4.0, [0.25, 1.0, 4.0])
+        kw = {"n_steps": 32, "n_paths": 4, "seed": 3}
+        full = strichartz_inhomogeneous_experiment(*args, mode_tol=0.0, **kw)
+        cut = strichartz_inhomogeneous_experiment(*args, mode_tol=1e-12, **kw)
+        assert full.extras["n_modes"] == H.n
+        assert cut.extras["n_modes"] < H.n // 2
+        assert np.allclose(cut.values, full.values, rtol=1e-10, atol=0.0)
+
+    def test_inhom_table_keeps_union_of_slice_modes(self, ham_free_1024_l30):
+        H = ham_free_1024_l30
+        n_steps = 16
+        even, odd = gaussian_packet(H.grid, width=1.0), odd_packet(H.grid, width=1.0)
+        table = np.zeros((n_steps + 1, H.n), dtype=complex)
+        table[:8], table[8:] = even, odd
+        args = (2.0, 4.0, 4.0, [0.5, 1.0])
+        kw = {"n_steps": n_steps, "n_paths": 2, "seed": 3}
+        n_modes = [
+            strichartz_inhomogeneous_experiment(H, f, *args, **kw).extras["n_modes"]
+            for f in (even, odd)
+        ]
+        cut = strichartz_inhomogeneous_experiment(H, table, *args, **kw)
+        full = strichartz_inhomogeneous_experiment(H, table, *args, mode_tol=0.0, **kw)
+        # even and odd packets occupy disjoint eigenmodes on a symmetric box
+        assert cut.extras["n_modes"] == sum(n_modes)
+        assert np.allclose(cut.values, full.values, rtol=1e-10, atol=0.0)
+
 
 class TestTimeResolutionStability:
     def test_doubling_time_grid_is_converged(self, ham_free_1024_l30):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dispersion_lab import spectral_operator
 from dispersion_lab.errors import (
     AliasingWarning,
     ConvergenceRegionError,
@@ -13,10 +16,13 @@ from dispersion_lab.spectral_operator import (
     born_series_terms,
     build_hamiltonian,
     dense_resolvent_column,
+    evolve,
     free_resolvent_kernel,
+    occupied_modes,
     project_ac,
     propagate,
     propagate_batch,
+    real_basis_product,
     richardson_resolvent_column,
     stone_spectral_density,
 )
@@ -132,6 +138,123 @@ class TestPropagate:
         batch = propagate_batch(ham_gauss_1024, taus, u)
         for i, tau in enumerate(taus):
             assert np.allclose(batch[:, i], propagate(ham_gauss_1024, tau, u))
+
+
+def smooth_datum(H, seed: int) -> np.ndarray:
+    """A random complex packet, so the mode cut has a tail to drop."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    x = H.grid.x
+    center = rng.uniform(-5.0, 5.0)
+    width = rng.uniform(0.3, 2.0)
+    return np.exp(-(((x - center) / width) ** 2) + 1j * rng.uniform(-3.0, 3.0) * x)
+
+
+TAUS = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=40)
+KERNEL_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestPropagationKernel:
+    @KERNEL_SETTINGS
+    @given(taus=TAUS, seed=st.integers(0, 2**16), mode_tol=st.sampled_from([0.0, 1e-12]))
+    def test_unitary(self, ham_gauss_1024, taus, seed, mode_tol):
+        H = ham_gauss_1024
+        modes = occupied_modes(H, smooth_datum(H, seed), mode_tol=mode_tol)
+        norms = np.linalg.norm(evolve(modes, taus), axis=0)
+        assert np.allclose(norms, np.linalg.norm(modes.coef), rtol=1e-12, atol=0.0)
+
+    @KERNEL_SETTINGS
+    @given(a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0), seed=st.integers(0, 2**16))
+    def test_flow_composition(self, ham_gauss_1024, a, b, seed):
+        # S(a) S(b) = S(a + b)
+        H = ham_gauss_1024
+        u = smooth_datum(H, seed)
+        via = propagate(H, a, propagate(H, b, u))
+        direct = propagate(H, a + b, u)
+        assert np.linalg.norm(via - direct) <= 1e-10 * np.linalg.norm(u)
+
+    @KERNEL_SETTINGS
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(0, 40),
+        cols=st.one_of(st.none(), st.integers(0, 6)),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_real_gemm_matches_complex_product(self, n, m, cols, fortran, seed):
+        rng = np.random.Generator(np.random.Philox(key=[seed, 2]))
+        basis = rng.normal(size=(n, m))
+        shape = (m,) if cols is None else (m, cols)
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if fortran:
+            basis, data = np.asfortranarray(basis), np.asfortranarray(data)
+        got = real_basis_product(basis, data)
+        want = basis.astype(complex) @ data
+        assert got.shape == want.shape and got.dtype == np.complex128
+        scale = np.linalg.norm(basis) * np.linalg.norm(data) + 1e-300
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+        # real data takes the plain real product
+        assert np.array_equal(real_basis_product(basis, data.real), basis @ data.real)
+
+    @KERNEL_SETTINGS
+    @given(
+        n_taus=st.integers(1, 60),
+        chunk=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_split_and_worker_count(self, ham_gauss_1024, n_taus, chunk, seed):
+        # for every block size the thread pool returns the serial bytes;
+        # across block sizes only round-off differs, because a GEMM's column
+        # results depend on how many columns it is given
+        H = ham_gauss_1024
+        rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
+        taus = rng.uniform(-4.0, 4.0, n_taus)
+        modes = occupied_modes(H, smooth_datum(H, seed), mode_tol=1e-12)
+        whole = evolve(modes, taus)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
+            runs = []
+            for workers in ("1", "2"):
+                mp.setenv("DISPERSION_LAB_THREADS", workers)
+                runs.append(evolve(modes, taus))
+        assert np.array_equal(runs[0], runs[1])
+        assert np.max(np.abs(runs[0] - whole)) <= 1e-13 * np.linalg.norm(modes.coef)
+
+    def test_mode_cut_keeps_union_of_columns(self, ham_gauss_1024):
+        H = ham_gauss_1024
+        a, b = smooth_datum(H, 1), smooth_datum(H, 2)
+        cut = [occupied_modes(H, v, mode_tol=1e-8) for v in (a, b)]
+        both = occupied_modes(H, np.stack([a, b], axis=1), mode_tol=1e-8)
+        union = set(cut[0].energies) | set(cut[1].energies)
+        assert set(both.energies) == union
+        assert both.coef.shape == (len(union), 2)
+        assert both.basis.shape == (H.n, len(union))
+
+    def test_projection_zeroes_bound_states(self, ham_sech_4096, rng):
+        H = ham_sech_4096
+        u = rng.normal(size=H.n).astype(complex)
+        modes = occupied_modes(H, u, project=True)
+        assert np.all(modes.coef[H.bound_state_indices] == 0.0)
+
+    def test_table_gives_each_tau_its_column(self, ham_gauss_1024):
+        H = ham_gauss_1024
+        a, b = smooth_datum(H, 3), smooth_datum(H, 4)
+        taus = np.array([0.4, -1.3])
+        table = evolve(occupied_modes(H, np.stack([a, b], axis=1)), taus)
+        assert np.allclose(table[:, 0], propagate(H, 0.4, a), rtol=0, atol=1e-12)
+        assert np.allclose(table[:, 1], propagate(H, -1.3, b), rtol=0, atol=1e-12)
+
+    def test_table_needs_one_column_per_tau(self, ham_gauss_1024):
+        H = ham_gauss_1024
+        modes = occupied_modes(H, np.stack([smooth_datum(H, 6)] * 3, axis=1))
+        with pytest.raises(DomainError):
+            evolve(modes, [0.1, 0.2])
+
+    def test_empty_inputs(self, ham_gauss_1024):
+        H = ham_gauss_1024
+        assert propagate_batch(H, np.zeros(0), smooth_datum(H, 5)).shape == (H.n, 0)
+        zero = occupied_modes(H, np.zeros(H.n), mode_tol=1e-12)
+        assert len(zero.energies) == 0
+        assert np.array_equal(evolve(zero, [0.5, 1.0]), np.zeros((H.n, 2)))
 
 
 class TestFreeResolventKernel:

@@ -186,6 +186,54 @@ class TestEulerMaruyama:
             euler_maruyama_ito(ham_gauss_1024, inc, 1.0, np.ones(1024, complex), 64)
 
 
+def euler_maruyama_reference(H, increments, horizon, u0, n_steps):
+    """The full-mode, one-path step loop the batched integrator replaced."""
+    n_fine = len(increments)
+    dbeta = increments.reshape(n_steps, n_fine // n_steps).sum(axis=1)
+    dt = horizon / n_steps
+    lam = H.eigenvalues
+    c = H.eigenvectors.T @ np.asarray(u0, dtype=complex)
+    amax = np.max(np.abs(c))
+    active = np.abs(c) > 1e-12 * amax if amax > 0 else np.zeros_like(lam, bool)
+    c = np.where(active, c, 0.0)
+    drift = 1.0 - 0.5 * lam**2 * dt
+    for k in range(n_steps):
+        c = c * (drift - 1j * lam * dbeta[k])
+    return H.eigenvectors @ c
+
+
+class TestBatchedEulerMaruyama:
+    @pytest.fixture(scope="class")
+    def setup(self, ham_gauss_1024):
+        H = ham_gauss_1024
+        c = H.to_eigenbasis(np.exp(-(H.grid.x**2) / 4.0).astype(complex))
+        c[H.eigenvalues > 2.5] = 0.0
+        u0 = H.from_eigenbasis(c / np.linalg.norm(c))
+        ens = sample_brownian(1.0, 256, 6, seed=9)
+        return H, u0, ens
+
+    @pytest.mark.parametrize("n_steps", [16, 64, 256])
+    def test_matches_per_path_and_reference(self, setup, n_steps):
+        H, u0, ens = setup
+        batch = euler_maruyama_ito(H, ens.increments, 1.0, u0, n_steps)
+        assert batch.shape == (H.n, ens.n_paths)
+        for p in range(ens.n_paths):
+            one = euler_maruyama_ito(H, ens.increments[p], 1.0, u0, n_steps)
+            ref = euler_maruyama_reference(H, ens.increments[p], 1.0, u0, n_steps)
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(batch[:, p] - one) <= 1e-13 * scale
+            assert np.linalg.norm(batch[:, p] - ref) <= 1e-13 * scale
+
+    def test_batched_trajectory(self, setup):
+        H, u0, ens = setup
+        traj = euler_maruyama_ito(H, ens.increments, 1.0, u0, 32, return_trajectory=True)
+        assert traj.shape == (33, H.n, ens.n_paths)
+        one = euler_maruyama_ito(H, ens.increments[2], 1.0, u0, 32, return_trajectory=True)
+        assert np.max(np.abs(traj[:, :, 2] - one)) <= 1e-13 * np.linalg.norm(u0)
+        final = euler_maruyama_ito(H, ens.increments, 1.0, u0, 32)
+        assert np.array_equal(traj[-1], final)
+
+
 class TestCsvExports:
     def test_ensemble_export(self, tmp_path):
         from dispersion_lab.stochastic import ensemble_to_csv

@@ -7,9 +7,11 @@ this process may run on.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 ENV_THREADS = "DISPERSION_LAB_THREADS"
+_WORKER_PREFIX = "dispersion-lab-worker"
 
 
 def usable_cores() -> int:
@@ -30,10 +32,15 @@ def worker_count() -> int:
 
 
 def ordered_map(fn, items):
-    """Map fn over items, returning results in input order."""
+    """Map fn over items, returning results in input order.
+
+    A map called from inside a work item runs serially in that worker, so
+    pools never nest (per-path work that maps over its own tau blocks).
+    """
     items = list(items)
     n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    nested = threading.current_thread().name.startswith(_WORKER_PREFIX)
+    if n <= 1 or len(items) <= 1 or nested:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=n, thread_name_prefix=_WORKER_PREFIX) as pool:
         return list(pool.map(fn, items))

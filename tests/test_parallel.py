@@ -1,9 +1,10 @@
 import os
+import threading
 
 import pytest
 
 from dispersion_lab import _parallel
-from dispersion_lab._parallel import ENV_THREADS, usable_cores, worker_count
+from dispersion_lab._parallel import ENV_THREADS, ordered_map, usable_cores, worker_count
 
 
 @pytest.fixture()
@@ -44,3 +45,16 @@ class TestWorkerCount:
     def test_real_affinity_is_at_least_one(self):
         assert usable_cores() >= 1
         assert usable_cores() <= (os.cpu_count() or 1)
+
+
+def test_nested_map_runs_in_the_calling_worker(monkeypatch, cores):
+    monkeypatch.setenv(ENV_THREADS, "2")
+    cores(2)
+
+    def outer(i):
+        here = threading.current_thread().name
+        inner = ordered_map(lambda j: (threading.current_thread().name, i * 10 + j), range(3))
+        assert all(name == here for name, _ in inner)
+        return [v for _, v in inner]
+
+    assert ordered_map(outer, range(4)) == [[10 * i + j for j in range(3)] for i in range(4)]

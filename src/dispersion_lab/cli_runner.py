@@ -173,7 +173,7 @@ class ExperimentConfig:
         except (DispersionLabError, TypeError, ValueError) as exc:
             raise ValidationError(f"grid: {exc}") from exc
         try:
-            return cls(
+            cfg = cls(
                 experiment=exp,
                 potential=spec,
                 grid=grid,
@@ -189,6 +189,25 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
+        cfg._check_ranges()
+        return cfg
+
+    def _check_ranges(self) -> None:
+        """Reject values that parse but that no runner can execute."""
+        errors = [
+            f"stochastic.{name}: must be at least 1, got {val}"
+            for name, val in (("n_steps", self.n_steps), ("n_paths", self.n_paths))
+            if val < 1
+        ]
+        if self.experiment == "stone-density":
+            # the eigenvalue needs a neighbour on each side for its spacing
+            top = self.grid.n_points - 2
+            k = self.params["eigenindex"]
+            integral = isinstance(k, (int, float)) and not isinstance(k, bool)
+            if not (integral and float(k).is_integer() and 1 <= k <= top):
+                errors.append(f"params.eigenindex: must be an integer in [1, {top}], got {k!r}")
+        if errors:
+            raise ValidationError("; ".join(errors))
 
     def to_canonical_dict(self) -> dict:
         return {
@@ -306,11 +325,7 @@ def _run_scatter_sweep(cfg: ExperimentConfig):
 def _run_resonance(cfg: ExperimentConfig):
     V = sample_potential(cfg.potential, cfg.grid)
     tol = float(cfg.params["tol"])
-    w0 = scattering.wronskian(
-        scattering.jost_solution(V, 0.0, "plus"),
-        scattering.jost_solution(V, 0.0, "minus"),
-    )
-    resonant = scattering.detect_resonance(V, tol=tol)
+    resonant, w0 = scattering.zero_energy_test(V, tol=tol)
     rows = [(0.0, abs(w0))]
     for lam in (0.01, 0.05, 0.1, 0.5):
         fp = scattering.jost_solution(V, lam, "plus")
@@ -335,15 +350,12 @@ def _run_resolvent_check(cfg: ExperimentConfig):
     for lam in [float(v) for v in pr["lambdas"]]:
         jost_tab = scattering.resolvent_kernel_jost_table(V, lam, probes, probes)
         eps = lam * 11.5 / l_or * 4.0
+        dense_tab = spectral_operator.richardson_resolvent_table(
+            grid_or, vals_or, lam**2, eps, probes, probes
+        )
         for j, y in enumerate(probes):
-            col = spectral_operator.richardson_resolvent_column(
-                grid_or, vals_or, lam**2, eps, float(y)
-            )
-            dense = np.interp(probes, grid_or.x, col.real) + 1j * np.interp(
-                probes, grid_or.x, col.imag
-            )
             for i, x in enumerate(probes):
-                jv, dv = jost_tab[i, j], dense[i]
+                jv, dv = jost_tab[i, j], dense_tab[i, j]
                 rel = abs(jv - dv) / abs(dv)
                 max_rel = max(max_rel, rel)
                 rows.append((lam, float(x), float(y), jv.real, jv.imag, dv.real, dv.imag, rel))
@@ -580,7 +592,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         "exit_code": code,
         "metrics": report,
     }
-    (out / "report.json").write_text(json.dumps(report_doc, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", report_doc)
     write_csv(out / "data.csv", header, rows)
     manifest = {
         "config": config.to_canonical_dict(),
@@ -593,8 +605,24 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         },
         "workers": worker_count(),
     }
-    (out / "run_manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "run_manifest.json", manifest)
     return code
+
+
+def _finite_or_null(obj):
+    """obj with every nan or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    text = json.dumps(_finite_or_null(doc), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _version() -> str:

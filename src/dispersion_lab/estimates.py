@@ -222,7 +222,7 @@ def fit_decay_exponent(
     v = np.asarray(values, dtype=float)
     if len(a) != len(v):
         raise DomainError("abscissa and values must have equal length")
-    if np.any(a <= 0) or np.any(v <= 0):
+    if not (np.all(a > 0) and np.all(v > 0)):
         raise DomainError("log-log fit needs positive abscissa and values")
     if len(a) < min_points:
         raise ConditioningError(f"need at least {min_points} pairs, got {len(a)}")
@@ -350,16 +350,15 @@ def dispersive_experiment(
     xs, vs = xs[keep], vs[keep]
     if len(vs) == 0 or vs.max() < 1e-8:
         # nothing left to fit (e.g. the projection annihilated u0)
-        return EstimateReport(
-            abscissa=np.ones(1),
-            values=np.ones(1),
-            fitted_slope=float("nan"),
-            fitted_intercept=float("nan"),
-            slope_ci_95=(float("nan"), float("nan")),
+        rep = _degenerate_report(
+            np.ones(1),
+            np.ones(1),
+            "no sample left above beta_min with a sup norm of at least 1e-8",
             n_paths=ensemble.n_paths,
             seed=ensemble.seed,
-            extras={"degenerate": True, "resonant": resonant, "beta_min": beta_min},
         )
+        rep.extras.update({"resonant": resonant, "beta_min": beta_min})
+        return rep
     rep = _fit_or_degenerate(xs, vs, n_boot=n_boot, min_decades=1.0)
     rep.n_paths = ensemble.n_paths
     rep.seed = ensemble.seed
@@ -448,19 +447,24 @@ def _fit_or_degenerate(abscissa, values, **kwargs) -> EstimateReport:
     """Fit when the sample grid supports it, else a flagged nan report."""
     a = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
-    fittable = len(a) >= kwargs.get("min_points", 8) and np.all(v > 0) and np.all(a > 0)
-    if fittable:
-        fittable = math.log10(a.max() / a.min()) >= kwargs.get("min_decades", 1.5)
-    if fittable:
+    try:
         return fit_decay_exponent(a, v, **kwargs)
-    return EstimateReport(
-        abscissa=a,
-        values=v,
+    except (DomainError, ConditioningError) as exc:
+        return _degenerate_report(a, v, str(exc))
+
+
+def _degenerate_report(abscissa, values, reason: str, **fields) -> EstimateReport:
+    """A nan fit flagged degenerate, with the reason no fit was made."""
+    rep = EstimateReport(
+        abscissa=abscissa,
+        values=values,
         fitted_slope=float("nan"),
         fitted_intercept=float("nan"),
         slope_ci_95=(float("nan"), float("nan")),
-        extras={"degenerate": True},
+        **fields,
     )
+    rep.extras.update({"degenerate": True, "degenerate_reason": reason})
+    return rep
 
 
 def _ratio_spread(ratios: np.ndarray) -> float:

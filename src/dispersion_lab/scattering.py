@@ -49,6 +49,19 @@ class JostFunction:
         phase = np.exp(1j * self._s * self.lam * self.grid.x)
         return phase * (self.m_prime + 1j * self._s * self.lam * self.m_values)
 
+    def at_node(self, i: int) -> tuple[complex, complex]:
+        """(f, f') at grid node i alone, equal to f_values()[i], f_prime_values()[i].
+
+        Works on length-1 slices: numpy's complex scalar product rounds
+        differently from its array loop.
+        """
+        sl = slice(i, i + 1)
+        phase = np.exp(1j * self._s * self.lam * self.grid.x[sl])
+        m = self.m_values[sl]
+        f = phase * m
+        fd = phase * (self.m_prime[sl] + 1j * self._s * self.lam * m)
+        return f[0], fd[0]
+
     def f_at(self, x: float) -> complex:
         """f at an off-grid point, m interpolated linearly."""
         xs = self.grid.x
@@ -83,7 +96,9 @@ def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
     """Integrate the reduced Jost equation across the full grid.
 
     Fixed-step classical RK4 on (m, m'), marching inward from the
-    boundary on the `sign` side where m = 1, m' = 0.
+    boundary on the `sign` side where m = 1, m' = 0.  The equation is
+    linear, so each step is a 2x2 matrix; all step matrices are built at
+    once and composed by a log-depth prefix product.
     """
     if sign not in SIGNS:
         raise ContractViolationError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -96,28 +111,20 @@ def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
             f"step h={h:.4g} too coarse for lam={lam} and this potential; "
             "refine the grid"
         )
-    n = grid.n_points
     vm = _midpoint_values(v)
     s = 1.0 if sign == "plus" else -1.0
     c = -s * 2j * lam  # m'' = V m + c m'
-    m = np.empty(n, dtype=complex)
-    mp = np.empty(n, dtype=complex)
+    # V at the start, midpoint and end of every step, in marching order
     if sign == "plus":
-        rng = range(n - 2, -1, -1)
-        m[-1], mp[-1] = 1.0, 0.0
+        va, vb, vc = v[:0:-1], vm[::-1], v[-2::-1]
         step = -h
-        off = 1
     else:
-        rng = range(1, n)
-        m[0], mp[0] = 1.0, 0.0
+        va, vb, vc = v[:-1], vm, v[1:]
         step = h
-        off = -1
     half = 0.5 * step
     sixth = step / 6.0
-    for i in rng:
-        j = i + off
-        y0, y1 = m[j], mp[j]
-        va, vb, vc = v[j], vm[min(i, j)], v[i]
+
+    def rk4(y0, y1):
         k1m = y1
         k1p = va * y0 + c * y1
         a0 = y0 + half * k1m
@@ -132,8 +139,35 @@ def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
         c1 = y1 + step * k3p
         k4m = c1
         k4p = vc * c0 + c * c1
-        m[i] = y0 + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        mp[i] = y1 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        return (
+            y0 + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
+            y1 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+        )
+
+    # entries of the 2x2 step matrices, one flat array each (np.matmul on
+    # stacked 2x2 matrices is far slower); the images of the unit vectors
+    # are their columns
+    p00, p10 = rk4(1.0, 0.0)
+    p01, p11 = rk4(0.0, 1.0)
+    # inclusive prefix product P[i] = steps[i] @ ... @ steps[0] by doubling,
+    # P[i] <- P[i] @ P[i - k] for k = 1, 2, 4, ...
+    k = 1
+    while k < len(p00):
+        a00, a01, a10, a11 = p00[k:], p01[k:], p10[k:], p11[k:]
+        b00, b01, b10, b11 = p00[:-k], p01[:-k], p10[:-k], p11[:-k]
+        p00[k:], p01[k:], p10[k:], p11[k:] = (
+            a00 * b00 + a01 * b10,
+            a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10,
+            a10 * b01 + a11 * b11,
+        )
+        k *= 2
+    m = np.ones(grid.n_points, dtype=complex)
+    mp = np.zeros(grid.n_points, dtype=complex)
+    if sign == "plus":
+        m[-2::-1], mp[-2::-1] = p00, p10
+    else:
+        m[1:], mp[1:] = p00, p10
     return JostFunction(lam=lam, sign=sign, grid=grid, m_values=m, m_prime=mp)
 
 
@@ -159,10 +193,8 @@ def wronskian(f_plus: JostFunction, f_minus: JostFunction) -> complex:
     """
     _check_pair(f_plus, f_minus)
     i0 = f_plus.grid.n_points // 2
-    fp = f_plus.f_values()[i0]
-    fpd = f_plus.f_prime_values()[i0]
-    fm = f_minus.f_values()[i0]
-    fmd = f_minus.f_prime_values()[i0]
+    fp, fpd = f_plus.at_node(i0)
+    fm, fmd = f_minus.at_node(i0)
     return complex(fp * fmd - fpd * fm)
 
 
@@ -175,16 +207,21 @@ def wronskian_profile(f_plus: JostFunction, f_minus: JostFunction) -> np.ndarray
     )
 
 
+def zero_energy_test(V: PotentialGrid, tol: float = 1e-4) -> tuple[bool, complex]:
+    """(resonant, W(0)): the verdict of detect_resonance and its Wronskian."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    w0 = wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))
+    return abs(w0) < tol * max(1.0, V.l1_norm()), w0
+
+
 def detect_resonance(V: PotentialGrid, tol: float = 1e-4) -> bool:
     """True iff the zero-energy Wronskian is (numerically) zero.
 
     The threshold scales with max(1, ||V||_1) because the discretized
     W(0) never vanishes exactly.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    w0 = wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))
-    return abs(w0) < tol * max(1.0, V.l1_norm())
+    return zero_energy_test(V, tol)[0]
 
 
 def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
@@ -200,18 +237,15 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
     fp_neg = jost_solution(V, -lam, "plus")
     fm = jost_solution(V, lam, "minus")
     i0 = V.grid.n_points // 2
-    a11 = fp.f_values()[i0]
-    a12 = fp_neg.f_values()[i0]
-    a21 = fp.f_prime_values()[i0]
-    a22 = fp_neg.f_prime_values()[i0]
+    a11, a21 = fp.at_node(i0)
+    a12, a22 = fp_neg.at_node(i0)
     det = a11 * a22 - a12 * a21
     scale = max(abs(a11) * abs(a22), abs(a12) * abs(a21), 1e-300)
     if abs(det) < 1e-10 * scale:
         raise ConditioningError(
             f"matching system nearly singular at lam={lam} (det={abs(det):.2e})"
         )
-    b1 = fm.f_values()[i0]
-    b2 = fm.f_prime_values()[i0]
+    b1, b2 = fm.at_node(i0)
     alpha = (b1 * a22 - a12 * b2) / det
     beta = (a11 * b2 - b1 * a21) / det
     w = wronskian(fp, fm)

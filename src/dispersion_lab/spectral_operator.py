@@ -13,7 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ._parallel import ordered_map
 from .errors import AliasingWarning, ConvergenceRegionError, DomainError, SizeError
@@ -322,33 +323,66 @@ def born_series_apply(
     return np.sum(born_series_terms(V, lam, branch, f, n_max), axis=0)
 
 
+def _shifted_factor(grid: Grid, values: np.ndarray, z: complex) -> tuple:
+    """LU factors of the tridiagonal H - z (LAPACK gttrf, partial pivoting).
+
+    The factorization overwrites the diagonals it is handed, so one shift
+    holds four n-vectors and the pivots, nothing more.
+    """
+    h = grid.h
+    off = np.full(grid.n_points - 1, -1.0 / h**2, dtype=complex)
+    *factors, info = zgttrf(
+        off, 2.0 / h**2 + values - z, off.copy(),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+    )
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return tuple(factors)
+
+
+def _shifted_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve against gttrf factors in place: rhs (complex, contiguous) is the result."""
+    x, _ = zgttrs(*factors, rhs, overwrite_b=1)
+    return x
+
+
 def tridiagonal_resolvent_solve(
     grid: Grid, values: np.ndarray, z: complex, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve (H - z) u = rhs for the tridiagonal H, any grid size.
 
-    Banded LU, independent of the eigendecomposition; this is the dense
+    Tridiagonal LU, independent of the eigendecomposition; this is the dense
     oracle route paired with Jost/Born constructions elsewhere.
     """
-    n = grid.n_points
-    h = grid.h
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = -1.0 / h**2
-    ab[1] = 2.0 / h**2 + values - z
-    ab[2, :-1] = -1.0 / h**2
-    return solve_banded((1, 1), ab, rhs)
+    return _shifted_solve(_shifted_factor(grid, values, z), np.array(rhs, dtype=complex))
+
+
+def _node_index(grid: Grid, y: float) -> int:
+    iy = int(round((y + grid.l_box) / grid.h))
+    if not (0 <= iy < grid.n_points) or abs(grid.x[iy] - y) > 1e-9 * max(1.0, grid.h):
+        raise DomainError(f"probe y={y} is not a grid node")
+    return iy
+
+
+def _delta(grid: Grid, iy: int, out: np.ndarray) -> np.ndarray:
+    """Grid delta at node iy (unit mass), written into out."""
+    out[:] = 0.0
+    out[iy] = 1.0 / grid.h
+    return out
 
 
 def dense_resolvent_column(
     grid: Grid, values: np.ndarray, z: complex, y: float
 ) -> np.ndarray:
     """Kernel column R(z)(., y): solve against a grid delta at y."""
-    iy = int(round((y + grid.l_box) / grid.h))
-    if not (0 <= iy < grid.n_points) or abs(grid.x[iy] - y) > 1e-9 * max(1.0, grid.h):
-        raise DomainError(f"probe y={y} is not a grid node")
-    rhs = np.zeros(grid.n_points, dtype=complex)
-    rhs[iy] = 1.0 / grid.h
-    return tridiagonal_resolvent_solve(grid, values, z, rhs)
+    rhs = _delta(grid, _node_index(grid, y), np.empty(grid.n_points, dtype=complex))
+    return _shifted_solve(_shifted_factor(grid, values, z), rhs)
+
+
+def _richardson(cols) -> np.ndarray:
+    # cancels the O(eps) and O(eps^2) terms of the shifts eps, eps/2, eps/4
+    c1, c2, c4 = cols
+    return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
 
 
 def richardson_resolvent_column(
@@ -359,10 +393,38 @@ def richardson_resolvent_column(
     Combines eps, eps/2, eps/4 to cancel the first- and second-order
     smoothing error of the Lorentzian regularization.
     """
-    c1 = dense_resolvent_column(grid, values, energy + 1j * eps, y)
-    c2 = dense_resolvent_column(grid, values, energy + 1j * eps / 2.0, y)
-    c4 = dense_resolvent_column(grid, values, energy + 1j * eps / 4.0, y)
-    return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
+    return _richardson(
+        dense_resolvent_column(grid, values, energy + 1j * eps / d, y)
+        for d in (1.0, 2.0, 4.0)
+    )
+
+
+def richardson_resolvent_table(
+    grid: Grid, values: np.ndarray, energy: float, eps: float, xs, ys
+) -> np.ndarray:
+    """R(energy + i0)(x_i, y_j) on a probe set, linear in x between nodes.
+
+    Equals richardson_resolvent_column(..., y_j) interpolated at the xs as
+    np.interp does, but each shift is factored once for all ys, and each
+    y's column is solved into one reused buffer of which only the rows
+    bracketing the xs are kept.
+    """
+    xs = np.asarray(xs, dtype=float)
+    iys = [_node_index(grid, float(y)) for y in ys]
+    lo = np.clip(np.searchsorted(grid.x, xs, side="right") - 1, 0, grid.n_points - 2)
+    rows = np.unique(np.concatenate([lo, lo + 1]))
+    buf = np.empty(grid.n_points, dtype=complex)
+
+    def probe_rows(z: complex) -> np.ndarray:
+        # the factors are freed on return: one factorization in memory at a time
+        factors = _shifted_factor(grid, values, z)
+        return np.stack([_shifted_solve(factors, _delta(grid, iy, buf))[rows] for iy in iys], axis=1)
+
+    cols = _richardson([probe_rows(energy + 1j * eps / d) for d in (1.0, 2.0, 4.0)])
+    xr = grid.x[rows]
+    return np.stack(
+        [np.interp(xs, xr, c.real) + 1j * np.interp(xs, xr, c.imag) for c in cols.T], axis=1
+    )
 
 
 @dataclass(frozen=True)

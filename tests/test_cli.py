@@ -211,3 +211,70 @@ class TestShippedConfigs:
         cfg_dir = Path(__file__).resolve().parent.parent / "configs"
         cfg = load_config(cfg_dir / name)
         assert cfg.experiment in EXPERIMENTS
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictArtifacts:
+    def test_degenerate_fit_writes_strict_json(self, tmp_path):
+        # three windows are too few for a fit: the slope is null, not NaN
+        cfg = ExperimentConfig.from_dict(
+            {
+                "experiment": "strichartz-hom",
+                "grid": {"n_points": 128, "l_box": 30.0},
+                "stochastic": {"horizon": 4.0, "n_steps": 16, "n_paths": 2},
+                "norms": {"r": 2.0, "p": 2.0},
+                "params": {"horizons": [0.25, 1.0, 4.0]},
+            }
+        )
+        assert run(cfg, out_dir=tmp_path) == 0
+        for name in ("report.json", "run_manifest.json"):
+            json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+        metrics = json.loads((tmp_path / "report.json").read_text())["metrics"]
+        assert metrics["fitted_slope"] is None
+        assert metrics["slope_ci_95"] == [None, None]
+        assert metrics["extras"]["degenerate"] is True
+        assert "need at least 8 pairs, got 3" in metrics["extras"]["degenerate_reason"]
+
+
+def _write(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+class TestRangeValidation:
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_stochastic_counts_below_one_rejected(self, tmp_path, capsys, field, value):
+        raw = {"experiment": "dispersive", "stochastic": {field: value}}
+        with pytest.raises(ValidationError, match=f"stochastic.{field}: must be at least 1"):
+            ExperimentConfig.from_dict(raw)
+        assert main(["validate", str(_write(tmp_path, raw))]) == 1
+        err = capsys.readouterr().err
+        assert f"stochastic.{field}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", [0, -1, 127, 500, 2.5, "3", True])
+    def test_stone_eigenindex_outside_range_rejected(self, tmp_path, capsys, k):
+        raw = {
+            "experiment": "stone-density",
+            "grid": {"n_points": 128, "l_box": 40.0},
+            "params": {"eigenindex": k},
+        }
+        with pytest.raises(ValidationError, match=r"params.eigenindex: must be an integer in \[1, 126\]"):
+            ExperimentConfig.from_dict(raw)
+        assert main(["run", str(_write(tmp_path, raw))]) == 1
+        assert "params.eigenindex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [1, 126, 12.0])
+    def test_stone_eigenindex_edges_run(self, tmp_path, k):
+        raw = {
+            "experiment": "stone-density",
+            "potential": {"family": "gaussian", "amplitude": 3.0, "width": 1.0},
+            "grid": {"n_points": 128, "l_box": 40.0},
+            "params": {"eigenindex": k},
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        assert run(cfg, out_dir=tmp_path / "out") == 0

@@ -9,14 +9,17 @@ from dispersion_lab.errors import (
 )
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.scattering import (
+    _midpoint_values,
     detect_resonance,
     jost_solution,
+    lambda_sweep_grid,
     resolvent_kernel_jost,
     resolvent_kernel_jost_table,
     scattering_coefficients,
     scattering_sweep,
     wronskian,
     wronskian_profile,
+    zero_energy_test,
 )
 from dispersion_lab.spectral_operator import richardson_resolvent_column
 
@@ -194,3 +197,94 @@ class TestResolventKernel:
         tab = resolvent_kernel_jost_table(gauss_pot, 1.0, [-1.0, 0.0], [0.5])
         assert tab[0, 0] == pytest.approx(resolvent_kernel_jost(gauss_pot, 1.0, -1.0, 0.5))
         assert tab[1, 0] == pytest.approx(resolvent_kernel_jost(gauss_pot, 1.0, 0.0, 0.5))
+
+
+def reference_jost(V, lam, sign):
+    """The node-by-node RK4 march that jost_solution replaces, kept as an oracle."""
+    h = V.grid.h
+    v = V.values
+    n = V.grid.n_points
+    vm = _midpoint_values(v)
+    s = 1.0 if sign == "plus" else -1.0
+    c = -s * 2j * lam
+    m = np.empty(n, dtype=complex)
+    mp = np.empty(n, dtype=complex)
+    if sign == "plus":
+        rng = range(n - 2, -1, -1)
+        m[-1], mp[-1] = 1.0, 0.0
+        step = -h
+        off = 1
+    else:
+        rng = range(1, n)
+        m[0], mp[0] = 1.0, 0.0
+        step = h
+        off = -1
+    half = 0.5 * step
+    sixth = step / 6.0
+    for i in rng:
+        j = i + off
+        y0, y1 = m[j], mp[j]
+        va, vb, vc = v[j], vm[min(i, j)], v[i]
+        k1m = y1
+        k1p = va * y0 + c * y1
+        a0 = y0 + half * k1m
+        a1 = y1 + half * k1p
+        k2m = a1
+        k2p = vb * a0 + c * a1
+        b0 = y0 + half * k2m
+        b1 = y1 + half * k2p
+        k3m = b1
+        k3p = vb * b0 + c * b1
+        c0 = y0 + step * k3m
+        c1 = y1 + step * k3p
+        k4m = c1
+        k4p = vc * c0 + c * c1
+        m[i] = y0 + sixth * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        mp[i] = y1 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return m, mp
+
+
+def _rel(a, b):
+    # relative to the largest reference value: m crosses zero for some lam
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+class TestJostComposition:
+    @pytest.mark.parametrize("pot", ["zero_pot", "gauss_pot", "sech_pot"])
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05, -0.05, 1.3, "top"])
+    def test_matches_sequential_march(self, request, pot, sign, lam):
+        V = request.getfixturevalue(pot)
+        if lam == "top":
+            lam = float(lambda_sweep_grid(V.l1_norm() ** 2)[-1])
+        f = jost_solution(V, lam, sign)
+        m_ref, mp_ref = reference_jost(V, lam, sign)
+        assert _rel(f.m_values, m_ref) <= 1e-12
+        assert _rel(f.m_prime, mp_ref) <= 1e-12
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05, -0.05, 1.3, 7.0])
+    def test_free_case_exact(self, zero_pot, sign, lam):
+        f = jost_solution(zero_pot, lam, sign)
+        assert np.all(f.m_values == 1.0)
+        assert np.all(f.m_prime == 0.0)
+
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_resolution_check_on_both_sides(self, sign):
+        V = sample_potential(GAUSS31, Grid(l_box=20.0, n_points=256))
+        with pytest.raises(GridResolutionError):
+            jost_solution(V, 5.0, sign)
+        jost_solution(V, 0.1, sign)  # a fine enough lam still passes
+
+    def test_node_values_match_full_grid(self, gauss_pot):
+        for sign in ("plus", "minus"):
+            f = jost_solution(gauss_pot, 1.3, sign)
+            for i in (0, 17, 2000, 4000):
+                assert f.at_node(i) == (f.f_values()[i], f.f_prime_values()[i])
+
+    @pytest.mark.parametrize("pot", ["zero_pot", "gauss_pot", "sech_pot"])
+    def test_zero_energy_test_matches_detect_resonance(self, request, pot):
+        V = request.getfixturevalue(pot)
+        resonant, w0 = zero_energy_test(V)
+        assert resonant is detect_resonance(V)
+        assert w0 == wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))

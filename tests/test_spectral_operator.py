@@ -24,7 +24,9 @@ from dispersion_lab.spectral_operator import (
     propagate_batch,
     real_basis_product,
     richardson_resolvent_column,
+    richardson_resolvent_table,
     stone_spectral_density,
+    tridiagonal_resolvent_solve,
 )
 
 from conftest import GAUSS31, SECH21, ZERO
@@ -464,3 +466,50 @@ class TestStoneTraceMode:
         n_lam = int(np.ceil((b - a) / (eps / 3.0)))
         est = stone_spectral_density(H, a, b, eps, n_lam, mode="trace")
         assert est.integral() == pytest.approx(1.0, abs=1e-2)
+
+
+class TestFactorOnceSolves:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(16, 400),
+        re_z=st.floats(-50.0, 50.0),
+        im_z=st.floats(1e-4, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_solve_banded(self, n, re_z, im_z, seed):
+        from scipy.linalg import solve_banded
+
+        rng = np.random.default_rng(seed)
+        grid = Grid(l_box=10.0, n_points=n)
+        vals = rng.normal(size=n) * 5.0
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z = complex(re_z, im_z)
+        h = grid.h
+        ab = np.zeros((3, n), dtype=complex)
+        ab[0, 1:] = -1.0 / h**2
+        ab[1] = 2.0 / h**2 + vals - z
+        ab[2, :-1] = -1.0 / h**2
+        expected = solve_banded((1, 1), ab, rhs)
+        rhs_before = rhs.copy()
+        got = tridiagonal_resolvent_solve(grid, vals, z, rhs)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(rhs, rhs_before)  # solved in a copy, not in place
+
+    def test_probe_table_matches_columns(self):
+        grid = Grid(l_box=50.0, n_points=5001)
+        vals = sample_potential(GAUSS31, grid).values
+        probes = np.linspace(-2.0, 2.0, 5)
+        xs = np.append(probes, [0.123, -1.77])  # off-node rows interpolate
+        tab = richardson_resolvent_table(grid, vals, 1.0, 0.05, xs, probes)
+        assert tab.shape == (len(xs), len(probes))
+        for j, y in enumerate(probes):
+            col = richardson_resolvent_column(grid, vals, 1.0, 0.05, float(y))
+            iy = np.round((probes + grid.l_box) / grid.h).astype(int)
+            assert np.max(np.abs(tab[:5, j] - col[iy]) / np.abs(col[iy])) <= 1e-14
+            interp = np.interp(xs, grid.x, col.real) + 1j * np.interp(xs, grid.x, col.imag)
+            assert np.array_equal(tab[:, j], interp)
+
+    def test_probe_table_rejects_off_grid_y(self):
+        grid = Grid(l_box=10.0, n_points=101)
+        with pytest.raises(DomainError):
+            richardson_resolvent_table(grid, np.zeros(101), 1.0, 0.1, [0.0], [0.05])

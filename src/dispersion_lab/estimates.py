@@ -501,13 +501,13 @@ def convolution_lemma_experiment(
             [f(t) for t in ens.times], dtype=float
         )
         wq = _time_weights(n_steps, dt)
+        lower = np.tril_indices(n_steps + 1, -1)
 
         def one_path(pi: int, _ens=ens, _fs=fs, _wq=wq, _dt=dt):
             b = _ens.values[pi]
-            diff = np.abs(b[:, None] - b[None, :])
-            lower = np.tril(np.ones_like(diff, dtype=bool), -1)
+            kern = np.zeros((len(b), len(b)))
             with np.errstate(divide="ignore"):
-                kern = np.where(lower, diff ** (-alpha), 0.0)
+                kern[lower] = np.abs(b[lower[0]] - b[lower[1]]) ** (-alpha)
             g = (kern * np.abs(_fs)[None, :]).sum(axis=1) * _dt
             return float(np.sum(_wq * g**2))
 

@@ -99,58 +99,6 @@ def build_hamiltonian(V: PotentialGrid, dense_cap: int = DENSE_SOLVER_CAP) -> Di
     )
 
 
-def build_hamiltonian_cached(
-    spec,
-    grid: Grid,
-    cache_dir: str,
-    dense_cap: int = DENSE_SOLVER_CAP,
-) -> DiscreteHamiltonian:
-    """build_hamiltonian with an on-disk eigendecomposition cache.
-
-    The cache key hashes the potential family, its parameters and the
-    grid, so re-runs of an experiment skip the eigensolve.
-    """
-    import hashlib
-    import json
-    from pathlib import Path
-
-    from .grid_model import sample_potential
-
-    key_doc = {
-        "family": spec.family,
-        "amplitude": spec.amplitude,
-        "width": spec.width,
-        "table": [list(p) for p in spec.table] if spec.table else None,
-        "n_points": grid.n_points,
-        "l_box": grid.l_box,
-    }
-    key = hashlib.sha256(json.dumps(key_doc, sort_keys=True).encode()).hexdigest()[:24]
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"eig_{key}.npz"
-    V = sample_potential(spec, grid)
-    if path.exists():
-        data = np.load(path)
-        h = grid.h
-        return DiscreteHamiltonian(
-            grid=grid,
-            potential=V,
-            diagonal=2.0 / h**2 + V.values,
-            off_diagonal=np.full(grid.n_points - 1, -1.0 / h**2),
-            eigenvalues=data["eigenvalues"],
-            eigenvectors=data["eigenvectors"],
-            bound_state_indices=data["bound_state_indices"],
-        )
-    H = build_hamiltonian(V, dense_cap=dense_cap)
-    np.savez(
-        path,
-        eigenvalues=H.eigenvalues,
-        eigenvectors=H.eigenvectors,
-        bound_state_indices=H.bound_state_indices,
-    )
-    return H
-
-
 def project_ac(H: DiscreteHamiltonian, u: np.ndarray) -> np.ndarray:
     """Remove the bound-state components of u.
 
@@ -278,21 +226,32 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 class _FreeResolventApply:
-    """R0 at fixed energy as a fast convolution against grid quadrature."""
+    """R0 at fixed energy as a fast convolution against grid quadrature.
+
+    The full linear convolution is computed exactly as
+    scipy.signal.fftconvolve does for complex 1-D input (complex FFTs of
+    the next fast length, product, inverse, crop), so the terms match it
+    bit for bit without importing scipy.signal; the kernel's transform is
+    taken once.
+    """
 
     def __init__(self, grid: Grid, lam: float, branch: str):
+        from scipy import fft
+
         s = _branch_sign(branch)
         k = np.sqrt(lam)
         n = grid.n_points
         offsets = grid.h * np.arange(-(n - 1), n)
-        self.kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
+        kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
         self.weights = _simpson_weights(n, grid.h)
         self.n = n
+        self.size = fft.next_fast_len(3 * n - 2, real=False)
+        self.kernel_hat = fft.fft(kernel, self.size)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        from scipy.signal import fftconvolve
+        from scipy import fft
 
-        full = fftconvolve(self.weights * f, self.kernel)
+        full = fft.ifft(fft.fft(self.weights * f, self.size) * self.kernel_hat, self.size)
         return full[self.n - 1 : 2 * self.n - 1]
 
 
@@ -408,6 +367,12 @@ def richardson_resolvent_table(
     np.interp does, but each shift is factored once for all ys, and each
     y's column is solved into one reused buffer of which only the rows
     bracketing the xs are kept.
+
+    Each solve runs on the trailing block from row a on, one row above the
+    lower of y_j's node and the first kept row (a >= 0).  Above row a the
+    forward sweep of the delta only carries zeros, and the back sweep never
+    reads those rows when it fills rows >= a, so the kept rows are the full
+    solve's bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     iys = [_node_index(grid, float(y)) for y in ys]
@@ -415,10 +380,16 @@ def richardson_resolvent_table(
     rows = np.unique(np.concatenate([lo, lo + 1]))
     buf = np.empty(grid.n_points, dtype=complex)
 
+    def solve_rows(factors: tuple, iy: int) -> np.ndarray:
+        a = max(min(iy, int(rows[0])) - 1, 0)
+        dl, d, du, du2, ipiv = factors
+        trailing = (dl[a:], d[a:], du[a:], du2[a:], ipiv[a:] - a)
+        return _shifted_solve(trailing, _delta(grid, iy - a, buf[a:]))[rows - a]
+
     def probe_rows(z: complex) -> np.ndarray:
         # the factors are freed on return: one factorization in memory at a time
         factors = _shifted_factor(grid, values, z)
-        return np.stack([_shifted_solve(factors, _delta(grid, iy, buf))[rows] for iy in iys], axis=1)
+        return np.stack([solve_rows(factors, iy) for iy in iys], axis=1)
 
     cols = _richardson([probe_rows(energy + 1j * eps / d) for d in (1.0, 2.0, 4.0)])
     xr = grid.x[rows]

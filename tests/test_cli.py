@@ -175,6 +175,18 @@ class TestRun:
         assert "strichartz-inhom" in proc.stdout
 
 
+class TestImportBudget:
+    def test_lab_import_leaves_heavy_scipy_modules_unloaded(self):
+        code = (
+            "import sys, dispersion_lab.cli_runner; "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.signal', "
+            "'scipy.special', 'scipy.optimize') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+
 class TestReproducibility:
     def test_same_seed_same_bytes_across_worker_counts(self, tmp_path, monkeypatch):
         path = small_dispersive_config(tmp_path)

@@ -254,6 +254,35 @@ class TestConvolutionLemma:
         with pytest.raises(DomainError):
             convolution_lemma_experiment(1.0, [0.5, 1.0], n_steps=8, n_paths=2, seed=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_equals_full_matrix_kernel_exactly(self, alpha):
+        from dispersion_lab.estimates import _sub_seed, _time_weights
+
+        def f(t):
+            return 1.0 + np.sin(3.0 * t)
+
+        horizons = [0.5, 1.0, 2.0]
+        n_steps, n_paths, seed = 32, 6, 4
+        rep = convolution_lemma_experiment(
+            alpha, horizons, n_steps=n_steps, n_paths=n_paths, seed=seed, f=f, n_boot=20
+        )
+        expected = []
+        for i, T in enumerate(horizons):
+            # the per-path integrand as it was computed on the full matrix
+            ens = sample_brownian(T, n_steps, n_paths, _sub_seed(seed, i))
+            fs = np.asarray([f(t) for t in ens.times], dtype=float)
+            wq = _time_weights(n_steps, ens.dt)
+            vals = []
+            for b in ens.values:
+                diff = np.abs(b[:, None] - b[None, :])
+                lower = np.tril(np.ones_like(diff, dtype=bool), -1)
+                with np.errstate(divide="ignore"):
+                    kern = np.where(lower, diff ** (-alpha), 0.0)
+                g = (kern * np.abs(fs)[None, :]).sum(axis=1) * ens.dt
+                vals.append(float(np.sum(wq * g**2)))
+            expected.append(float(np.mean(vals)))
+        assert np.array_equal(rep.values, expected)
+
     def test_alpha_half_scaling_small(self):
         horizons = 0.25 * 2.0 ** np.arange(0, 4.5, 0.5)
         rep = convolution_lemma_experiment(0.5, horizons, n_steps=64, n_paths=120, seed=2)

@@ -6,6 +6,7 @@ from dispersion_lab.errors import DomainError, ValidationError
 from dispersion_lab.grid_model import (
     Grid,
     PotentialSpec,
+    _simpson,
     _simpson_weighted,
     lambda0,
     sample_potential,
@@ -128,6 +129,25 @@ class TestWeightedNorm:
     def test_bad_j_rejected(self):
         with pytest.raises(DomainError):
             weighted_l1_norm(GAUSS31, 3)
+
+
+class TestSimpsonRule:
+    @pytest.mark.parametrize("n", list(range(3, 41)) + [1024, 2048, 3072, 4001, 4097])
+    def test_equals_scipy_simpson_exactly(self, n):
+        from scipy.integrate import simpson
+
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            y = np.abs(rng.normal(size=n)) * rng.uniform(0.1, 1e3)
+            h = rng.uniform(1e-4, 2.0)
+            assert _simpson(y, h) == simpson(y, dx=h)
+
+    def test_l1_norm_equals_scipy_simpson_exactly(self, gauss_pot):
+        from scipy.integrate import simpson
+
+        even = sample_potential(GAUSS31, Grid(l_box=15.0, n_points=4096))
+        for V in (gauss_pot, even):
+            assert V.l1_norm() == float(simpson(np.abs(V.values), dx=V.grid.h))
 
 
 class TestLambda0:

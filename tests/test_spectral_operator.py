@@ -434,26 +434,42 @@ class TestDenseResolventHelpers:
             dense_resolvent_column(grid, np.zeros(101), 1.0 + 0.1j, 0.05)
 
 
-class TestEigenCache:
-    def test_round_trip_and_reuse(self, tmp_path):
-        from dispersion_lab.spectral_operator import build_hamiltonian_cached
+class TestFreeResolventApply:
+    @pytest.mark.parametrize(
+        "grid", [Grid(l_box=15.0, n_points=4097), Grid(l_box=5.0, n_points=63), Grid(l_box=5.0, n_points=64)]
+    )
+    def test_equals_fftconvolve_exactly(self, grid):
+        from scipy.signal import fftconvolve
 
-        grid = Grid(l_box=10.0, n_points=128)
-        h1 = build_hamiltonian_cached(GAUSS31, grid, tmp_path)
-        files = list(tmp_path.glob("eig_*.npz"))
-        assert len(files) == 1
-        h2 = build_hamiltonian_cached(GAUSS31, grid, tmp_path)
-        assert np.array_equal(h1.eigenvalues, h2.eigenvalues)
-        assert np.array_equal(h1.eigenvectors, h2.eigenvectors)
-        assert list(tmp_path.glob("eig_*.npz")) == files
+        from dispersion_lab.spectral_operator import _FreeResolventApply
 
-    def test_key_separates_potentials(self, tmp_path):
-        from dispersion_lab.spectral_operator import build_hamiltonian_cached
+        rng = np.random.default_rng(grid.n_points)
+        f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
+        n = grid.n_points
+        k = np.sqrt(37.0)
+        for branch, s in (("plus", 1.0), ("minus", -1.0)):
+            r0 = _FreeResolventApply(grid, 37.0, branch)
+            offsets = grid.h * np.arange(-(n - 1), n)
+            kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
+            expected = fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]
+            assert np.array_equal(r0(f), expected)
 
-        grid = Grid(l_box=10.0, n_points=128)
-        build_hamiltonian_cached(GAUSS31, grid, tmp_path)
-        build_hamiltonian_cached(SECH21, grid, tmp_path)
-        assert len(list(tmp_path.glob("eig_*.npz"))) == 2
+    def test_born_check_terms_equal_fftconvolve_series(self):
+        from scipy.signal import fftconvolve
+
+        from dispersion_lab.spectral_operator import _FreeResolventApply
+
+        V = sample_potential(GAUSS31, Grid(l_box=15.0, n_points=4097))
+        energy = 4.0 * V.l1_norm() ** 2
+        f = np.exp(-V.grid.x**2).astype(complex)
+        r0 = _FreeResolventApply(V.grid, energy, "plus")
+        n, k = V.grid.n_points, np.sqrt(energy)
+        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(V.grid.h * np.arange(-(n - 1), n)))
+        expected = [fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]]
+        for _ in range(20):
+            expected.append(fftconvolve(r0.weights * (-V.values * expected[-1]), kernel)[n - 1 : 2 * n - 1])
+        got = born_series_terms(V, energy, "plus", f, 20)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestStoneTraceMode:
@@ -508,6 +524,32 @@ class TestFactorOnceSolves:
             assert np.max(np.abs(tab[:5, j] - col[iy]) / np.abs(col[iy])) <= 1e-14
             interp = np.interp(xs, grid.x, col.real) + 1j * np.interp(xs, grid.x, col.imag)
             assert np.array_equal(tab[:, j], interp)
+
+    def test_sliced_solves_equal_full_columns(self):
+        # y on nodes 0 and 1 clamps the trailing block to the whole system;
+        # x rows below y set its first row elsewhere
+        from dispersion_lab.spectral_operator import (
+            _delta,
+            _richardson,
+            _shifted_factor,
+            _shifted_solve,
+        )
+
+        grid = Grid(l_box=10.0, n_points=201)
+        vals = np.random.default_rng(3).normal(size=grid.n_points)
+        ys = grid.x[[0, 1, 2, 60, 100, 140, 200]]
+        for xs in (grid.x[[0, 5, 100, 199]], grid.x[[1, 99, 101]], grid.x[[120, 130]]):
+            tab = richardson_resolvent_table(grid, vals, 1.0, 0.05, xs, ys)
+            ix = np.round((xs + grid.l_box) / grid.h).astype(int)
+            for j, y in enumerate(ys):
+                iy = int(round((y + grid.l_box) / grid.h))
+                cols = []
+                for d in (1.0, 2.0, 4.0):
+                    factors = _shifted_factor(grid, vals, 1.0 + 0.05j / d)
+                    rhs = _delta(grid, iy, np.empty(grid.n_points, dtype=complex))
+                    cols.append(_shifted_solve(factors, rhs))
+                col = _richardson(cols)
+                assert np.array_equal(tab[:, j], col[ix])
 
     def test_probe_table_rejects_off_grid_y(self):
         grid = Grid(l_box=10.0, n_points=101)

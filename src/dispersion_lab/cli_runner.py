@@ -12,7 +12,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,11 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates, scattering, spectral_operator, stochastic
-from ._parallel import ENV_THREADS, worker_count
+from ._parallel import ENV_THREADS, usable_cores, worker_count
 from .errors import DispersionLabError, HypothesisViolationWarning, ValidationError
 from .grid_model import Grid, PotentialSpec, lambda0, sample_potential
 
 SCHEMA_LINE = "# schema=1"
+# thread caps that the manifest records: BLAS results, and so the bytes of
+# data.csv, depend on the BLAS thread count
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    ENV_THREADS,
+)
 
 EXPERIMENTS = {
     "scatter-sweep": "Wronskian, transmission and reflection over a momentum grid; checks |T|^2 + |R|^2 = 1",
@@ -579,6 +592,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     Nothing is written if the runner raises; hypothesis-violation
     warnings still produce artifacts but exit with code 2.
     """
+    t0 = time.perf_counter()
     runner = _RUNNERS[config.experiment]
     report, header, rows, code = runner(config)
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
@@ -604,9 +618,31 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
             "scipy": __import__("scipy").__version__,
         },
         "workers": worker_count(),
+        "blas": _blas(),
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "usable_cores": usable_cores(),
+        "peak_rss_mb": _peak_rss_mb(),
+        "wall_s": time.perf_counter() - t0,
     }
     _write_json(out / "run_manifest.json", manifest)
     return code
+
+
+def _blas() -> dict:
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process so far, None where unknown."""
+    try:
+        import resource
+    except ImportError:  # not on this platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / (2**20 if sys.platform == "darwin" else 1024)
 
 
 def _finite_or_null(obj):

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .grid_model import Grid
 from .scattering import detect_resonance
-from .spectral_operator import DiscreteHamiltonian, evolve, occupied_modes
+from .spectral_operator import DiscreteHamiltonian, RowPanels, evolve, occupied_modes
 from .stochastic import BrownianEnsemble, sample_brownian
 
 INF = math.inf
@@ -41,12 +41,25 @@ def lp_norm_x(u: np.ndarray, p: float, grid: Grid) -> float:
     return float((grid.h * np.sum(a**p)) ** (1.0 / p))
 
 
-def lp_norms_columns(states: np.ndarray, p: float, grid: Grid) -> np.ndarray:
-    """L^p norm of every column of a (n_points, n_times) state matrix."""
-    a = np.abs(states)
+def lp_norms_columns(states: np.ndarray | RowPanels, p: float, grid: Grid) -> np.ndarray:
+    """L^p norm of every column of a (n_points, n_times) state matrix.
+
+    states may also be RowPanels, folded in row order: a running maximum
+    for p = inf, and for finite p the running sum rides along as row 0 of
+    the next panel's |u|^p.  numpy adds the rows of a C-ordered array with
+    more than one column strictly in order, so the fold equals the whole
+    array's sum bit for bit.
+    """
+    acc = None
+    for a in map(np.abs, states if isinstance(states, RowPanels) else [states]):
+        if p == INF:
+            acc = a.max(axis=0) if acc is None else np.maximum(acc, a.max(axis=0))
+        else:
+            a = a**p
+            acc = np.sum(a if acc is None else np.vstack([acc, a]), axis=0)
     if p == INF:
-        return a.max(axis=0)
-    return (grid.h * np.sum(a**p, axis=0)) ** (1.0 / p)
+        return acc
+    return (grid.h * acc) ** (1.0 / p)
 
 
 def holder_conjugate(q: float) -> float:
@@ -638,8 +651,9 @@ def strichartz_inhomogeneous_experiment(
             csum = np.cumsum(np.exp(1j * np.outer(modes.energies, b)) * g, axis=1)
             duh = np.zeros_like(csum)
             duh[:, 1:] = _dt * csum[:, :-1]  # strictly s < t
-            states = evolve(replace(modes, coef=duh), b)
-            return lp_norms_columns(states, p, grid)
+            return evolve(
+                replace(modes, coef=duh), b, reduce=lambda st: lp_norms_columns(st, p, grid)
+            )
 
         norms = np.vstack(ordered_map(one_path, range(n_paths)))
         spec = MixedNormSpec(rho=rho, r=r, p=p, s=0.0, horizon=float(T))

@@ -119,6 +119,7 @@ def project_ac(H: DiscreteHamiltonian, u: np.ndarray) -> np.ndarray:
 # propagation kernel: occupied modes -> phases -> one real GEMM per tau block
 
 _TAU_CHUNK = 1024  # fixed so results never depend on the worker count
+_ROW_PANEL = 256  # rows of a reduced block's states held at a time
 
 
 @dataclass(frozen=True)
@@ -155,13 +156,38 @@ def occupied_modes(
     return OccupiedModes(H.eigenvectors, H.eigenvalues, c)
 
 
+@dataclass(frozen=True)
+class RowPanels:
+    """The states basis @ data of one tau block, produced in row panels.
+
+    Iterating yields real_basis_product(basis[r:r+_ROW_PANEL], data) in row
+    order, so a column reduction holds one panel of the (n, b) states, not
+    all of them.  A single column comes as one panel: it is only n values,
+    and numpy sums a single column pairwise rather than row by row.
+    """
+
+    basis: np.ndarray  # (n, m)
+    data: np.ndarray  # (m, b), complex
+    ndim = 2
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.basis.shape[0], self.data.shape[1])
+
+    def __iter__(self):
+        n, b = self.shape
+        rows = _ROW_PANEL if b > 1 else n
+        for r in range(0, n, rows):
+            yield real_basis_product(self.basis[r : r + rows], self.data)
+
+
 def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     """Columns e^{-i tau_k H} u for a flat list of phases tau_k.
 
     The phases are applied in fixed blocks of _TAU_CHUNK columns, which are
     independent work units for the thread pool.  reduce, if given, maps
-    each block's (n, b) states to b per-column values, so only those are
-    kept.
+    each block's states, handed over as RowPanels, to b per-column values,
+    so only those are kept.
     """
     taus = np.asarray(taus, dtype=float).ravel()
     table = modes.coef.ndim == 2
@@ -170,10 +196,13 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
 
     def one_block(start: int) -> np.ndarray:
         sl = slice(start, start + _TAU_CHUNK)
-        coef = modes.coef[:, sl] if table else modes.coef[:, None]
-        phases = np.exp(-1j * np.outer(modes.energies, taus[sl]))
-        states = real_basis_product(modes.basis, phases * coef)
-        return states if reduce is None else reduce(states)
+        # phases and coefficients share one buffer
+        z = -1j * np.outer(modes.energies, taus[sl])
+        np.exp(z, out=z)
+        z *= modes.coef[:, sl] if table else modes.coef[:, None]
+        if reduce is None:
+            return real_basis_product(modes.basis, z)
+        return reduce(RowPanels(modes.basis, z))
 
     # an empty tau list still yields one (empty) block of the right shape
     parts = ordered_map(one_block, range(0, max(len(taus), 1), _TAU_CHUNK))
@@ -225,19 +254,30 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth length >= target, scipy.fft.next_fast_len(target, real=False)."""
+    n = max(target, 1)
+    while True:
+        m = n
+        for f in (2, 3, 5, 7, 11):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
+
+
 class _FreeResolventApply:
     """R0 at fixed energy as a fast convolution against grid quadrature.
 
     The full linear convolution is computed exactly as
     scipy.signal.fftconvolve does for complex 1-D input (complex FFTs of
     the next fast length, product, inverse, crop), so the terms match it
-    bit for bit without importing scipy.signal; the kernel's transform is
-    taken once.
+    bit for bit; numpy.fft runs the same pocketfft transforms without
+    importing scipy.fft.  The kernel's transform is taken once.
     """
 
     def __init__(self, grid: Grid, lam: float, branch: str):
-        from scipy import fft
-
         s = _branch_sign(branch)
         k = np.sqrt(lam)
         n = grid.n_points
@@ -245,13 +285,11 @@ class _FreeResolventApply:
         kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
         self.weights = _simpson_weights(n, grid.h)
         self.n = n
-        self.size = fft.next_fast_len(3 * n - 2, real=False)
-        self.kernel_hat = fft.fft(kernel, self.size)
+        self.size = _next_fast_len(3 * n - 2)
+        self.kernel_hat = np.fft.fft(kernel, self.size)
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        from scipy import fft
-
-        full = fft.ifft(fft.fft(self.weights * f, self.size) * self.kernel_hat, self.size)
+        full = np.fft.ifft(np.fft.fft(self.weights * f, self.size) * self.kernel_hat, self.size)
         return full[self.n - 1 : 2 * self.n - 1]
 
 

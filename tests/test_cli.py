@@ -177,14 +177,44 @@ class TestRun:
 
 class TestImportBudget:
     def test_lab_import_leaves_heavy_scipy_modules_unloaded(self):
+        # a Born series call runs on numpy.fft, so scipy.fft stays unloaded too
         code = (
-            "import sys, dispersion_lab.cli_runner; "
+            "import sys, numpy as np, dispersion_lab.cli_runner; "
+            "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
+            "from dispersion_lab.spectral_operator import born_series_terms; "
+            "V = sample_potential(PotentialSpec('gaussian', amplitude=0.5, width=1.0), "
+            "Grid(l_box=5.0, n_points=63)); "
+            "born_series_terms(V, 4.0 * V.l1_norm() ** 2, 'plus', np.ones(63), 2); "
             "print(' '.join(m for m in ('scipy.integrate', 'scipy.signal', "
-            "'scipy.special', 'scipy.optimize') if m in sys.modules))"
+            "'scipy.special', 'scipy.optimize', 'scipy.fft') if m in sys.modules))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+class TestManifest:
+    def test_records_blas_threads_cores_and_cost(self, tmp_path, monkeypatch):
+        from dispersion_lab.cli_runner import THREAD_VARS
+
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = load_config(small_dispersive_config(tmp_path))
+        for tag in ("a", "b"):
+            assert run(cfg, out_dir=tmp_path / tag) == 0
+        man = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
+        assert all(isinstance(man["blas"][k], str) for k in ("name", "version"))
+        assert set(man["thread_env"]) == set(THREAD_VARS)
+        assert man["thread_env"]["DISPERSION_LAB_THREADS"] == "1"
+        assert man["thread_env"]["MKL_NUM_THREADS"] is None
+        assert isinstance(man["usable_cores"], int) and man["usable_cores"] >= 1
+        assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0
+        assert isinstance(man["wall_s"], float) and man["wall_s"] > 0
+        # where the run ran and what it cost stay out of the reproducible bytes
+        for name in ("report.json", "data.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        report = (tmp_path / "a" / "report.json").read_text()
+        assert "wall_s" not in report and "peak_rss_mb" not in report
 
 
 class TestReproducibility:

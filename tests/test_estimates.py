@@ -411,3 +411,30 @@ class TestTimeResolutionStability:
         # the path norm is Holder-1/2 in t, so quadrature converges slowly;
         # stability at the percent level is what the window fits rely on
         assert abs(half - full) / full < 1e-2
+
+
+class TestStreamedNormMemory:
+    def test_reduced_block_holds_one_panel(self):
+        # one 1024-tau block of a width-2 Gaussian (67 occupied modes) at
+        # n = 2048: the sup norms stream over row panels, so the block never
+        # holds its whole (n, 1024) complex states (32 MB)
+        import tracemalloc
+
+        from dispersion_lab.estimates import lp_norms_columns
+        from dispersion_lab.grid_model import PotentialSpec, sample_potential
+        from dispersion_lab.spectral_operator import build_hamiltonian, evolve, occupied_modes
+
+        grid = Grid(l_box=40.0, n_points=2048)
+        H = build_hamiltonian(sample_potential(PotentialSpec("zero"), grid))
+        modes = occupied_modes(H, gaussian_packet(grid, width=2.0), mode_tol=1e-12)
+        assert len(modes.energies) == 67
+        taus = np.linspace(0.1, 5.0, 1024)
+        whole_block = grid.n_points * len(taus) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            sup = evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, INF, grid))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sup.shape == (1024,)
+        assert peak < whole_block / 2

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,10 @@ from dispersion_lab.errors import (
     DomainError,
     SizeError,
 )
+from dispersion_lab.estimates import lp_norms_columns
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
+    RowPanels,
     born_series_apply,
     born_series_terms,
     build_hamiltonian,
@@ -259,6 +264,84 @@ class TestPropagationKernel:
         assert np.array_equal(evolve(zero, [0.5, 1.0]), np.zeros((H.n, 2)))
 
 
+P_EXPONENTS = [1.0, 2.0, 4.0, math.inf]
+
+
+def reduced(modes, taus, p, grid):
+    return evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, p, grid))
+
+
+class TestStreamedReduction:
+    """A reduced block hands its states over as RowPanels.
+
+    For the block widths used here (1024 taus, one tau) OpenBLAS gives the
+    panel GEMMs the rows of the whole product bit for bit, and the fold adds
+    the rows in the order numpy's axis-0 sum does, so the streamed norms
+    equal the norms of the whole states exactly.
+    """
+
+    @pytest.mark.parametrize("n", [200, 300, 1024])  # one panel, ragged last panel, exact
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_panels_equal_whole_states(self, n, order):
+        grid = Grid(l_box=20.0, n_points=n)
+        H = build_hamiltonian(sample_potential(GAUSS31, grid))
+        rng = np.random.Generator(np.random.Philox(key=[n, 4]))
+        taus = rng.uniform(-4.0, 4.0, 1024)
+        columns = np.stack([smooth_datum(H, k) for k in range(len(taus))], axis=1)
+        layout = np.asfortranarray if order == "F" else np.ascontiguousarray
+        for modes in (
+            occupied_modes(H, smooth_datum(H, n)),  # all n modes
+            occupied_modes(H, columns, mode_tol=1e-12),  # coefficient table
+        ):
+            modes = replace(modes, basis=layout(modes.basis))
+            whole = evolve(modes, taus)
+            for p in P_EXPONENTS:
+                want = lp_norms_columns(whole, p, grid)
+                assert np.array_equal(reduced(modes, taus, p, grid), want)
+
+    def test_single_column_comes_as_one_panel(self, ham_gauss_1024):
+        # numpy sums a single column pairwise, so it is not split into panels
+        H = ham_gauss_1024
+        modes = occupied_modes(H, smooth_datum(H, 9))
+        panels = RowPanels(modes.basis, modes.coef[:, None])
+        assert panels.shape == (H.n, 1) and panels.ndim == 2
+        assert len(list(panels)) == 1
+        for p in P_EXPONENTS:
+            want = lp_norms_columns(evolve(modes, [0.7]), p, H.grid)
+            assert np.array_equal(reduced(modes, [0.7], p, H.grid), want)
+
+    @pytest.mark.parametrize("p", P_EXPONENTS)
+    def test_empty_taus_and_zero_modes(self, ham_gauss_1024, p):
+        H = ham_gauss_1024
+        modes = occupied_modes(H, smooth_datum(H, 10), mode_tol=1e-12)
+        assert reduced(modes, [], p, H.grid).shape == (0,)
+        zero = occupied_modes(H, np.zeros(H.n), mode_tol=1e-12)
+        assert len(zero.energies) == 0
+        assert np.array_equal(reduced(zero, np.linspace(0.1, 1.0, 300), p, H.grid), np.zeros(300))
+
+    @KERNEL_SETTINGS
+    @given(
+        n_taus=st.integers(0, 60),
+        chunk=st.integers(1, 16),
+        panel=st.integers(1, 300),
+        p=st.sampled_from(P_EXPONENTS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_worker_count(self, ham_gauss_1024, n_taus, chunk, panel, p, seed):
+        H = ham_gauss_1024
+        rng = np.random.Generator(np.random.Philox(key=[seed, 5]))
+        taus = rng.uniform(-4.0, 4.0, n_taus)
+        modes = occupied_modes(H, smooth_datum(H, seed), mode_tol=1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
+            mp.setattr(spectral_operator, "_ROW_PANEL", panel)
+            runs = []
+            for workers in ("1", "2"):
+                mp.setenv("DISPERSION_LAB_THREADS", workers)
+                runs.append(reduced(modes, taus, p, H.grid))
+        assert np.array_equal(runs[0], runs[1])
+
+
 class TestFreeResolventKernel:
     def test_diagonal_energy_one(self):
         assert free_resolvent_kernel(1.0, "plus", 0.0, 0.0) == pytest.approx(0.5j)
@@ -435,6 +518,14 @@ class TestDenseResolventHelpers:
 
 
 class TestFreeResolventApply:
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        from dispersion_lab.spectral_operator import _next_fast_len
+
+        targets = range(1, 20001)
+        assert [_next_fast_len(t) for t in targets] == [next_fast_len(t, real=False) for t in targets]
+
     @pytest.mark.parametrize(
         "grid", [Grid(l_box=15.0, n_points=4097), Grid(l_box=5.0, n_points=63), Grid(l_box=5.0, n_points=64)]
     )

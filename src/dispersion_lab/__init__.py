@@ -10,7 +10,6 @@ from .scattering import (
     ScatteringData,
     detect_resonance,
     jost_solution,
-    resolvent_kernel_jost,
     scattering_coefficients,
     wronskian,
 )
@@ -19,17 +18,13 @@ from .spectral_operator import (
     SpectralDensityEstimate,
     born_series_apply,
     build_hamiltonian,
-    free_resolvent_kernel,
-    project_ac,
     propagate,
     stone_spectral_density,
 )
 from .stochastic import (
     BrownianEnsemble,
-    PathSolution,
     euler_maruyama_ito,
     sample_brownian,
-    time_changed_propagate,
 )
 from .estimates import (
     EstimateReport,
@@ -53,22 +48,17 @@ __all__ = [
     "ScatteringData",
     "detect_resonance",
     "jost_solution",
-    "resolvent_kernel_jost",
     "scattering_coefficients",
     "wronskian",
     "DiscreteHamiltonian",
     "SpectralDensityEstimate",
     "born_series_apply",
     "build_hamiltonian",
-    "free_resolvent_kernel",
-    "project_ac",
     "propagate",
     "stone_spectral_density",
     "BrownianEnsemble",
-    "PathSolution",
     "euler_maruyama_ito",
     "sample_brownian",
-    "time_changed_propagate",
     "EstimateReport",
     "MixedNormSpec",
     "admissible_pair",

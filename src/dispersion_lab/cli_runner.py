@@ -4,6 +4,11 @@ Configs are JSON (the grammar is documented in the README): one file
 describes one experiment run.  `run` writes report.json, data.csv and
 run_manifest.json into the output directory and returns a process exit
 code: 0 success, 2 completed-with-hypothesis-warning, 1 error.
+
+EXPERIMENTS is the one experiment registry: each entry holds the
+experiment's description, its runner and the typed schema of its params.
+ExperimentConfig.from_dict checks every param against that schema, so a
+runner reads typed values only.
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import estimates, scattering, spectral_operator, stochastic
 from ._parallel import ENV_THREADS, usable_cores, worker_count
 from .errors import DispersionLabError, HypothesisViolationWarning, ValidationError
-from .grid_model import Grid, PotentialSpec, lambda0, sample_potential
+from .grid_model import Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
 # thread caps that the manifest records: BLAS results, and so the bytes of
@@ -39,68 +46,6 @@ THREAD_VARS = (
     ENV_THREADS,
 )
 
-EXPERIMENTS = {
-    "scatter-sweep": "Wronskian, transmission and reflection over a momentum grid; checks |T|^2 + |R|^2 = 1",
-    "resonance": "zero-energy Wronskian test classifying the potential as resonant or not",
-    "resolvent-check": "Jost-built resolvent kernel against a banded linear-solve oracle at matched energies",
-    "born-check": "high-energy resolvent series: geometric term ratios and agreement with the solve oracle",
-    "stone-density": "spectral measure recovered from the resolvent jump across the real axis",
-    "sde-convergence": "strong order of the Ito integrator against the time-changed propagator e^{-i beta(T) H}",
-    "dispersive": "L1 -> Linf decay of the noise-driven propagator: fits the -1/2 exponent in |beta(t)|",
-    "expectation-decay": "path-averaged sup-norm decay: fits the -1/4 exponent in t for p < 2",
-    "convolution-lemma": "Brownian singular-convolution scaling: T^(2 - alpha) window growth",
-    "strichartz-hom": "mixed-norm window scaling T^(mu/2) of the free noise-driven evolution",
-    "strichartz-inhom": "mixed-norm window scaling T^mu of the forced (Duhamel) term",
-}
-
-_PARAM_DEFAULTS = {
-    "scatter-sweep": {"n_lambdas": 48},
-    "resonance": {"tol": 1e-4},
-    "resolvent-check": {
-        "lambdas": [0.5, 1.0, 2.0],
-        "probe_half_width": 2.0,
-        "n_probes": 5,
-        "oracle_l_box": 2000.0,
-        "oracle_h": 0.008,
-    },
-    "born-check": {"energy_factor": 4.0, "n_terms": 20},
-    "stone-density": {"eigenindex": 12, "epsilon_factor": 0.1, "margin_factor": 80.0},
-    "sde-convergence": {"level_min": 6, "level_max": 12, "energy_cut": 2.5},
-    "dispersive": {
-        "t_min": 0.5,
-        "n_time_samples": 16,
-        "beta_min": None,
-        "u0_shape": "gaussian",
-        "u0_width": 0.5,
-        "u0_center": 0.0,
-        "u0_momentum": 0.0,
-    },
-    "expectation-decay": {
-        "p_exponent": 1.0,
-        "t_min": 0.5,
-        "n_time_samples": 24,
-        "u0_shape": "gaussian",
-        "u0_width": 0.18,
-        "u0_center": 0.0,
-        "u0_momentum": 0.0,
-    },
-    "convolution-lemma": {"alpha": 0.5, "horizons": [0.25, 0.5, 1.0, 2.0, 4.0]},
-    "strichartz-hom": {
-        "horizons": [0.25, 0.5, 1.0, 2.0, 4.0],
-        "project": False,
-        "u0_shape": "gaussian",
-        "u0_width": 0.5,
-        "u0_center": 0.0,
-        "u0_momentum": 0.0,
-    },
-    "strichartz-inhom": {
-        "horizons": [0.25, 0.5, 1.0, 2.0, 4.0],
-        "project": False,
-        "forcing_shape": "odd",
-        "forcing_width": 1.0,
-    },
-}
-
 _DEFAULTS = {
     "potential": {"family": "zero", "amplitude": 0.0, "width": 1.0, "table": None},
     "grid": {"n_points": 2048, "l_box": 40.0},
@@ -110,6 +55,74 @@ _DEFAULTS = {
 }
 
 _TOP_LEVEL_KEYS = {"experiment", "params", *_DEFAULTS}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One experiment param: a default, whose JSON type the value must have, and a range.
+
+    An int param also takes an integral float and stores it as int; a float
+    param takes any finite number and stores it as float; a list param takes
+    a non-empty list of numbers; a bool param takes only true or false; a str
+    param takes one of choices; a None default makes a number optional.
+    Numbers lie in the interval from lo to hi, open at an end that ends marks
+    with a parenthesis.  A bound may be a function of the config, whose
+    params then hold the values checked before this one; note says what
+    such a bound stands for.
+    """
+
+    default: object
+    lo: float | Callable = -math.inf
+    hi: float | Callable = math.inf
+    ends: str = "[]"
+    choices: tuple[str, ...] = ()
+    note: str = ""
+
+    def parse(self, value, cfg: ExperimentConfig):
+        """The typed value, or ValueError saying what the value must be."""
+        d = self.default
+        lo, hi = (b(cfg) if callable(b) else b for b in (self.lo, self.hi))
+        if isinstance(d, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(d, str):
+            ok = value in self.choices
+        elif isinstance(d, list):
+            ok = isinstance(value, list) and len(value) > 0
+            ok = ok and all(self._fits(v, lo, hi) for v in value)
+            value = [float(v) for v in value] if ok else value
+        elif d is None and value is None:
+            return None
+        else:
+            ok = self._fits(value, lo, hi)
+            value = (int if isinstance(d, int) else float)(value) if ok else value
+        if ok:
+            return value
+        raise ValueError(f"must be {self._describe(lo, hi)}, got {value!r}")
+
+    def _fits(self, v, lo: float, hi: float) -> bool:
+        """v is a finite number in the range, and integral for an int param."""
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond the float range
+            return False
+        if not math.isfinite(x) or (isinstance(self.default, int) and not x.is_integer()):
+            return False
+        above = x > lo if self.ends[0] == "(" else x >= lo
+        return above and (x < hi if self.ends[1] == ")" else x <= hi)
+
+    def _describe(self, lo: float, hi: float) -> str:
+        d = self.default
+        if isinstance(d, bool):
+            return "true or false"
+        if isinstance(d, str):
+            return "one of " + ", ".join(map(repr, self.choices))
+        what = {int: "an integer", list: "a non-empty list of numbers"}.get(type(d), "a number")
+        if (lo, hi) != (-math.inf, math.inf):
+            what += f" in {self.ends[0]}{lo}, {hi}{')' if hi == math.inf else self.ends[1]}"
+        what += f" ({self.note})" if self.note else ""
+        return what + (" or null" if d is None else "")
 
 
 @dataclass
@@ -140,8 +153,8 @@ class ExperimentConfig:
                 f"experiment: unknown name {exp!r}; run `dispersion-lab list`"
             )
 
-        def section(name):
-            sec = dict(_DEFAULTS[name])
+        def section(name, defaults=None):
+            sec = dict(_DEFAULTS[name] if defaults is None else defaults)
             user = raw.get(name, {})
             if not isinstance(user, dict):
                 errors.append(f"{name}: expected an object")
@@ -158,16 +171,7 @@ class ExperimentConfig:
         grd = section("grid")
         sto = section("stochastic")
         nrm = section("norms")
-        params = dict(_PARAM_DEFAULTS[exp])
-        user_params = raw.get("params", {})
-        if not isinstance(user_params, dict):
-            errors.append("params: expected an object")
-            user_params = {}
-        for k, val in user_params.items():
-            if k not in params:
-                errors.append(f"params.{k}: unknown key for experiment {exp}")
-            else:
-                params[k] = val
+        params = section("params", {k: p.default for k, p in EXPERIMENTS[exp].params.items()})
         out_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
         if errors:
             raise ValidationError("; ".join(errors))
@@ -198,27 +202,26 @@ class ExperimentConfig:
                 r=_parse_exponent(nrm["r"]),
                 p=_parse_exponent(nrm["p"]),
                 output_dir=str(out_dir),
-                params=params,
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(str(exc)) from exc
-        cfg._check_ranges()
+        cfg._check_ranges(params)
         return cfg
 
-    def _check_ranges(self) -> None:
-        """Reject values that parse but that no runner can execute."""
+    def _check_ranges(self, params: dict) -> None:
+        """Type every param by its schema; reject values no runner can execute."""
         errors = [
             f"stochastic.{name}: must be at least 1, got {val}"
             for name, val in (("n_steps", self.n_steps), ("n_paths", self.n_paths))
             if val < 1
         ]
-        if self.experiment == "stone-density":
-            # the eigenvalue needs a neighbour on each side for its spacing
-            top = self.grid.n_points - 2
-            k = self.params["eigenindex"]
-            integral = isinstance(k, (int, float)) and not isinstance(k, bool)
-            if not (integral and float(k).is_integer() and 1 <= k <= top):
-                errors.append(f"params.eigenindex: must be an integer in [1, {top}], got {k!r}")
+        for name, param in EXPERIMENTS[self.experiment].params.items():
+            try:
+                self.params[name] = param.parse(params[name], self)
+            except ValueError as exc:
+                # later bounds read the default in its place
+                self.params[name] = param.default
+                errors.append(f"params.{name}: {exc}")
         if errors:
             raise ValidationError("; ".join(errors))
 
@@ -278,25 +281,81 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def list_experiments() -> list[tuple[str, str]]:
     """Stable (name, description) table for the CLI and docs."""
-    return list(EXPERIMENTS.items())
+    return [(name, entry.description) for name, entry in EXPERIMENTS.items()]
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (report, header, rows, exit_code)
+# the registry: each runner is registered with its description and params,
+# takes a RunContext and returns (report, header, rows, exit_code)
 
-def _initial_data(cfg: ExperimentConfig, prefix: str = "u0"):
-    shape = cfg.params.get(f"{prefix}_shape", "gaussian")
-    width = float(cfg.params.get(f"{prefix}_width", 0.5))
-    if shape == "odd":
-        return estimates.odd_packet(cfg.grid, width=width)
-    if shape == "gaussian":
-        return estimates.gaussian_packet(
-            cfg.grid,
-            width=width,
-            center=float(cfg.params.get(f"{prefix}_center", 0.0)),
-            momentum=float(cfg.params.get(f"{prefix}_momentum", 0.0)),
-        )
-    raise ValidationError(f"params.{prefix}_shape: unknown shape {shape!r}")
+class RunContext:
+    """One run's config, with V and H built on first use.
+
+    A context lives for one run call, so its eigenbasis goes with it; a
+    config may be held for many runs and keeps no arrays.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.grid = cfg.grid
+        self.params = cfg.params
+
+    @cached_property
+    def V(self):
+        return sample_potential(self.cfg.potential, self.grid)
+
+    @cached_property
+    def H(self):
+        return spectral_operator.build_hamiltonian(self.V)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry: what the experiment checks, its runner, its params."""
+
+    description: str
+    runner: Callable[[RunContext], tuple]
+    params: dict[str, Param]
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _experiment(name: str, description: str, **params: Param):
+    """Register the decorated runner as experiment name; params check in order."""
+
+    def register(runner):
+        EXPERIMENTS[name] = Experiment(description, runner, params)
+        return runner
+
+    return register
+
+
+_HORIZONS = Param([0.25, 0.5, 1.0, 2.0, 4.0], 0, ends="(]")
+_T_MIN = Param(0.5, 0, lambda cfg: cfg.horizon, "[)", note="below stochastic.horizon")
+_SHAPES = ("gaussian", "odd")
+
+
+def _packet_params(width: float) -> dict[str, Param]:
+    return {
+        "u0_shape": Param("gaussian", choices=_SHAPES),
+        "u0_width": Param(width, 0, ends="(]"),
+        "u0_center": Param(0.0),
+        "u0_momentum": Param(0.0),
+    }
+
+
+def _initial_data(ctx: RunContext, prefix: str = "u0"):
+    pr = ctx.params
+    width = pr[f"{prefix}_width"]
+    if pr[f"{prefix}_shape"] == "odd":
+        return estimates.odd_packet(ctx.grid, width=width)
+    return estimates.gaussian_packet(
+        ctx.grid,
+        width=width,
+        center=pr.get(f"{prefix}_center", 0.0),
+        momentum=pr.get(f"{prefix}_momentum", 0.0),
+    )
 
 
 def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
@@ -305,10 +364,15 @@ def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
     return d
 
 
-def _run_scatter_sweep(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
+@_experiment(
+    "scatter-sweep",
+    "Wronskian, transmission and reflection over a momentum grid; checks |T|^2 + |R|^2 = 1",
+    n_lambdas=Param(48, 1),
+)
+def _run_scatter_sweep(ctx: RunContext):
+    V = ctx.V
     lam0 = V.l1_norm() ** 2
-    lams = scattering.lambda_sweep_grid(lam0, int(cfg.params["n_lambdas"]))
+    lams = scattering.lambda_sweep_grid(lam0, ctx.params["n_lambdas"])
     rows = []
     unit_dev = 0.0
     for data in scattering.scattering_sweep(V, lams):
@@ -335,9 +399,14 @@ def _run_scatter_sweep(cfg: ExperimentConfig):
     return report, header, rows, 0
 
 
-def _run_resonance(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    tol = float(cfg.params["tol"])
+@_experiment(
+    "resonance",
+    "zero-energy Wronskian test classifying the potential as resonant or not",
+    tol=Param(1e-4, 0, ends="(]"),
+)
+def _run_resonance(ctx: RunContext):
+    V = ctx.V
+    tol = ctx.params["tol"]
     resonant, w0 = scattering.zero_energy_test(V, tol=tol)
     rows = [(0.0, abs(w0))]
     for lam in (0.01, 0.05, 0.1, 0.5):
@@ -348,20 +417,37 @@ def _run_resonance(cfg: ExperimentConfig):
     return report, ["lambda", "abs_w"], rows, 0
 
 
-def _run_resolvent_check(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    pr = cfg.params
-    half = float(pr["probe_half_width"])
-    probes = np.linspace(-half, half, int(pr["n_probes"]))
-    l_or = float(pr["oracle_l_box"])
-    h_or = float(pr["oracle_h"])
-    n_or = int(round(2 * l_or / h_or)) + 1
-    grid_or = Grid(l_box=l_or, n_points=n_or)
-    vals_or = cfg.potential(grid_or.x)
+# nodes of the dense oracle's grid, 2 * oracle_l_box / oracle_h + 1: at
+# least a Grid's 16, at most four times the default oracle grid
+_ORACLE_NODES = (16, 2_000_001)
+
+
+@_experiment(
+    "resolvent-check",
+    "Jost-built resolvent kernel against a banded linear-solve oracle at matched energies",
+    lambdas=Param([0.5, 1.0, 2.0], 0, ends="(]"),
+    probe_half_width=Param(2.0, 0),
+    n_probes=Param(5, 1),
+    oracle_l_box=Param(2000.0, 0, ends="(]"),
+    oracle_h=Param(
+        0.008,
+        lambda cfg: 2.0 * cfg.params["oracle_l_box"] / (_ORACLE_NODES[1] - 1),
+        lambda cfg: 2.0 * cfg.params["oracle_l_box"] / (_ORACLE_NODES[0] - 1),
+        "(]",
+        note="the oracle grid needs %d to %d nodes" % _ORACLE_NODES,
+    ),
+)
+def _run_resolvent_check(ctx: RunContext):
+    pr = ctx.params
+    half = pr["probe_half_width"]
+    probes = np.linspace(-half, half, pr["n_probes"])
+    l_or = pr["oracle_l_box"]
+    grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / pr["oracle_h"])) + 1)
+    vals_or = ctx.cfg.potential(grid_or.x)
     rows = []
     max_rel = 0.0
-    for lam in [float(v) for v in pr["lambdas"]]:
-        jost_tab = scattering.resolvent_kernel_jost_table(V, lam, probes, probes)
+    for lam in pr["lambdas"]:
+        jost_tab = scattering.resolvent_kernel_jost_table(ctx.V, lam, probes, probes)
         eps = lam * 11.5 / l_or * 4.0
         dense_tab = spectral_operator.richardson_resolvent_table(
             grid_or, vals_or, lam**2, eps, probes, probes
@@ -372,18 +458,23 @@ def _run_resolvent_check(cfg: ExperimentConfig):
                 rel = abs(jv - dv) / abs(dv)
                 max_rel = max(max_rel, rel)
                 rows.append((lam, float(x), float(y), jv.real, jv.imag, dv.real, dv.imag, rel))
-    report = {"max_rel_err": max_rel, "lambdas": [float(v) for v in pr["lambdas"]]}
+    report = {"max_rel_err": max_rel, "lambdas": pr["lambdas"]}
     header = ["lambda", "x", "y", "re_jost", "im_jost", "re_dense", "im_dense", "rel_err"]
     return report, header, rows, 0
 
 
-def _run_born_check(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
+@_experiment(
+    "born-check",
+    "high-energy resolvent series: term sup norms and their ratios against ||V||_1 / (2 sqrt(E))",
+    energy_factor=Param(4.0, 1, ends="(]", note="E must exceed ||V||_1^2"),
+    n_terms=Param(20, 1),
+)
+def _run_born_check(ctx: RunContext):
+    V = ctx.V
     lam0 = V.l1_norm() ** 2
-    energy = float(cfg.params["energy_factor"]) * lam0
-    n_terms = int(cfg.params["n_terms"])
-    f = estimates.gaussian_packet(cfg.grid, width=1.0)
-    terms = spectral_operator.born_series_terms(V, energy, "plus", f, n_terms)
+    energy = ctx.params["energy_factor"] * lam0
+    f = estimates.gaussian_packet(ctx.grid, width=1.0)
+    terms = spectral_operator.born_series_terms(V, energy, "plus", f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
     ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))
@@ -398,14 +489,22 @@ def _run_born_check(cfg: ExperimentConfig):
     return report, ["n", "term_sup", "ratio"], rows, 0
 
 
-def _run_stone_density(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    k = int(cfg.params["eigenindex"])
+@_experiment(
+    "stone-density",
+    "spectral measure recovered from the resolvent jump across the real axis",
+    eigenindex=Param(
+        12, 1, lambda cfg: cfg.grid.n_points - 2, note="a neighbour on each side"
+    ),
+    epsilon_factor=Param(0.1, 0, ends="(]"),
+    margin_factor=Param(80.0, 0, ends="(]"),
+)
+def _run_stone_density(ctx: RunContext):
+    H = ctx.H
+    k = ctx.params["eigenindex"]
     w = H.eigenvalues
     spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
-    eps = float(cfg.params["epsilon_factor"]) * spacing
-    margin = float(cfg.params["margin_factor"]) * eps
+    eps = ctx.params["epsilon_factor"] * spacing
+    margin = ctx.params["margin_factor"] * eps
     a, b = w[k] - margin, w[k] + margin
     n_lambda = int(np.ceil((b - a) / (eps / 4.0)))
     est = spectral_operator.stone_spectral_density(
@@ -423,15 +522,23 @@ def _run_stone_density(cfg: ExperimentConfig):
     return report, ["lambda", "density"], rows, 0
 
 
-def _run_sde_convergence(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    cut = float(cfg.params["energy_cut"])
+@_experiment(
+    "sde-convergence",
+    "strong order of the Ito integrator against the time-changed propagator e^{-i beta(T) H}",
+    level_min=Param(6, 0),
+    level_max=Param(
+        12, lambda cfg: cfg.params["level_min"] + 4,
+        note="level_min + 4: the order fit needs a decade of step sizes",
+    ),
+    energy_cut=Param(2.5),
+)
+def _run_sde_convergence(ctx: RunContext):
+    cfg, H = ctx.cfg, ctx.H
     c = H.to_eigenbasis(estimates.gaussian_packet(cfg.grid, width=2.0))
-    c[H.eigenvalues > cut] = 0.0
+    c[H.eigenvalues > ctx.params["energy_cut"]] = 0.0
     c /= np.linalg.norm(c)
     u0 = H.from_eigenbasis(c)
-    lmin, lmax = int(cfg.params["level_min"]), int(cfg.params["level_max"])
+    lmin, lmax = ctx.params["level_min"], ctx.params["level_max"]
     n_fine = 2**lmax
     levels = [2**k for k in range(lmin, lmax + 1)]
     ens = stochastic.sample_brownian(cfg.horizon, n_fine, cfg.n_paths, cfg.seed)
@@ -456,25 +563,26 @@ def _run_sde_convergence(cfg: ExperimentConfig):
     return report, ["dt", "strong_error"], rows, 0
 
 
-def _experiment_ensemble(cfg: ExperimentConfig) -> stochastic.BrownianEnsemble:
-    return stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
-
-
-def _run_dispersive(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    u0 = _initial_data(cfg)
-    ens = _experiment_ensemble(cfg)
-    beta_min = cfg.params["beta_min"]
+@_experiment(
+    "dispersive",
+    "L1 -> Linf decay of the noise-driven propagator: fits the -1/2 exponent in |beta(t)|",
+    t_min=_T_MIN,
+    n_time_samples=Param(16, 1),
+    beta_min=Param(None, 0),
+    **_packet_params(0.5),
+)
+def _run_dispersive(ctx: RunContext):
+    cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
+    ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = estimates.dispersive_experiment(
             H,
             ens,
             u0,
-            t_min=float(cfg.params["t_min"]),
-            n_time_samples=int(cfg.params["n_time_samples"]),
-            beta_min=float(beta_min) if beta_min is not None else None,
+            t_min=ctx.params["t_min"],
+            n_time_samples=ctx.params["n_time_samples"],
+            beta_min=ctx.params["beta_min"],
         )
     flagged = any(issubclass(w.category, HypothesisViolationWarning) for w in caught)
     report = _report_from_estimate(rep)
@@ -485,93 +593,102 @@ def _run_dispersive(cfg: ExperimentConfig):
     return report, ["abs_beta", "sup_norm"], rows, 2 if flagged else 0
 
 
-def _run_expectation_decay(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    u0 = _initial_data(cfg)
-    ens = _experiment_ensemble(cfg)
+@_experiment(
+    "expectation-decay",
+    "path-averaged sup-norm decay: fits the -1/4 exponent in t for p < 2",
+    p_exponent=Param(1.0, 1, 2, "[)"),
+    t_min=_T_MIN,
+    n_time_samples=Param(24, 1),
+    **_packet_params(0.18),
+)
+def _run_expectation_decay(ctx: RunContext):
+    cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
     rep = estimates.expectation_decay_experiment(
         H,
-        ens,
+        stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed),
         u0,
-        p=float(cfg.params["p_exponent"]),
-        t_min=float(cfg.params["t_min"]),
-        n_time_samples=int(cfg.params["n_time_samples"]),
+        p=ctx.params["p_exponent"],
+        t_min=ctx.params["t_min"],
+        n_time_samples=ctx.params["n_time_samples"],
     )
     rows = list(zip(rep.abscissa, rep.values))
     return _report_from_estimate(rep), ["t", "mean_sup_norm"], rows, 0
 
 
-def _run_convolution_lemma(cfg: ExperimentConfig):
-    rep = estimates.convolution_lemma_experiment(
-        alpha=float(cfg.params["alpha"]),
-        horizons=[float(t) for t in cfg.params["horizons"]],
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-    )
+def _window_scaling(rep: estimates.EstimateReport):
     rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
     return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows, 0
 
 
-def _run_strichartz_hom(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    u0 = _initial_data(cfg)
-    rep = estimates.strichartz_homogeneous_experiment(
-        H,
-        u0,
-        r=cfg.r,
-        p=cfg.p,
-        horizons=[float(t) for t in cfg.params["horizons"]],
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        project=bool(cfg.params["project"]),
+@_experiment(
+    "convolution-lemma",
+    "Brownian singular-convolution scaling: T^(2 - alpha) window growth",
+    alpha=Param(0.5, 0, 1, "[)"),
+    horizons=_HORIZONS,
+)
+def _run_convolution_lemma(ctx: RunContext):
+    cfg = ctx.cfg
+    return _window_scaling(
+        estimates.convolution_lemma_experiment(
+            alpha=ctx.params["alpha"],
+            horizons=ctx.params["horizons"],
+            n_steps=cfg.n_steps,
+            n_paths=cfg.n_paths,
+            seed=cfg.seed,
+        )
     )
-    rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
-    return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows, 0
 
 
-def _run_strichartz_inhom(cfg: ExperimentConfig):
-    V = sample_potential(cfg.potential, cfg.grid)
-    H = spectral_operator.build_hamiltonian(V)
-    shape = cfg.params["forcing_shape"]
-    width = float(cfg.params["forcing_width"])
-    if shape == "odd":
-        g = estimates.odd_packet(cfg.grid, width=width)
-    else:
-        g = estimates.gaussian_packet(cfg.grid, width=width)
+@_experiment(
+    "strichartz-hom",
+    "mixed-norm window scaling T^(mu/2) of the free noise-driven evolution",
+    horizons=_HORIZONS,
+    project=Param(False),
+    **_packet_params(0.5),
+)
+def _run_strichartz_hom(ctx: RunContext):
+    cfg = ctx.cfg
+    return _window_scaling(
+        estimates.strichartz_homogeneous_experiment(
+            ctx.H,
+            _initial_data(ctx),
+            r=cfg.r,
+            p=cfg.p,
+            horizons=ctx.params["horizons"],
+            n_steps=cfg.n_steps,
+            n_paths=cfg.n_paths,
+            seed=cfg.seed,
+            project=ctx.params["project"],
+        )
+    )
+
+
+@_experiment(
+    "strichartz-inhom",
+    "mixed-norm window scaling T^mu of the forced (Duhamel) term",
+    horizons=_HORIZONS,
+    project=Param(False),
+    forcing_shape=Param("odd", choices=_SHAPES),
+    forcing_width=Param(1.0, 0, ends="(]"),
+)
+def _run_strichartz_inhom(ctx: RunContext):
+    cfg = ctx.cfg
+    g = _initial_data(ctx, "forcing")
     g = g / estimates.lp_norm_x(g, estimates.holder_conjugate(cfg.p), cfg.grid)
-    rep = estimates.strichartz_inhomogeneous_experiment(
-        H,
-        g,
-        rho=cfg.rho,
-        r=cfg.r,
-        p=cfg.p,
-        horizons=[float(t) for t in cfg.params["horizons"]],
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        project=bool(cfg.params["project"]),
+    return _window_scaling(
+        estimates.strichartz_inhomogeneous_experiment(
+            ctx.H,
+            g,
+            rho=cfg.rho,
+            r=cfg.r,
+            p=cfg.p,
+            horizons=ctx.params["horizons"],
+            n_steps=cfg.n_steps,
+            n_paths=cfg.n_paths,
+            seed=cfg.seed,
+            project=ctx.params["project"],
+        )
     )
-    rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
-    return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows, 0
-
-
-_RUNNERS = {
-    "scatter-sweep": _run_scatter_sweep,
-    "resonance": _run_resonance,
-    "resolvent-check": _run_resolvent_check,
-    "born-check": _run_born_check,
-    "stone-density": _run_stone_density,
-    "sde-convergence": _run_sde_convergence,
-    "dispersive": _run_dispersive,
-    "expectation-decay": _run_expectation_decay,
-    "convolution-lemma": _run_convolution_lemma,
-    "strichartz-hom": _run_strichartz_hom,
-    "strichartz-inhom": _run_strichartz_inhom,
-}
 
 
 def _format_cell(v) -> str:
@@ -593,8 +710,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     warnings still produce artifacts but exit with code 2.
     """
     t0 = time.perf_counter()
-    runner = _RUNNERS[config.experiment]
-    report, header, rows, code = runner(config)
+    # the context, and with it any eigenbasis, is freed when the runner returns
+    report, header, rows, code = EXPERIMENTS[config.experiment].runner(RunContext(config))
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()

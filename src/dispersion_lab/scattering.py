@@ -80,7 +80,6 @@ class ScatteringData:
     beta_coeff: complex
     transmission: complex
     reflection: complex
-    resonance_at_zero: bool | None = None
 
 
 def _midpoint_values(v: np.ndarray) -> np.ndarray:
@@ -259,18 +258,6 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
         transmission=complex(transmission),
         reflection=complex(reflection),
     )
-
-
-def resolvent_kernel_jost(
-    V: PotentialGrid, lam: float, x: float, y: float, w_tol: float = 1e-10
-) -> complex:
-    """Resolvent kernel at energy lam^2 built from the Jost pair.
-
-    Returns f+(lam, max(x,y)) f-(lam, min(x,y)) / W(lam); symmetric in
-    (x, y) by construction.
-    """
-    kernel = resolvent_kernel_jost_table(V, lam, [x], [y], w_tol=w_tol)
-    return complex(kernel[0, 0])
 
 
 def resolvent_kernel_jost_table(

@@ -72,16 +72,16 @@ def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out.reshape((basis.shape[0],) + data.shape[1:])
 
 
-def build_hamiltonian(V: PotentialGrid, dense_cap: int = DENSE_SOLVER_CAP) -> DiscreteHamiltonian:
+def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     """Assemble and diagonalize the grid Hamiltonian.
 
     Diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2; the symmetric
     tridiagonal eigensolver returns the full orthonormal eigenbasis.
     """
     grid = V.grid
-    if grid.n_points > dense_cap:
+    if grid.n_points > DENSE_SOLVER_CAP:
         raise SizeError(
-            f"n_points={grid.n_points} exceeds the dense eigensolver cap {dense_cap}"
+            f"n_points={grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
         )
     h = grid.h
     diag = 2.0 / h**2 + V.values
@@ -97,22 +97,6 @@ def build_hamiltonian(V: PotentialGrid, dense_cap: int = DENSE_SOLVER_CAP) -> Di
         eigenvectors=v,
         bound_state_indices=bound,
     )
-
-
-def project_ac(H: DiscreteHamiltonian, u: np.ndarray) -> np.ndarray:
-    """Remove the bound-state components of u.
-
-    On the finite box the negative eigenvalues discretize the point
-    spectrum, so their complement stands in for the absolutely
-    continuous subspace.
-    """
-    u = np.asarray(u)
-    if len(u) != H.n:
-        raise DomainError("vector length does not match the Hamiltonian grid")
-    if len(H.bound_state_indices) == 0:
-        return u.copy()
-    vb = H.eigenvectors[:, H.bound_state_indices]
-    return u - vb @ (vb.T @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +209,6 @@ def propagate_batch(
 ) -> np.ndarray:
     """Columns e^{-i tau_k H} u for many phases tau_k at once."""
     return evolve(occupied_modes(H, u, project, mode_tol), taus)
-
-
-def free_resolvent_kernel(lam: float, branch: str, x: float, y: float) -> complex:
-    """Free-line resolvent kernel at energy lam: +-i/(2 sqrt(lam)) e^{+-i|x-y| sqrt(lam)}."""
-    if lam <= 0:
-        raise DomainError(f"energy must be positive, got {lam}")
-    s = _branch_sign(branch)
-    k = np.sqrt(lam)
-    return s * 1j / (2.0 * k) * np.exp(s * 1j * abs(x - y) * k)
 
 
 def _branch_sign(branch: str) -> float:
@@ -454,15 +429,13 @@ def stone_spectral_density(
     b: float,
     epsilon: float,
     n_lambda: int,
-    f: np.ndarray | None = None,
-    mode: str = "vector",
+    f: np.ndarray,
 ) -> SpectralDensityEstimate:
     """Spectral density from the resolvent jump across the real axis.
 
     density(lam) = Im <(H - lam - i eps)^{-1} f, f> / pi on n_lambda
     points; its integral over [a, b] approximates the spectral mass of
-    f on the interval as eps -> 0.  mode="trace" instead averages over
-    the whole spectrum using the eigenvalues directly.
+    f on the interval as eps -> 0.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -479,16 +452,6 @@ def stone_spectral_density(
                 AliasingWarning,
                 stacklevel=2,
             )
-    if mode == "trace":
-        dens = np.zeros_like(lams)
-        for lam_k in H.eigenvalues:
-            dens += epsilon / np.pi / ((lams - lam_k) ** 2 + epsilon**2)
-        dens /= H.n
-        return SpectralDensityEstimate(lambda_grid=lams, density=dens, epsilon=epsilon)
-    if mode != "vector":
-        raise DomainError(f"mode must be 'vector' or 'trace', got {mode!r}")
-    if f is None:
-        raise DomainError("vector mode requires f")
     f = np.asarray(f, dtype=complex)
     dens = np.empty(len(lams))
     for i, lam in enumerate(lams):

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityWarning
-from .spectral_operator import (
-    DiscreteHamiltonian,
-    occupied_modes,
-    propagate_batch,
-    real_basis_product,
-)
+from .spectral_operator import DiscreteHamiltonian, occupied_modes, real_basis_product
+
+# unused here: perfbench/tests/test_tracer.py asserts that this copy is the
+# spectral_operator function, which exercises the tracer's wrapping of copies
+from .spectral_operator import propagate_batch  # noqa: F401
 
 
 # the integrator's mode cut: round-off occupation of stiff modes would be
@@ -82,74 +81,6 @@ def sample_brownian(
         increments=inc,
         values=values,
     )
-
-
-@dataclass(frozen=True)
-class PathSolution:
-    """Snapshots of one path's evolution at selected times."""
-
-    path_index: int
-    times: np.ndarray
-    states: np.ndarray  # (n_points, len(times))
-    ac_projected: bool
-
-
-def time_changed_propagate(
-    H: DiscreteHamiltonian,
-    ensemble: BrownianEnsemble,
-    u0: np.ndarray,
-    project: bool = False,
-    time_indices: np.ndarray | None = None,
-    mode_tol: float = 0.0,
-) -> list[PathSolution]:
-    """u(t_k) = e^{-i beta(t_k) H} (P_ac) u0 for every path.
-
-    One eigenbasis slice of u0 and one kernel call for all paths.
-    """
-    if len(u0) != H.n:
-        raise DomainError("u0 length does not match the Hamiltonian grid")
-    if time_indices is None:
-        time_indices = np.arange(ensemble.n_steps + 1)
-    times = ensemble.times[time_indices]
-    k = len(times)
-    states = propagate_batch(
-        H, ensemble.values[:, time_indices], u0, project=project, mode_tol=mode_tol
-    )
-    return [
-        PathSolution(
-            path_index=p,
-            times=times,
-            states=states[:, p * k : (p + 1) * k],
-            ac_projected=project,
-        )
-        for p in range(ensemble.n_paths)
-    ]
-
-
-def ensemble_to_csv(ensemble: BrownianEnsemble, path) -> None:
-    """Audit export, long form: one (path, t, beta) row per sample."""
-    times = ensemble.times
-    lines = ["path,t,beta"]
-    for p in range(ensemble.n_paths):
-        vals = ensemble.values[p]
-        lines.extend(
-            f"{p},{float(times[k])!r},{float(vals[k])!r}" for k in range(len(times))
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def path_solution_to_csv(sol: PathSolution, x: np.ndarray, path) -> None:
-    """Snapshot export, long form: (t, x, re_u, im_u) rows."""
-    lines = ["t,x,re_u,im_u"]
-    for j, t in enumerate(sol.times):
-        col = sol.states[:, j]
-        lines.extend(
-            f"{float(t)!r},{float(x[i])!r},{float(col[i].real)!r},{float(col[i].imag)!r}"
-            for i in range(len(x))
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def euler_maruyama_ito(

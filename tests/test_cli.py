@@ -95,7 +95,7 @@ class TestListExperiments:
         assert "convolution-lemma" in names
 
     def test_dispersive_tagline_mentions_the_bound(self):
-        desc = EXPERIMENTS["dispersive"]
+        desc = EXPERIMENTS["dispersive"].description
         assert "L1 -> Linf" in desc and "-1/2" in desc
 
     def test_cli_list_output(self, capsys):

@@ -13,7 +13,6 @@ from dispersion_lab.scattering import (
     detect_resonance,
     jost_solution,
     lambda_sweep_grid,
-    resolvent_kernel_jost,
     resolvent_kernel_jost_table,
     scattering_coefficients,
     scattering_sweep,
@@ -157,19 +156,24 @@ class TestScatteringCoefficients:
             )
 
 
+def kernel_at(V, lam, x, y, **kw):
+    """One kernel value, read from a 1 x 1 probe table."""
+    return resolvent_kernel_jost_table(V, lam, [x], [y], **kw)[0, 0]
+
+
 class TestResolventKernel:
     def test_free_diagonal_value(self, zero_pot):
         # f+ f- / W at x = y = 0 with W = -2i: 1/(-2i) = i/2
-        val = resolvent_kernel_jost(zero_pot, 1.0, 0.0, 0.0)
+        val = kernel_at(zero_pot, 1.0, 0.0, 0.0)
         assert val == pytest.approx(0.5j, abs=1e-10)
 
     def test_free_offdiagonal_value(self, zero_pot):
-        val = resolvent_kernel_jost(zero_pot, 2.0, 0.0, 1.0)
+        val = kernel_at(zero_pot, 2.0, 0.0, 1.0)
         assert val == pytest.approx(np.exp(2j) / (-4j), abs=1e-10)
 
     def test_symmetry_in_arguments(self, gauss_pot):
-        a = resolvent_kernel_jost(gauss_pot, 1.5, -1.0, 1.0)
-        b = resolvent_kernel_jost(gauss_pot, 1.5, 1.0, -1.0)
+        a = kernel_at(gauss_pot, 1.5, -1.0, 1.0)
+        b = kernel_at(gauss_pot, 1.5, 1.0, -1.0)
         assert a == b
 
     def test_against_dense_solve(self, gauss_pot):
@@ -181,22 +185,23 @@ class TestResolventKernel:
         col = richardson_resolvent_column(grid_or, vals_or, lam**2, lam * 11.5 / l_or * 4, 1.0)
         ix = int(round((-1.0 + l_or) / h_or))
         dense = col[ix]
-        jost = resolvent_kernel_jost(gauss_pot, lam, -1.0, 1.0)
+        jost = kernel_at(gauss_pot, lam, -1.0, 1.0)
         assert abs(jost - dense) / abs(dense) < 1e-3
 
     def test_lambda_zero_rejected(self, gauss_pot):
         with pytest.raises(DomainError):
-            resolvent_kernel_jost(gauss_pot, 0.0, 0.0, 1.0)
+            kernel_at(gauss_pot, 0.0, 0.0, 1.0)
 
     def test_near_resonance_guard(self, sech_pot):
         # resonant family: |W(lam)| ~ 2 lam near zero trips a loose tolerance
         with pytest.raises(NearResonanceError):
-            resolvent_kernel_jost(sech_pot, 0.01, 0.0, 1.0, w_tol=0.1)
+            kernel_at(sech_pot, 0.01, 0.0, 1.0, w_tol=0.1)
 
     def test_table_matches_scalar(self, gauss_pot):
+        # every entry of a probe table equals its own single-point table
         tab = resolvent_kernel_jost_table(gauss_pot, 1.0, [-1.0, 0.0], [0.5])
-        assert tab[0, 0] == pytest.approx(resolvent_kernel_jost(gauss_pot, 1.0, -1.0, 0.5))
-        assert tab[1, 0] == pytest.approx(resolvent_kernel_jost(gauss_pot, 1.0, 0.0, 0.5))
+        assert tab[0, 0] == pytest.approx(kernel_at(gauss_pot, 1.0, -1.0, 0.5))
+        assert tab[1, 0] == pytest.approx(kernel_at(gauss_pot, 1.0, 0.0, 0.5))
 
 
 def reference_jost(V, lam, sign):

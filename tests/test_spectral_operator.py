@@ -22,9 +22,7 @@ from dispersion_lab.spectral_operator import (
     build_hamiltonian,
     dense_resolvent_column,
     evolve,
-    free_resolvent_kernel,
     occupied_modes,
-    project_ac,
     propagate,
     propagate_batch,
     real_basis_product,
@@ -83,19 +81,22 @@ class TestBuildHamiltonian:
 
 
 class TestProjectAc:
+    """The bound-state projection that occupied_modes(project=True) applies."""
+
     def test_free_identity(self, ham_free_2048, rng):
         u = rng.normal(size=ham_free_2048.n) + 1j * rng.normal(size=ham_free_2048.n)
-        assert np.array_equal(project_ac(ham_free_2048, u), u)
+        projected = occupied_modes(ham_free_2048, u, project=True).coef
+        assert np.array_equal(projected, occupied_modes(ham_free_2048, u).coef)
 
     def test_annihilates_bound_state(self, ham_sech_4096):
         vb = ham_sech_4096.eigenvectors[:, ham_sech_4096.bound_state_indices[0]]
-        assert np.linalg.norm(project_ac(ham_sech_4096, vb)) < 1e-8
+        assert np.linalg.norm(propagate(ham_sech_4096, 0.0, vb, project=True)) < 1e-8
 
     def test_leaves_orthogonal_part(self, ham_sech_4096):
         H = ham_sech_4096
         vb = H.eigenvectors[:, H.bound_state_indices[0]]
         w = H.eigenvectors[:, 100]
-        out = project_ac(H, vb + w)
+        out = propagate(H, 0.0, vb + w, project=True)
         assert np.linalg.norm(out - w) < 1e-8
 
 
@@ -135,8 +136,8 @@ class TestPropagate:
     def test_commutes_with_projection(self, ham_sech_4096, rng):
         H = ham_sech_4096
         u = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
-        a = propagate(H, 1.1, project_ac(H, u))
-        b = project_ac(H, propagate(H, 1.1, u))
+        a = propagate(H, 1.1, u, project=True)
+        b = propagate(H, 0.0, propagate(H, 1.1, u), project=True)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_batch_matches_scalar(self, ham_gauss_1024, rng):
@@ -342,27 +343,6 @@ class TestStreamedReduction:
         assert np.array_equal(runs[0], runs[1])
 
 
-class TestFreeResolventKernel:
-    def test_diagonal_energy_one(self):
-        assert free_resolvent_kernel(1.0, "plus", 0.0, 0.0) == pytest.approx(0.5j)
-
-    def test_diagonal_energy_four(self):
-        assert free_resolvent_kernel(4.0, "plus", 1.0, 1.0) == pytest.approx(0.25j)
-
-    def test_offdiagonal_phase(self):
-        val = free_resolvent_kernel(1.0, "plus", 0.0, np.pi)
-        assert val == pytest.approx(-0.5j, abs=1e-12)
-
-    def test_minus_branch_conjugate(self):
-        a = free_resolvent_kernel(2.0, "plus", 0.0, 1.0)
-        b = free_resolvent_kernel(2.0, "minus", 0.0, 1.0)
-        assert b == pytest.approx(np.conj(a))
-
-    def test_nonpositive_energy_rejected(self):
-        with pytest.raises(DomainError):
-            free_resolvent_kernel(0.0, "plus", 0.0, 0.0)
-
-
 @pytest.fixture(scope="module")
 def born_setup():
     grid = Grid(l_box=15.0, n_points=4097)
@@ -489,8 +469,9 @@ class TestStoneDensity:
         assert rel_l1 < 0.05
 
     def test_interval_order_enforced(self, ham_gauss_1024):
+        f = ham_gauss_1024.eigenvectors[:, 12]
         with pytest.raises(DomainError):
-            stone_spectral_density(ham_gauss_1024, 2.0, 1.0, 0.1, 10, f=None, mode="trace")
+            stone_spectral_density(ham_gauss_1024, 2.0, 1.0, 0.1, 10, f=f)
 
     def test_aliasing_warning(self, ham_gauss_1024):
         H = ham_gauss_1024
@@ -498,6 +479,12 @@ class TestStoneDensity:
         eps = (w[13] - w[12]) / 100.0
         with pytest.warns(AliasingWarning):
             stone_spectral_density(H, w[10], w[20], eps, 8, f=H.eigenvectors[:, 12])
+
+
+def free_resolvent_kernel(energy: float, x: float, y: float) -> complex:
+    """Closed-form free-line kernel (-d2/dx2 - energy - i0)^{-1}(x, y)."""
+    k = np.sqrt(energy)
+    return 1j / (2.0 * k) * np.exp(1j * abs(x - y) * k)
 
 
 class TestDenseResolventHelpers:
@@ -509,7 +496,7 @@ class TestDenseResolventHelpers:
         energy, eps = 1.0, 0.046
         col = richardson_resolvent_column(grid, vals, energy, eps, 0.0)
         ix = int(round((1.0 + grid.l_box) / grid.h))
-        assert col[ix] == pytest.approx(free_resolvent_kernel(1.0, "plus", 1.0, 0.0), rel=5e-3)
+        assert col[ix] == pytest.approx(free_resolvent_kernel(1.0, 1.0, 0.0), rel=5e-3)
 
     def test_off_grid_probe_rejected(self):
         grid = Grid(l_box=10.0, n_points=101)
@@ -561,18 +548,6 @@ class TestFreeResolventApply:
             expected.append(fftconvolve(r0.weights * (-V.values * expected[-1]), kernel)[n - 1 : 2 * n - 1])
         got = born_series_terms(V, energy, "plus", f, 20)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-
-
-class TestStoneTraceMode:
-    def test_trace_density_integrates_to_one(self, ham_gauss_1024):
-        H = ham_gauss_1024
-        w = H.eigenvalues
-        span = w[-1] - w[0]
-        eps = 1e-3 * span
-        a, b = w[0] - 300 * eps, w[-1] + 300 * eps
-        n_lam = int(np.ceil((b - a) / (eps / 3.0)))
-        est = stone_spectral_density(H, a, b, eps, n_lam, mode="trace")
-        assert est.integral() == pytest.approx(1.0, abs=1e-2)
 
 
 class TestFactorOnceSolves:

@@ -3,13 +3,8 @@ import pytest
 
 from dispersion_lab.errors import DomainError, StabilityWarning
 from dispersion_lab.grid_model import Grid, PotentialGrid
-from dispersion_lab.spectral_operator import DiscreteHamiltonian, propagate
-from dispersion_lab.stochastic import (
-    euler_maruyama_ito,
-    path_rng,
-    sample_brownian,
-    time_changed_propagate,
-)
+from dispersion_lab.spectral_operator import DiscreteHamiltonian, propagate, propagate_batch
+from dispersion_lab.stochastic import euler_maruyama_ito, path_rng, sample_brownian
 
 
 class TestSampleBrownian:
@@ -53,20 +48,30 @@ class TestSampleBrownian:
 
 
 class TestTimeChangedPropagate:
+    """u(t_k) = e^{-i beta(t_k) H} u0 along each path: one propagate_batch call.
+
+    The path values flatten path-major, so path p owns columns p*k..(p+1)*k.
+    """
+
+    @staticmethod
+    def path_states(H, ens, u0):
+        states = propagate_batch(H, ens.values, u0)
+        k = ens.n_steps + 1
+        return [states[:, p * k : (p + 1) * k] for p in range(ens.n_paths)]
+
     def test_time_zero_state(self, ham_gauss_1024, rng):
         H = ham_gauss_1024
         u0 = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
         ens = sample_brownian(1.0, 8, 2, seed=1)
-        sols = time_changed_propagate(H, ens, u0)
-        for sol in sols:
-            assert np.max(np.abs(sol.states[:, 0] - u0)) < 1e-12
+        for states in self.path_states(H, ens, u0):
+            assert np.max(np.abs(states[:, 0] - u0)) < 1e-12
 
     def test_norm_constant_along_paths(self, ham_gauss_1024, rng):
         H = ham_gauss_1024
         u0 = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
         ens = sample_brownian(2.0, 32, 3, seed=7)
-        for sol in time_changed_propagate(H, ens, u0):
-            norms = np.linalg.norm(sol.states, axis=0)
+        for states in self.path_states(H, ens, u0):
+            norms = np.linalg.norm(states, axis=0)
             assert np.max(np.abs(norms - norms[0])) < 1e-9 * norms[0]
 
     def test_single_mode_diagonal_action(self, ham_free_1024_l30):
@@ -74,10 +79,18 @@ class TestTimeChangedPropagate:
         k = 17
         u0 = H.eigenvectors[:, k].astype(complex)
         ens = sample_brownian(1.5, 16, 2, seed=11)
-        sols = time_changed_propagate(H, ens, u0)
-        for p, sol in enumerate(sols):
+        for p, states in enumerate(self.path_states(H, ens, u0)):
             expect = np.exp(-1j * H.eigenvalues[k] * ens.values[p])[None, :] * u0[:, None]
-            assert np.max(np.abs(sol.states - expect)) < 1e-10
+            assert np.max(np.abs(states - expect)) < 1e-10
+
+    def test_projected_flag(self, ham_sech_4096, rng):
+        # the projected flow keeps every path state off the bound state
+        H = ham_sech_4096
+        u0 = rng.normal(size=H.n).astype(complex)
+        ens = sample_brownian(1.0, 4, 2, seed=2)
+        states = propagate_batch(H, ens.values, u0, project=True)
+        vb = H.eigenvectors[:, H.bound_state_indices]
+        assert np.max(np.abs(vb.T @ states)) < 1e-10 * np.linalg.norm(u0)
 
     def test_composition_of_flows(self, ham_gauss_1024, rng):
         # S(t, s) S(s, r) = S(t, r): phases add along the path
@@ -87,13 +100,6 @@ class TestTimeChangedPropagate:
         via = propagate(H, bt - bs, propagate(H, bs - br, u0))
         direct = propagate(H, bt - br, u0)
         assert np.linalg.norm(via - direct) / np.linalg.norm(direct) < 1e-10
-
-    def test_projected_flag(self, ham_gauss_1024, rng):
-        H = ham_gauss_1024
-        u0 = rng.normal(size=H.n).astype(complex)
-        ens = sample_brownian(1.0, 4, 1, seed=2)
-        sol = time_changed_propagate(H, ens, u0, project=True)[0]
-        assert sol.ac_projected is True
 
 
 def single_mode_hamiltonian(eigenvalue: float) -> DiscreteHamiltonian:
@@ -232,33 +238,3 @@ class TestBatchedEulerMaruyama:
         assert np.max(np.abs(traj[:, :, 2] - one)) <= 1e-13 * np.linalg.norm(u0)
         final = euler_maruyama_ito(H, ens.increments, 1.0, u0, 32)
         assert np.array_equal(traj[-1], final)
-
-
-class TestCsvExports:
-    def test_ensemble_export(self, tmp_path):
-        from dispersion_lab.stochastic import ensemble_to_csv
-
-        ens = sample_brownian(1.0, 4, 2, seed=6)
-        out = tmp_path / "paths.csv"
-        ensemble_to_csv(ens, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path,t,beta"
-        assert len(lines) == 1 + 2 * 5
-        p, t, b = lines[3].split(",")
-        assert int(p) == 0
-        assert float(b) == ens.values[0, 2]
-
-    def test_path_solution_export(self, tmp_path, ham_gauss_1024, rng):
-        from dispersion_lab.stochastic import path_solution_to_csv
-
-        H = ham_gauss_1024
-        u0 = rng.normal(size=H.n).astype(complex)
-        ens = sample_brownian(1.0, 4, 1, seed=6)
-        sol = time_changed_propagate(H, ens, u0, time_indices=np.array([0, 4]))[0]
-        out = tmp_path / "snap.csv"
-        path_solution_to_csv(sol, H.grid.x, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,x,re_u,im_u"
-        assert len(lines) == 1 + 2 * H.n
-        t, x, re, im = lines[1].split(",")
-        assert float(re) == sol.states[0, 0].real

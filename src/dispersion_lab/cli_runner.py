@@ -6,8 +6,9 @@ run_manifest.json into the output directory and returns a process exit
 code: 0 success, 2 completed-with-hypothesis-warning, 1 error.
 
 EXPERIMENTS is the one experiment registry: each entry holds the
-experiment's description, its runner and the typed schema of its params.
-ExperimentConfig.from_dict checks every param against that schema, so a
+experiment's description, its runner and the typed schema of its params;
+SECTIONS holds the schema of every other config section.
+ExperimentConfig.from_dict checks every field against its schema, so a
 runner reads typed values only.
 """
 
@@ -28,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import estimates, scattering, spectral_operator, stochastic
+from . import __version__, estimates, scattering, spectral_operator, stochastic
 from ._parallel import ENV_THREADS, usable_cores, worker_count
 from .errors import DispersionLabError, HypothesisViolationWarning, ValidationError
-from .grid_model import Grid, PotentialSpec, sample_potential
+from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
 # thread caps that the manifest records: BLAS results, and so the bytes of
@@ -46,29 +47,21 @@ THREAD_VARS = (
     ENV_THREADS,
 )
 
-_DEFAULTS = {
-    "potential": {"family": "zero", "amplitude": 0.0, "width": 1.0, "table": None},
-    "grid": {"n_points": 2048, "l_box": 40.0},
-    "stochastic": {"horizon": 8.0, "n_steps": 256, "n_paths": 200, "seed": 1},
-    "norms": {"rho": 4.0, "r": 4.0, "p": 4.0},
-    "output_dir": "runs",
-}
-
-_TOP_LEVEL_KEYS = {"experiment", "params", *_DEFAULTS}
-
 
 @dataclass(frozen=True)
 class Param:
-    """One experiment param: a default, whose JSON type the value must have, and a range.
+    """One config field: a default, whose JSON type the value must have, and a range.
 
-    An int param also takes an integral float and stores it as int; a float
-    param takes any finite number and stores it as float; a list param takes
-    a non-empty list of numbers; a bool param takes only true or false; a str
-    param takes one of choices; a None default makes a number optional.
-    Numbers lie in the interval from lo to hi, open at an end that ends marks
-    with a parenthesis.  A bound may be a function of the config, whose
-    params then hold the values checked before this one; note says what
-    such a bound stands for.
+    An int field also takes an integral float and stores it as int; a float
+    field takes any finite number and stores it as float; a list field takes
+    a non-empty list of numbers; a bool field takes only true or false; a str
+    field takes one of choices, or any string where there are none; a None
+    default makes a number optional, or with pairs a non-empty list of
+    [x, V] number pairs.  With inf, a number field also takes "inf" or
+    "infinity" in any case and stores "inf".  Numbers lie in the interval
+    from lo to hi, open at an end that ends marks with a parenthesis.  A
+    bound may be a function of the config document, which then holds the
+    values checked before this one; note says what such a bound stands for.
     """
 
     default: object
@@ -77,21 +70,30 @@ class Param:
     ends: str = "[]"
     choices: tuple[str, ...] = ()
     note: str = ""
+    inf: bool = False
+    pairs: bool = False
 
-    def parse(self, value, cfg: ExperimentConfig):
+    def parse(self, value, doc: dict):
         """The typed value, or ValueError saying what the value must be."""
         d = self.default
-        lo, hi = (b(cfg) if callable(b) else b for b in (self.lo, self.hi))
+        lo, hi = (b(doc) if callable(b) else b for b in (self.lo, self.hi))
+        if d is None and value is None:
+            return None
+        if self.inf and isinstance(value, str) and value.lower() in ("inf", "infinity"):
+            return "inf"
         if isinstance(d, bool):
             ok = isinstance(value, bool)
         elif isinstance(d, str):
-            ok = value in self.choices
+            ok = isinstance(value, str) and (value in self.choices or not self.choices)
         elif isinstance(d, list):
             ok = isinstance(value, list) and len(value) > 0
             ok = ok and all(self._fits(v, lo, hi) for v in value)
             value = [float(v) for v in value] if ok else value
-        elif d is None and value is None:
-            return None
+        elif self.pairs:
+            ok = isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)
+            ok = ok and len(value) > 0 and all(self._fits(v, lo, hi) for p in value for v in p)
+            # tuples, as PotentialSpec keeps them; JSON writes them as lists
+            value = tuple(tuple(float(v) for v in p) for p in value) if ok else value
         else:
             ok = self._fits(value, lo, hi)
             value = (int if isinstance(d, int) else float)(value) if ok else value
@@ -100,7 +102,7 @@ class Param:
         raise ValueError(f"must be {self._describe(lo, hi)}, got {value!r}")
 
     def _fits(self, v, lo: float, hi: float) -> bool:
-        """v is a finite number in the range, and integral for an int param."""
+        """v is a finite number in the range, and integral for an int field."""
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return False
         try:
@@ -109,25 +111,54 @@ class Param:
             return False
         if not math.isfinite(x) or (isinstance(self.default, int) and not x.is_integer()):
             return False
-        above = x > lo if self.ends[0] == "(" else x >= lo
-        return above and (x < hi if self.ends[1] == ")" else x <= hi)
+        # compare v, not x: float(2**63 - 1) rounds up to the seed's bound 2**63
+        above = v > lo if self.ends[0] == "(" else v >= lo
+        return above and (v < hi if self.ends[1] == ")" else v <= hi)
 
     def _describe(self, lo: float, hi: float) -> str:
         d = self.default
         if isinstance(d, bool):
             return "true or false"
         if isinstance(d, str):
-            return "one of " + ", ".join(map(repr, self.choices))
+            return "one of " + ", ".join(map(repr, self.choices)) if self.choices else "a string"
         what = {int: "an integer", list: "a non-empty list of numbers"}.get(type(d), "a number")
+        what = "a non-empty list of [x, V] number pairs" if self.pairs else what
         if (lo, hi) != (-math.inf, math.inf):
             what += f" in {self.ends[0]}{lo}, {hi}{')' if hi == math.inf else self.ends[1]}"
         what += f" ({self.note})" if self.note else ""
+        what += ' or "inf"' if self.inf else ""
         return what + (" or null" if d is None else "")
 
 
-@dataclass
+def _parse(schema: dict, raw: dict, out: dict, doc: dict, errors: list, path: str = "") -> None:
+    """Fill out with raw's values, typed by schema, and every default.
+
+    A nested dict of the schema is a section.  Each failure goes to errors
+    under its field path, and the field holds its default, which later
+    bounds read in its place.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{path.rstrip('.')}: expected an object")
+        raw = {}
+    errors.extend(f"{path}{k}: unknown key" for k in raw if k not in schema)
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            _parse(spec, raw.get(key, {}), out.setdefault(key, {}), doc, errors, f"{path}{key}.")
+            continue
+        try:
+            out[key] = spec.parse(raw.get(key, spec.default), doc)
+        except ValueError as exc:
+            out[key] = spec.default
+            errors.append(f"{path}{key}: {exc}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment run, fully materialized (all defaults filled in)."""
+    """One experiment run, parsed and typed, with every default filled in.
+
+    doc is the canonical document that to_canonical_dict and config_hash
+    read; the other fields are its values in the types the runners use.
+    """
 
     experiment: str
     potential: PotentialSpec
@@ -140,11 +171,11 @@ class ExperimentConfig:
     r: float
     p: float
     output_dir: str
-    params: dict = field(default_factory=dict)
+    params: dict
+    doc: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        errors = []
         if not isinstance(raw, dict):
             raise ValidationError("config root must be a JSON object")
         exp = raw.get("experiment")
@@ -152,121 +183,33 @@ class ExperimentConfig:
             raise ValidationError(
                 f"experiment: unknown name {exp!r}; run `dispersion-lab list`"
             )
-
-        def section(name, defaults=None):
-            sec = dict(_DEFAULTS[name] if defaults is None else defaults)
-            user = raw.get(name, {})
-            if not isinstance(user, dict):
-                errors.append(f"{name}: expected an object")
-                return sec
-            for k, val in user.items():
-                if k not in sec:
-                    errors.append(f"{name}.{k}: unknown key")
-                else:
-                    sec[k] = val
-            return sec
-
-        errors.extend(f"{k}: unknown key" for k in raw if k not in _TOP_LEVEL_KEYS)
-        pot = section("potential")
-        grd = section("grid")
-        sto = section("stochastic")
-        nrm = section("norms")
-        params = section("params", {k: p.default for k, p in EXPERIMENTS[exp].params.items()})
-        out_dir = raw.get("output_dir", _DEFAULTS["output_dir"])
+        schema = {**SECTIONS, "params": EXPERIMENTS[exp].params}
+        doc, errors = {"experiment": exp}, []
+        _parse(schema, {k: v for k, v in raw.items() if k != "experiment"}, doc, doc, errors)
         if errors:
             raise ValidationError("; ".join(errors))
         try:
-            table = pot["table"]
-            spec = PotentialSpec(
-                family=pot["family"],
-                amplitude=float(pot["amplitude"]),
-                width=float(pot["width"]),
-                table=tuple(tuple(p) for p in table) if table else None,
-            )
-        except (DispersionLabError, TypeError, ValueError) as exc:
+            potential = PotentialSpec(**doc["potential"])
+        except ValidationError as exc:
             raise ValidationError(f"potential: {exc}") from exc
-        try:
-            grid = Grid(l_box=float(grd["l_box"]), n_points=int(grd["n_points"]))
-        except (DispersionLabError, TypeError, ValueError) as exc:
-            raise ValidationError(f"grid: {exc}") from exc
-        try:
-            cfg = cls(
-                experiment=exp,
-                potential=spec,
-                grid=grid,
-                horizon=float(sto["horizon"]),
-                n_steps=int(sto["n_steps"]),
-                n_paths=int(sto["n_paths"]),
-                seed=int(sto["seed"]),
-                rho=_parse_exponent(nrm["rho"]),
-                r=_parse_exponent(nrm["r"]),
-                p=_parse_exponent(nrm["p"]),
-                output_dir=str(out_dir),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(str(exc)) from exc
-        cfg._check_ranges(params)
-        return cfg
-
-    def _check_ranges(self, params: dict) -> None:
-        """Type every param by its schema; reject values no runner can execute."""
-        errors = [
-            f"stochastic.{name}: must be at least 1, got {val}"
-            for name, val in (("n_steps", self.n_steps), ("n_paths", self.n_paths))
-            if val < 1
-        ]
-        for name, param in EXPERIMENTS[self.experiment].params.items():
-            try:
-                self.params[name] = param.parse(params[name], self)
-            except ValueError as exc:
-                # later bounds read the default in its place
-                self.params[name] = param.default
-                errors.append(f"params.{name}: {exc}")
-        if errors:
-            raise ValidationError("; ".join(errors))
+        return cls(
+            experiment=exp,
+            potential=potential,
+            grid=Grid(**doc["grid"]),
+            **doc["stochastic"],
+            **{k: float(v) for k, v in doc["norms"].items()},  # float("inf") is inf
+            output_dir=doc["output_dir"],
+            params=doc["params"],
+            doc=doc,
+        )
 
     def to_canonical_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "potential": {
-                "family": self.potential.family,
-                "amplitude": self.potential.amplitude,
-                "width": self.potential.width,
-                "table": [list(p) for p in self.potential.table]
-                if self.potential.table
-                else None,
-            },
-            "grid": {"n_points": self.grid.n_points, "l_box": self.grid.l_box},
-            "stochastic": {
-                "horizon": self.horizon,
-                "n_steps": self.n_steps,
-                "n_paths": self.n_paths,
-                "seed": self.seed,
-            },
-            "norms": {
-                "rho": _dump_exponent(self.rho),
-                "r": _dump_exponent(self.r),
-                "p": _dump_exponent(self.p),
-            },
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "output_dir": self.output_dir,
-        }
+        """A copy of the canonical document, as JSON reads it back."""
+        return json.loads(json.dumps(self.doc))
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_canonical_dict(), sort_keys=True).encode()
+        blob = json.dumps(self.doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def _parse_exponent(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValidationError(f"norms: cannot parse exponent {v!r}")
-    return float(v)
-
-
-def _dump_exponent(v: float):
-    return "inf" if v == math.inf else v
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -286,7 +229,7 @@ def list_experiments() -> list[tuple[str, str]]:
 
 # ---------------------------------------------------------------------------
 # the registry: each runner is registered with its description and params,
-# takes a RunContext and returns (report, header, rows, exit_code)
+# takes a RunContext and returns (report, header, rows)
 
 class RunContext:
     """One run's config, with V and H built on first use.
@@ -331,8 +274,31 @@ def _experiment(name: str, description: str, **params: Param):
     return register
 
 
+# every other config section, and output_dir: a field's bound may read the
+# sections before it, and the params, checked after all of them, may read any
+SECTIONS: dict[str, dict[str, Param] | Param] = {
+    "potential": {
+        "family": Param("zero", choices=FAMILIES),
+        "amplitude": Param(0.0),
+        "width": Param(1.0),
+        "table": Param(None, pairs=True),
+    },
+    "grid": {"n_points": Param(2048, 16), "l_box": Param(40.0, 0, ends="(]")},
+    "stochastic": {
+        "horizon": Param(8.0, 0, ends="(]"),
+        "n_steps": Param(256, 1),
+        "n_paths": Param(200, 1),
+        # a Philox key word and _sub_seed's arithmetic both take [0, 2**63)
+        "seed": Param(1, 0, 2**63, "[)"),
+    },
+    "norms": {k: Param(4.0, 1, inf=True) for k in ("rho", "r", "p")},
+    "output_dir": Param("runs"),
+}
+
 _HORIZONS = Param([0.25, 0.5, 1.0, 2.0, 4.0], 0, ends="(]")
-_T_MIN = Param(0.5, 0, lambda cfg: cfg.horizon, "[)", note="below stochastic.horizon")
+_T_MIN = Param(
+    0.5, 0, lambda doc: doc["stochastic"]["horizon"], "[)", note="below stochastic.horizon"
+)
 _SHAPES = ("gaussian", "odd")
 
 
@@ -349,13 +315,19 @@ def _initial_data(ctx: RunContext, prefix: str = "u0"):
     pr = ctx.params
     width = pr[f"{prefix}_width"]
     if pr[f"{prefix}_shape"] == "odd":
-        return estimates.odd_packet(ctx.grid, width=width)
-    return estimates.gaussian_packet(
-        ctx.grid,
-        width=width,
-        center=pr.get(f"{prefix}_center", 0.0),
-        momentum=pr.get(f"{prefix}_momentum", 0.0),
-    )
+        u = estimates.odd_packet(ctx.grid, width=width)
+    else:
+        u = estimates.gaussian_packet(
+            ctx.grid,
+            width=width,
+            center=pr.get(f"{prefix}_center", 0.0),
+            momentum=pr.get(f"{prefix}_momentum", 0.0),
+        )
+    if not np.any(u):
+        raise ValidationError(
+            f"params.{prefix}_width: the packet samples to zero on a grid with h = {ctx.grid.h:.3g}"
+        )
+    return u
 
 
 def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
@@ -396,7 +368,7 @@ def _run_scatter_sweep(ctx: RunContext):
         "resonant_at_zero": bool(resonant),
     }
     header = ["lambda", "re_w", "im_w", "abs_t", "abs_r", "abs_alpha", "abs_beta"]
-    return report, header, rows, 0
+    return report, header, rows
 
 
 @_experiment(
@@ -414,7 +386,7 @@ def _run_resonance(ctx: RunContext):
         fm = scattering.jost_solution(V, lam, "minus")
         rows.append((lam, abs(scattering.wronskian(fp, fm))))
     report = {"resonant": bool(resonant), "abs_w0": abs(w0), "tol": tol}
-    return report, ["lambda", "abs_w"], rows, 0
+    return report, ["lambda", "abs_w"], rows
 
 
 # nodes of the dense oracle's grid, 2 * oracle_l_box / oracle_h + 1: at
@@ -431,8 +403,8 @@ _ORACLE_NODES = (16, 2_000_001)
     oracle_l_box=Param(2000.0, 0, ends="(]"),
     oracle_h=Param(
         0.008,
-        lambda cfg: 2.0 * cfg.params["oracle_l_box"] / (_ORACLE_NODES[1] - 1),
-        lambda cfg: 2.0 * cfg.params["oracle_l_box"] / (_ORACLE_NODES[0] - 1),
+        lambda doc: 2.0 * doc["params"]["oracle_l_box"] / (_ORACLE_NODES[1] - 1),
+        lambda doc: 2.0 * doc["params"]["oracle_l_box"] / (_ORACLE_NODES[0] - 1),
         "(]",
         note="the oracle grid needs %d to %d nodes" % _ORACLE_NODES,
     ),
@@ -460,7 +432,7 @@ def _run_resolvent_check(ctx: RunContext):
                 rows.append((lam, float(x), float(y), jv.real, jv.imag, dv.real, dv.imag, rel))
     report = {"max_rel_err": max_rel, "lambdas": pr["lambdas"]}
     header = ["lambda", "x", "y", "re_jost", "im_jost", "re_dense", "im_dense", "rel_err"]
-    return report, header, rows, 0
+    return report, header, rows
 
 
 @_experiment(
@@ -486,14 +458,14 @@ def _run_born_check(ctx: RunContext):
         "max_ratio": max(ratios),
         "ratios_ok": bool(max(ratios) <= 1.1 * bound),
     }
-    return report, ["n", "term_sup", "ratio"], rows, 0
+    return report, ["n", "term_sup", "ratio"], rows
 
 
 @_experiment(
     "stone-density",
     "spectral measure recovered from the resolvent jump across the real axis",
     eigenindex=Param(
-        12, 1, lambda cfg: cfg.grid.n_points - 2, note="a neighbour on each side"
+        12, 1, lambda doc: doc["grid"]["n_points"] - 2, note="a neighbour on each side"
     ),
     epsilon_factor=Param(0.1, 0, ends="(]"),
     margin_factor=Param(80.0, 0, ends="(]"),
@@ -519,7 +491,7 @@ def _run_stone_density(ctx: RunContext):
         "interval": [a, b],
         "mass": mass,
     }
-    return report, ["lambda", "density"], rows, 0
+    return report, ["lambda", "density"], rows
 
 
 @_experiment(
@@ -527,7 +499,7 @@ def _run_stone_density(ctx: RunContext):
     "strong order of the Ito integrator against the time-changed propagator e^{-i beta(T) H}",
     level_min=Param(6, 0),
     level_max=Param(
-        12, lambda cfg: cfg.params["level_min"] + 4,
+        12, lambda doc: doc["params"]["level_min"] + 4,
         note="level_min + 4: the order fit needs a decade of step sizes",
     ),
     energy_cut=Param(2.5),
@@ -560,7 +532,7 @@ def _run_sde_convergence(ctx: RunContext):
     rep = estimates.fit_decay_exponent(dts, errs, min_points=len(levels), min_decades=1.0)
     rows = list(zip(dts, errs))
     report = {"fitted_order": rep.fitted_slope, "slope_ci_95": list(rep.slope_ci_95)}
-    return report, ["dt", "strong_error"], rows, 0
+    return report, ["dt", "strong_error"], rows
 
 
 @_experiment(
@@ -574,23 +546,20 @@ def _run_sde_convergence(ctx: RunContext):
 def _run_dispersive(ctx: RunContext):
     cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
     ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = estimates.dispersive_experiment(
-            H,
-            ens,
-            u0,
-            t_min=ctx.params["t_min"],
-            n_time_samples=ctx.params["n_time_samples"],
-            beta_min=ctx.params["beta_min"],
-        )
-    flagged = any(issubclass(w.category, HypothesisViolationWarning) for w in caught)
+    rep = estimates.dispersive_experiment(
+        H,
+        ens,
+        u0,
+        t_min=ctx.params["t_min"],
+        n_time_samples=ctx.params["n_time_samples"],
+        beta_min=ctx.params["beta_min"],
+    )
     report = _report_from_estimate(rep)
-    report["hypothesis_violation"] = flagged
-    if flagged:
+    report["hypothesis_violation"] = rep.extras["resonant"]
+    if rep.extras["resonant"]:
         report["warning"] = "zero-energy resonance detected"
     rows = list(zip(rep.abscissa, rep.values))
-    return report, ["abs_beta", "sup_norm"], rows, 2 if flagged else 0
+    return report, ["abs_beta", "sup_norm"], rows
 
 
 @_experiment(
@@ -612,12 +581,22 @@ def _run_expectation_decay(ctx: RunContext):
         n_time_samples=ctx.params["n_time_samples"],
     )
     rows = list(zip(rep.abscissa, rep.values))
-    return _report_from_estimate(rep), ["t", "mean_sup_norm"], rows, 0
+    return _report_from_estimate(rep), ["t", "mean_sup_norm"], rows
 
 
-def _window_scaling(rep: estimates.EstimateReport):
+def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
+    """Run a window-scaling experiment over params.horizons, sampled as the config says."""
+    cfg = ctx.cfg
+    rep = experiment(
+        *args,
+        horizons=ctx.params["horizons"],
+        n_steps=cfg.n_steps,
+        n_paths=cfg.n_paths,
+        seed=cfg.seed,
+        **kwargs,
+    )
     rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
-    return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows, 0
+    return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows
 
 
 @_experiment(
@@ -627,16 +606,7 @@ def _window_scaling(rep: estimates.EstimateReport):
     horizons=_HORIZONS,
 )
 def _run_convolution_lemma(ctx: RunContext):
-    cfg = ctx.cfg
-    return _window_scaling(
-        estimates.convolution_lemma_experiment(
-            alpha=ctx.params["alpha"],
-            horizons=ctx.params["horizons"],
-            n_steps=cfg.n_steps,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-        )
-    )
+    return _window_scaling(ctx, estimates.convolution_lemma_experiment, alpha=ctx.params["alpha"])
 
 
 @_experiment(
@@ -647,19 +617,14 @@ def _run_convolution_lemma(ctx: RunContext):
     **_packet_params(0.5),
 )
 def _run_strichartz_hom(ctx: RunContext):
-    cfg = ctx.cfg
     return _window_scaling(
-        estimates.strichartz_homogeneous_experiment(
-            ctx.H,
-            _initial_data(ctx),
-            r=cfg.r,
-            p=cfg.p,
-            horizons=ctx.params["horizons"],
-            n_steps=cfg.n_steps,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            project=ctx.params["project"],
-        )
+        ctx,
+        estimates.strichartz_homogeneous_experiment,
+        ctx.H,
+        _initial_data(ctx),
+        r=ctx.cfg.r,
+        p=ctx.cfg.p,
+        project=ctx.params["project"],
     )
 
 
@@ -676,18 +641,14 @@ def _run_strichartz_inhom(ctx: RunContext):
     g = _initial_data(ctx, "forcing")
     g = g / estimates.lp_norm_x(g, estimates.holder_conjugate(cfg.p), cfg.grid)
     return _window_scaling(
-        estimates.strichartz_inhomogeneous_experiment(
-            ctx.H,
-            g,
-            rho=cfg.rho,
-            r=cfg.r,
-            p=cfg.p,
-            horizons=ctx.params["horizons"],
-            n_steps=cfg.n_steps,
-            n_paths=cfg.n_paths,
-            seed=cfg.seed,
-            project=ctx.params["project"],
-        )
+        ctx,
+        estimates.strichartz_inhomogeneous_experiment,
+        ctx.H,
+        g,
+        rho=cfg.rho,
+        r=cfg.r,
+        p=cfg.p,
+        project=ctx.params["project"],
     )
 
 
@@ -706,12 +667,20 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     """Execute one experiment and write its artifacts.
 
-    Nothing is written if the runner raises; hypothesis-violation
-    warnings still produce artifacts but exit with code 2.
+    Nothing is written if the runner raises.  Each warning a completed run
+    fired is printed to stderr and listed in the manifest; a
+    hypothesis-violation warning still produces artifacts but exits with
+    code 2.
     """
     t0 = time.perf_counter()
-    # the context, and with it any eigenbasis, is freed when the runner returns
-    report, header, rows, code = EXPERIMENTS[config.experiment].runner(RunContext(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # each distinct warning once
+        # the context, and with it any eigenbasis, is freed when the runner returns
+        report, header, rows = EXPERIMENTS[config.experiment].runner(RunContext(config))
+    fired = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
+    for w in fired:
+        print(f"warning: {w['category']}: {w['message']}", file=sys.stderr)
+    code = 2 if any(issubclass(w.category, HypothesisViolationWarning) for w in caught) else 0
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
@@ -730,7 +699,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         "config_hash": chash,
         "seed": config.seed,
         "versions": {
-            "dispersion_lab": _version(),
+            "dispersion_lab": __version__,
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
         },
@@ -740,6 +709,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         "usable_cores": usable_cores(),
         "peak_rss_mb": _peak_rss_mb(),
         "wall_s": time.perf_counter() - t0,
+        "warnings": fired,
     }
     _write_json(out / "run_manifest.json", manifest)
     return code
@@ -778,12 +748,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dispersion-lab",
@@ -808,17 +772,13 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        print(f"ok: {config.experiment} (hash {config.config_hash()[:12]})")
-        return 0
-
-    if args.seed is not None:
-        config.seed = args.seed
-    try:
+        if args.command == "validate":
+            print(f"ok: {config.experiment} (hash {config.config_hash()[:12]})")
+            return 0
+        if args.seed is not None:  # the override is checked like any seed
+            doc = config.to_canonical_dict()
+            doc["stochastic"]["seed"] = args.seed
+            config = ExperimentConfig.from_dict(doc)
         return run(config, out_dir=args.out)
     except DispersionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -405,7 +405,7 @@ def expectation_decay_experiment(
         H, u0, ensemble.values[:, ksel], INF, project, mode_tol
     ).reshape(ensemble.n_paths, len(ksel))
     vals = np.mean(sup**p, axis=0) ** (1.0 / p)
-    rep = fit_decay_exponent(ts, vals, n_boot=n_boot, min_decades=1.0)
+    rep = _fit_or_degenerate(ts, vals, n_boot=n_boot, min_decades=1.0)
     rep.n_paths = ensemble.n_paths
     rep.seed = ensemble.seed
     rep.extras.update({"p": p})

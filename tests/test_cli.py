@@ -235,8 +235,9 @@ class TestReproducibility:
         path = small_dispersive_config(tmp_path)
         cfg = load_config(path)
         run(cfg, out_dir=tmp_path / "s1")
-        cfg.seed = 12
-        run(cfg, out_dir=tmp_path / "s2")
+        doc = cfg.to_canonical_dict()
+        doc["stochastic"]["seed"] = 12
+        run(ExperimentConfig.from_dict(doc), out_dir=tmp_path / "s2")
         assert (tmp_path / "s1" / "data.csv").read_bytes() != (
             tmp_path / "s2" / "data.csv"
         ).read_bytes()
@@ -292,7 +293,7 @@ class TestRangeValidation:
     @pytest.mark.parametrize("value", [0, -3])
     def test_stochastic_counts_below_one_rejected(self, tmp_path, capsys, field, value):
         raw = {"experiment": "dispersive", "stochastic": {field: value}}
-        with pytest.raises(ValidationError, match=f"stochastic.{field}: must be at least 1"):
+        with pytest.raises(ValidationError, match=rf"stochastic.{field}: must be an integer in \[1, inf\)"):
             ExperimentConfig.from_dict(raw)
         assert main(["validate", str(_write(tmp_path, raw))]) == 1
         err = capsys.readouterr().err

@@ -4,7 +4,7 @@ ensembles and decay/mixed-norm experiments."""
 
 __version__ = "0.1.0"
 
-from .grid_model import Grid, PotentialGrid, PotentialSpec, lambda0, sample_potential, weighted_l1_norm
+from .grid_model import Grid, PotentialGrid, PotentialSpec, sample_potential
 from .scattering import (
     JostFunction,
     ScatteringData,
@@ -41,9 +41,7 @@ __all__ = [
     "Grid",
     "PotentialGrid",
     "PotentialSpec",
-    "lambda0",
     "sample_potential",
-    "weighted_l1_norm",
     "JostFunction",
     "ScatteringData",
     "detect_resonance",

@@ -331,9 +331,9 @@ def _initial_data(ctx: RunContext, prefix: str = "u0"):
 
 
 def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
-    d = rep.to_dict()
-    del d["abscissa"], d["values"]
-    return d
+    """The fit, its sampling and its extras; the samples themselves go to data.csv."""
+    keys = ("fitted_slope", "fitted_intercept", "slope_ci_95", "n_paths", "seed", "extras")
+    return {k: getattr(rep, k) for k in keys}
 
 
 @_experiment(
@@ -529,9 +529,11 @@ def _run_sde_convergence(ctx: RunContext):
 
     errs = np.array([strong_error(nst) for nst in levels]) / cfg.n_paths
     dts = np.array([cfg.horizon / n for n in levels])
-    rep = estimates.fit_decay_exponent(dts, errs, min_points=len(levels), min_decades=1.0)
+    # an unstable step can overflow the errors: a degenerate fit, not an error
+    rep = estimates.fit_report(dts, errs, cfg.n_paths, cfg.seed, n_boot=1000, min_points=len(levels))
     rows = list(zip(dts, errs))
-    report = {"fitted_order": rep.fitted_slope, "slope_ci_95": list(rep.slope_ci_95)}
+    # extras holds only the degenerate flag and its reason, when set
+    report = {"fitted_order": rep.fitted_slope, "slope_ci_95": rep.slope_ci_95, **rep.extras}
     return report, ["dt", "strong_error"], rows
 
 
@@ -667,19 +669,21 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     """Execute one experiment and write its artifacts.
 
-    Nothing is written if the runner raises.  Each warning a completed run
-    fired is printed to stderr and listed in the manifest; a
-    hypothesis-violation warning still produces artifacts but exits with
-    code 2.
+    Nothing is written if the runner raises.  Each warning the run fired
+    is printed to stderr, also when the runner raises, and a completed
+    run lists them in the manifest; a hypothesis-violation warning still
+    produces artifacts but exits with code 2.
     """
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")  # each distinct warning once
-        # the context, and with it any eigenbasis, is freed when the runner returns
-        report, header, rows = EXPERIMENTS[config.experiment].runner(RunContext(config))
-    fired = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
-    for w in fired:
-        print(f"warning: {w['category']}: {w['message']}", file=sys.stderr)
+        try:
+            # the context, and with it any eigenbasis, is freed when the runner returns
+            report, header, rows = EXPERIMENTS[config.experiment].runner(RunContext(config))
+        finally:
+            fired = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
+            for w in fired:
+                print(f"warning: {w['category']}: {w['message']}", file=sys.stderr)
     code = 2 if any(issubclass(w.category, HypothesisViolationWarning) for w in caught) else 0
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -733,11 +737,14 @@ def _peak_rss_mb() -> float | None:
 
 
 def _finite_or_null(obj):
-    """obj with every nan or infinite float replaced by None (JSON null)."""
+    """obj as JSON values: numpy scalars and arrays become Python ones, and
+    every nan or infinite float becomes None (JSON null)."""
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj

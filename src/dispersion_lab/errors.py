@@ -37,10 +37,6 @@ class ContractViolationError(DispersionLabError, ValueError):
     """Caller broke an interface contract (mismatched grids, bad pairing)."""
 
 
-class DivergenceWarning(UserWarning):
-    """Quadrature failed to settle under repeated box doubling."""
-
-
 class StabilityWarning(UserWarning):
     """Explicit SDE step large enough for mode-wise amplification."""
 

@@ -26,6 +26,7 @@ from .spectral_operator import DiscreteHamiltonian, RowPanels, evolve, occupied_
 from .stochastic import BrownianEnsemble, sample_brownian
 
 INF = math.inf
+N_BOOT = 400  # bootstrap resamples behind every experiment's slope CI
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +76,11 @@ def holder_conjugate(q: float) -> float:
 
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Exponents (rho over paths, r over time, p over space) on a window."""
+    """Exponents (rho over paths, r over time, p over space) on the window [0, horizon]."""
 
     rho: float
     r: float
     p: float
-    s: float = 0.0
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -118,11 +118,10 @@ def mixed_norm(space_norms: np.ndarray, times: np.ndarray, spec: MixedNormSpec) 
     times = np.asarray(times, dtype=float)
     if space_norms.shape[1] != len(times) or len(times) < 1:
         raise DomainError("time grid does not match the sample matrix")
-    t0, t1 = spec.s, spec.s + spec.horizon
-    if len(times) > 1 and not (np.isclose(times[0], t0) and np.isclose(times[-1], t1)):
+    if len(times) > 1 and not (np.isclose(times[0], 0.0) and np.isclose(times[-1], spec.horizon)):
         raise DomainError(
             f"sample grid [{times[0]}, {times[-1]}] does not cover the "
-            f"window [{t0}, {t1}]"
+            f"window [0.0, {spec.horizon}]"
         )
     if len(times) == 1:
         per_path = space_norms[:, 0]
@@ -194,28 +193,6 @@ class EstimateReport:
         if np.isfinite(self.fitted_slope) and not (lo <= self.fitted_slope <= hi):
             raise DomainError("confidence interval must contain the fitted slope")
 
-    def to_dict(self) -> dict:
-        return {
-            "abscissa": [float(a) for a in self.abscissa],
-            "values": [float(v) for v in self.values],
-            "fitted_slope": float(self.fitted_slope),
-            "fitted_intercept": float(self.fitted_intercept),
-            "slope_ci_95": [float(self.slope_ci_95[0]), float(self.slope_ci_95[1])],
-            "n_paths": int(self.n_paths),
-            "seed": int(self.seed),
-            "extras": _jsonable(self.extras),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
 
 def fit_decay_exponent(
     abscissa,
@@ -235,6 +212,8 @@ def fit_decay_exponent(
     v = np.asarray(values, dtype=float)
     if len(a) != len(v):
         raise DomainError("abscissa and values must have equal length")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+        raise DomainError("log-log fit needs finite abscissa and values")
     if not (np.all(a > 0) and np.all(v > 0)):
         raise DomainError("log-log fit needs positive abscissa and values")
     if len(a) < min_points:
@@ -262,6 +241,38 @@ def fit_decay_exponent(
         fitted_intercept=float(intercept),
         slope_ci_95=(float(lo), float(hi)),
     )
+
+
+def fit_report(
+    abscissa,
+    values,
+    n_paths: int,
+    seed: int,
+    n_boot: int = N_BOOT,
+    min_points: int = 8,
+    reason: str | None = None,
+    **extras,
+) -> EstimateReport:
+    """The finished report of an experiment: its fit over at least a decade,
+    the run's path count and seed, and extras.
+
+    A fit the samples cannot support, or a reason passed by the caller,
+    gives a nan fit flagged degenerate with that reason.
+    """
+    a = np.asarray(abscissa, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if reason is None:
+        try:
+            rep = fit_decay_exponent(a, v, n_boot=n_boot, min_points=min_points, min_decades=1.0)
+        except (DomainError, ConditioningError) as exc:
+            reason = str(exc)
+    if reason is not None:
+        nan = float("nan")
+        flags = {"degenerate": True, "degenerate_reason": reason}
+        rep = EstimateReport(a, v, nan, nan, (nan, nan), extras=flags)
+    rep.n_paths, rep.seed = n_paths, seed
+    rep.extras.update(extras)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +343,6 @@ def dispersive_experiment(
     t_min: float = 0.5,
     n_time_samples: int = 16,
     beta_min: float | None = None,
-    project: bool = True,
-    mode_tol: float = 1e-12,
-    n_boot: int = 400,
 ) -> EstimateReport:
     """Sup-norm decay against |beta(t)| for L1 initial data.
 
@@ -358,25 +366,17 @@ def dispersive_experiment(
     ksel = _select_time_indices(ensemble, t_min, n_time_samples)
     taus = ensemble.values[:, ksel].ravel()
     xs = np.abs(taus)
-    vs = _space_norms_at_taus(H, u0, taus, INF, project, mode_tol)
+    vs = _space_norms_at_taus(H, u0, taus, INF, project=True, mode_tol=1e-12)
     keep = xs >= beta_min
     xs, vs = xs[keep], vs[keep]
+    n, seed = ensemble.n_paths, ensemble.seed
     if len(vs) == 0 or vs.max() < 1e-8:
         # nothing left to fit (e.g. the projection annihilated u0)
-        rep = _degenerate_report(
-            np.ones(1),
-            np.ones(1),
-            "no sample left above beta_min with a sup norm of at least 1e-8",
-            n_paths=ensemble.n_paths,
-            seed=ensemble.seed,
+        reason = "no sample left above beta_min with a sup norm of at least 1e-8"
+        return fit_report(
+            np.ones(1), np.ones(1), n, seed, reason=reason, resonant=resonant, beta_min=beta_min
         )
-        rep.extras.update({"resonant": resonant, "beta_min": beta_min})
-        return rep
-    rep = _fit_or_degenerate(xs, vs, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = ensemble.n_paths
-    rep.seed = ensemble.seed
-    rep.extras.update({"resonant": resonant, "beta_min": beta_min, "n_samples": len(xs)})
-    return rep
+    return fit_report(xs, vs, n, seed, resonant=resonant, beta_min=beta_min, n_samples=len(xs))
 
 
 def expectation_decay_experiment(
@@ -386,9 +386,6 @@ def expectation_decay_experiment(
     p: float = 1.0,
     t_min: float = 0.5,
     n_time_samples: int = 24,
-    project: bool = True,
-    mode_tol: float = 1e-6,
-    n_boot: int = 400,
 ) -> EstimateReport:
     """Path-averaged sup-norm decay (E ||u(t)||_inf^p)^(1/p) against t.
 
@@ -402,14 +399,10 @@ def expectation_decay_experiment(
     ksel = _select_time_indices(ensemble, t_min, n_time_samples, spacing="geometric")
     ts = ensemble.times[ksel]
     sup = _space_norms_at_taus(
-        H, u0, ensemble.values[:, ksel], INF, project, mode_tol
+        H, u0, ensemble.values[:, ksel], INF, project=True, mode_tol=1e-6
     ).reshape(ensemble.n_paths, len(ksel))
     vals = np.mean(sup**p, axis=0) ** (1.0 / p)
-    rep = _fit_or_degenerate(ts, vals, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = ensemble.n_paths
-    rep.seed = ensemble.seed
-    rep.extras.update({"p": p})
-    return rep
+    return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
 
 
 def half_inverse_moment_std_normal() -> float:
@@ -431,7 +424,6 @@ def beta_moment_decay(
     p: float = 1.0,
     t_min: float = 0.5,
     n_time_samples: int = 24,
-    n_boot: int = 400,
 ) -> EstimateReport:
     """Abscissa-only variant: feed v(t) = |beta(t)|^{-1/2} directly.
 
@@ -444,11 +436,7 @@ def beta_moment_decay(
     ts = ensemble.times[ksel]
     sel = np.abs(ensemble.values[:, ksel])
     vals = np.mean(sel ** (-0.5 * p), axis=0) ** (1.0 / p)
-    rep = fit_decay_exponent(ts, vals, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = ensemble.n_paths
-    rep.seed = ensemble.seed
-    rep.extras.update({"p": p})
-    return rep
+    return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
 
 
 def _sub_seed(seed: int, index: int) -> int:
@@ -456,34 +444,22 @@ def _sub_seed(seed: int, index: int) -> int:
     return (seed + 1000003 * (index + 1)) % (2**63)
 
 
-def _fit_or_degenerate(abscissa, values, **kwargs) -> EstimateReport:
-    """Fit when the sample grid supports it, else a flagged nan report."""
-    a = np.asarray(abscissa, dtype=float)
-    v = np.asarray(values, dtype=float)
-    try:
-        return fit_decay_exponent(a, v, **kwargs)
-    except (DomainError, ConditioningError) as exc:
-        return _degenerate_report(a, v, str(exc))
+def _windows(horizons: np.ndarray, n_steps: int, n_paths: int, seed: int):
+    """(i, T, ensemble) per window length T, each ensemble on its own substream.
+
+    A fresh ensemble per window keeps the time discretization self-similar
+    across T.
+    """
+    for i, T in enumerate(horizons):
+        yield i, T, sample_brownian(float(T), n_steps, n_paths, _sub_seed(seed, i))
 
 
-def _degenerate_report(abscissa, values, reason: str, **fields) -> EstimateReport:
-    """A nan fit flagged degenerate, with the reason no fit was made."""
-    rep = EstimateReport(
-        abscissa=abscissa,
-        values=values,
-        fitted_slope=float("nan"),
-        fitted_intercept=float("nan"),
-        slope_ci_95=(float("nan"), float("nan")),
-        **fields,
-    )
-    rep.extras.update({"degenerate": True, "degenerate_reason": reason})
-    return rep
-
-
-def _ratio_spread(ratios: np.ndarray) -> float:
-    if np.all(ratios > 0):
-        return float(ratios.max() / ratios.min())
-    return float("nan")
+def _window_report(horizons, lhs, scale, n_paths: int, seed: int, **extras) -> EstimateReport:
+    """fit_report of a window scaling, with the ratios lhs / scale that the
+    bound keeps bounded (0 where scale is 0) and their max / min spread."""
+    ratios = np.where(scale > 0, lhs / np.where(scale > 0, scale, 1.0), 0.0)
+    spread = float(ratios.max() / ratios.min()) if np.all(ratios > 0) else float("nan")
+    return fit_report(horizons, lhs, n_paths, seed, ratios=ratios, ratio_max_min=spread, **extras)
 
 
 def convolution_lemma_experiment(
@@ -492,52 +468,31 @@ def convolution_lemma_experiment(
     n_steps: int = 128,
     n_paths: int = 500,
     seed: int = 0,
-    f=None,
-    n_boot: int = 400,
 ) -> EstimateReport:
-    """Scaling in T of E int_0^T (int_0^t |beta(t)-beta(s)|^-alpha |f| ds)^2 dt.
+    """Scaling in T of E int_0^T (int_0^t |beta(t)-beta(s)|^-alpha ds)^2 dt.
 
-    Fresh ensemble per window length keeps the inner discretization
-    self-similar across T.  The inner integral uses the left-endpoint
-    rule (strictly s < t), which also sidesteps the singular diagonal;
-    the outer integral uses composite Simpson, exact at alpha = 0 where
-    the answer is T^3/3 for f = 1.
+    The inner integral uses the left-endpoint rule (strictly s < t),
+    which also sidesteps the singular diagonal; the outer integral uses
+    composite Simpson, exact at alpha = 0 where the answer is T^3/3.
     """
     if not 0 <= alpha < 1:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))
-    for i, T in enumerate(horizons):
-        ens = sample_brownian(float(T), n_steps, n_paths, _sub_seed(seed, i))
-        dt = ens.dt
-        fs = np.ones(n_steps + 1) if f is None else np.asarray(
-            [f(t) for t in ens.times], dtype=float
-        )
-        wq = _time_weights(n_steps, dt)
-        lower = np.tril_indices(n_steps + 1, -1)
+    lower = np.tril_indices(n_steps + 1, -1)
+    for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
+        wq = _time_weights(n_steps, ens.dt)
 
-        def one_path(pi: int, _ens=ens, _fs=fs, _wq=wq, _dt=dt):
+        def one_path(pi: int, _ens=ens, _wq=wq):
             b = _ens.values[pi]
             kern = np.zeros((len(b), len(b)))
             with np.errstate(divide="ignore"):
                 kern[lower] = np.abs(b[lower[0]] - b[lower[1]]) ** (-alpha)
-            g = (kern * np.abs(_fs)[None, :]).sum(axis=1) * _dt
+            g = kern.sum(axis=1) * _ens.dt
             return float(np.sum(_wq * g**2))
 
-        vals = ordered_map(one_path, range(n_paths))
-        lhs[i] = float(np.mean(vals))
-    rep = _fit_or_degenerate(horizons, lhs, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = n_paths
-    rep.seed = seed
-    ratios = lhs / horizons ** (3.0 - alpha)
-    rep.extras.update(
-        {
-            "alpha": alpha,
-            "ratios": ratios,
-            "ratio_max_min": _ratio_spread(ratios),
-        }
-    )
-    return rep
+        lhs[i] = float(np.mean(ordered_map(one_path, range(n_paths))))
+    return _window_report(horizons, lhs, horizons ** (3.0 - alpha), n_paths, seed, alpha=alpha)
 
 
 def strichartz_homogeneous_experiment(
@@ -550,8 +505,6 @@ def strichartz_homogeneous_experiment(
     n_paths: int = 64,
     seed: int = 0,
     project: bool = False,
-    mode_tol: float = 1e-12,
-    n_boot: int = 400,
 ) -> EstimateReport:
     """Window scaling of || e^{-i beta H} P_ac u0 || in L^r(Omega; L^r L^p).
 
@@ -568,26 +521,13 @@ def strichartz_homogeneous_experiment(
     mu = mu_homogeneous(r, p)
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))
-    for i, T in enumerate(horizons):
-        ens = sample_brownian(float(T), n_steps, n_paths, _sub_seed(seed, i))
-        norms = _space_norms_at_taus(H, u0, ens.values, p, project, mode_tol).reshape(
-            n_paths, n_steps + 1
-        )
-        spec = MixedNormSpec(rho=r, r=r, p=p, s=0.0, horizon=float(T))
-        lhs[i] = mixed_norm(norms, ens.times, spec)
-    rep = _fit_or_degenerate(horizons, lhs, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = n_paths
-    rep.seed = seed
-    ratios = lhs / horizons ** (mu / 2.0)
-    rep.extras.update(
-        {
-            "mu": mu,
-            "target_exponent": mu / 2.0,
-            "ratios": ratios,
-            "ratio_max_min": _ratio_spread(ratios),
-        }
+    for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
+        norms = _space_norms_at_taus(H, u0, ens.values, p, project, mode_tol=1e-12)
+        spec = MixedNormSpec(rho=r, r=r, p=p, horizon=float(T))
+        lhs[i] = mixed_norm(norms.reshape(n_paths, n_steps + 1), ens.times, spec)
+    return _window_report(
+        horizons, lhs, horizons ** (mu / 2.0), n_paths, seed, mu=mu, target_exponent=mu / 2.0
     )
-    return rep
 
 
 def strichartz_inhomogeneous_experiment(
@@ -602,7 +542,6 @@ def strichartz_inhomogeneous_experiment(
     seed: int = 0,
     project: bool = False,
     mode_tol: float = 1e-12,
-    n_boot: int = 400,
 ) -> EstimateReport:
     """Window scaling of the forced term int_0^t S(t, s) P_ac f(s) ds.
 
@@ -637,45 +576,37 @@ def strichartz_inhomogeneous_experiment(
     # the union of the slices' occupied modes
     modes = occupied_modes(H, forcing if forcing.ndim == 1 else forcing.T, project, mode_tol)
     g = modes.coef[:, None] if forcing.ndim == 1 else modes.coef
+    if forcing.ndim == 1:
+        f_norms = np.full((1, n_steps + 1), lp_norm_x(forcing, pp, grid))
+    else:
+        f_norms = lp_norms_columns(forcing.T, pp, grid)[None, :]
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))
     rhs = np.empty(len(horizons))
-    for i, T in enumerate(horizons):
-        ens = sample_brownian(float(T), n_steps, n_paths, _sub_seed(seed, i))
-        dt = ens.dt
+    for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
 
-        def one_path(pi: int, _ens=ens, _dt=dt):
+        def one_path(pi: int, _ens=ens):
             # Duhamel coefficients dt * sum_{s_j < t_k} e^{i beta(s_j) H} g(s_j),
             # then propagated by e^{-i beta(t_k) H}
             b = _ens.values[pi]
             csum = np.cumsum(np.exp(1j * np.outer(modes.energies, b)) * g, axis=1)
             duh = np.zeros_like(csum)
-            duh[:, 1:] = _dt * csum[:, :-1]  # strictly s < t
+            duh[:, 1:] = _ens.dt * csum[:, :-1]  # strictly s < t
             return evolve(
                 replace(modes, coef=duh), b, reduce=lambda st: lp_norms_columns(st, p, grid)
             )
 
         norms = np.vstack(ordered_map(one_path, range(n_paths)))
-        spec = MixedNormSpec(rho=rho, r=r, p=p, s=0.0, horizon=float(T))
-        lhs[i] = mixed_norm(norms, ens.times, spec)
-        if forcing.ndim == 1:
-            f_norms = np.full((1, n_steps + 1), lp_norm_x(forcing, pp, grid))
-        else:
-            f_norms = lp_norms_columns(forcing.T, pp, grid)[None, :]
-        dual = MixedNormSpec(rho=rho, r=rp, p=pp, s=0.0, horizon=float(T))
+        lhs[i] = mixed_norm(norms, ens.times, MixedNormSpec(rho=rho, r=r, p=p, horizon=float(T)))
+        dual = MixedNormSpec(rho=rho, r=rp, p=pp, horizon=float(T))
         rhs[i] = mixed_norm(f_norms, ens.times, dual)
-    rep = _fit_or_degenerate(horizons, lhs, n_boot=n_boot, min_decades=1.0)
-    rep.n_paths = n_paths
-    rep.seed = seed
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(rhs > 0, lhs / (horizons**mu * np.where(rhs > 0, rhs, 1.0)), 0.0)
-    rep.extras.update(
-        {
-            "mu": mu,
-            "n_modes": len(modes.energies),
-            "ratios": ratios,
-            "rhs_norms": rhs,
-            "ratio_max_min": _ratio_spread(ratios),
-        }
+    return _window_report(
+        horizons,
+        lhs,
+        horizons**mu * rhs,
+        n_paths,
+        seed,
+        mu=mu,
+        n_modes=len(modes.energies),
+        rhs_norms=rhs,
     )
-    return rep

@@ -1,19 +1,20 @@
-"""Spatial grid, potential families and their weighted L1 norms.
+"""Spatial grid, potential families and the grid L1 norm of a sampled potential.
 
-Potentials live in the weighted class defined by
-``int |V(x)| (1+|x|)^j dx < infty``; every built-in family decays fast
-enough that truncating the line to a finite box converges.
+Every family lies in each weighted class ``int |V(x)| (1+|x|)^j dx < infty``
+by construction: a Gaussian, sech^2 and a square well decay fast, and a
+custom table is extended by zero, so truncating the line to a finite box
+converges.  ``PotentialGrid.l1_norm()`` gives the ||V||_1 behind the
+high-energy threshold ||V||_1^2 of the Born series.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceWarning, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 
 FAMILIES = ("zero", "gaussian", "sech_squared", "square_well", "custom_table")
 
@@ -88,20 +89,6 @@ class PotentialSpec:
         tv = np.array([p[1] for p in self.table])
         return np.interp(x, tx, tv, left=0.0, right=0.0)
 
-    @property
-    def is_zero(self) -> bool:
-        if self.family == "zero":
-            return True
-        if self.family == "custom_table":
-            return all(p[1] == 0 for p in self.table)
-        return self.amplitude == 0
-
-    def decay_scale(self) -> float:
-        """Length scale beyond which the family is negligible."""
-        if self.family == "custom_table":
-            return max(abs(self.table[0][0]), abs(self.table[-1][0]))
-        return max(self.width, 1.0)
-
 
 @dataclass(frozen=True)
 class PotentialGrid:
@@ -163,55 +150,3 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialGrid:
         raise ValidationError("potential evaluated to a non-finite value")
     return PotentialGrid(grid=grid, values=values)
 
-
-def _simpson_weighted(spec: PotentialSpec, j: int, box: float, h: float) -> float:
-    """Composite Simpson of |V|(1+|x|)^j over [-box, box] at fixed step h."""
-    n = int(round(2.0 * box / h))
-    if n % 2 == 1:
-        n += 1
-    x = np.linspace(-box, box, n + 1)
-    f = np.abs(spec(x)) * (1.0 + np.abs(x)) ** j
-    return float(_simpson(f, 2.0 * box / n))
-
-
-def weighted_l1_norm(
-    spec: PotentialSpec,
-    j: int,
-    box: float | None = None,
-    rel_tol: float = 1e-12,
-    max_doublings: int = 6,
-) -> float:
-    """Weighted norm int |V|(1+|x|)^j dx, j in {0, 1, 2}.
-
-    Evaluated on [-box, box] with the box doubled (step held fixed)
-    until the value settles; j=0 gives the plain L1 norm.
-    """
-    if j not in (0, 1, 2):
-        raise DomainError(f"j must be in {{0, 1, 2}}, got {j}")
-    if spec.is_zero:
-        return 0.0
-    scale = spec.decay_scale()
-    if box is None:
-        box = 20.0 * scale
-    if box <= 0:
-        raise DomainError("quadrature box must be positive")
-    h = min(scale, 1.0) / 1024.0
-    prev = _simpson_weighted(spec, j, box, h)
-    for _ in range(max_doublings):
-        box *= 2.0
-        cur = _simpson_weighted(spec, j, box, h)
-        if abs(cur - prev) <= rel_tol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    warnings.warn(
-        f"weighted_l1_norm(j={j}) did not settle after {max_doublings} box "
-        "doublings; the potential may not be integrable",
-        DivergenceWarning,
-        stacklevel=2,
-    )
-    return prev
-
-
-def lambda0(spec: PotentialSpec) -> float:
-    """Square of the L1 norm; the high-energy threshold of the Born series."""
-    return weighted_l1_norm(spec, 0) ** 2

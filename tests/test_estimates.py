@@ -18,6 +18,7 @@ from dispersion_lab.estimates import (
     dispersive_experiment,
     expectation_decay_experiment,
     fit_decay_exponent,
+    fit_report,
     gaussian_packet,
     half_inverse_moment_std_normal,
     holder_conjugate,
@@ -72,38 +73,38 @@ class TestMixedNorm:
     def test_constant_samples(self):
         times = np.linspace(0.0, 2.0, 65)
         samples = np.ones((5, 65))
-        spec = MixedNormSpec(rho=3.0, r=4.0, p=2.0, s=0.0, horizon=2.0)
+        spec = MixedNormSpec(rho=3.0, r=4.0, p=2.0, horizon=2.0)
         assert mixed_norm(samples, times, spec) == pytest.approx(2.0 ** 0.25, rel=1e-12)
 
     def test_single_sample_reduces_to_space_norm(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, s=0.0, horizon=1.0)
+        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=1.0)
         val = mixed_norm(np.array([[7.5]]), np.array([0.0]), spec)
         assert val == 7.5
 
     def test_two_path_power_mean(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=2.0, r=INF, p=2.0, s=0.0, horizon=1.0)
+        spec = MixedNormSpec(rho=2.0, r=INF, p=2.0, horizon=1.0)
         assert mixed_norm(samples, times, spec) == pytest.approx(np.sqrt((4.0 + 16.0) / 2.0))
 
     def test_inf_over_paths(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=INF, r=INF, p=2.0, s=0.0, horizon=1.0)
+        spec = MixedNormSpec(rho=INF, r=INF, p=2.0, horizon=1.0)
         assert mixed_norm(samples, times, spec) == 4.0
 
     def test_window_mismatch_rejected(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, s=0.0, horizon=2.0)
+        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=2.0)
         with pytest.raises(DomainError):
             mixed_norm(np.ones((1, 5)), np.linspace(0, 1, 5), spec)
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
-            MixedNormSpec(rho=2.0, r=2.0, p=2.0, s=0.0, horizon=0.0)
+            MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=0.0)
 
     def test_monotone_under_domination(self, rng):
         times = np.linspace(0.0, 1.0, 17)
-        spec = MixedNormSpec(rho=3.0, r=2.0, p=2.0, s=0.0, horizon=1.0)
+        spec = MixedNormSpec(rho=3.0, r=2.0, p=2.0, horizon=1.0)
         for _ in range(10):
             big = rng.uniform(0.5, 2.0, size=(4, 17))
             small = big * rng.uniform(0.0, 1.0, size=(4, 17))
@@ -181,6 +182,42 @@ class TestFitDecayExponent:
         with pytest.raises(DomainError):
             fit_decay_exponent(a, v)
 
+    def test_finiteness_guard(self):
+        a = np.geomspace(1.0, 100.0, 10)
+        v = a**-0.5
+        v[3] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            fit_decay_exponent(a, v)
+
+
+class TestFitReport:
+    def test_fit_carries_sampling_and_extras(self):
+        a = np.geomspace(1.0, 100.0, 12)
+        rep = fit_report(a, a**-0.5, 7, 11, tag="x")
+        assert rep.fitted_slope == pytest.approx(-0.5, abs=1e-12)
+        assert (rep.n_paths, rep.seed, rep.extras) == (7, 11, {"tag": "x"})
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [
+            ([1.0, 0.5, 0.25], "need at least 8 pairs, got 3"),
+            ([1.0, np.inf, 0.25], "log-log fit needs finite abscissa and values"),
+            ([1.0, np.nan, 0.25], "log-log fit needs finite abscissa and values"),
+        ],
+    )
+    def test_unsupported_fit_is_degenerate(self, values, reason):
+        a = np.array([1.0, 10.0, 100.0])
+        rep = fit_report(a, values, 7, 11, tag="x")
+        assert math.isnan(rep.fitted_slope) and all(map(math.isnan, rep.slope_ci_95))
+        assert rep.extras == {"degenerate": True, "degenerate_reason": reason, "tag": "x"}
+        assert (rep.n_paths, rep.seed) == (7, 11)
+
+    def test_reason_skips_the_fit(self):
+        a = np.geomspace(1.0, 100.0, 12)
+        rep = fit_report(a, a**-0.5, 7, 11, reason="nothing to fit")
+        assert math.isnan(rep.fitted_slope)
+        assert rep.extras == {"degenerate": True, "degenerate_reason": "nothing to fit"}
+
 
 class TestDispersiveExperiment:
     def test_free_slope_small(self, ham_free_2048):
@@ -211,7 +248,7 @@ class TestDispersiveExperiment:
         u0 = H.eigenvectors[:, H.bound_state_indices[0]].astype(complex)
         ens = sample_brownian(4.0, 32, 3, seed=5)
         with pytest.warns(HypothesisViolationWarning):
-            rep = dispersive_experiment(H, ens, u0, project=True, n_time_samples=8)
+            rep = dispersive_experiment(H, ens, u0, n_time_samples=8)
         assert rep.extras.get("degenerate") is True
         assert math.isnan(rep.fitted_slope)
 
@@ -258,19 +295,17 @@ class TestConvolutionLemma:
     def test_equals_full_matrix_kernel_exactly(self, alpha):
         from dispersion_lab.estimates import _sub_seed, _time_weights
 
-        def f(t):
-            return 1.0 + np.sin(3.0 * t)
-
         horizons = [0.5, 1.0, 2.0]
         n_steps, n_paths, seed = 32, 6, 4
         rep = convolution_lemma_experiment(
-            alpha, horizons, n_steps=n_steps, n_paths=n_paths, seed=seed, f=f, n_boot=20
+            alpha, horizons, n_steps=n_steps, n_paths=n_paths, seed=seed
         )
         expected = []
         for i, T in enumerate(horizons):
-            # the per-path integrand as it was computed on the full matrix
+            # the per-path integrand as it was computed on the full matrix,
+            # with the weight f = 1 of the lemma
             ens = sample_brownian(T, n_steps, n_paths, _sub_seed(seed, i))
-            fs = np.asarray([f(t) for t in ens.times], dtype=float)
+            fs = np.ones(n_steps + 1)
             wq = _time_weights(n_steps, ens.dt)
             vals = []
             for b in ens.values:
@@ -356,7 +391,7 @@ class TestStrichartz:
         later = np.arange(k0 + 1, n_steps + 1)
         states[:, later] = ens.dt * propagate_batch(H, b[later] - b[k0], g)
         norms = lp_norms_columns(states, 4.0, H.grid)
-        spec = MixedNormSpec(rho=2.0, r=4.0, p=4.0, s=0.0, horizon=T)
+        spec = MixedNormSpec(rho=2.0, r=4.0, p=4.0, horizon=T)
         expect = mixed_norm(norms[None, :], ens.times, spec)
         assert rep.values[0] == pytest.approx(expect, rel=0.02)
 
@@ -405,7 +440,7 @@ class TestTimeResolutionStability:
         ens = sample_brownian(T, n_steps, n_paths, seed=33)
         norms = _space_norms_at_taus(H, u0, ens.values, 4.0, False, 1e-12)
         norms = norms.reshape(n_paths, n_steps + 1)
-        spec = MixedNormSpec(rho=4.0, r=4.0, p=4.0, s=0.0, horizon=T)
+        spec = MixedNormSpec(rho=4.0, r=4.0, p=4.0, horizon=T)
         full = mixed_norm(norms, ens.times, spec)
         half = mixed_norm(norms[:, ::2], ens.times[::2], spec)
         # the path norm is Holder-1/2 in t, so quadrature converges slowly;

@@ -1,30 +1,10 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dispersion_lab.errors import DomainError, ValidationError
-from dispersion_lab.grid_model import (
-    Grid,
-    PotentialSpec,
-    _simpson,
-    _simpson_weighted,
-    lambda0,
-    sample_potential,
-    weighted_l1_norm,
-)
+from dispersion_lab.grid_model import Grid, PotentialSpec, _simpson, sample_potential
 
 from conftest import GAUSS31, SECH21, ZERO
-
-
-def quad_oracle(spec, j, box=60.0):
-    """Independent adaptive-quadrature evaluation of the weighted norm."""
-    val, _ = quad(
-        lambda x: abs(spec(np.array([x]))[0]) * (1 + abs(x)) ** j,
-        -box,
-        box,
-        limit=400,
-    )
-    return val
 
 
 class TestGrid:
@@ -88,49 +68,6 @@ class TestSamplePotential:
             PotentialSpec("coulomb", amplitude=1.0)
 
 
-class TestWeightedNorm:
-    def test_zero_potential_all_j(self):
-        for j in (0, 1, 2):
-            assert weighted_l1_norm(ZERO, j) == 0.0
-
-    def test_gaussian_l1_closed_form(self):
-        # oracle: adaptive quadrature of |3 e^{-x^2}|, equals 3 sqrt(pi)
-        oracle = quad_oracle(GAUSS31, 0)
-        assert oracle == pytest.approx(3.0 * np.sqrt(np.pi), rel=1e-10)
-        assert weighted_l1_norm(GAUSS31, 0) == pytest.approx(oracle, rel=1e-9)
-
-    def test_sech_squared_l1_antiderivative(self):
-        # antiderivative of 2 sech^2 is 2 tanh: the full-line integral is 4
-        oracle = 2.0 * (np.tanh(60.0) - np.tanh(-60.0))
-        assert oracle == pytest.approx(4.0, abs=1e-12)
-        assert weighted_l1_norm(SECH21, 0) == pytest.approx(4.0, rel=1e-9)
-
-    def test_square_well_l1(self):
-        spec = PotentialSpec("square_well", amplitude=-1.5, width=2.0)
-        assert weighted_l1_norm(spec, 0) == pytest.approx(6.0, rel=1e-3)
-
-    def test_weighted_j1_quadrature_oracle(self):
-        assert weighted_l1_norm(GAUSS31, 1) == pytest.approx(quad_oracle(GAUSS31, 1), rel=1e-8)
-
-    @pytest.mark.parametrize("spec", [GAUSS31, SECH21, PotentialSpec("square_well", 2.0, 1.0)])
-    def test_monotone_in_j(self, spec):
-        v0 = weighted_l1_norm(spec, 0)
-        v1 = weighted_l1_norm(spec, 1)
-        v2 = weighted_l1_norm(spec, 2)
-        assert v0 <= v1 <= v2
-
-    @pytest.mark.parametrize("spec", [GAUSS31, SECH21])
-    def test_box_doubling_converged(self, spec):
-        w = spec.width
-        a = _simpson_weighted(spec, 1, 20.0 * w, w / 1024.0)
-        b = _simpson_weighted(spec, 1, 40.0 * w, w / 1024.0)
-        assert abs(a - b) < 1e-10
-
-    def test_bad_j_rejected(self):
-        with pytest.raises(DomainError):
-            weighted_l1_norm(GAUSS31, 3)
-
-
 class TestSimpsonRule:
     @pytest.mark.parametrize("n", list(range(3, 41)) + [1024, 2048, 3072, 4001, 4097])
     def test_equals_scipy_simpson_exactly(self, n):
@@ -151,11 +88,21 @@ class TestSimpsonRule:
 
 
 class TestLambda0:
-    def test_zero(self):
-        assert lambda0(ZERO) == 0.0
+    """The Born threshold lambda0 = ||V||_1^2, from the grid L1 norm that
+    scatter-sweep and born-check report, against closed forms."""
 
-    def test_sech_squared(self):
-        assert lambda0(SECH21) == pytest.approx(16.0, rel=1e-8)
+    def test_zero(self, zero_pot):
+        assert zero_pot.l1_norm() ** 2 == 0.0
 
-    def test_gaussian(self):
-        assert lambda0(GAUSS31) == pytest.approx(9.0 * np.pi, rel=1e-8)
+    def test_sech_squared(self, sech_pot):
+        # the antiderivative of 2 sech^2 is 2 tanh: ||V||_1 = 4 on the line
+        assert sech_pot.l1_norm() ** 2 == pytest.approx(16.0, rel=1e-8)
+
+    def test_gaussian(self, gauss_pot):
+        # ||3 e^{-x^2}||_1 = 3 sqrt(pi)
+        assert gauss_pot.l1_norm() ** 2 == pytest.approx(9.0 * np.pi, rel=1e-8)
+
+    def test_square_well(self):
+        # Simpson's error is O(h) at the jumps
+        V = sample_potential(PotentialSpec("square_well", -1.5, 2.0), Grid(4.0, 8001))
+        assert V.l1_norm() ** 2 == pytest.approx(36.0, rel=1e-3)

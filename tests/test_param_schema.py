@@ -2,7 +2,9 @@
 
 import json
 import math
+import warnings
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +20,7 @@ from dispersion_lab.cli_runner import (
     main,
     run,
 )
-from dispersion_lab.errors import ValidationError
+from dispersion_lab.errors import DomainError, StabilityWarning, ValidationError
 
 # malformed params, each with the field its error must name
 MALFORMED = [
@@ -193,7 +195,41 @@ def test_expectation_decay_with_too_few_times_is_degenerate(tmp_path):
     assert "need at least 8 pairs, got 2" in metrics["extras"]["degenerate_reason"]
 
 
+def test_sde_convergence_with_overflowing_errors_is_degenerate(tmp_path, capsys):
+    # modes up to energy 40 make the coarse explicit steps blow up, so some
+    # strong errors overflow; the fit is flagged, the run still completes
+    path = tiny_config("sde-convergence", {"energy_cut": 40.0}, tmp_path)
+    assert main(["run", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: StabilityWarning:" in err and "Traceback" not in err
+    metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+    assert metrics["fitted_order"] is None and metrics["slope_ci_95"] == [None, None]
+    assert metrics["degenerate"] is True
+    assert metrics["degenerate_reason"] == "log-log fit needs finite abscissa and values"
+
+
+def test_sde_convergence_normal_report_has_no_degenerate_keys(tmp_path):
+    assert run(load_config(tiny_config("sde-convergence", {}, tmp_path))) == 0
+    metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+    assert sorted(metrics) == ["fitted_order", "slope_ci_95"]
+
+
 class TestWarnings:
+    def test_failing_run_prints_its_warnings_before_the_error(self, tmp_path, capsys, monkeypatch):
+        def runner(ctx):
+            warnings.warn("step too large", StabilityWarning)
+            raise DomainError("the run broke")
+
+        entry = EXPERIMENTS["convolution-lemma"]
+        monkeypatch.setitem(EXPERIMENTS, "convolution-lemma", replace(entry, runner=runner))
+        assert main(["run", str(tiny_config("convolution-lemma", {}, tmp_path))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: StabilityWarning: step too large",
+            "error: the run broke",
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_stability_warning_is_listed_in_the_manifest(self, tmp_path, capsys):
         # with modes up to energy 10 kept, dt * lambda^2 > 1 at the coarse levels
         path = tiny_config("sde-convergence", {"energy_cut": 10.0}, tmp_path)
@@ -391,4 +427,6 @@ def test_edge_values_fail_validate_or_run_cleanly(tmp_path_factory, capsys, expe
     assert "Traceback" not in err
     assert code in (0, 1, 2)
     if code == 1:
-        assert err.startswith("error: ")
+        # the warnings the run recorded come first, then one error line
+        *warned, last = err.splitlines()
+        assert last.startswith("error: ") and all(w.startswith("warning: ") for w in warned)

@@ -521,11 +521,13 @@ def _run_sde_convergence(ctx: RunContext):
 
     def strong_error(n_steps: int) -> float:
         em = stochastic.euler_maruyama_ito(H, ens.increments, cfg.horizon, u0, n_steps)
-        # a sequential sum over paths; np.sum would pair the terms differently
-        return sum(
-            np.sqrt(cfg.grid.h) * np.linalg.norm(em[:, p] - exact[:, p])
-            for p in range(cfg.n_paths)
-        )
+        # a sequential sum over paths; np.sum would pair the terms differently.
+        # An error that overflows to inf is flagged by the degenerate fit below.
+        with np.errstate(over="ignore"):
+            return sum(
+                np.sqrt(cfg.grid.h) * np.linalg.norm(em[:, p] - exact[:, p])
+                for p in range(cfg.n_paths)
+            )
 
     errs = np.array([strong_error(nst) for nst in levels]) / cfg.n_paths
     dts = np.array([cfg.horizon / n for n in levels])
@@ -786,7 +788,11 @@ def main(argv=None) -> int:
             doc = config.to_canonical_dict()
             doc["stochastic"]["seed"] = args.seed
             config = ExperimentConfig.from_dict(doc)
-        return run(config, out_dir=args.out)
+        try:
+            return run(config, out_dir=args.out)
+        except MemoryError as exc:  # sizes are uncapped, so a valid config may ask for too much
+            print(f"error: {config.experiment}: out of memory ({exc})", file=sys.stderr)
+            return 1
     except DispersionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

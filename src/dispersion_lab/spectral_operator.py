@@ -9,18 +9,42 @@ in its eigenbasis.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
 from .errors import AliasingWarning, ConvergenceRegionError, DomainError, SizeError
 from .grid_model import Grid, PotentialGrid
 
 DENSE_SOLVER_CAP = 8192
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK wrappers, without the scipy.linalg package init.
+
+    That init builds scipy's array-API clone of the numpy namespace, which
+    imports numpy.f2py, numpy.testing and numpy.ma: ~0.29 s and ~20 MB per
+    process, none of it used here.  Importing scipy.linalg later still works.
+    """
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "scipy.linalg._flapack"
+    )
+    if spec is None:
+        raise ImportError(f"no scipy LAPACK extension _flapack in {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -75,8 +99,9 @@ def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     """Assemble and diagonalize the grid Hamiltonian.
 
-    Diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2; the symmetric
-    tridiagonal eigensolver returns the full orthonormal eigenbasis.
+    Diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2; LAPACK dstevd (the
+    driver scipy's eigh_tridiagonal picks for all eigenpairs) returns the
+    full orthonormal eigenbasis.
     """
     grid = V.grid
     if grid.n_points > DENSE_SOLVER_CAP:
@@ -86,7 +111,11 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     h = grid.h
     diag = 2.0 / h**2 + V.values
     off = np.full(grid.n_points - 1, -1.0 / h**2)
-    w, v = eigh_tridiagonal(diag, off)
+    if not np.isfinite(diag).all():  # dstevd would return NaNs with info 0
+        raise DomainError(f"the Hamiltonian overflows at grid step h={h:.3g}")
+    w, v, info = _flapack.dstevd(diag, off, compute_v=1)
+    if info != 0:
+        raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
     bound = np.flatnonzero(w < 0)
     return DiscreteHamiltonian(
         grid=grid,
@@ -303,7 +332,7 @@ def _shifted_factor(grid: Grid, values: np.ndarray, z: complex) -> tuple:
     """
     h = grid.h
     off = np.full(grid.n_points - 1, -1.0 / h**2, dtype=complex)
-    *factors, info = zgttrf(
+    *factors, info = _flapack.zgttrf(
         off, 2.0 / h**2 + values - z, off.copy(),
         overwrite_dl=1, overwrite_d=1, overwrite_du=1,
     )
@@ -314,7 +343,7 @@ def _shifted_factor(grid: Grid, values: np.ndarray, z: complex) -> tuple:
 
 def _shifted_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     """Solve against gttrf factors in place: rhs (complex, contiguous) is the result."""
-    x, _ = zgttrs(*factors, rhs, overwrite_b=1)
+    x, _ = _flapack.zgttrs(*factors, rhs, overwrite_b=1)
     return x
 
 

@@ -125,9 +125,12 @@ def euler_maruyama_ito(
     ilam = 1j * lam
     c = np.tile(modes.coef, (len(paths), 1))  # (n_paths, n_modes)
     traj = [real_basis_product(modes.basis, c.T)] if return_trajectory else None
-    for k in range(n_steps):
-        c = c * (drift - ilam * dbeta[:, k, None])
-        if return_trajectory:
-            traj.append(real_basis_product(modes.basis, c.T))
-    out = np.stack(traj) if return_trajectory else real_basis_product(modes.basis, c.T)
+    # an amplifying step may overflow the state to inf/nan; the
+    # StabilityWarning above already flags that, numpy need not repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            c = c * (drift - ilam * dbeta[:, k, None])
+            if return_trajectory:
+                traj.append(real_basis_product(modes.basis, c.T))
+        out = np.stack(traj) if return_trajectory else real_basis_product(modes.basis, c.T)
     return out if increments.ndim == 2 else out[..., 0]

@@ -177,16 +177,25 @@ class TestRun:
 
 class TestImportBudget:
     def test_lab_import_leaves_heavy_scipy_modules_unloaded(self):
-        # a Born series call runs on numpy.fft, so scipy.fft stays unloaded too
+        # a Born series call runs on numpy.fft, so scipy.fft stays unloaded too;
+        # the eigensolve and the resolvent solve load LAPACK without scipy.linalg
         code = (
             "import sys, numpy as np, dispersion_lab.cli_runner; "
             "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
-            "from dispersion_lab.spectral_operator import born_series_terms; "
+            "from dispersion_lab.spectral_operator import ("
+            "born_series_terms, build_hamiltonian, tridiagonal_resolvent_solve); "
             "V = sample_potential(PotentialSpec('gaussian', amplitude=0.5, width=1.0), "
             "Grid(l_box=5.0, n_points=63)); "
             "born_series_terms(V, 4.0 * V.l1_norm() ** 2, 'plus', np.ones(63), 2); "
+            "H = build_hamiltonian(V); "
+            "tridiagonal_resolvent_solve(V.grid, V.values, 1.0 + 0.1j, np.ones(63)); "
             "print(' '.join(m for m in ('scipy.integrate', 'scipy.signal', "
-            "'scipy.special', 'scipy.optimize', 'scipy.fft') if m in sys.modules))"
+            "'scipy.special', 'scipy.optimize', 'scipy.fft', 'scipy.linalg', "
+            "'numpy.f2py') if m in sys.modules)); "
+            # importing scipy.linalg afterwards still works and agrees
+            "from scipy.linalg import eigh_tridiagonal; "
+            "w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal); "
+            "assert np.array_equal(w, H.eigenvalues) and np.array_equal(v, H.eigenvectors)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

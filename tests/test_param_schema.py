@@ -202,6 +202,10 @@ def test_sde_convergence_with_overflowing_errors_is_degenerate(tmp_path, capsys)
     assert main(["run", str(path)]) == 0
     err = capsys.readouterr().err
     assert "warning: StabilityWarning:" in err and "Traceback" not in err
+    # the overflow itself is flagged by the StabilityWarning, not by numpy
+    assert "RuntimeWarning" not in err
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert {w["category"] for w in manifest["warnings"]} == {"StabilityWarning"}
     metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
     assert metrics["fitted_order"] is None and metrics["slope_ci_95"] == [None, None]
     assert metrics["degenerate"] is True
@@ -227,6 +231,23 @@ class TestWarnings:
         assert err == [
             "warning: StabilityWarning: step too large",
             "error: the run broke",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # what a valid config with arrays too large to allocate (sde-convergence
+        # at level_max 40 asks for 16 TiB) ends in; raised here, never allocated
+        def runner(ctx):
+            warnings.warn("step too large", StabilityWarning)
+            raise MemoryError("Unable to allocate 16.0 TiB")
+
+        entry = EXPERIMENTS["sde-convergence"]
+        monkeypatch.setitem(EXPERIMENTS, "sde-convergence", replace(entry, runner=runner))
+        assert main(["run", str(tiny_config("sde-convergence", {}, tmp_path))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "warning: StabilityWarning: step too large",
+            "error: sde-convergence: out of memory (Unable to allocate 16.0 TiB)",
         ]
         assert not (tmp_path / "out").exists()
 

@@ -73,6 +73,28 @@ class TestBuildHamiltonian:
             res = H.apply(H.eigenvectors[:, k]) - H.eigenvalues[k] * H.eigenvectors[:, k]
             assert np.linalg.norm(res) < 1e-8 * max(1.0, abs(H.eigenvalues[k]))
 
+    def test_equals_scipy_eigh_tridiagonal(self, ham_gauss_1024):
+        # the lab calls LAPACK dstevd directly; scipy.linalg is the reference
+        from scipy.linalg import eigh_tridiagonal
+
+        H = ham_gauss_1024
+        w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal)
+        assert np.array_equal(H.eigenvalues, w)
+        assert np.array_equal(H.eigenvectors, v)
+
+    def test_overflowing_step_is_a_domain_error(self):
+        # 2/h^2 overflows to inf, on which dstevd would return NaNs
+        V = sample_potential(ZERO, Grid(l_box=1e-160, n_points=16))
+        with pytest.raises(DomainError, match="overflows"):
+            build_hamiltonian(V)
+
+    def test_missing_lapack_extension_names_its_directory(self, tmp_path, monkeypatch):
+        fake = type("scipy", (), {"__file__": str(tmp_path / "__init__.py")})
+        monkeypatch.setattr(spectral_operator, "scipy", fake)
+        with pytest.raises(ImportError) as exc:
+            spectral_operator._load_flapack()
+        assert str(tmp_path / "linalg") in str(exc.value)
+
     def test_size_cap(self):
         grid = Grid(l_box=10.0, n_points=9000)
         V = sample_potential(ZERO, grid)
@@ -576,6 +598,19 @@ class TestFactorOnceSolves:
         got = tridiagonal_resolvent_solve(grid, vals, z, rhs)
         assert np.array_equal(got, expected)
         assert np.array_equal(rhs, rhs_before)  # solved in a copy, not in place
+
+    def test_equals_scipy_lapack_gttrf_gttrs(self, ham_gauss_1024):
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        grid, vals = ham_gauss_1024.grid, ham_gauss_1024.potential.values
+        z = complex(1.5, 0.05)
+        rhs = np.random.default_rng(7).normal(size=(grid.n_points, 2)) @ [1.0, 1j]
+        off = np.full(grid.n_points - 1, -1.0 / grid.h**2, dtype=complex)
+        *factors, info = zgttrf(off, 2.0 / grid.h**2 + vals - z, off)
+        assert info == 0
+        expected, info = zgttrs(*factors, rhs)
+        assert info == 0
+        assert np.array_equal(tridiagonal_resolvent_solve(grid, vals, z, rhs), expected)
 
     def test_probe_table_matches_columns(self):
         grid = Grid(l_box=50.0, n_points=5001)

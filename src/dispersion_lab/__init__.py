@@ -16,9 +16,7 @@ from .scattering import (
 from .spectral_operator import (
     DiscreteHamiltonian,
     SpectralDensityEstimate,
-    born_series_apply,
     build_hamiltonian,
-    propagate,
     stone_spectral_density,
 )
 from .stochastic import (
@@ -50,9 +48,7 @@ __all__ = [
     "wronskian",
     "DiscreteHamiltonian",
     "SpectralDensityEstimate",
-    "born_series_apply",
     "build_hamiltonian",
-    "propagate",
     "stone_spectral_density",
     "BrownianEnsemble",
     "euler_maruyama_ito",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
 from ._parallel import ENV_THREADS, usable_cores, worker_count
-from .errors import DispersionLabError, HypothesisViolationWarning, ValidationError
+from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
 from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
@@ -220,11 +220,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
-
-
-def list_experiments() -> list[tuple[str, str]]:
-    """Stable (name, description) table for the CLI and docs."""
-    return [(name, entry.description) for name, entry in EXPERIMENTS.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +473,16 @@ def _run_stone_density(ctx: RunContext):
     eps = ctx.params["epsilon_factor"] * spacing
     margin = ctx.params["margin_factor"] * eps
     a, b = w[k] - margin, w[k] + margin
+    if not eps > 0:
+        raise DomainError(
+            f"params.epsilon_factor: the smoothing width epsilon_factor * {spacing:.3g} "
+            "(the level spacing) underflows to 0"
+        )
+    if not a < b:
+        raise DomainError(
+            f"params.margin_factor: the interval eigenvalue +- margin_factor * {eps:.3g} "
+            f"(epsilon) collapses to [{a}, {b}]"
+        )
     n_lambda = int(np.ceil((b - a) / (eps / 4.0)))
     est = spectral_operator.stone_spectral_density(
         H, a, b, eps, n_lambda, f=H.eigenvectors[:, k]
@@ -774,8 +779,8 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         width = max(len(n) for n in EXPERIMENTS)
-        for name, desc in list_experiments():
-            print(f"{name:<{width}}  {desc}")
+        for name, entry in EXPERIMENTS.items():
+            print(f"{name:<{width}}  {entry.description}")
         print(f"({len(EXPERIMENTS)} experiments; workers capped by {ENV_THREADS})")
         return 0
 

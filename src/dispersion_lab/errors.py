@@ -13,24 +13,8 @@ class ValidationError(DispersionLabError, ValueError):
     """Malformed input data or configuration."""
 
 
-class GridResolutionError(DispersionLabError, ValueError):
-    """The spatial step is too coarse for the requested computation."""
-
-
 class ConditioningError(DispersionLabError, ArithmeticError):
     """A linear system or fit is too ill-conditioned to trust."""
-
-
-class ConvergenceRegionError(DomainError):
-    """Parameter outside the region where the series/iteration converges."""
-
-
-class NearResonanceError(DispersionLabError, ArithmeticError):
-    """Wronskian too close to zero for a resolvent evaluation."""
-
-
-class SizeError(DispersionLabError, ValueError):
-    """Problem size exceeds a configured solver cap."""
 
 
 class ContractViolationError(DispersionLabError, ValueError):

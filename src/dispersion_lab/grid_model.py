@@ -1,4 +1,5 @@
-"""Spatial grid, potential families and the grid L1 norm of a sampled potential.
+"""Spatial grid, potential families, the grid L1 norm of a sampled potential
+and the composite Simpson weights of the Born series and the time quadratures.
 
 Every family lies in each weighted class ``int |V(x)| (1+|x|)^j dx < infty``
 by construction: a Gaussian, sech^2 and a square well decay fast, and a
@@ -130,6 +131,25 @@ def _simpson(y: np.ndarray, dx: float) -> np.float64:
         eta = (1 * h1**3) / (6 * h0 * (h0 + h1))
         result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
     return result
+
+
+def simpson_weights(n_points: int, h: float) -> np.ndarray:
+    """Composite Simpson weights of n_points (at least 2) samples at step h.
+
+    An even point count leaves one trailing panel, which gets the
+    trapezoid rule; two points get the trapezoid rule alone.
+    """
+    if n_points < 3:
+        return np.array([h / 2.0, h / 2.0])
+    odd_panel = n_points % 2 == 0
+    w = np.ones(n_points - 1 if odd_panel else n_points)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w = w * h / 3.0
+    if odd_panel:
+        w = np.append(w, h / 2.0)
+        w[-2] += h / 2.0
+    return w
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid) -> PotentialGrid:

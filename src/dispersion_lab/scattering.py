@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    ContractViolationError,
-    DomainError,
-    GridResolutionError,
-    NearResonanceError,
-)
+from .errors import ConditioningError, ContractViolationError, DomainError
 from .grid_model import Grid, PotentialGrid
 
 SIGNS = ("plus", "minus")
@@ -106,7 +100,7 @@ def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
     v = V.values
     vmax = float(np.max(np.abs(v))) if len(v) else 0.0
     if h * (abs(lam) + np.sqrt(vmax)) > 0.5:
-        raise GridResolutionError(
+        raise DomainError(
             f"step h={h:.4g} too coarse for lam={lam} and this potential; "
             "refine the grid"
         )
@@ -274,7 +268,7 @@ def resolvent_kernel_jost_table(
     fm = jost_solution(V, lam, "minus")
     w = wronskian(fp, fm)
     if abs(w) < w_tol * max(1.0, 2.0 * abs(lam)):
-        raise NearResonanceError(f"|W({lam})| = {abs(w):.2e} below tolerance")
+        raise ConditioningError(f"|W({lam})| = {abs(w):.2e} below tolerance")
     out = np.empty((len(xs), len(ys)), dtype=complex)
     for i, xv in enumerate(xs):
         for j, yv in enumerate(ys):
@@ -289,8 +283,6 @@ def lambda_sweep_grid(lam0: float, n: int = 48) -> np.ndarray:
     return np.geomspace(0.05, top, n)
 
 
-def scattering_sweep(V: PotentialGrid, lams=None) -> list[ScatteringData]:
-    """Scattering data over a lam grid (geometric by default)."""
-    if lams is None:
-        lams = lambda_sweep_grid(V.l1_norm() ** 2)
+def scattering_sweep(V: PotentialGrid, lams) -> list[ScatteringData]:
+    """Scattering data over a lam grid."""
     return [scattering_coefficients(V, float(lam)) for lam in lams]

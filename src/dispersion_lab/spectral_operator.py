@@ -20,8 +20,8 @@ import scipy
 from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
-from .errors import AliasingWarning, ConvergenceRegionError, DomainError, SizeError
-from .grid_model import Grid, PotentialGrid
+from .errors import AliasingWarning, DomainError
+from .grid_model import Grid, PotentialGrid, simpson_weights
 
 DENSE_SOLVER_CAP = 8192
 
@@ -96,23 +96,34 @@ def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out.reshape((basis.shape[0],) + data.shape[1:])
 
 
+def _stencil(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal 2/h^2 + V and off-diagonal -1/h^2 of the 3-point -Delta + V.
+
+    The only division by h^2 in the package; a step whose square underflows
+    to 0, or a diagonal that overflows, is a DomainError (dstevd would
+    return NaNs with info 0 on an infinite diagonal).
+    """
+    h2 = grid.h**2
+    if h2 == 0.0:
+        raise DomainError(f"grid step h={grid.h:.3g} is too small: h^2 underflows to 0")
+    diag = 2.0 / h2 + values
+    if not np.isfinite(diag).all():
+        raise DomainError(f"the Hamiltonian overflows at grid step h={grid.h:.3g}")
+    return diag, np.full(grid.n_points - 1, -1.0 / h2)
+
+
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     """Assemble and diagonalize the grid Hamiltonian.
 
-    Diagonal 2/h^2 + V(x_i), off-diagonal -1/h^2; LAPACK dstevd (the
-    driver scipy's eigh_tridiagonal picks for all eigenpairs) returns the
-    full orthonormal eigenbasis.
+    LAPACK dstevd (the driver scipy's eigh_tridiagonal picks for all
+    eigenpairs) returns the full orthonormal eigenbasis of the stencil.
     """
     grid = V.grid
     if grid.n_points > DENSE_SOLVER_CAP:
-        raise SizeError(
+        raise DomainError(
             f"n_points={grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
         )
-    h = grid.h
-    diag = 2.0 / h**2 + V.values
-    off = np.full(grid.n_points - 1, -1.0 / h**2)
-    if not np.isfinite(diag).all():  # dstevd would return NaNs with info 0
-        raise DomainError(f"the Hamiltonian overflows at grid step h={h:.3g}")
+    diag, off = _stencil(grid, V.values)
     w, v, info = _flapack.dstevd(diag, off, compute_v=1)
     if info != 0:
         raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
@@ -153,18 +164,17 @@ def occupied_modes(
 ) -> OccupiedModes:
     """Eigen coefficients of u, a vector (n,) or columns (n, k).
 
-    project zeroes the bound-state coefficients.  mode_tol > 0 keeps only
-    the eigenmodes whose amplitude exceeds mode_tol times the largest one
-    of the same column, in at least one column (the union of the columns'
-    occupied modes), trading a bounded truncation error for a smaller
-    basis product.
+    project zeroes the bound-state coefficients.  mode_tol > 0, for a
+    vector u, keeps only the eigenmodes whose amplitude exceeds mode_tol
+    times the largest one, trading a bounded truncation error for a
+    smaller basis product.
     """
     c = H.to_eigenbasis(np.asarray(u, dtype=complex))
     if project and len(H.bound_state_indices):
         c[H.bound_state_indices] = 0.0
     if mode_tol > 0.0:
-        a = np.abs(c).reshape(len(c), -1)
-        keep = np.any(a > mode_tol * a.max(axis=0), axis=1)
+        a = np.abs(c)
+        keep = a > mode_tol * a.max()
         return OccupiedModes(H.eigenvectors[:, keep], H.eigenvalues[keep], c[keep])
     return OccupiedModes(H.eigenvectors, H.eigenvalues, c)
 
@@ -222,13 +232,6 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def propagate(
-    H: DiscreteHamiltonian, tau: float, u: np.ndarray, project: bool = False
-) -> np.ndarray:
-    """e^{-i tau H} u through the eigenbasis (exactly unitary)."""
-    return propagate_batch(H, np.array([tau]), u, project=project)[:, 0]
-
-
 def propagate_batch(
     H: DiscreteHamiltonian,
     taus: np.ndarray,
@@ -246,16 +249,6 @@ def _branch_sign(branch: str) -> float:
     if branch == "minus":
         return -1.0
     raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    if n % 2 == 0:  # even point count: trapezoid correction on the last panel
-        w[-2:] = np.array([2.5, 1.5])
-        w[-3] = 3.5
-    return w * h / 3.0
 
 
 def _next_fast_len(target: int) -> int:
@@ -287,7 +280,7 @@ class _FreeResolventApply:
         n = grid.n_points
         offsets = grid.h * np.arange(-(n - 1), n)
         kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
-        self.weights = _simpson_weights(n, grid.h)
+        self.weights = simpson_weights(n, grid.h)
         self.n = n
         self.size = _next_fast_len(3 * n - 2)
         self.kernel_hat = np.fft.fft(kernel, self.size)
@@ -307,7 +300,7 @@ def born_series_terms(
     """
     lam_threshold = V.l1_norm() ** 2
     if lam <= lam_threshold:
-        raise ConvergenceRegionError(
+        raise DomainError(
             f"energy {lam} is not above the series threshold {lam_threshold:.4g}"
         )
     r0 = _FreeResolventApply(V.grid, lam, branch)
@@ -317,23 +310,18 @@ def born_series_terms(
     return terms
 
 
-def born_series_apply(
-    V: PotentialGrid, lam: float, branch: str, f: np.ndarray, n_max: int
-) -> np.ndarray:
-    """Partial sum of the resolvent expansion applied to f."""
-    return np.sum(born_series_terms(V, lam, branch, f, n_max), axis=0)
-
-
 def _shifted_factor(grid: Grid, values: np.ndarray, z: complex) -> tuple:
     """LU factors of the tridiagonal H - z (LAPACK gttrf, partial pivoting).
 
     The factorization overwrites the diagonals it is handed, so one shift
     holds four n-vectors and the pivots, nothing more.
     """
-    h = grid.h
-    off = np.full(grid.n_points - 1, -1.0 / h**2, dtype=complex)
+    diag, off = _stencil(grid, values)
+    # rebound one at a time, so no real copy is held during the factorization
+    diag = diag - z
+    off = off.astype(complex)
     *factors, info = _flapack.zgttrf(
-        off, 2.0 / h**2 + values - z, off.copy(),
+        off, diag, off.copy(),
         overwrite_dl=1, overwrite_d=1, overwrite_du=1,
     )
     if info > 0:

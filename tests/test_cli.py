@@ -8,7 +8,6 @@ import pytest
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     ExperimentConfig,
-    list_experiments,
     load_config,
     main,
     run,
@@ -87,10 +86,10 @@ class TestConfig:
 
 class TestListExperiments:
     def test_count_is_eleven(self):
-        assert len(list_experiments()) == 11
+        assert len(EXPERIMENTS) == 11
 
     def test_contains_expected_names(self):
-        names = [n for n, _ in list_experiments()]
+        names = list(EXPERIMENTS)
         assert "dispersive" in names
         assert "convolution-lemma" in names
 
@@ -295,6 +294,45 @@ def _write(tmp_path, raw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+# configs whose numbers pass the schema but that no run can finish, each with
+# the words its error line must carry
+RUN_ONLY_FAILURES = {
+    "stone-epsilon-underflows": (
+        {"experiment": "stone-density", "params": {"epsilon_factor": 5e-324}},
+        "params.epsilon_factor",
+    ),
+    "grid-step-squares-to-zero": (
+        {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},
+        "h^2 underflows to 0",
+    ),
+    "oracle-step-squares-to-zero": (
+        {
+            "experiment": "resolvent-check",
+            "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
+            "grid": {"l_box": 20, "n_points": 4001},
+            "params": {
+                "oracle_l_box": 1e-200,
+                "oracle_h": 1e-201,
+                "probe_half_width": 0,
+                "n_probes": 1,
+            },
+        },
+        "h^2 underflows to 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, words", RUN_ONLY_FAILURES.values(), ids=list(RUN_ONLY_FAILURES))
+def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, words):
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and words in last
+    assert not out.exists()
 
 
 class TestRangeValidation:

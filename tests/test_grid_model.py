@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dispersion_lab.errors import DomainError, ValidationError
-from dispersion_lab.grid_model import Grid, PotentialSpec, _simpson, sample_potential
+from dispersion_lab.grid_model import (
+    Grid,
+    PotentialSpec,
+    _simpson,
+    sample_potential,
+    simpson_weights,
+)
 
 from conftest import GAUSS31, SECH21, ZERO
 
@@ -85,6 +91,30 @@ class TestSimpsonRule:
         even = sample_potential(GAUSS31, Grid(l_box=15.0, n_points=4096))
         for V in (gauss_pot, even):
             assert V.l1_norm() == float(simpson(np.abs(V.values), dx=V.grid.h))
+
+
+class TestSimpsonWeights:
+    """The one weight function behind the Born series and the time quadratures."""
+
+    @pytest.mark.parametrize("n", [16, 17, 2048, 4097])
+    def test_integrates_one_and_x_exactly(self, n):
+        h = 80.0 / (n - 1)
+        w = simpson_weights(n, h)
+        assert w.shape == (n,)
+        length = (n - 1) * h
+        assert np.sum(w) == pytest.approx(length, rel=1e-13)
+        assert w @ (h * np.arange(n)) == pytest.approx(length**2 / 2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [17, 1025, 2049, 4001, 4097])
+    def test_odd_point_count_is_plain_simpson(self, n):
+        h = 30.0 / (n - 1)
+        w = np.ones(n)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        assert np.array_equal(simpson_weights(n, h), w * h / 3.0)
+
+    def test_two_points_are_the_trapezoid(self):
+        assert np.array_equal(simpson_weights(2, 0.5), [0.25, 0.25])
 
 
 class TestLambda0:

@@ -7,23 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_lab import spectral_operator
-from dispersion_lab.errors import (
-    AliasingWarning,
-    ConvergenceRegionError,
-    DomainError,
-    SizeError,
-)
+from dispersion_lab.errors import AliasingWarning, DomainError
 from dispersion_lab.estimates import lp_norms_columns
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
     RowPanels,
-    born_series_apply,
     born_series_terms,
     build_hamiltonian,
     dense_resolvent_column,
     evolve,
     occupied_modes,
-    propagate,
     propagate_batch,
     real_basis_product,
     richardson_resolvent_column,
@@ -83,10 +76,15 @@ class TestBuildHamiltonian:
         assert np.array_equal(H.eigenvectors, v)
 
     def test_overflowing_step_is_a_domain_error(self):
-        # 2/h^2 overflows to inf, on which dstevd would return NaNs
-        V = sample_potential(ZERO, Grid(l_box=1e-160, n_points=16))
-        with pytest.raises(DomainError, match="overflows"):
-            build_hamiltonian(V)
+        # 2/h^2 overflows to inf at l_box 1e-160, on which dstevd would return
+        # NaNs, and h^2 underflows to 0 at 1e-200; the resolvent solves build
+        # the same stencil
+        for l_box, words in ((1e-160, "overflows"), (1e-200, "underflows to 0")):
+            V = sample_potential(ZERO, Grid(l_box=l_box, n_points=16))
+            with pytest.raises(DomainError, match=words):
+                build_hamiltonian(V)
+            with pytest.raises(DomainError, match=words):
+                tridiagonal_resolvent_solve(V.grid, V.values, 1j, np.ones(16))
 
     def test_missing_lapack_extension_names_its_directory(self, tmp_path, monkeypatch):
         fake = type("scipy", (), {"__file__": str(tmp_path / "__init__.py")})
@@ -98,7 +96,7 @@ class TestBuildHamiltonian:
     def test_size_cap(self):
         grid = Grid(l_box=10.0, n_points=9000)
         V = sample_potential(ZERO, grid)
-        with pytest.raises(SizeError):
+        with pytest.raises(DomainError, match="exceeds the dense eigensolver cap"):
             build_hamiltonian(V)
 
 
@@ -112,25 +110,25 @@ class TestProjectAc:
 
     def test_annihilates_bound_state(self, ham_sech_4096):
         vb = ham_sech_4096.eigenvectors[:, ham_sech_4096.bound_state_indices[0]]
-        assert np.linalg.norm(propagate(ham_sech_4096, 0.0, vb, project=True)) < 1e-8
+        assert np.linalg.norm(propagate_batch(ham_sech_4096, [0.0], vb, project=True)) < 1e-8
 
     def test_leaves_orthogonal_part(self, ham_sech_4096):
         H = ham_sech_4096
         vb = H.eigenvectors[:, H.bound_state_indices[0]]
         w = H.eigenvectors[:, 100]
-        out = propagate(H, 0.0, vb + w, project=True)
+        out = propagate_batch(H, [0.0], vb + w, project=True)[:, 0]
         assert np.linalg.norm(out - w) < 1e-8
 
 
 class TestPropagate:
     def test_zero_time_identity(self, ham_gauss_1024, rng):
         u = rng.normal(size=ham_gauss_1024.n) + 1j * rng.normal(size=ham_gauss_1024.n)
-        assert np.max(np.abs(propagate(ham_gauss_1024, 0.0, u) - u)) < 1e-12
+        assert np.max(np.abs(propagate_batch(ham_gauss_1024, [0.0], u)[:, 0] - u)) < 1e-12
 
     def test_unitary(self, ham_gauss_1024, rng):
         u = rng.normal(size=ham_gauss_1024.n) + 1j * rng.normal(size=ham_gauss_1024.n)
         for tau in (0.3, 2.0, -5.0):
-            out = propagate(ham_gauss_1024, tau, u)
+            out = propagate_batch(ham_gauss_1024, [tau], u)
             assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(u), rel=1e-10)
 
     def test_free_gaussian_width_law(self, ham_free_4096):
@@ -139,7 +137,7 @@ class TestPropagate:
         x = H.grid.x
         tau = 2.0
         u0 = np.exp(-(x**2) / 2.0).astype(complex)
-        out = propagate(H, tau, u0)
+        out = propagate_batch(H, [tau], u0)[:, 0]
         sigma2 = 1.0 + 4.0 * tau**2
         exact = (1.0 + 2j * tau) ** -0.5 * np.exp(-(x**2) / (2.0 * (1.0 + 4.0 * tau**2)))
         exact *= np.exp(1j * x**2 * tau / (1.0 + 4.0 * tau**2))
@@ -151,15 +149,15 @@ class TestPropagate:
 
     def test_group_law(self, ham_gauss_1024, rng):
         u = rng.normal(size=ham_gauss_1024.n) + 1j * rng.normal(size=ham_gauss_1024.n)
-        a = propagate(ham_gauss_1024, 0.7, propagate(ham_gauss_1024, 1.9, u))
-        b = propagate(ham_gauss_1024, 2.6, u)
+        a = propagate_batch(ham_gauss_1024, [0.7], propagate_batch(ham_gauss_1024, [1.9], u)[:, 0])
+        b = propagate_batch(ham_gauss_1024, [2.6], u)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_commutes_with_projection(self, ham_sech_4096, rng):
         H = ham_sech_4096
         u = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
-        a = propagate(H, 1.1, u, project=True)
-        b = propagate(H, 0.0, propagate(H, 1.1, u), project=True)
+        a = propagate_batch(H, [1.1], u, project=True)
+        b = propagate_batch(H, [0.0], propagate_batch(H, [1.1], u)[:, 0], project=True)
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_batch_matches_scalar(self, ham_gauss_1024, rng):
@@ -167,7 +165,7 @@ class TestPropagate:
         taus = np.array([0.0, 0.5, -1.2])
         batch = propagate_batch(ham_gauss_1024, taus, u)
         for i, tau in enumerate(taus):
-            assert np.allclose(batch[:, i], propagate(ham_gauss_1024, tau, u))
+            assert np.allclose(batch[:, i], propagate_batch(ham_gauss_1024, [tau], u)[:, 0])
 
 
 def smooth_datum(H, seed: int) -> np.ndarray:
@@ -198,8 +196,8 @@ class TestPropagationKernel:
         # S(a) S(b) = S(a + b)
         H = ham_gauss_1024
         u = smooth_datum(H, seed)
-        via = propagate(H, a, propagate(H, b, u))
-        direct = propagate(H, a + b, u)
+        via = propagate_batch(H, [a], propagate_batch(H, [b], u)[:, 0])
+        direct = propagate_batch(H, [a + b], u)
         assert np.linalg.norm(via - direct) <= 1e-10 * np.linalg.norm(u)
 
     @KERNEL_SETTINGS
@@ -249,16 +247,6 @@ class TestPropagationKernel:
         assert np.array_equal(runs[0], runs[1])
         assert np.max(np.abs(runs[0] - whole)) <= 1e-13 * np.linalg.norm(modes.coef)
 
-    def test_mode_cut_keeps_union_of_columns(self, ham_gauss_1024):
-        H = ham_gauss_1024
-        a, b = smooth_datum(H, 1), smooth_datum(H, 2)
-        cut = [occupied_modes(H, v, mode_tol=1e-8) for v in (a, b)]
-        both = occupied_modes(H, np.stack([a, b], axis=1), mode_tol=1e-8)
-        union = set(cut[0].energies) | set(cut[1].energies)
-        assert set(both.energies) == union
-        assert both.coef.shape == (len(union), 2)
-        assert both.basis.shape == (H.n, len(union))
-
     def test_projection_zeroes_bound_states(self, ham_sech_4096, rng):
         H = ham_sech_4096
         u = rng.normal(size=H.n).astype(complex)
@@ -270,8 +258,8 @@ class TestPropagationKernel:
         a, b = smooth_datum(H, 3), smooth_datum(H, 4)
         taus = np.array([0.4, -1.3])
         table = evolve(occupied_modes(H, np.stack([a, b], axis=1)), taus)
-        assert np.allclose(table[:, 0], propagate(H, 0.4, a), rtol=0, atol=1e-12)
-        assert np.allclose(table[:, 1], propagate(H, -1.3, b), rtol=0, atol=1e-12)
+        assert np.allclose(table[:, 0], propagate_batch(H, [0.4], a)[:, 0], rtol=0, atol=1e-12)
+        assert np.allclose(table[:, 1], propagate_batch(H, [-1.3], b)[:, 0], rtol=0, atol=1e-12)
 
     def test_table_needs_one_column_per_tau(self, ham_gauss_1024):
         H = ham_gauss_1024
@@ -314,7 +302,7 @@ class TestStreamedReduction:
         layout = np.asfortranarray if order == "F" else np.ascontiguousarray
         for modes in (
             occupied_modes(H, smooth_datum(H, n)),  # all n modes
-            occupied_modes(H, columns, mode_tol=1e-12),  # coefficient table
+            occupied_modes(H, columns),  # coefficient table
         ):
             modes = replace(modes, basis=layout(modes.basis))
             whole = evolve(modes, taus)
@@ -378,7 +366,7 @@ class TestBornSeries:
     def test_zero_potential_single_term(self, born_setup):
         grid, _, _, f = born_setup
         V0 = sample_potential(ZERO, grid)
-        total = born_series_apply(V0, 5.0, "plus", f, n_max=5)
+        total = np.sum(born_series_terms(V0, 5.0, "plus", f, n_max=5), axis=0)
         only = born_series_terms(V0, 5.0, "plus", f, n_max=0)[0]
         assert np.allclose(total, only)
 
@@ -395,7 +383,7 @@ class TestBornSeries:
     def test_matches_dense_resolvent(self, born_setup):
         grid, V, lam0, f = born_setup
         energy = 4.0 * lam0
-        born = born_series_apply(V, energy, "plus", f, n_max=20)
+        born = np.sum(born_series_terms(V, energy, "plus", f, n_max=20), axis=0)
         l_or, h_or = 1000.0, 0.0032
         grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / h_or)) + 1)
         rhs = GAUSS31.__call__  # noqa: F841 - clarity only
@@ -417,7 +405,7 @@ class TestBornSeries:
 
     def test_below_threshold_rejected(self, born_setup):
         _, V, lam0, f = born_setup
-        with pytest.raises(ConvergenceRegionError):
+        with pytest.raises(DomainError, match="is not above the series threshold"):
             born_series_terms(V, 0.5 * lam0, "plus", f, n_max=3)
 
 

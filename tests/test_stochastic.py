@@ -3,7 +3,7 @@ import pytest
 
 from dispersion_lab.errors import DomainError, StabilityWarning
 from dispersion_lab.grid_model import Grid, PotentialGrid
-from dispersion_lab.spectral_operator import DiscreteHamiltonian, propagate, propagate_batch
+from dispersion_lab.spectral_operator import DiscreteHamiltonian, propagate_batch
 from dispersion_lab.stochastic import euler_maruyama_ito, path_rng, sample_brownian
 
 
@@ -97,8 +97,8 @@ class TestTimeChangedPropagate:
         H = ham_gauss_1024
         u0 = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
         bt, bs, br = 0.9, -0.4, 0.2
-        via = propagate(H, bt - bs, propagate(H, bs - br, u0))
-        direct = propagate(H, bt - br, u0)
+        via = propagate_batch(H, [bt - bs], propagate_batch(H, [bs - br], u0)[:, 0])
+        direct = propagate_batch(H, [bt - br], u0)
         assert np.linalg.norm(via - direct) / np.linalg.norm(direct) < 1e-10
 
 
@@ -157,7 +157,7 @@ class TestEulerMaruyama:
         c /= np.linalg.norm(c)
         u0 = H.from_eigenbasis(c)
         inc = path_rng(7, 0).normal(0.0, np.sqrt(1.0 / 1024), 1024)
-        exact = propagate(H, float(inc.sum()), u0)
+        exact = propagate_batch(H, [inc.sum()], u0)[:, 0]
         errs = []
         for nst in (16, 64, 256, 1024):
             em = euler_maruyama_ito(H, inc, 1.0, u0, nst)

@@ -483,7 +483,14 @@ def _run_stone_density(ctx: RunContext):
             f"params.margin_factor: the interval eigenvalue +- margin_factor * {eps:.3g} "
             f"(epsilon) collapses to [{a}, {b}]"
         )
-    n_lambda = int(np.ceil((b - a) / (eps / 4.0)))
+    # float division: an overflow is inf, with no numpy RuntimeWarning
+    n_lambda = float(b - a) / float(eps / 4.0)
+    if not math.isfinite(n_lambda):
+        raise DomainError(
+            f"params.margin_factor: the interval [{a:.3g}, {b:.3g}] holds more lambda "
+            f"samples {eps / 4.0:.3g} apart than a float can count"
+        )
+    n_lambda = math.ceil(n_lambda)
     est = spectral_operator.stone_spectral_density(
         H, a, b, eps, n_lambda, f=H.eigenvectors[:, k]
     )

@@ -13,6 +13,7 @@ import importlib.util
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -48,11 +49,70 @@ _flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
+class ParityBasis:
+    """Eigenvectors of a reflection-symmetric H, held as half vectors.
+
+    Columns come even ones first, then odd ones.  With k = n // 2, even
+    column j is (even[:, j], even[:k, j] reversed) and odd column j is
+    (odd[:, j], -odd[:k, j] reversed).  Both halves have n - k rows; on an
+    odd n the last one is the middle node, where an odd vector is 0.
+    """
+
+    n: int
+    even: np.ndarray  # (n - n // 2, m_even)
+    odd: np.ndarray  # (n - n // 2, m_odd)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.even.shape[1] + self.odd.shape[1])
+
+    def columns(self, keep: np.ndarray) -> ParityBasis:
+        """The columns a boolean mask keeps."""
+        me = self.even.shape[1]
+        return ParityBasis(self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]])
+
+
+
+def basis_product(
+    basis: np.ndarray | ParityBasis, data: np.ndarray, rows: slice = slice(None)
+) -> tuple[np.ndarray, ...]:
+    """Row blocks of basis @ data: every product with an eigenbasis runs here.
+
+    A dense basis gives one block, basis[rows] @ data.  A ParityBasis takes
+    rows of its half vectors and gives two blocks: the product's rows i in
+    rows, then the mirror rows n-1-i of those i < n // 2, i ascending.  One
+    half-height GEMM per occupied parity yields both: the even part plus
+    and minus the odd part.
+    """
+    if isinstance(basis, np.ndarray):
+        return (real_basis_product(basis[rows], data),)
+    me, m = basis.even.shape[1], len(data)
+    k = len(range(basis.n // 2)[rows])
+    # a parity with no occupied mode is skipped; with no mode at all, the
+    # even GEMM makes the zeros
+    even = real_basis_product(basis.even[rows], data[:me]) if me or not m else None
+    odd = real_basis_product(basis.odd[rows], data[me:]) if m > me else None
+    if odd is None:
+        return even, even[:k]
+    if even is None:
+        return odd, -odd[:k]
+    return even + odd, even[:k] - odd[:k]
+
+
+def full_basis_product(basis: np.ndarray | ParityBasis, data: np.ndarray) -> np.ndarray:
+    """basis @ data with its rows in grid order."""
+    blocks = basis_product(basis, data)
+    return np.concatenate([blocks[0], blocks[1][::-1]]) if len(blocks) == 2 else blocks[0]
+
+
+@dataclass(frozen=True)
 class DiscreteHamiltonian:
     """Symmetric tridiagonal -Delta + V with its full eigendecomposition.
 
     Eigenvectors are orthonormal in the plain euclidean inner product;
-    L2(grid) norms differ by a factor sqrt(h).
+    L2(grid) norms differ by a factor sqrt(h).  eigenvalues ascend, and
+    so do the columns of a dense basis; column j of a ParityBasis is
+    eigenpair order[j].
     """
 
     grid: Grid
@@ -60,12 +120,24 @@ class DiscreteHamiltonian:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
+    basis: np.ndarray | ParityBasis  # columns
     bound_state_indices: np.ndarray = field(default=None)
+    order: np.ndarray | None = None  # a ParityBasis's column order
 
     @property
     def n(self) -> int:
         return self.grid.n_points
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense (n, n) eigenvector columns in eigenvalue order, assembled once."""
+        if self.order is None:
+            return self.basis
+        even, odd = self.basis.even, self.basis.odd
+        mirror = np.hstack([even, -odd])[: self.n // 2]
+        v = np.empty((self.n, self.n))
+        v[:, self.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
+        return v
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.diagonal * u
@@ -74,10 +146,28 @@ class DiscreteHamiltonian:
         return out
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        return real_basis_product(self.eigenvectors.T, u)
+        if self.order is None:
+            return real_basis_product(self.basis.T, u)
+        # fold u onto the half grid: mirror sums for the even modes, mirror
+        # differences for the odd ones; the middle node of an odd n counts once
+        u = np.asarray(u)
+        top, mirror = u[: len(self.basis.even)], u[::-1][: len(self.basis.even)]
+        folded = top + mirror
+        folded[self.n // 2 :] = top[self.n // 2 :]
+        c = np.concatenate(
+            [
+                real_basis_product(self.basis.even.T, folded),
+                real_basis_product(self.basis.odd.T, top - mirror),
+            ]
+        )
+        out = np.empty_like(c)
+        out[self.order] = c
+        return out
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        return real_basis_product(self.eigenvectors, c)
+        if self.order is not None:
+            c = np.asarray(c)[self.order]
+        return full_basis_product(self.basis, c)
 
 
 def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -112,11 +202,55 @@ def _stencil(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, np.full(grid.n_points - 1, -1.0 / h2)
 
 
+def _dstevd(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v, info = _flapack.dstevd(diag, off, compute_v=1)
+    if info != 0:
+        raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return w, v
+
+
+def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
+    """Ascending eigenvalues, ParityBasis and column order of a tridiagonal
+    with a palindromic diagonal and a constant off-diagonal.
+
+    With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
+    mirror as the neighbour of node k-1, which adds off to that diagonal
+    entry; an odd vector subtracts it.  On an odd n, scaling x by sqrt(2)
+    off the middle node makes the even block symmetric, with last
+    off-diagonal sqrt(2) off; an odd vector is 0 at the middle.
+    """
+    n, k = len(diag), len(diag) // 2
+    d_even, off_even = diag[: n - k].copy(), off[: n - k - 1].copy()
+    d_odd = diag[:k].copy()
+    if n % 2:
+        off_even[-1] *= np.sqrt(2.0)
+    else:
+        d_even[-1] += off[0]
+        d_odd[-1] -= off[0]
+    w_even, v_even = _dstevd(d_even, off_even)
+    w_odd, v_odd = _dstevd(d_odd, off[: k - 1])
+    v_even[:k] *= np.sqrt(0.5)
+    v_odd *= np.sqrt(0.5)
+    if n % 2:
+        v_odd = np.vstack([v_odd, np.zeros(k)])
+    w = np.concatenate([w_even, w_odd])
+    ascending = np.argsort(w, kind="stable")
+    order = np.empty_like(ascending)
+    order[ascending] = np.arange(n)
+    return w[ascending], ParityBasis(n, v_even, v_odd), order
+
+
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     """Assemble and diagonalize the grid Hamiltonian.
 
     LAPACK dstevd (the driver scipy's eigh_tridiagonal picks for all
     eigenpairs) returns the full orthonormal eigenbasis of the stencil.
+    When the sampled potential is an exact palindrome, as the zero potential
+    is, so is the diagonal, and H is solved as two half-size problems, one
+    per reflection parity, and kept as a ParityBasis: half the eigensolve
+    and half the flops of every product with the basis.  (A linspace grid
+    is not bit-symmetric, so other samples keep the single dstevd, even
+    where 2/h^2 + V rounds their asymmetry away.)
     """
     grid = V.grid
     if grid.n_points > DENSE_SOLVER_CAP:
@@ -124,18 +258,19 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
             f"n_points={grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
         )
     diag, off = _stencil(grid, V.values)
-    w, v, info = _flapack.dstevd(diag, off, compute_v=1)
-    if info != 0:
-        raise LinAlgError(f"dstevd did not converge (LAPACK info={info})")
-    bound = np.flatnonzero(w < 0)
+    if np.array_equal(V.values, V.values[::-1]):
+        w, basis, order = _parity_eigensystem(diag, off)
+    else:
+        (w, basis), order = _dstevd(diag, off), None
     return DiscreteHamiltonian(
         grid=grid,
         potential=V,
         diagonal=diag,
         off_diagonal=off,
         eigenvalues=w,
-        eigenvectors=v,
-        bound_state_indices=bound,
+        basis=basis,
+        bound_state_indices=np.flatnonzero(w < 0),
+        order=order,
     )
 
 
@@ -154,7 +289,7 @@ class OccupiedModes:
     coefficient column.
     """
 
-    basis: np.ndarray  # (n, m) real eigenvector columns
+    basis: np.ndarray | ParityBasis  # (n, m) real eigenvector columns
     energies: np.ndarray  # (m,)
     coef: np.ndarray  # (m,) or (m, k), complex
 
@@ -167,29 +302,35 @@ def occupied_modes(
     project zeroes the bound-state coefficients.  mode_tol > 0, for a
     vector u, keeps only the eigenmodes whose amplitude exceeds mode_tol
     times the largest one, trading a bounded truncation error for a
-    smaller basis product.
+    smaller basis product.  The modes come in the order of H.basis.
     """
     c = H.to_eigenbasis(np.asarray(u, dtype=complex))
     if project and len(H.bound_state_indices):
         c[H.bound_state_indices] = 0.0
+    energies = H.eigenvalues
+    if H.order is not None:
+        c, energies = c[H.order], energies[H.order]
     if mode_tol > 0.0:
         a = np.abs(c)
         keep = a > mode_tol * a.max()
-        return OccupiedModes(H.eigenvectors[:, keep], H.eigenvalues[keep], c[keep])
-    return OccupiedModes(H.eigenvectors, H.eigenvalues, c)
+        basis = H.basis[:, keep] if H.order is None else H.basis.columns(keep)
+        return OccupiedModes(basis, energies[keep], c[keep])
+    return OccupiedModes(H.basis, energies, c)
 
 
 @dataclass(frozen=True)
 class RowPanels:
     """The states basis @ data of one tau block, produced in row panels.
 
-    Iterating yields real_basis_product(basis[r:r+_ROW_PANEL], data) in row
-    order, so a column reduction holds one panel of the (n, b) states, not
-    all of them.  A single column comes as one panel: it is only n values,
-    and numpy sums a single column pairwise rather than row by row.
+    Iterating yields the row blocks of basis_product(basis, data, rows) for
+    panels of _ROW_PANEL rows (of the half vectors, for a ParityBasis), so a
+    column reduction holds one panel of the (n, b) states, not all of them.
+    Together the blocks hold every row once, in grid order for a dense
+    basis.  A single column comes as one panel: it is only n values, and
+    numpy sums a single column pairwise rather than row by row.
     """
 
-    basis: np.ndarray  # (n, m)
+    basis: np.ndarray | ParityBasis  # (n, m)
     data: np.ndarray  # (m, b), complex
     ndim = 2
 
@@ -198,10 +339,10 @@ class RowPanels:
         return (self.basis.shape[0], self.data.shape[1])
 
     def __iter__(self):
-        n, b = self.shape
-        rows = _ROW_PANEL if b > 1 else n
-        for r in range(0, n, rows):
-            yield real_basis_product(self.basis[r : r + rows], self.data)
+        height = len(self.basis.even) if isinstance(self.basis, ParityBasis) else len(self.basis)
+        rows = _ROW_PANEL if self.data.shape[1] > 1 else height
+        for r in range(0, height, rows):
+            yield from basis_product(self.basis, self.data, slice(r, r + rows))
 
 
 def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
@@ -224,7 +365,7 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
         np.exp(z, out=z)
         z *= modes.coef[:, sl] if table else modes.coef[:, None]
         if reduce is None:
-            return real_basis_product(modes.basis, z)
+            return full_basis_product(modes.basis, z)
         return reduce(RowPanels(modes.basis, z))
 
     # an empty tau list still yields one (empty) block of the right shape

@@ -239,6 +239,23 @@ class TestReproducibility:
         assert blobs[("1", "a")] == blobs[("1", "b")]
         assert blobs[("1", "a")] == blobs[("8", "a")] == blobs[("8", "b")]
 
+    def test_parity_split_on_odd_grid_same_bytes_across_worker_counts(self, tmp_path, monkeypatch):
+        # the zero potential on 161 points is solved one reflection parity at
+        # a time, with a middle node that only the even modes see
+        from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
+        from dispersion_lab.spectral_operator import ParityBasis, build_hamiltonian
+
+        grid = {"n_points": 161, "l_box": 20.0}
+        V = sample_potential(PotentialSpec("zero"), Grid(**grid))
+        assert isinstance(build_hamiltonian(V).basis, ParityBasis)
+        cfg = load_config(small_dispersive_config(tmp_path, grid=grid))
+        blobs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
+            assert run(cfg, out_dir=tmp_path / workers) == 0
+            blobs.append((tmp_path / workers / "data.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)
         cfg = load_config(path)
@@ -302,6 +319,10 @@ RUN_ONLY_FAILURES = {
     "stone-epsilon-underflows": (
         {"experiment": "stone-density", "params": {"epsilon_factor": 5e-324}},
         "params.epsilon_factor",
+    ),
+    "stone-lambda-count-overflows": (
+        {"experiment": "stone-density", "params": {"margin_factor": 1e308}},
+        "params.margin_factor",
     ),
     "grid-step-squares-to-zero": (
         {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},

@@ -371,7 +371,7 @@ def valid_values(param, doc):
     return st.none() | numbers if d is None else numbers
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, print_blob=True)
 @given(experiment=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
 def test_round_trip_keeps_the_hash(experiment, data):
     # the potential is left at its default: PotentialSpec checks its width
@@ -428,7 +428,12 @@ def edge_values(param, doc):
     return edges + [[1.0]]
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=80,
+    deadline=None,
+    print_blob=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(experiment=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
 def test_edge_values_fail_validate_or_run_cleanly(tmp_path_factory, capsys, experiment, data):
     tmp_path = tmp_path_factory.mktemp("edge")

@@ -113,7 +113,7 @@ def single_mode_hamiltonian(eigenvalue: float) -> DiscreteHamiltonian:
         diagonal=lam.copy(),
         off_diagonal=np.zeros(15),
         eigenvalues=lam,
-        eigenvectors=np.eye(16),
+        basis=np.eye(16),
         bound_state_indices=np.array([], dtype=int),
     )
 

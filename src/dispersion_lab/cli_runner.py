@@ -492,7 +492,7 @@ def _run_stone_density(ctx: RunContext):
         )
     n_lambda = math.ceil(n_lambda)
     est = spectral_operator.stone_spectral_density(
-        H, a, b, eps, n_lambda, f=H.eigenvectors[:, k]
+        H, a, b, eps, n_lambda, f=H.from_eigenbasis(np.eye(1, H.n, k)[0])
     )
     mass = est.integral()
     rows = list(zip(est.lambda_grid, est.density))

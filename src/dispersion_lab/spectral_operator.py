@@ -52,15 +52,17 @@ _flapack = _load_flapack()
 class ParityBasis:
     """Eigenvectors of a reflection-symmetric H, held as half vectors.
 
-    Columns come even ones first, then odd ones.  With k = n // 2, even
-    column j is (even[:, j], even[:k, j] reversed) and odd column j is
-    (odd[:, j], -odd[:k, j] reversed).  Both halves have n - k rows; on an
-    odd n the last one is the middle node, where an odd vector is 0.
+    Columns come even ones first, then odd ones; column j is eigenpair
+    order[j].  With k = n // 2, even column j is (even[:, j], even[:k, j]
+    reversed) and odd column j is (odd[:, j], -odd[:k, j] reversed).  Both
+    halves have n - k rows; on an odd n the last one is the middle node,
+    where an odd vector is 0.
     """
 
     n: int
     even: np.ndarray  # (n - n // 2, m_even)
     odd: np.ndarray  # (n - n // 2, m_odd)
+    order: np.ndarray  # (m_even + m_odd,)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -69,9 +71,9 @@ class ParityBasis:
     def columns(self, keep: np.ndarray) -> ParityBasis:
         """The columns a boolean mask keeps."""
         me = self.even.shape[1]
-        return ParityBasis(self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]])
-
-
+        return ParityBasis(
+            self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]], self.order[keep]
+        )
 
 def basis_product(
     basis: np.ndarray | ParityBasis, data: np.ndarray, rows: slice = slice(None)
@@ -80,9 +82,10 @@ def basis_product(
 
     A dense basis gives one block, basis[rows] @ data.  A ParityBasis takes
     rows of its half vectors and gives two blocks: the product's rows i in
-    rows, then the mirror rows n-1-i of those i < n // 2, i ascending.  One
-    half-height GEMM per occupied parity yields both: the even part plus
-    and minus the odd part.
+    rows, then the mirror rows n-1-i of those i < n // 2, i ascending; when
+    rows holds only the middle node of an odd n, which has no mirror, just
+    the first.  One half-height GEMM per occupied parity yields both: the
+    even part plus and minus the odd part.
     """
     if isinstance(basis, np.ndarray):
         return (real_basis_product(basis[rows], data),)
@@ -93,10 +96,12 @@ def basis_product(
     even = real_basis_product(basis.even[rows], data[:me]) if me or not m else None
     odd = real_basis_product(basis.odd[rows], data[me:]) if m > me else None
     if odd is None:
-        return even, even[:k]
-    if even is None:
-        return odd, -odd[:k]
-    return even + odd, even[:k] - odd[:k]
+        top, mirror = even, even[:k]
+    elif even is None:
+        top, mirror = odd, -odd[:k]
+    else:
+        top, mirror = even + odd, even[:k] - odd[:k]
+    return (top, mirror) if k else (top,)
 
 
 def full_basis_product(basis: np.ndarray | ParityBasis, data: np.ndarray) -> np.ndarray:
@@ -111,8 +116,8 @@ class DiscreteHamiltonian:
 
     Eigenvectors are orthonormal in the plain euclidean inner product;
     L2(grid) norms differ by a factor sqrt(h).  eigenvalues ascend, and
-    so do the columns of a dense basis; column j of a ParityBasis is
-    eigenpair order[j].
+    so do the columns of a dense basis; a ParityBasis holds its own
+    column order.
     """
 
     grid: Grid
@@ -122,7 +127,6 @@ class DiscreteHamiltonian:
     eigenvalues: np.ndarray
     basis: np.ndarray | ParityBasis  # columns
     bound_state_indices: np.ndarray = field(default=None)
-    order: np.ndarray | None = None  # a ParityBasis's column order
 
     @property
     def n(self) -> int:
@@ -131,12 +135,12 @@ class DiscreteHamiltonian:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Dense (n, n) eigenvector columns in eigenvalue order, assembled once."""
-        if self.order is None:
+        if not isinstance(self.basis, ParityBasis):
             return self.basis
         even, odd = self.basis.even, self.basis.odd
         mirror = np.hstack([even, -odd])[: self.n // 2]
         v = np.empty((self.n, self.n))
-        v[:, self.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
+        v[:, self.basis.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
         return v
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -146,7 +150,7 @@ class DiscreteHamiltonian:
         return out
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        if self.order is None:
+        if not isinstance(self.basis, ParityBasis):
             return real_basis_product(self.basis.T, u)
         # fold u onto the half grid: mirror sums for the even modes, mirror
         # differences for the odd ones; the middle node of an odd n counts once
@@ -161,12 +165,12 @@ class DiscreteHamiltonian:
             ]
         )
         out = np.empty_like(c)
-        out[self.order] = c
+        out[self.basis.order] = c
         return out
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        if self.order is not None:
-            c = np.asarray(c)[self.order]
+        if isinstance(self.basis, ParityBasis):
+            c = np.asarray(c)[self.basis.order]
         return full_basis_product(self.basis, c)
 
 
@@ -210,8 +214,8 @@ def _dstevd(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
-    """Ascending eigenvalues, ParityBasis and column order of a tridiagonal
-    with a palindromic diagonal and a constant off-diagonal.
+    """Ascending eigenvalues and ParityBasis of a tridiagonal with a
+    palindromic diagonal and a constant off-diagonal.
 
     With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
     mirror as the neighbour of node k-1, which adds off to that diagonal
@@ -237,7 +241,7 @@ def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
     ascending = np.argsort(w, kind="stable")
     order = np.empty_like(ascending)
     order[ascending] = np.arange(n)
-    return w[ascending], ParityBasis(n, v_even, v_odd), order
+    return w[ascending], ParityBasis(n, v_even, v_odd, order)
 
 
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
@@ -245,12 +249,13 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
 
     LAPACK dstevd (the driver scipy's eigh_tridiagonal picks for all
     eigenpairs) returns the full orthonormal eigenbasis of the stencil.
-    When the sampled potential is an exact palindrome, as the zero potential
-    is, so is the diagonal, and H is solved as two half-size problems, one
-    per reflection parity, and kept as a ParityBasis: half the eigensolve
-    and half the flops of every product with the basis.  (A linspace grid
-    is not bit-symmetric, so other samples keep the single dstevd, even
-    where 2/h^2 + V rounds their asymmetry away.)
+    When the sampled potential is an exact palindrome, so is the diagonal,
+    and H is solved as two half-size problems, one per reflection parity,
+    and kept as a ParityBasis: half the eigensolve and half the flops of
+    every product with the basis.  The zero potential, a square well and a
+    symmetric table are palindromes on almost every grid.  A linspace grid
+    is not bit-symmetric, so a gaussian or sech^2 sample keeps the single
+    dstevd, even where 2/h^2 + V rounds its asymmetry away.
     """
     grid = V.grid
     if grid.n_points > DENSE_SOLVER_CAP:
@@ -259,9 +264,9 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
         )
     diag, off = _stencil(grid, V.values)
     if np.array_equal(V.values, V.values[::-1]):
-        w, basis, order = _parity_eigensystem(diag, off)
+        w, basis = _parity_eigensystem(diag, off)
     else:
-        (w, basis), order = _dstevd(diag, off), None
+        w, basis = _dstevd(diag, off)
     return DiscreteHamiltonian(
         grid=grid,
         potential=V,
@@ -270,7 +275,6 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
         eigenvalues=w,
         basis=basis,
         bound_state_indices=np.flatnonzero(w < 0),
-        order=order,
     )
 
 
@@ -308,12 +312,13 @@ def occupied_modes(
     if project and len(H.bound_state_indices):
         c[H.bound_state_indices] = 0.0
     energies = H.eigenvalues
-    if H.order is not None:
-        c, energies = c[H.order], energies[H.order]
+    split = isinstance(H.basis, ParityBasis)
+    if split:
+        c, energies = c[H.basis.order], energies[H.basis.order]
     if mode_tol > 0.0:
         a = np.abs(c)
         keep = a > mode_tol * a.max()
-        basis = H.basis[:, keep] if H.order is None else H.basis.columns(keep)
+        basis = H.basis.columns(keep) if split else H.basis[:, keep]
         return OccupiedModes(basis, energies[keep], c[keep])
     return OccupiedModes(H.basis, energies, c)
 

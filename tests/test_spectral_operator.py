@@ -353,9 +353,13 @@ class TestStreamedReduction:
         assert np.array_equal(runs[0], runs[1])
 
 
-def split_and_dense(n: int):
-    """The zero-potential H on n points and the same H from one dstevd."""
-    H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=40.0, n_points=n)))
+# a palindrome on every grid below, with four bound states
+WELL = PotentialSpec("square_well", amplitude=-4.0, width=2.5)
+
+
+def split_and_dense(spec: PotentialSpec, n: int):
+    """The H of spec on n points and the same H from one dstevd."""
+    H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
     w, v = spectral_operator._dstevd(H.diagonal, H.off_diagonal)
     dense = spectral_operator.DiscreteHamiltonian(
         grid=H.grid,
@@ -374,13 +378,18 @@ def mixed_parity_data(n: int, seed: int) -> np.ndarray:
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-@pytest.mark.parametrize("n", [160, 161, 1024])  # even, odd with a middle node, even
+# even; odd with a middle node; odd whose last 256-row panel is the middle
+# node alone; even
+@pytest.mark.parametrize("n", [160, 161, 513, 1024])
+@pytest.mark.parametrize("spec", [ZERO, WELL], ids=["zero", "well"])
 class TestParitySplit:
     """A palindromic potential is solved and applied one reflection parity at a time."""
 
-    def test_eigenpairs_match_one_dstevd(self, n):
-        H, dense = split_and_dense(n)
+    def test_eigenpairs_match_one_dstevd(self, spec, n):
+        H, dense = split_and_dense(spec, n)
         assert isinstance(H.basis, spectral_operator.ParityBasis)
+        assert np.array_equal(H.bound_state_indices, dense.bound_state_indices)
+        assert len(H.bound_state_indices) == (4 if spec is WELL else 0)
         lam_max = np.abs(dense.eigenvalues).max()
         assert np.all(np.diff(H.eigenvalues) >= 0)
         assert np.max(np.abs(H.eigenvalues - dense.eigenvalues)) <= 1e-13 * lam_max
@@ -389,8 +398,8 @@ class TestParitySplit:
         res = np.stack([H.apply(v[:, j]) for j in range(n)], axis=1) - v * H.eigenvalues
         assert np.max(np.abs(res)) <= 1e-12 * lam_max
 
-    def test_round_trip_and_coefficients(self, n):
-        H, _ = split_and_dense(n)
+    def test_round_trip_and_coefficients(self, spec, n):
+        H, _ = split_and_dense(spec, n)
         u = mixed_parity_data(n, 1)
         columns = np.stack([u, mixed_parity_data(n, 2)], axis=1)
         for data in (u, u.real, columns):
@@ -399,10 +408,13 @@ class TestParitySplit:
             assert np.max(np.abs(H.from_eigenbasis(c) - data)) <= scale
             # the folded product gives the coefficients in eigenvalue order
             assert np.max(np.abs(c - H.eigenvectors.T @ data)) <= scale
+        # stone-density's datum: one eigenvector without the dense matrix
+        for k in (0, n // 2, n - 1):
+            assert np.array_equal(H.from_eigenbasis(np.eye(1, n, k)[0]), H.eigenvectors[:, k])
 
-    @pytest.mark.parametrize("p", [None, 4.0])
-    def test_evolve_matches_single_block(self, n, p):
-        H, dense = split_and_dense(n)
+    @pytest.mark.parametrize("p", [None, 4.0, math.inf])
+    def test_evolve_matches_single_block(self, spec, n, p):
+        H, dense = split_and_dense(spec, n)
         taus = np.random.Generator(np.random.Philox(key=[n, 6])).uniform(-1.0, 1.0, 40)
         reduce = None if p is None else (lambda states: lp_norms_columns(states, p, H.grid))
         u = mixed_parity_data(n, 3)
@@ -416,10 +428,28 @@ class TestParitySplit:
         split = occupied_modes(H, u + u[::-1], mode_tol=1e-12).basis
         assert split.odd.shape[1] == 0 and split.even.shape[1] == (n + 1) // 2
 
-    def test_propagation_never_forms_the_dense_basis(self, n):
+    def test_projection_matches_single_block(self, spec, n):
+        # bound_state_indices count in eigenvalue order, the split basis's
+        # columns in parity order
+        H, dense = split_and_dense(spec, n)
+        taus = np.random.Generator(np.random.Philox(key=[n, 8])).uniform(-1.0, 1.0, 40)
+        u = mixed_parity_data(n, 4)
+        got = propagate_batch(H, taus, u, project=True)
+        want = propagate_batch(dense, taus, u, project=True)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+        for p in (4.0, math.inf):
+            got = reduced(occupied_modes(H, u, True, 1e-12), taus, p, H.grid)
+            want = reduced(occupied_modes(dense, u, True, 1e-12), taus, p, H.grid)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+        # the projection removes every bound state's weight
+        if len(H.bound_state_indices):
+            c = H.to_eigenbasis(propagate_batch(H, [0.0], u, project=True)[:, 0])
+            assert np.max(np.abs(c[H.bound_state_indices])) <= 1e-12 * np.abs(u).max()
+
+    def test_propagation_never_forms_the_dense_basis(self, spec, n):
         from dispersion_lab.stochastic import euler_maruyama_ito
 
-        H, dense = split_and_dense(n)
+        H, dense = split_and_dense(spec, n)
         u = H.from_eigenbasis(np.exp(-np.arange(n, dtype=float)))
         inc = np.random.Generator(np.random.Philox(key=[n, 7])).normal(0.0, 0.01, (3, 16))
         em = euler_maruyama_ito(H, inc, 1.0, u, 16)
@@ -433,7 +463,7 @@ def test_gaussian_potential_keeps_one_dense_eigensolve(ham_gauss_1024):
     # palindrome, so H stays one dstevd (pinned against scipy above)
     H = ham_gauss_1024
     assert np.array_equal(H.diagonal, H.diagonal[::-1])
-    assert H.order is None and H.eigenvectors is H.basis
+    assert isinstance(H.basis, np.ndarray) and H.eigenvectors is H.basis
 
 
 @pytest.fixture(scope="module")

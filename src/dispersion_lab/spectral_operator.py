@@ -75,6 +75,7 @@ class ParityBasis:
             self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]], self.order[keep]
         )
 
+
 def basis_product(
     basis: np.ndarray | ParityBasis, data: np.ndarray, rows: slice = slice(None)
 ) -> tuple[np.ndarray, ...]:

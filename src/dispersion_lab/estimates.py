@@ -379,31 +379,6 @@ def expectation_decay_experiment(
     return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
 
 
-def half_inverse_moment_std_normal() -> float:
-    """E|Z|^(-1/2) = 2^(-1/4) Gamma(1/4) / sqrt(pi) for standard normal Z."""
-    return 2**-0.25 * math.gamma(0.25) / math.sqrt(math.pi)
-
-
-def beta_moment_decay(
-    ensemble: BrownianEnsemble,
-    p: float = 1.0,
-    t_min: float = 0.5,
-    n_time_samples: int = 24,
-) -> EstimateReport:
-    """Abscissa-only variant: feed v(t) = |beta(t)|^{-1/2} directly.
-
-    The estimand has the closed form E|Z|^{-1/2} t^{-1/4} (p = 1), so
-    this isolates the Monte Carlo layer from the propagator.
-    """
-    if not 1 <= p < 2:
-        raise DomainError(f"p must lie in [1, 2), got {p}")
-    ksel = _select_time_indices(ensemble, t_min, n_time_samples, spacing="geometric")
-    ts = ensemble.times[ksel]
-    sel = np.abs(ensemble.values[:, ksel])
-    vals = np.mean(sel ** (-0.5 * p), axis=0) ** (1.0 / p)
-    return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
-
-
 def _sub_seed(seed: int, index: int) -> int:
     # distinct substream family per window; Philox keys are 64-bit
     return (seed + 1000003 * (index + 1)) % (2**63)

@@ -191,15 +191,6 @@ def wronskian(f_plus: JostFunction, f_minus: JostFunction) -> complex:
     return complex(fp * fmd - fpd * fm)
 
 
-def wronskian_profile(f_plus: JostFunction, f_minus: JostFunction) -> np.ndarray:
-    """W evaluated at every grid point; constant in exact arithmetic."""
-    _check_pair(f_plus, f_minus)
-    return (
-        f_plus.f_values() * f_minus.f_prime_values()
-        - f_plus.f_prime_values() * f_minus.f_values()
-    )
-
-
 def zero_energy_test(V: PotentialGrid, tol: float = 1e-4) -> tuple[bool, complex]:
     """(resonant, W(0)): the verdict of detect_resonance and its Wronskian."""
     if tol <= 0:

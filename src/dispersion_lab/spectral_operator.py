@@ -49,66 +49,57 @@ _flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
-class ParityBasis:
-    """Eigenvectors of a reflection-symmetric H, held as half vectors.
+class Eigenbasis:
+    """Eigenvectors of H as half vectors, even columns first, then odd ones.
 
-    Columns come even ones first, then odd ones; column j is eigenpair
-    order[j].  With k = n // 2, even column j is (even[:, j], even[:k, j]
-    reversed) and odd column j is (odd[:, j], -odd[:k, j] reversed).  Both
-    halves have n - k rows; on an odd n the last one is the middle node,
-    where an odd vector is 0.
+    Column j is eigenpair order[j].  The last k = n - len(even) grid rows
+    mirror the first k: even column j is (even[:, j], even[:k, j] reversed),
+    odd column j is (odd[:, j], -odd[:k, j] reversed).  A reflection-symmetric
+    H has k = n // 2; on an odd n the halves end at the middle node, where an
+    odd vector is 0.  Any other H has k = 0, every column in even and none odd.
     """
 
     n: int
-    even: np.ndarray  # (n - n // 2, m_even)
-    odd: np.ndarray  # (n - n // 2, m_odd)
+    even: np.ndarray  # (n - k, m_even)
+    odd: np.ndarray  # (n - k, m_odd)
     order: np.ndarray  # (m_even + m_odd,)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.even.shape[1] + self.odd.shape[1])
+    def mirror_rows(self) -> int:
+        return self.n - len(self.even)
 
-    def columns(self, keep: np.ndarray) -> ParityBasis:
+    def columns(self, keep: np.ndarray) -> Eigenbasis:
         """The columns a boolean mask keeps."""
         me = self.even.shape[1]
-        return ParityBasis(
+        return Eigenbasis(
             self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]], self.order[keep]
         )
 
+    def product(self, data: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
+        """Row blocks of self @ data: every product with an eigenbasis runs here.
 
-def basis_product(
-    basis: np.ndarray | ParityBasis, data: np.ndarray, rows: slice = slice(None)
-) -> tuple[np.ndarray, ...]:
-    """Row blocks of basis @ data: every product with an eigenbasis runs here.
+        For the half-vector rows i in rows: the product's rows i, then, if
+        any i < k, the mirror rows n-1-i of those, i ascending.  One GEMM per
+        occupied parity yields both: the even part plus and minus the odd part.
+        """
+        me, m = self.even.shape[1], len(data)
+        k = len(range(self.mirror_rows)[rows])
+        # a parity with no occupied mode is skipped; with no mode at all, the
+        # even GEMM makes the zeros
+        even = real_basis_product(self.even[rows], data[:me]) if me or not m else None
+        odd = real_basis_product(self.odd[rows], data[me:]) if m > me else None
+        if odd is None:
+            top, mirror = even, even[:k]
+        elif even is None:
+            top, mirror = odd, -odd[:k]
+        else:
+            top, mirror = even + odd, even[:k] - odd[:k]
+        return (top, mirror) if k else (top,)
 
-    A dense basis gives one block, basis[rows] @ data.  A ParityBasis takes
-    rows of its half vectors and gives two blocks: the product's rows i in
-    rows, then the mirror rows n-1-i of those i < n // 2, i ascending; when
-    rows holds only the middle node of an odd n, which has no mirror, just
-    the first.  One half-height GEMM per occupied parity yields both: the
-    even part plus and minus the odd part.
-    """
-    if isinstance(basis, np.ndarray):
-        return (real_basis_product(basis[rows], data),)
-    me, m = basis.even.shape[1], len(data)
-    k = len(range(basis.n // 2)[rows])
-    # a parity with no occupied mode is skipped; with no mode at all, the
-    # even GEMM makes the zeros
-    even = real_basis_product(basis.even[rows], data[:me]) if me or not m else None
-    odd = real_basis_product(basis.odd[rows], data[me:]) if m > me else None
-    if odd is None:
-        top, mirror = even, even[:k]
-    elif even is None:
-        top, mirror = odd, -odd[:k]
-    else:
-        top, mirror = even + odd, even[:k] - odd[:k]
-    return (top, mirror) if k else (top,)
-
-
-def full_basis_product(basis: np.ndarray | ParityBasis, data: np.ndarray) -> np.ndarray:
-    """basis @ data with its rows in grid order."""
-    blocks = basis_product(basis, data)
-    return np.concatenate([blocks[0], blocks[1][::-1]]) if len(blocks) == 2 else blocks[0]
+    def full_product(self, data: np.ndarray) -> np.ndarray:
+        """self @ data with its rows in grid order."""
+        blocks = self.product(data)
+        return np.concatenate([blocks[0], blocks[1][::-1]]) if len(blocks) == 2 else blocks[0]
 
 
 @dataclass(frozen=True)
@@ -116,9 +107,8 @@ class DiscreteHamiltonian:
     """Symmetric tridiagonal -Delta + V with its full eigendecomposition.
 
     Eigenvectors are orthonormal in the plain euclidean inner product;
-    L2(grid) norms differ by a factor sqrt(h).  eigenvalues ascend, and
-    so do the columns of a dense basis; a ParityBasis holds its own
-    column order.
+    L2(grid) norms differ by a factor sqrt(h).  eigenvalues ascend; the
+    basis maps its columns to them (order).
     """
 
     grid: Grid
@@ -126,7 +116,7 @@ class DiscreteHamiltonian:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
     eigenvalues: np.ndarray
-    basis: np.ndarray | ParityBasis  # columns
+    basis: Eigenbasis  # columns
     bound_state_indices: np.ndarray = field(default=None)
 
     @property
@@ -136,10 +126,10 @@ class DiscreteHamiltonian:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Dense (n, n) eigenvector columns in eigenvalue order, assembled once."""
-        if not isinstance(self.basis, ParityBasis):
-            return self.basis
-        even, odd = self.basis.even, self.basis.odd
-        mirror = np.hstack([even, -odd])[: self.n // 2]
+        even, odd, k = self.basis.even, self.basis.odd, self.basis.mirror_rows
+        if not k:
+            return even
+        mirror = np.hstack([even, -odd])[:k]
         v = np.empty((self.n, self.n))
         v[:, self.basis.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
         return v
@@ -151,14 +141,12 @@ class DiscreteHamiltonian:
         return out
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        if not isinstance(self.basis, ParityBasis):
-            return real_basis_product(self.basis.T, u)
         # fold u onto the half grid: mirror sums for the even modes, mirror
-        # differences for the odd ones; the middle node of an odd n counts once
-        u = np.asarray(u)
+        # differences for the odd ones; a row without a mirror counts once
+        u, k = np.asarray(u), self.basis.mirror_rows
         top, mirror = u[: len(self.basis.even)], u[::-1][: len(self.basis.even)]
-        folded = top + mirror
-        folded[self.n // 2 :] = top[self.n // 2 :]
+        folded = top.copy()
+        folded[:k] += mirror[:k]
         c = np.concatenate(
             [
                 real_basis_product(self.basis.even.T, folded),
@@ -170,9 +158,7 @@ class DiscreteHamiltonian:
         return out
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        if isinstance(self.basis, ParityBasis):
-            c = np.asarray(c)[self.basis.order]
-        return full_basis_product(self.basis, c)
+        return self.basis.full_product(np.asarray(c)[self.basis.order])
 
 
 def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -215,8 +201,8 @@ def _dstevd(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
-    """Ascending eigenvalues and ParityBasis of a tridiagonal with a
-    palindromic diagonal and a constant off-diagonal.
+    """Ascending eigenvalues and half-vector Eigenbasis of a tridiagonal
+    with a palindromic diagonal and a constant off-diagonal.
 
     With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
     mirror as the neighbour of node k-1, which adds off to that diagonal
@@ -242,7 +228,7 @@ def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
     ascending = np.argsort(w, kind="stable")
     order = np.empty_like(ascending)
     order[ascending] = np.arange(n)
-    return w[ascending], ParityBasis(n, v_even, v_odd, order)
+    return w[ascending], Eigenbasis(n, v_even, v_odd, order)
 
 
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
@@ -252,11 +238,12 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     eigenpairs) returns the full orthonormal eigenbasis of the stencil.
     When the sampled potential is an exact palindrome, so is the diagonal,
     and H is solved as two half-size problems, one per reflection parity,
-    and kept as a ParityBasis: half the eigensolve and half the flops of
-    every product with the basis.  The zero potential, a square well and a
+    kept as half vectors: half the eigensolve and half the flops of every
+    product with the basis.  The zero potential, a square well and a
     symmetric table are palindromes on almost every grid.  A linspace grid
-    is not bit-symmetric, so a gaussian or sech^2 sample keeps the single
-    dstevd, even where 2/h^2 + V rounds its asymmetry away.
+    is not bit-symmetric, so a gaussian or sech^2 sample keeps one dstevd,
+    whose matrix is a basis without mirror rows, even where 2/h^2 + V
+    rounds its asymmetry away.
     """
     grid = V.grid
     if grid.n_points > DENSE_SOLVER_CAP:
@@ -267,7 +254,8 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     if np.array_equal(V.values, V.values[::-1]):
         w, basis = _parity_eigensystem(diag, off)
     else:
-        w, basis = _dstevd(diag, off)
+        w, v = _dstevd(diag, off)
+        basis = Eigenbasis(grid.n_points, v, v[:, :0], np.arange(grid.n_points))
     return DiscreteHamiltonian(
         grid=grid,
         potential=V,
@@ -294,7 +282,7 @@ class OccupiedModes:
     coefficient column.
     """
 
-    basis: np.ndarray | ParityBasis  # (n, m) real eigenvector columns
+    basis: Eigenbasis  # (n, m) real eigenvector columns
     energies: np.ndarray  # (m,)
     coef: np.ndarray  # (m,) or (m, k), complex
 
@@ -309,18 +297,16 @@ def occupied_modes(
     times the largest one, trading a bounded truncation error for a
     smaller basis product.  The modes come in the order of H.basis.
     """
+    if mode_tol > 0.0 and np.ndim(u) != 1:
+        raise DomainError(f"a mode cut needs one datum vector, got shape {np.shape(u)}")
     c = H.to_eigenbasis(np.asarray(u, dtype=complex))
     if project and len(H.bound_state_indices):
         c[H.bound_state_indices] = 0.0
-    energies = H.eigenvalues
-    split = isinstance(H.basis, ParityBasis)
-    if split:
-        c, energies = c[H.basis.order], energies[H.basis.order]
+    c, energies = c[H.basis.order], H.eigenvalues[H.basis.order]
     if mode_tol > 0.0:
         a = np.abs(c)
         keep = a > mode_tol * a.max()
-        basis = H.basis.columns(keep) if split else H.basis[:, keep]
-        return OccupiedModes(basis, energies[keep], c[keep])
+        return OccupiedModes(H.basis.columns(keep), energies[keep], c[keep])
     return OccupiedModes(H.basis, energies, c)
 
 
@@ -328,27 +314,27 @@ def occupied_modes(
 class RowPanels:
     """The states basis @ data of one tau block, produced in row panels.
 
-    Iterating yields the row blocks of basis_product(basis, data, rows) for
-    panels of _ROW_PANEL rows (of the half vectors, for a ParityBasis), so a
-    column reduction holds one panel of the (n, b) states, not all of them.
-    Together the blocks hold every row once, in grid order for a dense
-    basis.  A single column comes as one panel: it is only n values, and
+    Iterating yields the row blocks of basis.product(data, rows) for
+    panels of _ROW_PANEL rows of the half vectors, so a column reduction
+    holds one panel of the (n, b) states, not all of them.  Together the
+    blocks hold every row once, in grid order for a basis without mirror
+    rows.  A single column comes as one panel: it is only n values, and
     numpy sums a single column pairwise rather than row by row.
     """
 
-    basis: np.ndarray | ParityBasis  # (n, m)
+    basis: Eigenbasis  # (n, m)
     data: np.ndarray  # (m, b), complex
     ndim = 2
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.basis.shape[0], self.data.shape[1])
+        return (self.basis.n, self.data.shape[1])
 
     def __iter__(self):
-        height = len(self.basis.even) if isinstance(self.basis, ParityBasis) else len(self.basis)
+        height = len(self.basis.even)
         rows = _ROW_PANEL if self.data.shape[1] > 1 else height
         for r in range(0, height, rows):
-            yield from basis_product(self.basis, self.data, slice(r, r + rows))
+            yield from self.basis.product(self.data, slice(r, r + rows))
 
 
 def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
@@ -371,7 +357,7 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
         np.exp(z, out=z)
         z *= modes.coef[:, sl] if table else modes.coef[:, None]
         if reduce is None:
-            return full_basis_product(modes.basis, z)
+            return modes.basis.full_product(z)
         return reduce(RowPanels(modes.basis, z))
 
     # an empty tau list still yields one (empty) block of the right shape

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityWarning
-from .spectral_operator import DiscreteHamiltonian, full_basis_product, occupied_modes
+from .spectral_operator import DiscreteHamiltonian, occupied_modes
 
 # unused here: perfbench/tests/test_tracer.py asserts that this copy is the
 # spectral_operator function, which exercises the tracer's wrapping of copies
@@ -124,13 +124,13 @@ def euler_maruyama_ito(
     drift = 1.0 - 0.5 * lam**2 * dt
     ilam = 1j * lam
     c = np.tile(modes.coef, (len(paths), 1))  # (n_paths, n_modes)
-    traj = [full_basis_product(modes.basis, c.T)] if return_trajectory else None
+    traj = [modes.basis.full_product(c.T)] if return_trajectory else None
     # an amplifying step may overflow the state to inf/nan; the
     # StabilityWarning above already flags that, numpy need not repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             c = c * (drift - ilam * dbeta[:, k, None])
             if return_trajectory:
-                traj.append(full_basis_product(modes.basis, c.T))
-        out = np.stack(traj) if return_trajectory else full_basis_product(modes.basis, c.T)
+                traj.append(modes.basis.full_product(c.T))
+        out = np.stack(traj) if return_trajectory else modes.basis.full_product(c.T)
     return out if increments.ndim == 2 else out[..., 0]

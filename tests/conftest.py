@@ -1,12 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
+from dispersion_lab.estimates import fit_report
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import build_hamiltonian
 
 GAUSS31 = PotentialSpec("gaussian", amplitude=3.0, width=1.0)
 SECH21 = PotentialSpec("sech_squared", amplitude=-2.0, width=1.0)
 ZERO = PotentialSpec("zero")
+
+# E|Z|^(-1/2) = 2^(-1/4) Gamma(1/4) / sqrt(pi) for standard normal Z
+HALF_INVERSE_MOMENT = 2**-0.25 * math.gamma(0.25) / math.sqrt(math.pi)
+
+
+def half_inverse_moment_report(ens, times):
+    """fit_report of the path mean of |beta(t)|^(-1/2) at the given sample times.
+
+    Its estimand is HALF_INVERSE_MOMENT * t^(-1/4), so it checks the Monte
+    Carlo layer of a decay fit without the propagator.
+    """
+    ksel = np.round(np.asarray(times) / ens.dt).astype(int)
+    vals = np.mean(np.abs(ens.values[:, ksel]) ** -0.5, axis=0)
+    return fit_report(times, vals, ens.n_paths, ens.seed)
 
 
 @pytest.fixture(scope="session")

@@ -243,11 +243,11 @@ class TestReproducibility:
         # the zero potential on 161 points is solved one reflection parity at
         # a time, with a middle node that only the even modes see
         from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
-        from dispersion_lab.spectral_operator import ParityBasis, build_hamiltonian
+        from dispersion_lab.spectral_operator import build_hamiltonian
 
         grid = {"n_points": 161, "l_box": 20.0}
         V = sample_potential(PotentialSpec("zero"), Grid(**grid))
-        assert isinstance(build_hamiltonian(V).basis, ParityBasis)
+        assert build_hamiltonian(V).basis.mirror_rows == 80
         cfg = load_config(small_dispersive_config(tmp_path, grid=grid))
         blobs = []
         for workers in ("1", "2"):

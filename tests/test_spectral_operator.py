@@ -304,7 +304,7 @@ class TestStreamedReduction:
             occupied_modes(H, smooth_datum(H, n)),  # all n modes
             occupied_modes(H, columns),  # coefficient table
         ):
-            modes = replace(modes, basis=layout(modes.basis))
+            modes = replace(modes, basis=replace(modes.basis, even=layout(modes.basis.even)))
             whole = evolve(modes, taus)
             for p in P_EXPONENTS:
                 want = lp_norms_columns(whole, p, grid)
@@ -367,7 +367,7 @@ def split_and_dense(spec: PotentialSpec, n: int):
         diagonal=H.diagonal,
         off_diagonal=H.off_diagonal,
         eigenvalues=w,
-        basis=v,
+        basis=spectral_operator.Eigenbasis(n, v, v[:, :0], np.arange(n)),
         bound_state_indices=np.flatnonzero(w < 0),
     )
     return H, dense
@@ -387,7 +387,7 @@ class TestParitySplit:
 
     def test_eigenpairs_match_one_dstevd(self, spec, n):
         H, dense = split_and_dense(spec, n)
-        assert isinstance(H.basis, spectral_operator.ParityBasis)
+        assert H.basis.mirror_rows == n // 2 and dense.basis.mirror_rows == 0
         assert np.array_equal(H.bound_state_indices, dense.bound_state_indices)
         assert len(H.bound_state_indices) == (4 if spec is WELL else 0)
         lam_max = np.abs(dense.eigenvalues).max()
@@ -463,7 +463,42 @@ def test_gaussian_potential_keeps_one_dense_eigensolve(ham_gauss_1024):
     # palindrome, so H stays one dstevd (pinned against scipy above)
     H = ham_gauss_1024
     assert np.array_equal(H.diagonal, H.diagonal[::-1])
-    assert isinstance(H.basis, np.ndarray) and H.eigenvectors is H.basis
+    assert H.basis.mirror_rows == 0 and H.eigenvectors is H.basis.even
+
+
+def test_basis_without_mirror_rows_keeps_the_dense_bytes(ham_gauss_1024):
+    # k = 0: every transform and the tau block are the plain products with
+    # the dstevd matrix, bit for bit
+    H = ham_gauss_1024
+    v = H.eigenvectors
+    u = smooth_datum(H, 11)
+    columns = np.stack([smooth_datum(H, k) for k in range(3)], axis=1)
+    for data in (u, columns):
+        c = H.to_eigenbasis(data)
+        assert np.array_equal(c, real_basis_product(v.T, data))
+        assert np.array_equal(H.from_eigenbasis(c), real_basis_product(v, c))
+    taus = np.random.Generator(np.random.Philox(key=[1024, 9])).uniform(-4.0, 4.0, 1024)
+    c = real_basis_product(v.T, u)
+    keep = np.abs(c) > 1e-12 * np.abs(c).max()
+    z = -1j * np.outer(H.eigenvalues[keep], taus)
+    np.exp(z, out=z)
+    z *= c[keep][:, None]
+    got = propagate_batch(H, taus, u, mode_tol=1e-12)
+    assert np.array_equal(got, real_basis_product(v[:, keep], z))
+
+
+@pytest.mark.parametrize("spec", [GAUSS31, ZERO], ids=["gaussian", "zero"])
+def test_mode_cut_needs_one_datum_vector(spec):
+    # on both forms of the basis: one dstevd, and two parity halves
+    H = build_hamiltonian(sample_potential(spec, Grid(l_box=20.0, n_points=200)))
+    assert H.basis.mirror_rows == (100 if spec is ZERO else 0)
+    U = np.stack([smooth_datum(H, 1), smooth_datum(H, 2)], axis=1)
+    with pytest.raises(DomainError, match="a mode cut needs one datum vector"):
+        occupied_modes(H, U, mode_tol=1e-12)
+    with pytest.raises(DomainError, match="a mode cut needs one datum vector"):
+        propagate_batch(H, [0.1, 0.2], U, mode_tol=1e-12)
+    # without a cut, columns are a coefficient table
+    assert occupied_modes(H, U).coef.shape == (200, 2)
 
 
 @pytest.fixture(scope="module")

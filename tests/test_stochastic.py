@@ -3,7 +3,7 @@ import pytest
 
 from dispersion_lab.errors import DomainError, StabilityWarning
 from dispersion_lab.grid_model import Grid, PotentialGrid
-from dispersion_lab.spectral_operator import DiscreteHamiltonian, propagate_batch
+from dispersion_lab.spectral_operator import DiscreteHamiltonian, Eigenbasis, propagate_batch
 from dispersion_lab.stochastic import euler_maruyama_ito, path_rng, sample_brownian
 
 
@@ -113,7 +113,7 @@ def single_mode_hamiltonian(eigenvalue: float) -> DiscreteHamiltonian:
         diagonal=lam.copy(),
         off_diagonal=np.zeros(15),
         eigenvalues=lam,
-        basis=np.eye(16),
+        basis=Eigenbasis(16, np.eye(16), np.eye(16)[:, :0], np.arange(16)),
         bound_state_indices=np.array([], dtype=int),
     )
 

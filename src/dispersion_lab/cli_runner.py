@@ -342,7 +342,8 @@ def _run_scatter_sweep(ctx: RunContext):
     lams = scattering.lambda_sweep_grid(lam0, ctx.params["n_lambdas"])
     rows = []
     unit_dev = 0.0
-    for data in scattering.scattering_sweep(V, lams):
+    for lam in lams:
+        data = scattering.scattering_coefficients(V, float(lam))
         t2r2 = abs(data.transmission) ** 2 + abs(data.reflection) ** 2
         unit_dev = max(unit_dev, abs(t2r2 - 1.0))
         rows.append(
@@ -441,7 +442,7 @@ def _run_born_check(ctx: RunContext):
     lam0 = V.l1_norm() ** 2
     energy = ctx.params["energy_factor"] * lam0
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
-    terms = spectral_operator.born_series_terms(V, energy, "plus", f, ctx.params["n_terms"])
+    terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
     ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))
@@ -805,7 +806,7 @@ def main(argv=None) -> int:
         except MemoryError as exc:  # sizes are uncapped, so a valid config may ask for too much
             print(f"error: {config.experiment}: out of memory ({exc})", file=sys.stderr)
             return 1
-    except DispersionLabError as exc:
+    except (DispersionLabError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

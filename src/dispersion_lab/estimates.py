@@ -181,15 +181,13 @@ def fit_decay_exponent(
     abscissa,
     values,
     n_boot: int = 1000,
-    seed: int = 1234,
     min_points: int = 8,
-    min_decades: float = 1.5,
 ) -> EstimateReport:
     """Ordinary least squares on (log a, log v) with a bootstrap CI.
 
-    The abscissa must span enough decades for the slope to be
-    well-conditioned; experiments with a narrower, protocol-pinned
-    window relax min_decades explicitly.
+    The abscissa must span at least one decade for the slope to be
+    well-conditioned.  The bootstrap resamples are drawn from one fixed
+    Philox key, so a fit is the same on every run.
     """
     a = np.asarray(abscissa, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -202,13 +200,13 @@ def fit_decay_exponent(
     if len(a) < min_points:
         raise ConditioningError(f"need at least {min_points} pairs, got {len(a)}")
     span = math.log10(a.max() / a.min())
-    if span < min_decades:
+    if span < 1.0:
         raise ConditioningError(
-            f"abscissa spans {span:.2f} decades, below the required {min_decades}"
+            f"abscissa spans {span:.2f} decades, below the required 1.0"
         )
     la, lv = np.log(a), np.log(v)
     slope, intercept = np.polyfit(la, lv, 1)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[1234, 0]))
     boots = []
     for _ in range(n_boot):
         idx = rng.integers(0, len(a), len(a))
@@ -246,7 +244,7 @@ def fit_report(
     v = np.asarray(values, dtype=float)
     if reason is None:
         try:
-            rep = fit_decay_exponent(a, v, n_boot=n_boot, min_points=min_points, min_decades=1.0)
+            rep = fit_decay_exponent(a, v, n_boot=n_boot, min_points=min_points)
         except (DomainError, ConditioningError) as exc:
             reason = str(exc)
     if reason is not None:
@@ -276,10 +274,6 @@ def odd_packet(grid: Grid, width: float = 0.8) -> np.ndarray:
     """x exp(-(x/w)^2); vanishing mean kills the zero-energy component."""
     x = grid.x
     return (x * np.exp(-((x / width) ** 2))).astype(complex)
-
-
-def normalize_l1(u: np.ndarray, grid: Grid) -> np.ndarray:
-    return u / lp_norm_x(u, 1.0, grid)
 
 
 def _select_time_indices(
@@ -325,7 +319,8 @@ def dispersive_experiment(
     grid resolution, then fits the decay exponent (target -1/2).
     """
     grid = H.grid
-    u0 = normalize_l1(np.asarray(u0, dtype=complex), grid)
+    u0 = np.asarray(u0, dtype=complex)
+    u0 = u0 / lp_norm_x(u0, 1.0, grid)
     if beta_min is None:  # the grid's dispersive resolution h^2 * (2 pi / h)
         beta_min = 2.0 * np.pi * grid.h
     resonant = False
@@ -368,8 +363,8 @@ def expectation_decay_experiment(
     """
     if not 1 <= p < 2:
         raise DomainError(f"p must lie in [1, 2), got {p}")
-    grid = H.grid
-    u0 = normalize_l1(np.asarray(u0, dtype=complex), grid)
+    u0 = np.asarray(u0, dtype=complex)
+    u0 = u0 / lp_norm_x(u0, 1.0, H.grid)
     ksel = _select_time_indices(ensemble, t_min, n_time_samples, spacing="geometric")
     ts = ensemble.times[ksel]
     sup = _space_norms_at_taus(
@@ -479,7 +474,6 @@ def strichartz_inhomogeneous_experiment(
     n_paths: int = 64,
     seed: int = 0,
     project: bool = False,
-    mode_tol: float = 1e-12,
 ) -> EstimateReport:
     """Window scaling of the forced term int_0^t S(t, s) P_ac f ds.
 
@@ -505,7 +499,7 @@ def strichartz_inhomogeneous_experiment(
             f"forcing must be a profile of shape ({grid.n_points},), got {forcing.shape}"
         )
     pp = holder_conjugate(p)
-    modes = occupied_modes(H, forcing, project, mode_tol)
+    modes = occupied_modes(H, forcing, project, mode_tol=1e-12)
     f_norms = np.full((1, n_steps + 1), lp_norm_x(forcing, pp, grid))
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))

@@ -272,8 +272,3 @@ def lambda_sweep_grid(lam0: float, n: int = 48) -> np.ndarray:
     """Geometric lam grid covering the low- and high-energy regimes."""
     top = 4.0 * np.sqrt(max(lam0, 0.0)) + 1.0
     return np.geomspace(0.05, top, n)
-
-
-def scattering_sweep(V: PotentialGrid, lams) -> list[ScatteringData]:
-    """Scattering data over a lam grid."""
-    return [scattering_coefficients(V, float(lam)) for lam in lams]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -111,13 +111,17 @@ class DiscreteHamiltonian:
     basis maps its columns to them (order).
     """
 
-    grid: Grid
     potential: PotentialGrid
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
     eigenvalues: np.ndarray
     basis: Eigenbasis  # columns
-    bound_state_indices: np.ndarray = field(default=None)
+
+    @property
+    def grid(self) -> Grid:
+        return self.potential.grid
+
+    @property
+    def bound_state_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.eigenvalues < 0)
 
     @property
     def n(self) -> int:
@@ -135,9 +139,10 @@ class DiscreteHamiltonian:
         return v
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diagonal * u
-        out[:-1] += self.off_diagonal * u[1:]
-        out[1:] += self.off_diagonal * u[:-1]
+        diag, off = _stencil(self.grid, self.potential.values)
+        out = diag * u
+        out[:-1] += off * u[1:]
+        out[1:] += off * u[:-1]
         return out
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
@@ -256,15 +261,7 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     else:
         w, v = _dstevd(diag, off)
         basis = Eigenbasis(grid.n_points, v, v[:, :0], np.arange(grid.n_points))
-    return DiscreteHamiltonian(
-        grid=grid,
-        potential=V,
-        diagonal=diag,
-        off_diagonal=off,
-        eigenvalues=w,
-        basis=basis,
-        bound_state_indices=np.flatnonzero(w < 0),
-    )
+    return DiscreteHamiltonian(potential=V, eigenvalues=w, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,7 @@ def occupied_modes(
     if mode_tol > 0.0 and np.ndim(u) != 1:
         raise DomainError(f"a mode cut needs one datum vector, got shape {np.shape(u)}")
     c = H.to_eigenbasis(np.asarray(u, dtype=complex))
-    if project and len(H.bound_state_indices):
+    if project:
         c[H.bound_state_indices] = 0.0
     c, energies = c[H.basis.order], H.eigenvalues[H.basis.order]
     if mode_tol > 0.0:
@@ -376,14 +373,6 @@ def propagate_batch(
     return evolve(occupied_modes(H, u, project, mode_tol), taus)
 
 
-def _branch_sign(branch: str) -> float:
-    if branch == "plus":
-        return 1.0
-    if branch == "minus":
-        return -1.0
-    raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest 11-smooth length >= target, scipy.fft.next_fast_len(target, real=False)."""
     n = max(target, 1)
@@ -398,7 +387,7 @@ def _next_fast_len(target: int) -> int:
 
 
 class _FreeResolventApply:
-    """R0 at fixed energy as a fast convolution against grid quadrature.
+    """Outgoing R0(energy + i0) as a fast convolution against grid quadrature.
 
     The full linear convolution is computed exactly as
     scipy.signal.fftconvolve does for complex 1-D input (complex FFTs of
@@ -407,12 +396,11 @@ class _FreeResolventApply:
     importing scipy.fft.  The kernel's transform is taken once.
     """
 
-    def __init__(self, grid: Grid, lam: float, branch: str):
-        s = _branch_sign(branch)
-        k = np.sqrt(lam)
+    def __init__(self, grid: Grid, energy: float):
+        k = np.sqrt(energy)
         n = grid.n_points
         offsets = grid.h * np.arange(-(n - 1), n)
-        kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
+        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(offsets))
         self.weights = simpson_weights(n, grid.h)
         self.n = n
         self.size = _next_fast_len(3 * n - 2)
@@ -424,19 +412,19 @@ class _FreeResolventApply:
 
 
 def born_series_terms(
-    V: PotentialGrid, lam: float, branch: str, f: np.ndarray, n_max: int
+    V: PotentialGrid, energy: float, f: np.ndarray, n_max: int
 ) -> list[np.ndarray]:
-    """Terms R0 (-V R0)^n f of the resolvent expansion, n = 0..n_max.
+    """Terms R0 (-V R0)^n f of the outgoing resolvent expansion, n = 0..n_max.
 
-    Requires an energy above ||V||_1^2 so the term ratio stays below
-    ||V||_1 / (2 sqrt(lam)) < 1.
+    R0 is the free resolvent at energy + i0.  Requires an energy above
+    ||V||_1^2 so the term ratio stays below ||V||_1 / (2 sqrt(energy)) < 1.
     """
-    lam_threshold = V.l1_norm() ** 2
-    if lam <= lam_threshold:
+    threshold = V.l1_norm() ** 2
+    if energy <= threshold:
         raise DomainError(
-            f"energy {lam} is not above the series threshold {lam_threshold:.4g}"
+            f"energy {energy} is not above the series threshold {threshold:.4g}"
         )
-    r0 = _FreeResolventApply(V.grid, lam, branch)
+    r0 = _FreeResolventApply(V.grid, energy)
     terms = [r0(np.asarray(f, dtype=complex))]
     for _ in range(n_max):
         terms.append(r0(-V.values * terms[-1]))

@@ -89,7 +89,6 @@ def euler_maruyama_ito(
     horizon: float,
     u0: np.ndarray,
     n_steps: int,
-    return_trajectory: bool = False,
 ) -> np.ndarray:
     """Explicit Euler-Maruyama for du = -(1/2) H^2 u dt - i H u dbeta.
 
@@ -97,8 +96,8 @@ def euler_maruyama_ito(
     increments (n_fine,) or a batch (n_paths, n_fine) at once.  n_steps
     must divide n_fine; coarser steps sum consecutive fine increments so
     every refinement level sees the same path.  Returns u(T) as (n,) for
-    one path and as one column per path, (n, n_paths), for a batch; the
-    trajectory stacks u(t_k) for k = 0..n_steps along a leading axis.
+    one path and as one column per path, (n, n_paths), for a batch.  u(t_k)
+    is the k-step run on the path's first k steps, with horizon k dt.
     """
     increments = np.asarray(increments, dtype=float)
     paths = np.atleast_2d(increments)
@@ -124,13 +123,10 @@ def euler_maruyama_ito(
     drift = 1.0 - 0.5 * lam**2 * dt
     ilam = 1j * lam
     c = np.tile(modes.coef, (len(paths), 1))  # (n_paths, n_modes)
-    traj = [modes.basis.full_product(c.T)] if return_trajectory else None
     # an amplifying step may overflow the state to inf/nan; the
     # StabilityWarning above already flags that, numpy need not repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             c = c * (drift - ilam * dbeta[:, k, None])
-            if return_trajectory:
-                traj.append(modes.basis.full_product(c.T))
-        out = np.stack(traj) if return_trajectory else modes.basis.full_product(c.T)
-    return out if increments.ndim == 2 else out[..., 0]
+        out = modes.basis.full_product(c.T)
+    return out if increments.ndim == 2 else out[:, 0]

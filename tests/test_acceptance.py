@@ -138,7 +138,7 @@ def test_criterion_06_born_series():
     lam0 = V.l1_norm() ** 2
     energy = 4.0 * lam0
     f = np.exp(-(grid.x**2)).astype(complex)
-    terms = born_series_terms(V, energy, "plus", f, 20)
+    terms = born_series_terms(V, energy, f, 20)
     sups = [float(np.max(np.abs(t))) for t in terms]
     ratios = np.array([sups[i + 1] / sups[i] for i in range(len(sups) - 1)])
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))

@@ -182,10 +182,10 @@ class TestImportBudget:
             "import sys, numpy as np, dispersion_lab.cli_runner; "
             "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
             "from dispersion_lab.spectral_operator import ("
-            "born_series_terms, build_hamiltonian, tridiagonal_resolvent_solve); "
+            "_stencil, born_series_terms, build_hamiltonian, tridiagonal_resolvent_solve); "
             "V = sample_potential(PotentialSpec('gaussian', amplitude=0.5, width=1.0), "
             "Grid(l_box=5.0, n_points=63)); "
-            "born_series_terms(V, 4.0 * V.l1_norm() ** 2, 'plus', np.ones(63), 2); "
+            "born_series_terms(V, 4.0 * V.l1_norm() ** 2, np.ones(63), 2); "
             "H = build_hamiltonian(V); "
             "tridiagonal_resolvent_solve(V.grid, V.values, 1.0 + 0.1j, np.ones(63)); "
             "print(' '.join(m for m in ('scipy.integrate', 'scipy.signal', "
@@ -193,7 +193,7 @@ class TestImportBudget:
             "'numpy.f2py') if m in sys.modules)); "
             # importing scipy.linalg afterwards still works and agrees
             "from scipy.linalg import eigh_tridiagonal; "
-            "w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal); "
+            "w, v = eigh_tridiagonal(*_stencil(H.grid, V.values)); "
             "assert np.array_equal(w, H.eigenvalues) and np.array_equal(v, H.eigenvectors)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -354,6 +354,22 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and words in last
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [True, False], ids=["out", "output_dir"])
+def test_output_path_that_is_a_file_ends_in_one_error_line(tmp_path, capsys, override):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    raw = {"experiment": "resonance", "grid": {"n_points": 64, "l_box": 4.0}}
+    if override:
+        argv = ["run", str(_write(tmp_path, raw)), "--out", str(afile)]
+    else:
+        argv = ["run", str(_write(tmp_path, dict(raw, output_dir=str(afile))))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ") and "File exists" in err
+    assert afile.read_text() == "keep"
 
 
 class TestRangeValidation:

@@ -302,8 +302,16 @@ def test_schema_defaults_are_valid():
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_tiny_configs_run(tmp_path, experiment):
-    assert run(load_config(tiny_config(experiment, {}, tmp_path))) == 0
+def test_tiny_configs_run(tmp_path, monkeypatch, experiment):
+    # and write the same bytes at 1 and 2 workers
+    config = load_config(tiny_config(experiment, {}, tmp_path))
+    blobs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
+        out = tmp_path / workers
+        assert run(config, out_dir=out) == 0
+        blobs.append([(out / name).read_bytes() for name in ("data.csv", "report.json")])
+    assert blobs[0] == blobs[1]
 
 
 class TestRunContext:

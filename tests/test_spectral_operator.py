@@ -71,7 +71,7 @@ class TestBuildHamiltonian:
         from scipy.linalg import eigh_tridiagonal
 
         H = ham_gauss_1024
-        w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal)
+        w, v = eigh_tridiagonal(*spectral_operator._stencil(H.grid, H.potential.values))
         assert np.array_equal(H.eigenvalues, w)
         assert np.array_equal(H.eigenvectors, v)
 
@@ -360,15 +360,11 @@ WELL = PotentialSpec("square_well", amplitude=-4.0, width=2.5)
 def split_and_dense(spec: PotentialSpec, n: int):
     """The H of spec on n points and the same H from one dstevd."""
     H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
-    w, v = spectral_operator._dstevd(H.diagonal, H.off_diagonal)
+    w, v = spectral_operator._dstevd(*spectral_operator._stencil(H.grid, H.potential.values))
     dense = spectral_operator.DiscreteHamiltonian(
-        grid=H.grid,
         potential=H.potential,
-        diagonal=H.diagonal,
-        off_diagonal=H.off_diagonal,
         eigenvalues=w,
         basis=spectral_operator.Eigenbasis(n, v, v[:, :0], np.arange(n)),
-        bound_state_indices=np.flatnonzero(w < 0),
     )
     return H, dense
 
@@ -462,7 +458,8 @@ def test_gaussian_potential_keeps_one_dense_eigensolve(ham_gauss_1024):
     # 2/h^2 + V rounds this sample's asymmetry away, but V itself is not a
     # palindrome, so H stays one dstevd (pinned against scipy above)
     H = ham_gauss_1024
-    assert np.array_equal(H.diagonal, H.diagonal[::-1])
+    diag, _ = spectral_operator._stencil(H.grid, H.potential.values)
+    assert np.array_equal(diag, diag[::-1])
     assert H.basis.mirror_rows == 0 and H.eigenvectors is H.basis.even
 
 
@@ -514,14 +511,14 @@ class TestBornSeries:
     def test_zero_potential_single_term(self, born_setup):
         grid, _, _, f = born_setup
         V0 = sample_potential(ZERO, grid)
-        total = np.sum(born_series_terms(V0, 5.0, "plus", f, n_max=5), axis=0)
-        only = born_series_terms(V0, 5.0, "plus", f, n_max=0)[0]
+        total = np.sum(born_series_terms(V0, 5.0, f, n_max=5), axis=0)
+        only = born_series_terms(V0, 5.0, f, n_max=0)[0]
         assert np.allclose(total, only)
 
     def test_term_ratios_bounded(self, born_setup):
         _, V, lam0, f = born_setup
         energy = 4.0 * lam0
-        terms = born_series_terms(V, energy, "plus", f, n_max=8)
+        terms = born_series_terms(V, energy, f, n_max=8)
         sups = [np.max(np.abs(t)) for t in terms]
         bound = V.l1_norm() / (2.0 * np.sqrt(energy))
         assert bound == pytest.approx(0.25, rel=1e-6)
@@ -531,7 +528,7 @@ class TestBornSeries:
     def test_matches_dense_resolvent(self, born_setup):
         grid, V, lam0, f = born_setup
         energy = 4.0 * lam0
-        born = np.sum(born_series_terms(V, energy, "plus", f, n_max=20), axis=0)
+        born = np.sum(born_series_terms(V, energy, f, n_max=20), axis=0)
         l_or, h_or = 1000.0, 0.0032
         grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / h_or)) + 1)
         rhs = GAUSS31.__call__  # noqa: F841 - clarity only
@@ -554,7 +551,7 @@ class TestBornSeries:
     def test_below_threshold_rejected(self, born_setup):
         _, V, lam0, f = born_setup
         with pytest.raises(DomainError, match="is not above the series threshold"):
-            born_series_terms(V, 0.5 * lam0, "plus", f, n_max=3)
+            born_series_terms(V, 0.5 * lam0, f, n_max=3)
 
 
 class TestStoneDensity:
@@ -683,12 +680,11 @@ class TestFreeResolventApply:
         f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
         n = grid.n_points
         k = np.sqrt(37.0)
-        for branch, s in (("plus", 1.0), ("minus", -1.0)):
-            r0 = _FreeResolventApply(grid, 37.0, branch)
-            offsets = grid.h * np.arange(-(n - 1), n)
-            kernel = s * 1j / (2.0 * k) * np.exp(s * 1j * k * np.abs(offsets))
-            expected = fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]
-            assert np.array_equal(r0(f), expected)
+        r0 = _FreeResolventApply(grid, 37.0)
+        offsets = grid.h * np.arange(-(n - 1), n)
+        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(offsets))
+        expected = fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]
+        assert np.array_equal(r0(f), expected)
 
     def test_born_check_terms_equal_fftconvolve_series(self):
         from scipy.signal import fftconvolve
@@ -698,13 +694,13 @@ class TestFreeResolventApply:
         V = sample_potential(GAUSS31, Grid(l_box=15.0, n_points=4097))
         energy = 4.0 * V.l1_norm() ** 2
         f = np.exp(-V.grid.x**2).astype(complex)
-        r0 = _FreeResolventApply(V.grid, energy, "plus")
+        r0 = _FreeResolventApply(V.grid, energy)
         n, k = V.grid.n_points, np.sqrt(energy)
         kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(V.grid.h * np.arange(-(n - 1), n)))
         expected = [fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]]
         for _ in range(20):
             expected.append(fftconvolve(r0.weights * (-V.values * expected[-1]), kernel)[n - 1 : 2 * n - 1])
-        got = born_series_terms(V, energy, "plus", f, 20)
+        got = born_series_terms(V, energy, f, 20)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 

@@ -108,13 +108,9 @@ def single_mode_hamiltonian(eigenvalue: float) -> DiscreteHamiltonian:
     lam = np.zeros(16)
     lam[0] = eigenvalue
     return DiscreteHamiltonian(
-        grid=grid,
         potential=PotentialGrid(grid=grid, values=np.zeros(16)),
-        diagonal=lam.copy(),
-        off_diagonal=np.zeros(15),
         eigenvalues=lam,
         basis=Eigenbasis(16, np.eye(16), np.eye(16)[:, :0], np.arange(16)),
-        bound_state_indices=np.array([], dtype=int),
     )
 
 
@@ -166,18 +162,22 @@ class TestEulerMaruyama:
         assert errs[-1] < 0.1 * np.linalg.norm(u0)
 
     def test_adapted_prefix(self):
-        # u(t_k) depends only on increments before k
+        # u(t_k) depends only on increments before k: u(t_k) is the k-step
+        # run on the first k increments, whose dt (k/32)/k is exactly 1/32
         lam = 1.0
         H = single_mode_hamiltonian(lam)
         u0 = np.zeros(16, complex)
         u0[0] = 1.0
         inc = path_rng(4, 0).normal(0.0, 0.05, 32)
-        traj = euler_maruyama_ito(H, inc, 1.0, u0, 32, return_trajectory=True)
         tampered = inc.copy()
         tampered[20:] = 99.0
-        traj2 = euler_maruyama_ito(H, tampered, 1.0, u0, 32, return_trajectory=True)
-        assert np.array_equal(traj[:21], traj2[:21])
-        assert not np.allclose(traj[21:], traj2[21:])
+        for k in range(1, 33):
+            u = euler_maruyama_ito(H, inc[:k], k / 32, u0, k)
+            u2 = euler_maruyama_ito(H, tampered[:k], k / 32, u0, k)
+            if k <= 20:
+                assert np.array_equal(u, u2)
+            else:
+                assert not np.allclose(u, u2)
 
     def test_stability_warning(self, ham_gauss_1024):
         H = ham_gauss_1024
@@ -229,12 +229,3 @@ class TestBatchedEulerMaruyama:
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(batch[:, p] - one) <= 1e-13 * scale
             assert np.linalg.norm(batch[:, p] - ref) <= 1e-13 * scale
-
-    def test_batched_trajectory(self, setup):
-        H, u0, ens = setup
-        traj = euler_maruyama_ito(H, ens.increments, 1.0, u0, 32, return_trajectory=True)
-        assert traj.shape == (33, H.n, ens.n_paths)
-        one = euler_maruyama_ito(H, ens.increments[2], 1.0, u0, 32, return_trajectory=True)
-        assert np.max(np.abs(traj[:, :, 2] - one)) <= 1e-13 * np.linalg.norm(u0)
-        final = euler_maruyama_ito(H, ens.increments, 1.0, u0, 32)
-        assert np.array_equal(traj[-1], final)

@@ -55,9 +55,9 @@ class Param:
     An int field also takes an integral float and stores it as int; a float
     field takes any finite number and stores it as float; a list field takes
     a non-empty list of numbers; a bool field takes only true or false; a str
-    field takes one of choices, or any string where there are none; a None
-    default makes a number optional, or with pairs a non-empty list of
-    [x, V] number pairs.  With inf, a number field also takes "inf" or
+    field takes one of choices, or any string where there are none; a pairs
+    field, whose default is None, takes null or a non-empty list of [x, V]
+    number pairs.  With inf, a number field also takes "inf" or
     "infinity" in any case and stores "inf".  Numbers lie in the interval
     from lo to hi, open at an end that ends marks with a parenthesis.  A
     bound may be a function of the config document, which then holds the
@@ -294,30 +294,20 @@ _HORIZONS = Param([0.25, 0.5, 1.0, 2.0, 4.0], 0, ends="(]")
 _T_MIN = Param(
     0.5, 0, lambda doc: doc["stochastic"]["horizon"], "[)", note="below stochastic.horizon"
 )
-_SHAPES = ("gaussian", "odd")
+# the packet of each shape an initial datum or forcing may take
+_PACKETS = {"gaussian": estimates.gaussian_packet, "odd": estimates.odd_packet}
 
 
-def _packet_params(width: float) -> dict[str, Param]:
+def _packet_params(width: float, prefix: str = "u0", shape: str = "gaussian") -> dict[str, Param]:
     return {
-        "u0_shape": Param("gaussian", choices=_SHAPES),
-        "u0_width": Param(width, 0, ends="(]"),
-        "u0_center": Param(0.0),
-        "u0_momentum": Param(0.0),
+        f"{prefix}_shape": Param(shape, choices=tuple(_PACKETS)),
+        f"{prefix}_width": Param(width, 0, ends="(]"),
     }
 
 
 def _initial_data(ctx: RunContext, prefix: str = "u0"):
     pr = ctx.params
-    width = pr[f"{prefix}_width"]
-    if pr[f"{prefix}_shape"] == "odd":
-        u = estimates.odd_packet(ctx.grid, width=width)
-    else:
-        u = estimates.gaussian_packet(
-            ctx.grid,
-            width=width,
-            center=pr.get(f"{prefix}_center", 0.0),
-            momentum=pr.get(f"{prefix}_momentum", 0.0),
-        )
+    u = _PACKETS[pr[f"{prefix}_shape"]](ctx.grid, width=pr[f"{prefix}_width"])
     if not np.any(u):
         raise ValidationError(
             f"params.{prefix}_width: the packet samples to zero on a grid with h = {ctx.grid.h:.3g}"
@@ -370,18 +360,16 @@ def _run_scatter_sweep(ctx: RunContext):
 @_experiment(
     "resonance",
     "zero-energy Wronskian test classifying the potential as resonant or not",
-    tol=Param(1e-4, 0, ends="(]"),
 )
 def _run_resonance(ctx: RunContext):
     V = ctx.V
-    tol = ctx.params["tol"]
-    resonant, w0 = scattering.zero_energy_test(V, tol=tol)
+    resonant, w0 = scattering.zero_energy_test(V)
     rows = [(0.0, abs(w0))]
     for lam in (0.01, 0.05, 0.1, 0.5):
         fp = scattering.jost_solution(V, lam, "plus")
         fm = scattering.jost_solution(V, lam, "minus")
         rows.append((lam, abs(scattering.wronskian(fp, fm))))
-    report = {"resonant": bool(resonant), "abs_w0": abs(w0), "tol": tol}
+    report = {"resonant": bool(resonant), "abs_w0": abs(w0), "tol": scattering.RESONANCE_TOL}
     return report, ["lambda", "abs_w"], rows
 
 
@@ -444,15 +432,17 @@ def _run_born_check(ctx: RunContext):
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
     terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
-    ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
+    # late terms underflow to exactly 0; a ratio to a 0 term is nan, as row 0's
+    ratios = [math.nan] + [b / a if a else math.nan for a, b in zip(sups, sups[1:])]
+    max_ratio = max((q for q in ratios if not math.isnan(q)), default=math.nan)
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))
-    rows = [(i, sups[i], ratios[i - 1] if i else float("nan")) for i in range(len(sups))]
+    rows = list(zip(range(len(sups)), sups, ratios))
     report = {
         "energy": energy,
         "lambda0": lam0,
         "ratio_bound": bound,
-        "max_ratio": max(ratios),
-        "ratios_ok": bool(max(ratios) <= 1.1 * bound),
+        "max_ratio": max_ratio,
+        "ratios_ok": bool(max_ratio <= 1.1 * bound),
     }
     return report, ["n", "term_sup", "ratio"], rows
 
@@ -557,7 +547,6 @@ def _run_sde_convergence(ctx: RunContext):
     "L1 -> Linf decay of the noise-driven propagator: fits the -1/2 exponent in |beta(t)|",
     t_min=_T_MIN,
     n_time_samples=Param(16, 1),
-    beta_min=Param(None, 0),
     **_packet_params(0.5),
 )
 def _run_dispersive(ctx: RunContext):
@@ -569,7 +558,6 @@ def _run_dispersive(ctx: RunContext):
         u0,
         t_min=ctx.params["t_min"],
         n_time_samples=ctx.params["n_time_samples"],
-        beta_min=ctx.params["beta_min"],
     )
     report = _report_from_estimate(rep)
     report["hypothesis_violation"] = rep.extras["resonant"]
@@ -650,8 +638,7 @@ def _run_strichartz_hom(ctx: RunContext):
     "mixed-norm window scaling T^mu of the forced (Duhamel) term",
     horizons=_HORIZONS,
     project=Param(False),
-    forcing_shape=Param("odd", choices=_SHAPES),
-    forcing_width=Param(1.0, 0, ends="(]"),
+    **_packet_params(1.0, "forcing", "odd"),
 )
 def _run_strichartz_inhom(ctx: RunContext):
     cfg = ctx.cfg

@@ -76,15 +76,14 @@ def holder_conjugate(q: float) -> float:
 
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Exponents (rho over paths, r over time, p over space) on the window [0, horizon]."""
+    """Exponents (rho over paths, r over time) of space norms on the window [0, horizon]."""
 
     rho: float
     r: float
-    p: float
     horizon: float = 1.0
 
     def __post_init__(self):
-        for q in (self.rho, self.r, self.p):
+        for q in (self.rho, self.r):
             if q != INF and q < 1:
                 raise DomainError(f"exponents must be >= 1 or inf, got {q}")
         if self.horizon <= 0:
@@ -259,15 +258,10 @@ def fit_report(
 # ---------------------------------------------------------------------------
 # initial data helpers
 
-def gaussian_packet(
-    grid: Grid, width: float = 0.5, center: float = 0.0, momentum: float = 0.0
-) -> np.ndarray:
-    """exp(-((x-c)/w)^2) with an optional plane-wave carrier."""
+def gaussian_packet(grid: Grid, width: float = 0.5) -> np.ndarray:
+    """exp(-(x/w)^2) as a complex array."""
     x = grid.x
-    env = np.exp(-(((x - center) / width) ** 2))
-    if momentum:
-        return env * np.exp(1j * momentum * x)
-    return env.astype(complex)
+    return np.exp(-((x / width) ** 2)).astype(complex)
 
 
 def odd_packet(grid: Grid, width: float = 0.8) -> np.ndarray:
@@ -456,7 +450,7 @@ def strichartz_homogeneous_experiment(
     lhs = np.empty(len(horizons))
     for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
         norms = _space_norms_at_taus(H, u0, ens.values, p, project, mode_tol=1e-12)
-        spec = MixedNormSpec(rho=r, r=r, p=p, horizon=float(T))
+        spec = MixedNormSpec(rho=r, r=r, horizon=float(T))
         lhs[i] = mixed_norm(norms.reshape(n_paths, n_steps + 1), ens.times, spec)
     return _window_report(
         horizons, lhs, horizons ** (mu / 2.0), n_paths, seed, mu=mu, target_exponent=mu / 2.0
@@ -520,8 +514,8 @@ def strichartz_inhomogeneous_experiment(
             )
 
         norms = np.vstack(ordered_map(one_path, range(n_paths)))
-        lhs[i] = mixed_norm(norms, ens.times, MixedNormSpec(rho=rho, r=r, p=p, horizon=float(T)))
-        dual = MixedNormSpec(rho=rho, r=rp, p=pp, horizon=float(T))
+        lhs[i] = mixed_norm(norms, ens.times, MixedNormSpec(rho=rho, r=r, horizon=float(T)))
+        dual = MixedNormSpec(rho=rho, r=rp, horizon=float(T))
         rhs[i] = mixed_norm(f_norms, ens.times, dual)
     return _window_report(
         horizons,

@@ -18,6 +18,7 @@ from .errors import ConditioningError, ContractViolationError, DomainError
 from .grid_model import Grid, PotentialGrid
 
 SIGNS = ("plus", "minus")
+RESONANCE_TOL = 1e-4  # of |W(0)|, relative to max(1, ||V||_1)
 
 
 @dataclass(frozen=True)
@@ -191,21 +192,19 @@ def wronskian(f_plus: JostFunction, f_minus: JostFunction) -> complex:
     return complex(fp * fmd - fpd * fm)
 
 
-def zero_energy_test(V: PotentialGrid, tol: float = 1e-4) -> tuple[bool, complex]:
+def zero_energy_test(V: PotentialGrid) -> tuple[bool, complex]:
     """(resonant, W(0)): the verdict of detect_resonance and its Wronskian."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     w0 = wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))
-    return abs(w0) < tol * max(1.0, V.l1_norm()), w0
+    return abs(w0) < RESONANCE_TOL * max(1.0, V.l1_norm()), w0
 
 
-def detect_resonance(V: PotentialGrid, tol: float = 1e-4) -> bool:
+def detect_resonance(V: PotentialGrid) -> bool:
     """True iff the zero-energy Wronskian is (numerically) zero.
 
     The threshold scales with max(1, ||V||_1) because the discretized
     W(0) never vanishes exactly.
     """
-    return zero_energy_test(V, tol)[0]
+    return zero_energy_test(V)[0]
 
 
 def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:

@@ -481,32 +481,10 @@ def _delta(grid: Grid, iy: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_resolvent_column(
-    grid: Grid, values: np.ndarray, z: complex, y: float
-) -> np.ndarray:
-    """Kernel column R(z)(., y): solve against a grid delta at y."""
-    rhs = _delta(grid, _node_index(grid, y), np.empty(grid.n_points, dtype=complex))
-    return _shifted_solve(_shifted_factor(grid, values, z), rhs)
-
-
 def _richardson(cols) -> np.ndarray:
     # cancels the O(eps) and O(eps^2) terms of the shifts eps, eps/2, eps/4
     c1, c2, c4 = cols
     return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
-
-
-def richardson_resolvent_column(
-    grid: Grid, values: np.ndarray, energy: float, eps: float, y: float
-) -> np.ndarray:
-    """Boundary value R(energy + i0)(., y) by 3-point extrapolation in eps.
-
-    Combines eps, eps/2, eps/4 to cancel the first- and second-order
-    smoothing error of the Lorentzian regularization.
-    """
-    return _richardson(
-        dense_resolvent_column(grid, values, energy + 1j * eps / d, y)
-        for d in (1.0, 2.0, 4.0)
-    )
 
 
 def richardson_resolvent_table(
@@ -514,9 +492,10 @@ def richardson_resolvent_table(
 ) -> np.ndarray:
     """R(energy + i0)(x_i, y_j) on a probe set, linear in x between nodes.
 
-    Equals richardson_resolvent_column(..., y_j) interpolated at the xs as
-    np.interp does, but each shift is factored once for all ys, and each
-    y's column is solved into one reused buffer of which only the rows
+    Column j extrapolates (_richardson) the solves of H - energy - i eps/d,
+    d = 1, 2, 4, against a grid delta at y_j, interpolated at the xs as
+    np.interp does.  Each shift is factored once for all ys, and each y's
+    column is solved into one reused buffer of which only the rows
     bracketing the xs are kept.
 
     Each solve runs on the trailing block from row a on, one row above the
@@ -555,7 +534,6 @@ class SpectralDensityEstimate:
 
     lambda_grid: np.ndarray
     density: np.ndarray
-    epsilon: float
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, self.lambda_grid))
@@ -597,4 +575,4 @@ def stone_spectral_density(
             H.grid, H.potential.values, lam + 1j * epsilon, f
         )
         dens[i] = np.imag(np.vdot(f, u)) / np.pi
-    return SpectralDensityEstimate(lambda_grid=lams, density=dens, epsilon=epsilon)
+    return SpectralDensityEstimate(lambda_grid=lams, density=dens)

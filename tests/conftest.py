@@ -5,7 +5,7 @@ import pytest
 
 from dispersion_lab.estimates import fit_report
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
-from dispersion_lab.spectral_operator import build_hamiltonian
+from dispersion_lab.spectral_operator import build_hamiltonian, tridiagonal_resolvent_solve
 
 GAUSS31 = PotentialSpec("gaussian", amplitude=3.0, width=1.0)
 SECH21 = PotentialSpec("sech_squared", amplitude=-2.0, width=1.0)
@@ -24,6 +24,17 @@ def half_inverse_moment_report(ens, times):
     ksel = np.round(np.asarray(times) / ens.dt).astype(int)
     vals = np.mean(np.abs(ens.values[:, ksel]) ** -0.5, axis=0)
     return fit_report(times, vals, ens.n_paths, ens.seed)
+
+
+def richardson_resolvent_column(grid, values, energy, eps, y):
+    """Reference R(energy + i0)(., y): whole-grid solves against a grid delta at
+    the node y for the shifts eps, eps/2 and eps/4, extrapolated in eps."""
+    delta = np.zeros(grid.n_points, dtype=complex)
+    delta[int(round((y + grid.l_box) / grid.h))] = 1.0 / grid.h
+    c1, c2, c4 = (
+        tridiagonal_resolvent_solve(grid, values, energy + 1j * eps / d, delta) for d in (1.0, 2.0, 4.0)
+    )
+    return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
 
 
 @pytest.fixture(scope="session")

@@ -372,6 +372,61 @@ def test_output_path_that_is_a_file_ends_in_one_error_line(tmp_path, capsys, ove
     assert afile.read_text() == "keep"
 
 
+# params that no run set, now constants: a config that still sets one is rejected
+REMOVED_PARAMS = [
+    ("resonance", "tol"),
+    ("dispersive", "beta_min"),
+    *((e, k) for e in ("dispersive", "expectation-decay", "strichartz-hom") for k in ("u0_center", "u0_momentum")),
+]
+
+
+@pytest.mark.parametrize("experiment, key", REMOVED_PARAMS)
+def test_removed_param_fails_validate(tmp_path, capsys, experiment, key):
+    path = _write(tmp_path, {"experiment": experiment, "params": {key: 0.5}})
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and f"params.{key}: unknown key" in err
+
+
+# born-check configs with Born terms that are exactly 0, each with whether
+# a term ratio is left to check
+BORN_ZERO_TERMS = {
+    # every term from n = 259 on underflows to 0
+    "late-terms-underflow": (
+        {
+            "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
+            "grid": {"n_points": 257, "l_box": 15},
+            "params": {"n_terms": 1200},
+        },
+        True,
+    ),
+    # the datum exp(-x^2) samples to 0 on this grid, and so does every term
+    "zero-datum": (
+        {
+            "potential": {"family": "gaussian", "amplitude": 3, "width": 100},
+            "grid": {"n_points": 16, "l_box": 1000},
+            "params": {"n_terms": 5},
+        },
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("raw, defined", BORN_ZERO_TERMS.values(), ids=list(BORN_ZERO_TERMS))
+def test_born_check_with_zero_terms_runs_cleanly(tmp_path, capsys, raw, defined):
+    out = tmp_path / "out"
+    path = _write(tmp_path, dict(raw, experiment="born-check"))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["ratios_ok"] is defined
+    if defined:
+        assert 0.0 < metrics["max_ratio"] <= 1.1 * metrics["ratio_bound"]
+    else:
+        assert metrics["max_ratio"] is None
+
+
 class TestRangeValidation:
     @pytest.mark.parametrize("field", ["n_paths", "n_steps"])
     @pytest.mark.parametrize("value", [0, -3])

@@ -74,38 +74,38 @@ class TestMixedNorm:
     def test_constant_samples(self):
         times = np.linspace(0.0, 2.0, 65)
         samples = np.ones((5, 65))
-        spec = MixedNormSpec(rho=3.0, r=4.0, p=2.0, horizon=2.0)
+        spec = MixedNormSpec(rho=3.0, r=4.0, horizon=2.0)
         assert mixed_norm(samples, times, spec) == pytest.approx(2.0 ** 0.25, rel=1e-12)
 
     def test_single_sample_reduces_to_space_norm(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=1.0)
+        spec = MixedNormSpec(rho=2.0, r=2.0, horizon=1.0)
         val = mixed_norm(np.array([[7.5]]), np.array([0.0]), spec)
         assert val == 7.5
 
     def test_two_path_power_mean(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=2.0, r=INF, p=2.0, horizon=1.0)
+        spec = MixedNormSpec(rho=2.0, r=INF, horizon=1.0)
         assert mixed_norm(samples, times, spec) == pytest.approx(np.sqrt((4.0 + 16.0) / 2.0))
 
     def test_inf_over_paths(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=INF, r=INF, p=2.0, horizon=1.0)
+        spec = MixedNormSpec(rho=INF, r=INF, horizon=1.0)
         assert mixed_norm(samples, times, spec) == 4.0
 
     def test_window_mismatch_rejected(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=2.0)
+        spec = MixedNormSpec(rho=2.0, r=2.0, horizon=2.0)
         with pytest.raises(DomainError):
             mixed_norm(np.ones((1, 5)), np.linspace(0, 1, 5), spec)
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
-            MixedNormSpec(rho=2.0, r=2.0, p=2.0, horizon=0.0)
+            MixedNormSpec(rho=2.0, r=2.0, horizon=0.0)
 
     def test_monotone_under_domination(self, rng):
         times = np.linspace(0.0, 1.0, 17)
-        spec = MixedNormSpec(rho=3.0, r=2.0, p=2.0, horizon=1.0)
+        spec = MixedNormSpec(rho=3.0, r=2.0, horizon=1.0)
         for _ in range(10):
             big = rng.uniform(0.5, 2.0, size=(4, 17))
             small = big * rng.uniform(0.0, 1.0, size=(4, 17))
@@ -406,7 +406,7 @@ def assert_inhom_equals_direct_sum(H, g, project):
         for k in range(1, n_steps + 1):
             states[:, k] = ens.dt * propagate_batch(H, b[k] - b[:k], g, project).sum(axis=1)
         norms[pi] = lp_norms_columns(states, 4.0, H.grid)
-    expect = mixed_norm(norms, ens.times, MixedNormSpec(rho=2.0, r=4.0, p=4.0, horizon=T))
+    expect = mixed_norm(norms, ens.times, MixedNormSpec(rho=2.0, r=4.0, horizon=T))
     assert rep.values[0] == pytest.approx(expect, rel=1e-10)
     return rep
 
@@ -424,7 +424,7 @@ class TestTimeResolutionStability:
         ens = sample_brownian(T, n_steps, n_paths, seed=33)
         norms = _space_norms_at_taus(H, u0, ens.values, 4.0, False, 1e-12)
         norms = norms.reshape(n_paths, n_steps + 1)
-        spec = MixedNormSpec(rho=4.0, r=4.0, p=4.0, horizon=T)
+        spec = MixedNormSpec(rho=4.0, r=4.0, horizon=T)
         full = mixed_norm(norms, ens.times, spec)
         half = mixed_norm(norms[:, ::2], ens.times[::2], spec)
         # the path norm is Holder-1/2 in t, so quadrature converges slowly;

@@ -13,7 +13,7 @@ from dispersion_lab.scattering import (
     wronskian,
     zero_energy_test,
 )
-from dispersion_lab.spectral_operator import richardson_resolvent_column
+from dispersion_lab.spectral_operator import richardson_resolvent_table
 
 from conftest import GAUSS31, SECH21
 
@@ -176,9 +176,8 @@ class TestResolventKernel:
         l_or, h_or = 2000.0, 0.008
         grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / h_or)) + 1)
         vals_or = GAUSS31(grid_or.x)
-        col = richardson_resolvent_column(grid_or, vals_or, lam**2, lam * 11.5 / l_or * 4, 1.0)
-        ix = int(round((-1.0 + l_or) / h_or))
-        dense = col[ix]
+        eps = lam * 11.5 / l_or * 4
+        dense = richardson_resolvent_table(grid_or, vals_or, lam**2, eps, [-1.0], [1.0])[0, 0]
         jost = kernel_at(gauss_pot, lam, -1.0, 1.0)
         assert abs(jost - dense) / abs(dense) < 1e-3
 

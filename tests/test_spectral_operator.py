@@ -14,18 +14,16 @@ from dispersion_lab.spectral_operator import (
     RowPanels,
     born_series_terms,
     build_hamiltonian,
-    dense_resolvent_column,
     evolve,
     occupied_modes,
     propagate_batch,
     real_basis_product,
-    richardson_resolvent_column,
     richardson_resolvent_table,
     stone_spectral_density,
     tridiagonal_resolvent_solve,
 )
 
-from conftest import GAUSS31, SECH21, ZERO
+from conftest import GAUSS31, SECH21, ZERO, richardson_resolvent_column
 
 
 def dirichlet_eigenvalues(n, h):
@@ -652,11 +650,6 @@ class TestDenseResolventHelpers:
         col = richardson_resolvent_column(grid, vals, energy, eps, 0.0)
         ix = int(round((1.0 + grid.l_box) / grid.h))
         assert col[ix] == pytest.approx(free_resolvent_kernel(1.0, 1.0, 0.0), rel=5e-3)
-
-    def test_off_grid_probe_rejected(self):
-        grid = Grid(l_box=10.0, n_points=101)
-        with pytest.raises(DomainError):
-            dense_resolvent_column(grid, np.zeros(101), 1.0 + 0.1j, 0.05)
 
 
 class TestFreeResolventApply:

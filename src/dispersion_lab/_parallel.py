@@ -1,17 +1,63 @@
-"""Deterministic work distribution over independent path indices.
+"""Deterministic work distribution, and the threads the lab owns.
 
 Results are collected in input order, so any worker count yields the
-same output bit for bit. The worker cap comes from the environment
-variable DISPERSION_LAB_THREADS (default: serial), clamped to the cores
-this process may run on.
+same output bit for bit.  At import, numpy's bundled OpenBLAS is pinned
+to one thread, and the threads it started with (OPENBLAS_NUM_THREADS, or
+its own default) go to the lab's workers instead: the worker cap is
+DISPERSION_LAB_THREADS (default 1) times that BLAS thread count, clamped
+to the cores this process may run on.  That is the core budget the
+environment already grants as lab workers x BLAS threads.  Every GEMM
+then runs on one thread, so data.csv depends on neither count.  Where
+numpy's BLAS cannot be pinned (MKL, Accelerate, an OpenBLAS outside
+numpy.libs), it keeps its threads and the cap is DISPERSION_LAB_THREADS.
+scipy's LAPACK links its own OpenBLAS copy, which keeps its threads.
 """
 
+import ctypes
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 ENV_THREADS = "DISPERSION_LAB_THREADS"
 _WORKER_PREFIX = "dispersion-lab-worker"
+# thread-count symbols of numpy's scipy-openblas wheels, then of older OpenBLAS builds
+_BLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
+
+
+def pin_blas(libs_dir: str) -> tuple[int, bool]:
+    """Pin the OpenBLAS in libs_dir to one thread.
+
+    Returns the thread count it started with and whether the pin took;
+    (1, False) where no library there exports a known symbol pair.
+    """
+    for path in sorted(glob.glob(os.path.join(libs_dir, "lib*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        except OSError:
+            continue
+        for name in _BLAS_SYMBOLS:
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found = max(1, get())
+            put(1)
+            return found, get() == 1
+    return 1, False
+
+
+BLAS_THREADS_FOUND, BLAS_PINNED = pin_blas(
+    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+)
 
 
 def usable_cores() -> int:
@@ -23,12 +69,12 @@ def usable_cores() -> int:
 
 
 def worker_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
+    """DISPERSION_LAB_THREADS x the BLAS threads found, clamped to the usable cores."""
     try:
-        n = int(raw)
+        lab = max(1, int(os.environ.get(ENV_THREADS, "1")))
     except ValueError:
-        return 1
-    return max(1, min(n, usable_cores()))
+        lab = 1
+    return min(lab * BLAS_THREADS_FOUND, usable_cores())
 
 
 def ordered_map(fn, items):

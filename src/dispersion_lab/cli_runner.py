@@ -30,13 +30,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
-from ._parallel import ENV_THREADS, usable_cores, worker_count
+from ._parallel import BLAS_PINNED, BLAS_THREADS_FOUND, ENV_THREADS, usable_cores, worker_count
 from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
 from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
-# thread caps that the manifest records: BLAS results, and so the bytes of
-# data.csv, depend on the BLAS thread count
+# thread caps that the manifest records: lab workers x BLAS threads is the
+# core budget; the bytes of data.csv depend on neither while BLAS is pinned
 THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -724,7 +724,12 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
 def _blas() -> dict:
     deps = np.show_config(mode="dicts").get("Build Dependencies", {})
     blas = deps.get("blas", {})
-    return {"name": blas.get("name"), "version": blas.get("version")}
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "threads_found": BLAS_THREADS_FOUND,
+        "pinned": BLAS_PINNED,
+    }
 
 
 def _peak_rss_mb() -> float | None:
@@ -776,7 +781,10 @@ def main(argv=None) -> int:
         width = max(len(n) for n in EXPERIMENTS)
         for name, entry in EXPERIMENTS.items():
             print(f"{name:<{width}}  {entry.description}")
-        print(f"({len(EXPERIMENTS)} experiments; workers capped by {ENV_THREADS})")
+        print(
+            f"({len(EXPERIMENTS)} experiments; workers: {ENV_THREADS}"
+            " x the BLAS threads found, capped by the usable cores)"
+        )
         return 0
 
     try:

@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     HypothesisViolationWarning,
 )
-from .grid_model import Grid, simpson_weights
+from .grid_model import Grid, simpson_weights, sorted_unique
 from .scattering import detect_resonance
 from .spectral_operator import DiscreteHamiltonian, RowPanels, evolve, occupied_modes
 from .stochastic import BrownianEnsemble, sample_brownian
@@ -176,6 +176,25 @@ class EstimateReport:
             raise DomainError("confidence interval must contain the fitted slope")
 
 
+def percentile(x, q: float) -> float:
+    """np.percentile(x, q) by its default linear rule, bit for bit but for
+    the sign of a zero where x holds both 0.0 and -0.0.
+
+    np.percentile imports numpy.ma on first use, 12-18 ms per process.  The
+    q-th percentile of the n sorted values sits at position (n - 1) q / 100;
+    between two order statistics a and b it is interpolated from the nearer
+    one, as numpy does.
+    """
+    s = np.sort(np.asarray(x, dtype=float))
+    pos = (len(s) - 1) * (q / 100)
+    if pos >= len(s) - 1:
+        return float(s[-1])
+    i = math.floor(pos)
+    g = pos - i
+    a, b = float(s[i]), float(s[i + 1])
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def fit_decay_exponent(
     abscissa,
     values,
@@ -212,7 +231,7 @@ def fit_decay_exponent(
         if np.ptp(la[idx]) == 0:
             continue
         boots.append(np.polyfit(la[idx], lv[idx], 1)[0])
-    lo, hi = np.percentile(boots, [2.5, 97.5])
+    lo, hi = (percentile(boots, q) for q in (2.5, 97.5))
     lo, hi = min(lo, slope), max(hi, slope)
     return EstimateReport(
         abscissa=a,
@@ -279,7 +298,7 @@ def _select_time_indices(
         ts = np.geomspace(max(t_min, ensemble.dt), ensemble.horizon, n_samples)
     else:
         ts = np.linspace(max(t_min, ensemble.dt), ensemble.horizon, n_samples)
-    return np.unique(np.round(ts / ensemble.dt).astype(int))
+    return sorted_unique(np.round(ts / ensemble.dt).astype(int))
 
 
 def _space_norms_at_taus(

@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
 from .errors import AliasingWarning, DomainError
-from .grid_model import Grid, PotentialGrid, simpson_weights
+from .grid_model import Grid, PotentialGrid, simpson_weights, sorted_unique
 
 DENSE_SOLVER_CAP = 8192
 
@@ -267,7 +267,7 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
 # ---------------------------------------------------------------------------
 # propagation kernel: occupied modes -> phases -> one real GEMM per tau block
 
-_TAU_CHUNK = 1024  # fixed so results never depend on the worker count
+_TAU_CHUNK = 512  # fixed so results never depend on the worker count
 _ROW_PANEL = 256  # rows of a reduced block's states held at a time
 
 
@@ -349,8 +349,10 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
 
     def one_block(start: int) -> np.ndarray:
         sl = slice(start, start + _TAU_CHUNK)
-        # phases and coefficients share one buffer
-        z = -1j * np.outer(modes.energies, taus[sl])
+        # phases and coefficients share one buffer, built in place: no real
+        # (m, b) temporary, and the bits of exp(-1j * outer(E, tau))
+        z = np.zeros((len(modes.energies), len(taus[sl])), dtype=complex)
+        np.multiply.outer(modes.energies, -taus[sl], out=z.imag)
         np.exp(z, out=z)
         z *= modes.coef[:, sl] if table else modes.coef[:, None]
         if reduce is None:
@@ -507,7 +509,7 @@ def richardson_resolvent_table(
     xs = np.asarray(xs, dtype=float)
     iys = [_node_index(grid, float(y)) for y in ys]
     lo = np.clip(np.searchsorted(grid.x, xs, side="right") - 1, 0, grid.n_points - 2)
-    rows = np.unique(np.concatenate([lo, lo + 1]))
+    rows = sorted_unique(np.concatenate([lo, lo + 1]))
     buf = np.empty(grid.n_points, dtype=complex)
 
     def solve_rows(factors: tuple, iy: int) -> np.ndarray:
@@ -560,7 +562,9 @@ def stone_spectral_density(
     lams = np.linspace(a, b, n_lambda)
     inside = H.eigenvalues[(H.eigenvalues >= a) & (H.eigenvalues <= b)]
     if len(inside) > 1:
-        spacing = float(np.median(np.diff(inside)))
+        gaps = np.sort(np.diff(inside))  # np.median would import numpy.ma
+        mid = len(gaps) // 2
+        spacing = float(gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2)
         if epsilon < spacing / 10.0 and (b - a) / (n_lambda - 1) > epsilon:
             warnings.warn(
                 "lambda grid coarser than the smoothing width; the density "

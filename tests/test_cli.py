@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -201,6 +202,29 @@ class TestImportBudget:
         assert proc.stdout.split() == []
 
 
+    def test_runs_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique, np.percentile and np.median import numpy.ma on first use, 12-18 ms
+        stone = tmp_path / "stone.json"
+        stone.write_text(
+            json.dumps(
+                {
+                    "experiment": "stone-density",
+                    "grid": {"n_points": 128, "l_box": 8.0},
+                    "output_dir": str(tmp_path / "stone"),
+                }
+            )
+        )
+        code = (
+            "import sys; from dispersion_lab.cli_runner import load_config, run; "
+            f"assert run(load_config({str(small_dispersive_config(tmp_path))!r})) == 0; "
+            f"assert run(load_config({str(stone)!r})) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+
 class TestManifest:
     def test_records_blas_threads_cores_and_cost(self, tmp_path, monkeypatch):
         from dispersion_lab.cli_runner import THREAD_VARS
@@ -212,6 +236,11 @@ class TestManifest:
             assert run(cfg, out_dir=tmp_path / tag) == 0
         man = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
         assert all(isinstance(man["blas"][k], str) for k in ("name", "version"))
+        # the thread count numpy's BLAS started with, and whether it is now pinned to one
+        assert isinstance(man["blas"]["threads_found"], int) and man["blas"]["threads_found"] >= 1
+        assert isinstance(man["blas"]["pinned"], bool)
+        if not man["blas"]["pinned"]:
+            assert man["blas"]["threads_found"] == 1
         assert set(man["thread_env"]) == set(THREAD_VARS)
         assert man["thread_env"]["DISPERSION_LAB_THREADS"] == "1"
         assert man["thread_env"]["MKL_NUM_THREADS"] is None
@@ -255,6 +284,30 @@ class TestReproducibility:
             assert run(cfg, out_dir=tmp_path / workers) == 0
             blobs.append((tmp_path / workers / "data.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_same_bytes_across_lab_and_blas_thread_counts(self, tmp_path):
+        # the criterion-3 kernel at a shape whose 2-thread dgemm rounds
+        # differently from the 1-thread one, run in fresh processes because
+        # OpenBLAS reads its thread count when it loads
+        doc = {
+            "experiment": "expectation-decay",
+            "potential": {"family": "zero"},
+            "grid": {"n_points": 1024, "l_box": 40.0},
+            "stochastic": {"horizon": 16.0, "n_steps": 256, "n_paths": 64, "seed": 7},
+            "params": {"n_time_samples": 16, "u0_width": 0.18},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        blobs = {}
+        for lab in ("1", "2"):
+            for blas in ("1", "2"):
+                out = tmp_path / f"lab{lab}-blas{blas}"
+                env = dict(os.environ, DISPERSION_LAB_THREADS=lab, OPENBLAS_NUM_THREADS=blas)
+                cmd = [sys.executable, "-m", "dispersion_lab.cli_runner", "run", str(path), "--out", str(out)]
+                proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                blobs[(lab, blas)] = (out / "data.csv").read_bytes()
+        assert len(set(blobs.values())) == 1, sorted(blobs)
 
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)

@@ -25,10 +25,11 @@ from dispersion_lab.estimates import (
     mu_homogeneous,
     mu_inhomogeneous,
     odd_packet,
+    percentile,
     strichartz_homogeneous_experiment,
     strichartz_inhomogeneous_experiment,
 )
-from dispersion_lab.grid_model import Grid, sample_potential
+from dispersion_lab.grid_model import Grid, sample_potential, sorted_unique
 from dispersion_lab.spectral_operator import build_hamiltonian
 from dispersion_lab.stochastic import sample_brownian
 
@@ -189,6 +190,24 @@ class TestFitDecayExponent:
         v[3] = np.inf
         with pytest.raises(DomainError, match="finite"):
             fit_decay_exponent(a, v)
+
+
+class TestNumpyMaFreeOrderStatistics:
+    """percentile and sorted_unique against the numpy calls they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 399, 400])
+    def test_percentile_is_numpy_percentile_bit_for_bit(self, rng, n):
+        for scale in (1e-3, 1.0, 1e5):
+            x = scale * rng.normal(size=n)
+            x[: n // 3] = np.round(x[: n // 3], 1) + 0.05 * scale  # ties, no zeros
+            for q in (0.0, 2.5, 12.5, 50.0, 97.5, 100.0):
+                assert np.float64(percentile(x, q)).tobytes() == np.percentile(x, q).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 100])
+    def test_sorted_unique_is_numpy_unique(self, rng, n):
+        a = rng.integers(-5, 5, size=n)
+        got, want = sorted_unique(a), np.unique(a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestFitReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .grid_model import Grid, simpson_weights, sorted_unique
 from .scattering import detect_resonance
-from .spectral_operator import DiscreteHamiltonian, RowPanels, evolve, occupied_modes
+from .spectral_operator import DiscreteHamiltonian, RowPanels, duhamel, evolve, occupied_modes
 from .stochastic import BrownianEnsemble, sample_brownian
 
 INF = math.inf
@@ -45,18 +45,19 @@ def lp_norm_x(u: np.ndarray, p: float, grid: Grid) -> float:
 def lp_norms_columns(states: np.ndarray | RowPanels, p: float, grid: Grid) -> np.ndarray:
     """L^p norm of every column of a (n_points, n_times) state matrix.
 
-    states may also be RowPanels, folded in row order: a running maximum
-    for p = inf, and for finite p the running sum rides along as row 0 of
-    the next panel's |u|^p.  numpy adds the rows of a C-ordered array with
-    more than one column strictly in order, so the fold equals the whole
-    array's sum bit for bit.
+    states may also be RowPanels, whose |u|^p blocks (RowPanels.abs_blocks)
+    are folded in row order: a running maximum for p = inf, and for finite
+    p the running sum rides along as row 0 of the next block.  numpy adds
+    the rows of a C-ordered array with more than one column strictly in
+    order, so the fold equals the sum of the stacked blocks bit for bit.
     """
+    g = (lambda a: a) if p == INF else (lambda a: a**p)
+    blocks = states.abs_blocks(g) if isinstance(states, RowPanels) else [g(np.abs(states))]
     acc = None
-    for a in map(np.abs, states if isinstance(states, RowPanels) else [states]):
+    for a in blocks:
         if p == INF:
             acc = a.max(axis=0) if acc is None else np.maximum(acc, a.max(axis=0))
         else:
-            a = a**p
             acc = np.sum(a if acc is None else np.vstack([acc, a]), axis=0)
     if p == INF:
         return acc
@@ -427,7 +428,7 @@ def convolution_lemma_experiment(
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     horizons = np.asarray(horizons, dtype=float)
     lhs = np.empty(len(horizons))
-    lower = np.tril_indices(n_steps + 1, -1)
+    lower = np.tri(n_steps + 1, k=-1, dtype=bool)  # strictly s < t
     for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
         wq = simpson_weights(n_steps + 1, ens.dt)
 
@@ -435,7 +436,7 @@ def convolution_lemma_experiment(
             b = _ens.values[pi]
             kern = np.zeros((len(b), len(b)))
             with np.errstate(divide="ignore"):
-                kern[lower] = np.abs(b[lower[0]] - b[lower[1]]) ** (-alpha)
+                np.power(np.abs(np.subtract.outer(b, b)), -alpha, out=kern, where=lower)
             g = kern.sum(axis=1) * _ens.dt
             return float(np.sum(_wq * g**2))
 
@@ -518,21 +519,7 @@ def strichartz_inhomogeneous_experiment(
     lhs = np.empty(len(horizons))
     rhs = np.empty(len(horizons))
     for i, T, ens in _windows(horizons, n_steps, n_paths, seed):
-
-        def one_path(pi: int, _ens=ens):
-            # Duhamel coefficients dt * sum_{s_j < t_k} e^{i beta(s_j) H} f,
-            # then propagated by e^{-i beta(t_k) H}
-            b = _ens.values[pi]
-            csum = np.cumsum(
-                np.exp(1j * np.outer(modes.energies, b)) * modes.coef[:, None], axis=1
-            )
-            duh = np.zeros_like(csum)
-            duh[:, 1:] = _ens.dt * csum[:, :-1]  # strictly s < t
-            return evolve(
-                replace(modes, coef=duh), b, reduce=lambda st: lp_norms_columns(st, p, grid)
-            )
-
-        norms = np.vstack(ordered_map(one_path, range(n_paths)))
+        norms = duhamel(modes, ens.values, ens.dt, lambda st: lp_norms_columns(st, p, grid))
         lhs[i] = mixed_norm(norms, ens.times, MixedNormSpec(rho=rho, r=r, horizon=float(T)))
         dual = MixedNormSpec(rho=rho, r=rp, horizon=float(T))
         rhs[i] = mixed_norm(f_norms, ens.times, dual)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -273,29 +273,25 @@ _ROW_PANEL = 256  # rows of a reduced block's states held at a time
 
 @dataclass(frozen=True)
 class OccupiedModes:
-    """Eigenbasis data of a datum restricted to its occupied modes.
-
-    coef is (m,) for one vector; an (m, k) table gives every tau its own
-    coefficient column.
-    """
+    """Eigenbasis data of a datum restricted to its occupied modes."""
 
     basis: Eigenbasis  # (n, m) real eigenvector columns
     energies: np.ndarray  # (m,)
-    coef: np.ndarray  # (m,) or (m, k), complex
+    coef: np.ndarray  # (m,), complex
 
 
 def occupied_modes(
     H: DiscreteHamiltonian, u: np.ndarray, project: bool = False, mode_tol: float = 0.0
 ) -> OccupiedModes:
-    """Eigen coefficients of u, a vector (n,) or columns (n, k).
+    """Eigen coefficients of one datum vector u (n,).
 
-    project zeroes the bound-state coefficients.  mode_tol > 0, for a
-    vector u, keeps only the eigenmodes whose amplitude exceeds mode_tol
-    times the largest one, trading a bounded truncation error for a
-    smaller basis product.  The modes come in the order of H.basis.
+    project zeroes the bound-state coefficients.  mode_tol > 0 keeps only
+    the eigenmodes whose amplitude exceeds mode_tol times the largest one,
+    trading a bounded truncation error for a smaller basis product.  The
+    modes come in the order of H.basis.
     """
-    if mode_tol > 0.0 and np.ndim(u) != 1:
-        raise DomainError(f"a mode cut needs one datum vector, got shape {np.shape(u)}")
+    if np.ndim(u) != 1:
+        raise DomainError(f"occupied modes need one datum vector, got shape {np.shape(u)}")
     c = H.to_eigenbasis(np.asarray(u, dtype=complex))
     if project:
         c[H.bound_state_indices] = 0.0
@@ -309,7 +305,8 @@ def occupied_modes(
 
 @dataclass(frozen=True)
 class RowPanels:
-    """The states basis @ data of one tau block, produced in row panels.
+    """The states basis @ data of one tau block or Duhamel path group,
+    produced in row panels.
 
     Iterating yields the row blocks of basis.product(data, rows) for
     panels of _ROW_PANEL rows of the half vectors, so a column reduction
@@ -327,11 +324,41 @@ class RowPanels:
     def shape(self) -> tuple[int, int]:
         return (self.basis.n, self.data.shape[1])
 
-    def __iter__(self):
+    def _panels(self):
         height = len(self.basis.even)
         rows = _ROW_PANEL if self.data.shape[1] > 1 else height
-        for r in range(0, height, rows):
-            yield from self.basis.product(self.data, slice(r, r + rows))
+        return (slice(r, r + rows) for r in range(0, height, rows))
+
+    def __iter__(self):
+        for rows in self._panels():
+            yield from self.basis.product(self.data, rows)
+
+    def abs_blocks(self, g):
+        """g(|block|) for the blocks of iter(self), in the same order.
+
+        Where one parity holds every mode, a mirror block is its top rows
+        up to sign, so its g(|.|) is a view of theirs: no second product
+        slice, negation, abs or g.  The two share memory; write to neither.
+        """
+        if 0 < self.basis.even.shape[1] < len(self.data):
+            for block in self:
+                yield g(np.abs(block))
+            return
+        top_rows = replace(self.basis, n=len(self.basis.even))  # no mirror rows
+        for rows in self._panels():
+            # the product is freed before the block is handed on
+            a = g(np.abs(top_rows.product(self.data, rows)[0]))
+            yield a
+            if mirror := len(range(self.basis.mirror_rows)[rows]):
+                yield a[:mirror]
+
+
+def _phases(energies: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """exp(-1j * outer(E, tau)) bit for bit, built in one zeroed complex
+    buffer: no real (m, b) temporary."""
+    z = np.zeros((len(energies), len(taus)), dtype=complex)
+    np.multiply.outer(energies, -taus, out=z.imag)
+    return np.exp(z, out=z)
 
 
 def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
@@ -343,18 +370,10 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     so only those are kept.
     """
     taus = np.asarray(taus, dtype=float).ravel()
-    table = modes.coef.ndim == 2
-    if table and modes.coef.shape[1] != len(taus):
-        raise DomainError("a coefficient table needs one column per tau")
 
     def one_block(start: int) -> np.ndarray:
-        sl = slice(start, start + _TAU_CHUNK)
-        # phases and coefficients share one buffer, built in place: no real
-        # (m, b) temporary, and the bits of exp(-1j * outer(E, tau))
-        z = np.zeros((len(modes.energies), len(taus[sl])), dtype=complex)
-        np.multiply.outer(modes.energies, -taus[sl], out=z.imag)
-        np.exp(z, out=z)
-        z *= modes.coef[:, sl] if table else modes.coef[:, None]
+        z = _phases(modes.energies, taus[start : start + _TAU_CHUNK])
+        z *= modes.coef[:, None]
         if reduce is None:
             return modes.basis.full_product(z)
         return reduce(RowPanels(modes.basis, z))
@@ -362,6 +381,40 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     # an empty tau list still yields one (empty) block of the right shape
     parts = ordered_map(one_block, range(0, max(len(taus), 1), _TAU_CHUNK))
     return np.concatenate(parts, axis=-1)
+
+
+def duhamel(modes: OccupiedModes, paths: np.ndarray, dt: float, reduce) -> np.ndarray:
+    """reduce of the forced states dt * sum_{j < k} e^{-i (b_k - b_j) H} f.
+
+    paths holds one path b per row, and modes are those of f; the result
+    has the shape of paths.  The work items are groups of
+    max(1, _TAU_CHUNK // steps) whole paths, fixed by the path length and
+    never by the worker count.  A group builds its phases P = exp(-i E b)
+    once.  The coefficients exp(+i E b_j) f_E are conj(P) f_E bit for bit:
+    E * (-b) = -(E * b) exactly, libm's sin is odd and its cos even.  Their
+    running sum over each path, shifted so that s_j < t_k strictly, times
+    dt, multiplies P in place, and reduce gets the group's states as
+    RowPanels.
+    """
+    paths = np.asarray(paths, dtype=float)
+    n_paths, steps = paths.shape
+    group = max(1, _TAU_CHUNK // steps)
+
+    def one_group(start: int) -> np.ndarray:
+        b = paths[start : start + group]
+        z = _phases(modes.energies, b.ravel())
+        csum = np.conjugate(z)
+        csum *= modes.coef[:, None]
+        csum = csum.reshape(len(z), len(b), steps)
+        np.cumsum(csum, axis=2, out=csum)
+        csum *= dt
+        z3 = z.reshape(csum.shape)
+        z3[:, :, 1:] *= csum[:, :, :-1]
+        z3[:, :, 0] = 0.0
+        del csum  # the reduction holds one table
+        return reduce(RowPanels(modes.basis, z)).reshape(len(b), steps)
+
+    return np.concatenate(ordered_map(one_group, range(0, n_paths, group)))
 
 
 def propagate_batch(

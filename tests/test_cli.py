@@ -324,7 +324,12 @@ class TestReproducibility:
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name",
-        ["dispersive_free.json", "scatter_sweep_gaussian.json", "strichartz_hom_44.json"],
+        [
+            "dispersive_free.json",
+            "scatter_sweep_gaussian.json",
+            "strichartz_hom_44.json",
+            "strichartz_inhom_244.json",
+        ],
     )
     def test_sample_configs_validate(self, name):
         from pathlib import Path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dispersion_lab import _parallel, spectral_operator
 from dispersion_lab.errors import (
     ConditioningError,
     ContractViolationError,
@@ -430,6 +431,90 @@ def assert_inhom_equals_direct_sum(H, g, project):
     return rep
 
 
+def per_path_duhamel_tables(modes, ens):
+    """The coefficient tables of the per-path Duhamel closure the kernel
+    replaced: exp(+i E b) from its own outer product, the shifted running
+    sum, then the phases e^{-i b E} of the same path."""
+    for b in ens.values:
+        csum = np.cumsum(np.exp(1j * np.outer(modes.energies, b)) * modes.coef[:, None], axis=1)
+        duh = np.zeros_like(csum)
+        duh[:, 1:] = ens.dt * csum[:, :-1]  # strictly s < t
+        yield np.exp(-1j * np.outer(modes.energies, b)) * duh
+
+
+def row_fold_norms(panels, p, grid):
+    """lp_norms_columns as it read RowPanels before the mirror reuse: |.|
+    and |.|^p of every block of the product, folded in row order."""
+    acc = None
+    for a in map(np.abs, panels):
+        if p == INF:
+            acc = a.max(axis=0) if acc is None else np.maximum(acc, a.max(axis=0))
+        else:
+            a = a**p
+            acc = np.sum(a if acc is None else np.vstack([acc, a]), axis=0)
+    return acc if p == INF else (grid.h * acc) ** (1.0 / p)
+
+
+class TestDuhamelKernel:
+    """duhamel against the per-path closure it replaced.
+
+    A GEMM's column results depend in the last bits on where the column
+    sits in the product (OpenBLAS runs the last columns through narrower
+    kernels), so the reference reduces each group's tables with one
+    product, as the kernel does.  Reduced one path at a time the norms
+    agree to round-off.
+    """
+
+    N_STEPS, N_PATHS = 32, 20  # groups of 512 // 33 = 15 paths: 15 + a ragged 5
+
+    def check(self, H, f, project, p, chunk=spectral_operator._TAU_CHUNK):
+        from dispersion_lab.estimates import lp_norms_columns
+        from dispersion_lab.spectral_operator import RowPanels, duhamel, occupied_modes
+
+        modes = occupied_modes(H, f, project, mode_tol=1e-12)
+        ens = sample_brownian(1.0, self.N_STEPS, self.N_PATHS, seed=91)
+        group = max(1, chunk // (self.N_STEPS + 1))
+        tables = list(per_path_duhamel_tables(modes, ens))
+        want = np.concatenate([
+            row_fold_norms(RowPanels(modes.basis, np.hstack(tables[i : i + group])), p, H.grid)
+            for i in range(0, self.N_PATHS, group)
+        ]).reshape(ens.values.shape)
+        runs = []
+        reduce = lambda states: lp_norms_columns(states, p, H.grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
+            for workers in ("1", "2"):
+                mp.setenv("DISPERSION_LAB_THREADS", workers)
+                runs.append(duhamel(modes, ens.values, ens.dt, reduce))
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], want)
+        per_path = np.stack([row_fold_norms(RowPanels(modes.basis, t), p, H.grid) for t in tables])
+        assert np.max(np.abs(per_path - want)) <= 1e-14 * np.abs(want).max()
+        return modes
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, INF])
+    @pytest.mark.parametrize("chunk", [512, 20], ids=["groups", "chunk-below-path"])
+    def test_free_split_one_parity(self, ham_free_1024_l30, p, chunk):
+        H = ham_free_1024_l30
+        odd = self.check(H, odd_packet(H.grid, width=1.0), False, p, chunk)
+        assert odd.basis.even.shape[1] == 0 < odd.basis.odd.shape[1]
+        even = self.check(H, gaussian_packet(H.grid, width=1.0), False, p, chunk)
+        assert even.basis.odd.shape[1] == 0 < even.basis.even.shape[1]
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, INF])
+    def test_free_split_mixed_parity(self, ham_free_1024_l30, p):
+        H = ham_free_1024_l30
+        f = odd_packet(H.grid, width=1.0) + 0.3 * gaussian_packet(H.grid, width=1.0)
+        modes = self.check(H, f, False, p)
+        assert modes.basis.even.shape[1] > 0 and modes.basis.odd.shape[1] > 0
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, INF])
+    def test_unsplit_projected(self, ham_sech_1024_l30, p):
+        H = ham_sech_1024_l30
+        assert H.basis.mirror_rows == 0 and len(H.bound_state_indices) > 0
+        self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p)
+
+
 class TestTimeResolutionStability:
     def test_doubling_time_grid_is_converged(self, ham_free_1024_l30):
         # Richardson-style check on one ensemble: the window norm from the
@@ -476,3 +561,32 @@ class TestStreamedNormMemory:
             tracemalloc.stop()
         assert sup.shape == (1024,)
         assert peak < whole_block / 2
+
+    def test_duhamel_window_holds_one_group(self):
+        # 128 paths of 129 steps and the 201 modes of a width-0.5 Gaussian at
+        # n = 1024: the window's coefficient tables would take 53 MB; one
+        # worker holds a group of 512 // 129 = 3 paths, 1.2 MB per table,
+        # and one panel of the group's states
+        import tracemalloc
+
+        from dispersion_lab.estimates import lp_norms_columns
+        from dispersion_lab.grid_model import PotentialSpec
+        from dispersion_lab.spectral_operator import duhamel, occupied_modes
+
+        grid = Grid(l_box=30.0, n_points=1024)
+        H = build_hamiltonian(sample_potential(PotentialSpec("zero"), grid))
+        modes = occupied_modes(H, gaussian_packet(grid, width=0.5), mode_tol=1e-12)
+        assert len(modes.energies) == 201
+        ens = sample_brownian(4.0, 128, 128, seed=5)
+        all_tables = len(modes.energies) * ens.values.size * np.dtype(complex).itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_parallel, "worker_count", lambda: 1)
+            tracemalloc.start()
+            try:
+                reduce = lambda states: lp_norms_columns(states, 4.0, grid)
+                norms = duhamel(modes, ens.values, ens.dt, reduce)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert norms.shape == (128, 129)
+        assert peak < all_tables / 4

@@ -251,20 +251,6 @@ class TestPropagationKernel:
         modes = occupied_modes(H, u, project=True)
         assert np.all(modes.coef[H.bound_state_indices] == 0.0)
 
-    def test_table_gives_each_tau_its_column(self, ham_gauss_1024):
-        H = ham_gauss_1024
-        a, b = smooth_datum(H, 3), smooth_datum(H, 4)
-        taus = np.array([0.4, -1.3])
-        table = evolve(occupied_modes(H, np.stack([a, b], axis=1)), taus)
-        assert np.allclose(table[:, 0], propagate_batch(H, [0.4], a)[:, 0], rtol=0, atol=1e-12)
-        assert np.allclose(table[:, 1], propagate_batch(H, [-1.3], b)[:, 0], rtol=0, atol=1e-12)
-
-    def test_table_needs_one_column_per_tau(self, ham_gauss_1024):
-        H = ham_gauss_1024
-        modes = occupied_modes(H, np.stack([smooth_datum(H, 6)] * 3, axis=1))
-        with pytest.raises(DomainError):
-            evolve(modes, [0.1, 0.2])
-
     def test_empty_inputs(self, ham_gauss_1024):
         H = ham_gauss_1024
         assert propagate_batch(H, np.zeros(0), smooth_datum(H, 5)).shape == (H.n, 0)
@@ -296,17 +282,13 @@ class TestStreamedReduction:
         H = build_hamiltonian(sample_potential(GAUSS31, grid))
         rng = np.random.Generator(np.random.Philox(key=[n, 4]))
         taus = rng.uniform(-4.0, 4.0, 1024)
-        columns = np.stack([smooth_datum(H, k) for k in range(len(taus))], axis=1)
         layout = np.asfortranarray if order == "F" else np.ascontiguousarray
-        for modes in (
-            occupied_modes(H, smooth_datum(H, n)),  # all n modes
-            occupied_modes(H, columns),  # coefficient table
-        ):
-            modes = replace(modes, basis=replace(modes.basis, even=layout(modes.basis.even)))
-            whole = evolve(modes, taus)
-            for p in P_EXPONENTS:
-                want = lp_norms_columns(whole, p, grid)
-                assert np.array_equal(reduced(modes, taus, p, grid), want)
+        modes = occupied_modes(H, smooth_datum(H, n))  # all n modes
+        modes = replace(modes, basis=replace(modes.basis, even=layout(modes.basis.even)))
+        whole = evolve(modes, taus)
+        for p in P_EXPONENTS:
+            want = lp_norms_columns(whole, p, grid)
+            assert np.array_equal(reduced(modes, taus, p, grid), want)
 
     def test_single_column_comes_as_one_panel(self, ham_gauss_1024):
         # numpy sums a single column pairwise, so it is not split into panels
@@ -452,6 +434,49 @@ class TestParitySplit:
         assert "eigenvectors" not in vars(H)
 
 
+# even; odd whose last 256-row panel is the middle node alone; even
+@pytest.mark.parametrize("n", [512, 513, 1024])
+@pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
+class TestOneParityMirrorReuse:
+    """With one parity occupied, a mirror block's |u|^p is a view of its top rows'."""
+
+    def panels(self, n, parity):
+        H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=20.0, n_points=n)))
+        u = mixed_parity_data(n, 12)
+        modes = occupied_modes(H, u + parity * u[::-1], mode_tol=1e-12)
+        occupied = modes.basis.even if parity > 0 else modes.basis.odd
+        assert occupied.shape[1] == len(modes.energies) > 0
+        taus = np.random.Generator(np.random.Philox(key=[n, 13])).uniform(-1.0, 1.0, 300)
+        z = np.exp(-1j * np.outer(modes.energies, taus)) * modes.coef[:, None]
+        return H, RowPanels(modes.basis, z)
+
+    def test_reuse_equals_the_whole_states(self, n, parity):
+        # the whole states are the product's blocks stacked in fold order,
+        # each mirror block from its own GEMM slice (negated when odd)
+        H, panels = self.panels(n, parity)
+        blocks = list(panels)
+        if n == 513:
+            assert [len(b) for b in blocks] == [256, 256, 1]
+        whole = np.vstack(blocks)
+        assert whole.shape == panels.shape
+        for p in P_EXPONENTS:
+            want = lp_norms_columns(whole, p, H.grid)
+            assert np.array_equal(lp_norms_columns(panels, p, H.grid), want)
+
+    def test_g_runs_once_per_top_block(self, n, parity):
+        _, panels = self.panels(n, parity)
+        rows = []
+
+        def g(a):
+            rows.append(len(a))
+            return a**4.0
+
+        blocks = list(panels.abs_blocks(g))
+        half = len(panels.basis.even)
+        assert len(rows) == math.ceil(half / spectral_operator._ROW_PANEL)
+        assert sum(rows) == half and len(blocks) == len(list(panels))
+
+
 def test_gaussian_potential_keeps_one_dense_eigensolve(ham_gauss_1024):
     # 2/h^2 + V rounds this sample's asymmetry away, but V itself is not a
     # palindrome, so H stays one dstevd (pinned against scipy above)
@@ -484,16 +509,16 @@ def test_basis_without_mirror_rows_keeps_the_dense_bytes(ham_gauss_1024):
 
 @pytest.mark.parametrize("spec", [GAUSS31, ZERO], ids=["gaussian", "zero"])
 def test_mode_cut_needs_one_datum_vector(spec):
-    # on both forms of the basis: one dstevd, and two parity halves
+    # on both forms of the basis: one dstevd, and two parity halves; with or
+    # without a cut, columns are no datum
     H = build_hamiltonian(sample_potential(spec, Grid(l_box=20.0, n_points=200)))
     assert H.basis.mirror_rows == (100 if spec is ZERO else 0)
     U = np.stack([smooth_datum(H, 1), smooth_datum(H, 2)], axis=1)
-    with pytest.raises(DomainError, match="a mode cut needs one datum vector"):
-        occupied_modes(H, U, mode_tol=1e-12)
-    with pytest.raises(DomainError, match="a mode cut needs one datum vector"):
-        propagate_batch(H, [0.1, 0.2], U, mode_tol=1e-12)
-    # without a cut, columns are a coefficient table
-    assert occupied_modes(H, U).coef.shape == (200, 2)
+    for mode_tol in (1e-12, 0.0):
+        with pytest.raises(DomainError, match="one datum vector"):
+            occupied_modes(H, U, mode_tol=mode_tol)
+        with pytest.raises(DomainError, match="one datum vector"):
+            propagate_batch(H, [0.1, 0.2], U, mode_tol=mode_tol)
 
 
 @pytest.fixture(scope="module")

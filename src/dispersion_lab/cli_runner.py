@@ -30,13 +30,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
-from ._parallel import BLAS_PINNED, BLAS_THREADS_FOUND, ENV_THREADS, usable_cores, worker_count
+from ._parallel import BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
 from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
 from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
-# thread caps that the manifest records: lab workers x BLAS threads is the
-# core budget; the bytes of data.csv depend on neither while BLAS is pinned
+# thread caps that the manifest records: the BLAS threads they grant become
+# the lab's workers; the bytes of data.csv do not depend on them while BLAS is pinned
 THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -44,7 +44,6 @@ THREAD_VARS = (
     "BLIS_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
-    ENV_THREADS,
 )
 
 
@@ -782,8 +781,8 @@ def main(argv=None) -> int:
         for name, entry in EXPERIMENTS.items():
             print(f"{name:<{width}}  {entry.description}")
         print(
-            f"({len(EXPERIMENTS)} experiments; workers: {ENV_THREADS}"
-            " x the BLAS threads found, capped by the usable cores)"
+            f"({len(EXPERIMENTS)} experiments; workers: the BLAS threads found,"
+            " capped by the usable cores)"
         )
         return 0
 

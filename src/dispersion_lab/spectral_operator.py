@@ -418,14 +418,10 @@ def duhamel(modes: OccupiedModes, paths: np.ndarray, dt: float, reduce) -> np.nd
 
 
 def propagate_batch(
-    H: DiscreteHamiltonian,
-    taus: np.ndarray,
-    u: np.ndarray,
-    project: bool = False,
-    mode_tol: float = 0.0,
+    H: DiscreteHamiltonian, taus: np.ndarray, u: np.ndarray, mode_tol: float = 0.0
 ) -> np.ndarray:
     """Columns e^{-i tau_k H} u for many phases tau_k at once."""
-    return evolve(occupied_modes(H, u, project, mode_tol), taus)
+    return evolve(occupied_modes(H, u, mode_tol=mode_tol), taus)
 
 
 def _next_fast_len(target: int) -> int:

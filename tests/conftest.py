@@ -1,8 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+from dispersion_lab import _parallel
 from dispersion_lab.estimates import fit_report
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import build_hamiltonian, tridiagonal_resolvent_solve
@@ -106,3 +108,23 @@ def ham_sech_1024_l30():
 @pytest.fixture()
 def rng():
     return np.random.Generator(np.random.Philox(key=[2718, 0]))
+
+
+@pytest.fixture(scope="session")
+def workers():
+    """workers(n): a context in which the lab runs exactly n workers.
+
+    It pretends numpy's BLAS started with n threads and that the process
+    may run on n cores.  A context rather than a function-scoped patch, so
+    hypothesis examples can enter it too.
+    """
+
+    @contextlib.contextmanager
+    def at(n: int):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_parallel, "BLAS_THREADS_FOUND", n)
+            mp.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            assert _parallel.worker_count() == n
+            yield
+
+    return at

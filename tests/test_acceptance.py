@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from dispersion_lab import spectral_operator
 from dispersion_lab.cli_runner import load_config, run
 from dispersion_lab.estimates import (
     convolution_lemma_experiment,
@@ -251,7 +252,7 @@ def test_criterion_10_scattering_invariants(zero_pot, gauss_pot, sech_pot):
              "(zero, gaussian, sech^2) = (True, False, True)")
 
 
-def test_criterion_11_reproducibility(tmp_path, monkeypatch):
+def test_criterion_11_reproducibility(tmp_path, monkeypatch, workers):
     cfg_doc = {
         "experiment": "dispersive",
         "potential": {"family": "zero"},
@@ -263,11 +264,14 @@ def test_criterion_11_reproducibility(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_doc))
     cfg = load_config(path)
+    # its 480 taus would be one default block of 512; blocks of 64 give
+    # each of 8 workers one
+    monkeypatch.setattr(spectral_operator, "_TAU_CHUNK", 64)
     blobs = []
-    for workers, tag in (("1", "a"), ("1", "b"), ("8", "a"), ("8", "b")):
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
-        out = tmp_path / f"w{workers}{tag}"
-        run(cfg, out_dir=out)
+    for n, tag in ((1, "a"), (1, "b"), (8, "a"), (8, "b")):
+        out = tmp_path / f"w{n}{tag}"
+        with workers(n):
+            run(cfg, out_dir=out)
         blobs.append((out / "data.csv").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
     note(11, f"data.csv byte-identical over 2 runs x (1, 8) workers "

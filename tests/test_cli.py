@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dispersion_lab import spectral_operator
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -229,7 +230,7 @@ class TestManifest:
     def test_records_blas_threads_cores_and_cost(self, tmp_path, monkeypatch):
         from dispersion_lab.cli_runner import THREAD_VARS
 
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = load_config(small_dispersive_config(tmp_path))
         for tag in ("a", "b"):
@@ -242,7 +243,7 @@ class TestManifest:
         if not man["blas"]["pinned"]:
             assert man["blas"]["threads_found"] == 1
         assert set(man["thread_env"]) == set(THREAD_VARS)
-        assert man["thread_env"]["DISPERSION_LAB_THREADS"] == "1"
+        assert man["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert man["thread_env"]["MKL_NUM_THREADS"] is None
         assert isinstance(man["usable_cores"], int) and man["usable_cores"] >= 1
         assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0
@@ -255,20 +256,21 @@ class TestManifest:
 
 
 class TestReproducibility:
-    def test_same_seed_same_bytes_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_same_seed_same_bytes_across_worker_counts(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(spectral_operator, "_TAU_CHUNK", 16)  # 10 blocks, not one
         path = small_dispersive_config(tmp_path)
         cfg = load_config(path)
         blobs = {}
-        for workers in ("1", "8"):
-            monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
-            for attempt in ("a", "b"):
-                out = tmp_path / f"run{workers}{attempt}"
-                run(cfg, out_dir=out)
-                blobs[(workers, attempt)] = (out / "data.csv").read_bytes()
-        assert blobs[("1", "a")] == blobs[("1", "b")]
-        assert blobs[("1", "a")] == blobs[("8", "a")] == blobs[("8", "b")]
+        for n in (1, 8):
+            with workers(n):
+                for attempt in ("a", "b"):
+                    out = tmp_path / f"run{n}{attempt}"
+                    run(cfg, out_dir=out)
+                    blobs[(n, attempt)] = (out / "data.csv").read_bytes()
+        assert blobs[(1, "a")] == blobs[(1, "b")]
+        assert blobs[(1, "a")] == blobs[(8, "a")] == blobs[(8, "b")]
 
-    def test_parity_split_on_odd_grid_same_bytes_across_worker_counts(self, tmp_path, monkeypatch):
+    def test_parity_split_on_odd_grid_same_bytes_across_worker_counts(self, tmp_path, monkeypatch, workers):
         # the zero potential on 161 points is solved one reflection parity at
         # a time, with a middle node that only the even modes see
         from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
@@ -278,17 +280,19 @@ class TestReproducibility:
         V = sample_potential(PotentialSpec("zero"), Grid(**grid))
         assert build_hamiltonian(V).basis.mirror_rows == 80
         cfg = load_config(small_dispersive_config(tmp_path, grid=grid))
+        monkeypatch.setattr(spectral_operator, "_TAU_CHUNK", 16)  # 10 blocks, not one
         blobs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
-            assert run(cfg, out_dir=tmp_path / workers) == 0
-            blobs.append((tmp_path / workers / "data.csv").read_bytes())
+        for n in (1, 2):
+            with workers(n):
+                assert run(cfg, out_dir=tmp_path / str(n)) == 0
+            blobs.append((tmp_path / str(n) / "data.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_same_bytes_across_lab_and_blas_thread_counts(self, tmp_path):
+    def test_same_bytes_across_blas_thread_counts(self, tmp_path):
         # the criterion-3 kernel at a shape whose 2-thread dgemm rounds
         # differently from the 1-thread one, run in fresh processes because
-        # OpenBLAS reads its thread count when it loads
+        # OpenBLAS reads its thread count when it loads; the threads it
+        # grants become the lab's workers
         doc = {
             "experiment": "expectation-decay",
             "potential": {"family": "zero"},
@@ -298,16 +302,17 @@ class TestReproducibility:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
-        blobs = {}
-        for lab in ("1", "2"):
-            for blas in ("1", "2"):
-                out = tmp_path / f"lab{lab}-blas{blas}"
-                env = dict(os.environ, DISPERSION_LAB_THREADS=lab, OPENBLAS_NUM_THREADS=blas)
-                cmd = [sys.executable, "-m", "dispersion_lab.cli_runner", "run", str(path), "--out", str(out)]
-                proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-                assert proc.returncode == 0, proc.stderr
-                blobs[(lab, blas)] = (out / "data.csv").read_bytes()
-        assert len(set(blobs.values())) == 1, sorted(blobs)
+        blobs = []
+        for blas in (1, 2):
+            out = tmp_path / f"blas{blas}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas))
+            cmd = [sys.executable, "-m", "dispersion_lab.cli_runner", "run", str(path), "--out", str(out)]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            man = json.loads((out / "run_manifest.json").read_text())
+            assert man["workers"] == blas
+            blobs.append((out / "data.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)

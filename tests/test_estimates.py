@@ -413,18 +413,19 @@ def assert_inhom_equals_direct_sum(H, g, project):
     """The forced term at t_k is dt * sum_{s_j < t_k} S(t_k, s_j) P_ac g: sum
     the propagated states directly and compare the window norm."""
     from dispersion_lab.estimates import _sub_seed, lp_norms_columns
-    from dispersion_lab.spectral_operator import propagate_batch
+    from dispersion_lab.spectral_operator import evolve, occupied_modes
 
     n_steps, n_paths, T, seed = 32, 2, 1.0, 77
     rep = strichartz_inhomogeneous_experiment(
         H, g, 2.0, 4.0, 4.0, [T], n_steps=n_steps, n_paths=n_paths, seed=seed, project=project
     )
     ens = sample_brownian(T, n_steps, n_paths, seed=_sub_seed(seed, 0))
+    modes = occupied_modes(H, g, project)
     norms = np.zeros((n_paths, n_steps + 1))
     for pi, b in enumerate(ens.values):
         states = np.zeros((H.n, n_steps + 1), dtype=complex)
         for k in range(1, n_steps + 1):
-            states[:, k] = ens.dt * propagate_batch(H, b[k] - b[:k], g, project).sum(axis=1)
+            states[:, k] = ens.dt * evolve(modes, b[k] - b[:k]).sum(axis=1)
         norms[pi] = lp_norms_columns(states, 4.0, H.grid)
     expect = mixed_norm(norms, ens.times, MixedNormSpec(rho=2.0, r=4.0, horizon=T))
     assert rep.values[0] == pytest.approx(expect, rel=1e-10)
@@ -467,7 +468,7 @@ class TestDuhamelKernel:
 
     N_STEPS, N_PATHS = 32, 20  # groups of 512 // 33 = 15 paths: 15 + a ragged 5
 
-    def check(self, H, f, project, p, chunk=spectral_operator._TAU_CHUNK):
+    def check(self, H, f, project, p, workers, chunk=spectral_operator._TAU_CHUNK):
         from dispersion_lab.estimates import lp_norms_columns
         from dispersion_lab.spectral_operator import RowPanels, duhamel, occupied_modes
 
@@ -483,9 +484,9 @@ class TestDuhamelKernel:
         reduce = lambda states: lp_norms_columns(states, p, H.grid)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
-            for workers in ("1", "2"):
-                mp.setenv("DISPERSION_LAB_THREADS", workers)
-                runs.append(duhamel(modes, ens.values, ens.dt, reduce))
+            for n in (1, 2):
+                with workers(n):
+                    runs.append(duhamel(modes, ens.values, ens.dt, reduce))
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], want)
         per_path = np.stack([row_fold_norms(RowPanels(modes.basis, t), p, H.grid) for t in tables])
@@ -494,25 +495,25 @@ class TestDuhamelKernel:
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
     @pytest.mark.parametrize("chunk", [512, 20], ids=["groups", "chunk-below-path"])
-    def test_free_split_one_parity(self, ham_free_1024_l30, p, chunk):
+    def test_free_split_one_parity(self, ham_free_1024_l30, workers, p, chunk):
         H = ham_free_1024_l30
-        odd = self.check(H, odd_packet(H.grid, width=1.0), False, p, chunk)
+        odd = self.check(H, odd_packet(H.grid, width=1.0), False, p, workers, chunk)
         assert odd.basis.even.shape[1] == 0 < odd.basis.odd.shape[1]
-        even = self.check(H, gaussian_packet(H.grid, width=1.0), False, p, chunk)
+        even = self.check(H, gaussian_packet(H.grid, width=1.0), False, p, workers, chunk)
         assert even.basis.odd.shape[1] == 0 < even.basis.even.shape[1]
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
-    def test_free_split_mixed_parity(self, ham_free_1024_l30, p):
+    def test_free_split_mixed_parity(self, ham_free_1024_l30, workers, p):
         H = ham_free_1024_l30
         f = odd_packet(H.grid, width=1.0) + 0.3 * gaussian_packet(H.grid, width=1.0)
-        modes = self.check(H, f, False, p)
+        modes = self.check(H, f, False, p, workers)
         assert modes.basis.even.shape[1] > 0 and modes.basis.odd.shape[1] > 0
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
-    def test_unsplit_projected(self, ham_sech_1024_l30, p):
+    def test_unsplit_projected(self, ham_sech_1024_l30, workers, p):
         H = ham_sech_1024_l30
         assert H.basis.mirror_rows == 0 and len(H.bound_state_indices) > 0
-        self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p)
+        self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
 
 
 class TestTimeResolutionStability:

@@ -1,10 +1,9 @@
 import os
-import threading
 
 import pytest
 
 from dispersion_lab import _parallel
-from dispersion_lab._parallel import ENV_THREADS, ordered_map, usable_cores, worker_count
+from dispersion_lab._parallel import usable_cores, worker_count
 
 
 @pytest.fixture()
@@ -29,69 +28,46 @@ def blas_found(monkeypatch):
 
 
 class TestWorkerCount:
-    def test_default_is_serial(self, monkeypatch, cores, blas_found):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
+    def test_one_blas_thread_is_serial(self, cores, blas_found):
         cores(8)
         blas_found(1)
         assert worker_count() == 1
 
     @pytest.mark.parametrize(
-        "raw, n_cores, expect",
-        [("3", 8, 3), ("8", 2, 2), ("64", 4, 4), ("0", 4, 1), ("-2", 4, 1), ("abc", 4, 1), ("2", 1, 1)],
+        "found, n_cores, expect", [(2, 8, 2), (3, 8, 3), (8, 2, 2), (64, 4, 4), (2, 1, 1)]
     )
-    def test_clamped_to_usable_cores(self, monkeypatch, cores, blas_found, raw, n_cores, expect):
-        monkeypatch.setenv(ENV_THREADS, raw)
+    def test_blas_threads_found_clamped_to_usable_cores(self, cores, blas_found, found, n_cores, expect):
         cores(n_cores)
-        blas_found(1)
+        blas_found(found)
         assert worker_count() == expect
 
-    @pytest.mark.parametrize(
-        "raw, n_cores, expect",
-        [(None, 8, 2), ("1", 8, 2), ("3", 8, 6), ("3", 4, 4), ("0", 4, 2), ("abc", 4, 2), ("2", 1, 1)],
-    )
-    def test_two_blas_threads_found_join_the_budget(self, monkeypatch, cores, blas_found, raw, n_cores, expect):
-        # lab workers x BLAS threads, clamped to the usable cores
-        if raw is None:
-            monkeypatch.delenv(ENV_THREADS, raising=False)
-        else:
-            monkeypatch.setenv(ENV_THREADS, raw)
+    @pytest.mark.parametrize("found, n_cores, expect", [(1, 8, 1), (2, 8, 2), (2, 1, 1)])
+    def test_no_second_knob(self, monkeypatch, cores, blas_found, found, n_cores, expect):
+        # the lab's own thread variable of earlier versions multiplies nothing
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "8")
         cores(n_cores)
-        blas_found(2)
+        blas_found(found)
         assert worker_count() == expect
 
-    def test_unpinnable_blas_keeps_its_threads(self, tmp_path, monkeypatch, cores, blas_found):
+    def test_unpinnable_blas_keeps_its_threads(self, tmp_path, cores, blas_found):
         # no OpenBLAS with known symbols (MKL, Accelerate): nothing is pinned,
-        # one thread is counted, and DISPERSION_LAB_THREADS alone sets the cap
+        # one thread is counted, and the lab runs one worker
         (tmp_path / "libopenblas_fake.so").write_bytes(b"not a shared object")
         found, pinned = _parallel.pin_blas(str(tmp_path))
         assert (found, pinned) == (1, False)
         blas_found(found)
-        monkeypatch.setenv(ENV_THREADS, "3")
         cores(8)
-        assert worker_count() == 3
+        assert worker_count() == 1
 
-    def test_cpu_count_fallback(self, monkeypatch):
+    def test_cpu_count_fallback(self, monkeypatch, blas_found):
         monkeypatch.delattr(_parallel.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 3)
         assert usable_cores() == 3
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: None)
         assert usable_cores() == 1
-        monkeypatch.setenv(ENV_THREADS, "16")
+        blas_found(16)
         assert worker_count() == 1
 
     def test_real_affinity_is_at_least_one(self):
         assert usable_cores() >= 1
         assert usable_cores() <= (os.cpu_count() or 1)
-
-
-def test_nested_map_runs_in_the_calling_worker(monkeypatch, cores):
-    monkeypatch.setenv(ENV_THREADS, "2")
-    cores(2)
-
-    def outer(i):
-        here = threading.current_thread().name
-        inner = ordered_map(lambda j: (threading.current_thread().name, i * 10 + j), range(3))
-        assert all(name == here for name, _ in inner)
-        return [v for _, v in inner]
-
-    assert ordered_map(outer, range(4)) == [[10 * i + j for j in range(3)] for i in range(4)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dispersion_lab import cli_runner
+from dispersion_lab import cli_runner, spectral_operator
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     SECTIONS,
@@ -302,14 +302,16 @@ def test_schema_defaults_are_valid():
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_tiny_configs_run(tmp_path, monkeypatch, experiment):
-    # and write the same bytes at 1 and 2 workers
+def test_tiny_configs_run(tmp_path, monkeypatch, workers, experiment):
+    # and write the same bytes at 1 and 2 workers; tau blocks of 16 and
+    # Duhamel groups of one path give the pool several work items even here
+    monkeypatch.setattr(spectral_operator, "_TAU_CHUNK", 16)
     config = load_config(tiny_config(experiment, {}, tmp_path))
     blobs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", workers)
-        out = tmp_path / workers
-        assert run(config, out_dir=out) == 0
+    for n in (1, 2):
+        out = tmp_path / str(n)
+        with workers(n):
+            assert run(config, out_dir=out) == 0
         blobs.append([(out / name).read_bytes() for name in ("data.csv", "report.json")])
     assert blobs[0] == blobs[1]
 

@@ -108,13 +108,13 @@ class TestProjectAc:
 
     def test_annihilates_bound_state(self, ham_sech_4096):
         vb = ham_sech_4096.eigenvectors[:, ham_sech_4096.bound_state_indices[0]]
-        assert np.linalg.norm(propagate_batch(ham_sech_4096, [0.0], vb, project=True)) < 1e-8
+        assert np.linalg.norm(evolve(occupied_modes(ham_sech_4096, vb, project=True), [0.0])) < 1e-8
 
     def test_leaves_orthogonal_part(self, ham_sech_4096):
         H = ham_sech_4096
         vb = H.eigenvectors[:, H.bound_state_indices[0]]
         w = H.eigenvectors[:, 100]
-        out = propagate_batch(H, [0.0], vb + w, project=True)[:, 0]
+        out = evolve(occupied_modes(H, vb + w, project=True), [0.0])[:, 0]
         assert np.linalg.norm(out - w) < 1e-8
 
 
@@ -154,8 +154,8 @@ class TestPropagate:
     def test_commutes_with_projection(self, ham_sech_4096, rng):
         H = ham_sech_4096
         u = rng.normal(size=H.n) + 1j * rng.normal(size=H.n)
-        a = propagate_batch(H, [1.1], u, project=True)
-        b = propagate_batch(H, [0.0], propagate_batch(H, [1.1], u)[:, 0], project=True)
+        a = evolve(occupied_modes(H, u, project=True), [1.1])
+        b = evolve(occupied_modes(H, propagate_batch(H, [1.1], u)[:, 0], project=True), [0.0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_batch_matches_scalar(self, ham_gauss_1024, rng):
@@ -227,7 +227,7 @@ class TestPropagationKernel:
         chunk=st.integers(1, 16),
         seed=st.integers(0, 2**16),
     )
-    def test_block_split_and_worker_count(self, ham_gauss_1024, n_taus, chunk, seed):
+    def test_block_split_and_worker_count(self, ham_gauss_1024, workers, n_taus, chunk, seed):
         # for every block size the thread pool returns the serial bytes;
         # across block sizes only round-off differs, because a GEMM's column
         # results depend on how many columns it is given
@@ -239,9 +239,9 @@ class TestPropagationKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
             runs = []
-            for workers in ("1", "2"):
-                mp.setenv("DISPERSION_LAB_THREADS", workers)
-                runs.append(evolve(modes, taus))
+            for n in (1, 2):
+                with workers(n):
+                    runs.append(evolve(modes, taus))
         assert np.array_equal(runs[0], runs[1])
         assert np.max(np.abs(runs[0] - whole)) <= 1e-13 * np.linalg.norm(modes.coef)
 
@@ -318,7 +318,7 @@ class TestStreamedReduction:
         p=st.sampled_from(P_EXPONENTS),
         seed=st.integers(0, 2**16),
     )
-    def test_worker_count(self, ham_gauss_1024, n_taus, chunk, panel, p, seed):
+    def test_worker_count(self, ham_gauss_1024, workers, n_taus, chunk, panel, p, seed):
         H = ham_gauss_1024
         rng = np.random.Generator(np.random.Philox(key=[seed, 5]))
         taus = rng.uniform(-4.0, 4.0, n_taus)
@@ -327,9 +327,9 @@ class TestStreamedReduction:
             mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
             mp.setattr(spectral_operator, "_ROW_PANEL", panel)
             runs = []
-            for workers in ("1", "2"):
-                mp.setenv("DISPERSION_LAB_THREADS", workers)
-                runs.append(reduced(modes, taus, p, H.grid))
+            for n in (1, 2):
+                with workers(n):
+                    runs.append(reduced(modes, taus, p, H.grid))
         assert np.array_equal(runs[0], runs[1])
 
 
@@ -410,8 +410,8 @@ class TestParitySplit:
         H, dense = split_and_dense(spec, n)
         taus = np.random.Generator(np.random.Philox(key=[n, 8])).uniform(-1.0, 1.0, 40)
         u = mixed_parity_data(n, 4)
-        got = propagate_batch(H, taus, u, project=True)
-        want = propagate_batch(dense, taus, u, project=True)
+        got = evolve(occupied_modes(H, u, project=True), taus)
+        want = evolve(occupied_modes(dense, u, project=True), taus)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
         for p in (4.0, math.inf):
             got = reduced(occupied_modes(H, u, True, 1e-12), taus, p, H.grid)
@@ -419,7 +419,7 @@ class TestParitySplit:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
         # the projection removes every bound state's weight
         if len(H.bound_state_indices):
-            c = H.to_eigenbasis(propagate_batch(H, [0.0], u, project=True)[:, 0])
+            c = H.to_eigenbasis(evolve(occupied_modes(H, u, project=True), [0.0])[:, 0])
             assert np.max(np.abs(c[H.bound_state_indices])) <= 1e-12 * np.abs(u).max()
 
     def test_propagation_never_forms_the_dense_basis(self, spec, n):

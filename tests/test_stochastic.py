@@ -3,7 +3,13 @@ import pytest
 
 from dispersion_lab.errors import DomainError, StabilityWarning
 from dispersion_lab.grid_model import Grid, PotentialGrid
-from dispersion_lab.spectral_operator import DiscreteHamiltonian, Eigenbasis, propagate_batch
+from dispersion_lab.spectral_operator import (
+    DiscreteHamiltonian,
+    Eigenbasis,
+    evolve,
+    occupied_modes,
+    propagate_batch,
+)
 from dispersion_lab.stochastic import euler_maruyama_ito, path_rng, sample_brownian
 
 
@@ -88,7 +94,7 @@ class TestTimeChangedPropagate:
         H = ham_sech_4096
         u0 = rng.normal(size=H.n).astype(complex)
         ens = sample_brownian(1.0, 4, 2, seed=2)
-        states = propagate_batch(H, ens.values, u0, project=True)
+        states = evolve(occupied_modes(H, u0, project=True), ens.values)
         vb = H.eigenvectors[:, H.bound_state_indices]
         assert np.max(np.abs(vb.T @ states)) < 1e-10 * np.linalg.norm(u0)
 

@@ -1,9 +1,10 @@
 import os
+import threading
 
 import pytest
 
 from dispersion_lab import _parallel
-from dispersion_lab._parallel import usable_cores, worker_count
+from dispersion_lab._parallel import ordered_map, usable_cores, worker_count
 
 
 @pytest.fixture()
@@ -71,3 +72,51 @@ class TestWorkerCount:
     def test_real_affinity_is_at_least_one(self):
         assert usable_cores() >= 1
         assert usable_cores() <= (os.cpu_count() or 1)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_n_workers_run_at_once_and_keep_input_order(self, workers, n):
+        # each call waits until n calls are in flight, so the map must run n threads
+        meet = threading.Barrier(n, timeout=10)
+
+        def fn(i):
+            meet.wait()
+            return i * i, threading.current_thread().name
+
+        with workers(n):
+            out = ordered_map(fn, range(6))
+        assert [v for v, _ in out] == [i * i for i in range(6)]
+        assert len({name for _, name in out}) == n
+
+    @pytest.mark.parametrize("items", [[], [7]])
+    def test_at_most_one_item_runs_in_the_caller(self, workers, items):
+        with workers(2):
+            out = ordered_map(lambda i: (i, threading.current_thread().name), items)
+        assert out == [(i, threading.current_thread().name) for i in items]
+
+    def test_accepts_a_generator(self, workers):
+        with workers(2):
+            assert ordered_map(str, (i for i in range(5))) == ["0", "1", "2", "3", "4"]
+
+    def test_each_item_is_mapped_once(self, workers):
+        seen = []
+        lock = threading.Lock()
+
+        def fn(i):
+            with lock:
+                seen.append(i)
+            return i
+
+        with workers(2):
+            assert ordered_map(fn, range(20)) == list(range(20))
+        assert sorted(seen) == list(range(20))
+
+    def test_a_work_item_error_reaches_the_caller(self, workers):
+        def fn(i):
+            if i == 3:
+                raise ValueError("item 3")
+            return i
+
+        with workers(2), pytest.raises(ValueError, match="item 3"):
+            ordered_map(fn, range(6))

@@ -245,6 +245,11 @@ class RunContext:
     def H(self):
         return spectral_operator.build_hamiltonian(self.V)
 
+    @property
+    def eigensolves(self) -> list[int]:
+        """Rows of each tridiagonal the run's H solved, in order; [] without an H."""
+        return self.H.eigensolves if "H" in vars(self) else []
+
 
 @dataclass(frozen=True)
 class Experiment:
@@ -678,13 +683,15 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")  # each distinct warning once
+        ctx = RunContext(config)
         try:
-            # the context, and with it any eigenbasis, is freed when the runner returns
-            report, header, rows = EXPERIMENTS[config.experiment].runner(RunContext(config))
+            report, header, rows = EXPERIMENTS[config.experiment].runner(ctx)
         finally:
             fired = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
             for w in fired:
                 print(f"warning: {w['category']}: {w['message']}", file=sys.stderr)
+    eigensolves = ctx.eigensolves
+    del ctx  # and with it any eigenbasis, before the artifacts are written
     code = 2 if any(issubclass(w.category, HypothesisViolationWarning) for w in caught) else 0
     out = Path(out_dir) if out_dir is not None else Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -714,6 +721,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         "usable_cores": usable_cores(),
         "peak_rss_mb": _peak_rss_mb(),
         "wall_s": time.perf_counter() - t0,
+        "eigensolves": eigensolves,
         "warnings": fired,
     }
     _write_json(out / "run_manifest.json", manifest)

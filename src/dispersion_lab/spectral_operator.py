@@ -52,28 +52,20 @@ _flapack = _load_flapack()
 class Eigenbasis:
     """Eigenvectors of H as half vectors, even columns first, then odd ones.
 
-    Column j is eigenpair order[j].  The last k = n - len(even) grid rows
-    mirror the first k: even column j is (even[:, j], even[:k, j] reversed),
-    odd column j is (odd[:, j], -odd[:k, j] reversed).  A reflection-symmetric
-    H has k = n // 2; on an odd n the halves end at the middle node, where an
-    odd vector is 0.  Any other H has k = 0, every column in even and none odd.
+    The last k = n - len(even) grid rows mirror the first k: even column j
+    is (even[:, j], even[:k, j] reversed), odd column j is (odd[:, j],
+    -odd[:k, j] reversed).  A reflection-symmetric H has k = n // 2; on an
+    odd n the halves end at the middle node, where an odd vector is 0.  Any
+    other H has k = 0, every column in even and none odd.
     """
 
     n: int
     even: np.ndarray  # (n - k, m_even)
     odd: np.ndarray  # (n - k, m_odd)
-    order: np.ndarray  # (m_even + m_odd,)
 
     @property
     def mirror_rows(self) -> int:
         return self.n - len(self.even)
-
-    def columns(self, keep: np.ndarray) -> Eigenbasis:
-        """The columns a boolean mask keeps."""
-        me = self.even.shape[1]
-        return Eigenbasis(
-            self.n, self.even[:, keep[:me]], self.odd[:, keep[me:]], self.order[keep]
-        )
 
     def product(self, data: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
         """Row blocks of self @ data: every product with an eigenbasis runs here.
@@ -102,40 +94,117 @@ class Eigenbasis:
         return np.concatenate([blocks[0], blocks[1][::-1]]) if len(blocks) == 2 else blocks[0]
 
 
-@dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """Symmetric tridiagonal -Delta + V with its full eigendecomposition.
+    """Symmetric tridiagonal -Delta + V, diagonalized one reflection parity at a time.
 
+    half(0) and half(1) are the even and odd eigenpairs: ascending energies
+    and their half-vector columns (see Eigenbasis).  Each half is solved on
+    first use, by one dstevd on its half tridiagonal, and kept; eigensolves
+    lists the rows of each tridiagonal solved, in order.  A potential that
+    is an exact palindrome gives mirror_rows = n // 2; any other has none,
+    and its even half is the whole dstevd, its odd half empty.
+
+    eigenvalues, basis, order and eigenvectors assemble both halves:
+    eigenvalues ascend, and basis column j is eigenpair order[j].
     Eigenvectors are orthonormal in the plain euclidean inner product;
-    L2(grid) norms differ by a factor sqrt(h).  eigenvalues ascend; the
-    basis maps its columns to them (order).
+    L2(grid) norms differ by a factor sqrt(h).
     """
 
-    potential: PotentialGrid
-    eigenvalues: np.ndarray
-    basis: Eigenbasis  # columns
+    def __init__(self, potential: PotentialGrid, eigenvalues=None, basis: Eigenbasis | None = None):
+        """The H of potential; or, given eigenvalues and a basis without mirror
+        rows whose column j is eigenpair j, an H with that eigen data."""
+        self.potential = potential
+        self.eigensolves: list[int] = []
+        if basis is None:
+            self._tridiagonal = _stencil(potential.grid, potential.values)
+            palindrome = np.array_equal(potential.values, potential.values[::-1])
+            self.mirror_rows = self.n // 2 if palindrome else 0
+            self._halves = [None, None]
+        else:
+            self.mirror_rows = basis.mirror_rows
+            self._halves = [(eigenvalues, basis.even), (eigenvalues[:0], basis.odd)]
 
     @property
     def grid(self) -> Grid:
         return self.potential.grid
 
     @property
-    def bound_state_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.eigenvalues < 0)
-
-    @property
     def n(self) -> int:
         return self.grid.n_points
+
+    def half(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Energies and half-vector columns of the even (0) or odd (1) modes."""
+        if self._halves[parity] is None:
+            self._halves[parity] = self._solve(parity)
+        return self._halves[parity]
+
+    def _solve(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
+        """One dstevd on the half tridiagonal of one parity.
+
+        With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
+        mirror as the neighbour of node k-1, which adds off to that diagonal
+        entry; an odd vector subtracts it.  On an odd n, scaling x by
+        sqrt(2) off the middle node makes the even block symmetric, with
+        last off-diagonal sqrt(2) off; an odd vector is 0 at the middle.
+        """
+        (diag, off), n, k = self._tridiagonal, self.n, self.mirror_rows
+        if not k:  # one dstevd holds every mode
+            if parity:
+                return diag[:0], np.zeros((n, 0))
+            d, e = diag, off
+        elif parity == 0:
+            d, e = diag[: n - k].copy(), off[: n - k - 1].copy()
+            if n % 2:
+                e[-1] *= np.sqrt(2.0)
+            else:
+                d[-1] += off[0]
+        else:
+            d, e = diag[:k].copy(), off[: k - 1]
+            if not n % 2:
+                d[-1] -= off[0]
+        self.eigensolves.append(len(d))
+        w, v = _dstevd(d, e)
+        v[:k] *= np.sqrt(0.5)
+        if len(v) < n - k:
+            v = np.vstack([v, np.zeros(len(w))])
+        return w, v
+
+    @cached_property
+    def _assembled(self) -> tuple[np.ndarray, Eigenbasis, np.ndarray]:
+        (w_even, v_even), (w_odd, v_odd) = self.half(0), self.half(1)
+        w = np.concatenate([w_even, w_odd])
+        if not self.mirror_rows:  # the one dstevd's order
+            return w, Eigenbasis(self.n, v_even, v_odd), np.arange(len(w))
+        ascending = np.argsort(w, kind="stable")
+        order = np.empty_like(ascending)
+        order[ascending] = np.arange(len(w))
+        return w[ascending], Eigenbasis(self.n, v_even, v_odd), order
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._assembled[0]
+
+    @property
+    def basis(self) -> Eigenbasis:
+        return self._assembled[1]
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._assembled[2]
+
+    @property
+    def bound_state_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.eigenvalues < 0)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Dense (n, n) eigenvector columns in eigenvalue order, assembled once."""
-        even, odd, k = self.basis.even, self.basis.odd, self.basis.mirror_rows
+        even, odd, k = self.basis.even, self.basis.odd, self.mirror_rows
         if not k:
             return even
         mirror = np.hstack([even, -odd])[:k]
         v = np.empty((self.n, self.n))
-        v[:, self.basis.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
+        v[:, self.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
         return v
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -145,25 +214,26 @@ class DiscreteHamiltonian:
         out[1:] += off * u[:-1]
         return out
 
-    def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        # fold u onto the half grid: mirror sums for the even modes, mirror
-        # differences for the odd ones; a row without a mirror counts once
-        u, k = np.asarray(u), self.basis.mirror_rows
-        top, mirror = u[: len(self.basis.even)], u[::-1][: len(self.basis.even)]
+    def folds(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u folded onto the half grid: mirror sums, whose products with the
+        even half vectors are u's even coefficients, and mirror differences
+        for the odd ones; a row without a mirror counts once."""
+        u, k = np.asarray(u), self.mirror_rows
+        rows = self.n - k
+        top, mirror = u[:rows], u[::-1][:rows]
         folded = top.copy()
         folded[:k] += mirror[:k]
-        c = np.concatenate(
-            [
-                real_basis_product(self.basis.even.T, folded),
-                real_basis_product(self.basis.odd.T, top - mirror),
-            ]
-        )
+        return folded, top - mirror
+
+    def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
+        folds = self.folds(u)
+        c = np.concatenate([real_basis_product(self.half(p)[1].T, folds[p]) for p in (0, 1)])
         out = np.empty_like(c)
-        out[self.basis.order] = c
+        out[self.order] = c
         return out
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        return self.basis.full_product(np.asarray(c)[self.basis.order])
+        return self.basis.full_product(np.asarray(c)[self.order])
 
 
 def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -205,63 +275,26 @@ def _dstevd(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _parity_eigensystem(diag: np.ndarray, off: np.ndarray):
-    """Ascending eigenvalues and half-vector Eigenbasis of a tridiagonal
-    with a palindromic diagonal and a constant off-diagonal.
-
-    With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
-    mirror as the neighbour of node k-1, which adds off to that diagonal
-    entry; an odd vector subtracts it.  On an odd n, scaling x by sqrt(2)
-    off the middle node makes the even block symmetric, with last
-    off-diagonal sqrt(2) off; an odd vector is 0 at the middle.
-    """
-    n, k = len(diag), len(diag) // 2
-    d_even, off_even = diag[: n - k].copy(), off[: n - k - 1].copy()
-    d_odd = diag[:k].copy()
-    if n % 2:
-        off_even[-1] *= np.sqrt(2.0)
-    else:
-        d_even[-1] += off[0]
-        d_odd[-1] -= off[0]
-    w_even, v_even = _dstevd(d_even, off_even)
-    w_odd, v_odd = _dstevd(d_odd, off[: k - 1])
-    v_even[:k] *= np.sqrt(0.5)
-    v_odd *= np.sqrt(0.5)
-    if n % 2:
-        v_odd = np.vstack([v_odd, np.zeros(k)])
-    w = np.concatenate([w_even, w_odd])
-    ascending = np.argsort(w, kind="stable")
-    order = np.empty_like(ascending)
-    order[ascending] = np.arange(n)
-    return w[ascending], Eigenbasis(n, v_even, v_odd, order)
-
-
 def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
-    """Assemble and diagonalize the grid Hamiltonian.
+    """The grid Hamiltonian of V, diagonalized on first use.
 
     LAPACK dstevd (the driver scipy's eigh_tridiagonal picks for all
     eigenpairs) returns the full orthonormal eigenbasis of the stencil.
     When the sampled potential is an exact palindrome, so is the diagonal,
     and H is solved as two half-size problems, one per reflection parity,
     kept as half vectors: half the eigensolve and half the flops of every
-    product with the basis.  The zero potential, a square well and a
-    symmetric table are palindromes on almost every grid.  A linspace grid
-    is not bit-symmetric, so a gaussian or sech^2 sample keeps one dstevd,
-    whose matrix is a basis without mirror rows, even where 2/h^2 + V
-    rounds its asymmetry away.
+    product with the basis, and a datum of one parity needs one half only
+    (occupied_modes).  The zero potential, a square well and a symmetric
+    table are palindromes on almost every grid.  A linspace grid is not
+    bit-symmetric, so a gaussian or sech^2 sample keeps one dstevd, whose
+    matrix is a basis without mirror rows, even where 2/h^2 + V rounds its
+    asymmetry away.
     """
-    grid = V.grid
-    if grid.n_points > DENSE_SOLVER_CAP:
+    if V.grid.n_points > DENSE_SOLVER_CAP:
         raise DomainError(
-            f"n_points={grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
+            f"n_points={V.grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
         )
-    diag, off = _stencil(grid, V.values)
-    if np.array_equal(V.values, V.values[::-1]):
-        w, basis = _parity_eigensystem(diag, off)
-    else:
-        w, v = _dstevd(diag, off)
-        basis = Eigenbasis(grid.n_points, v, v[:, :0], np.arange(grid.n_points))
-    return DiscreteHamiltonian(potential=V, eigenvalues=w, basis=basis)
+    return DiscreteHamiltonian(V)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +322,47 @@ def occupied_modes(
     the eigenmodes whose amplitude exceeds mode_tol times the largest one,
     trading a bounded truncation error for a smaller basis product.  The
     modes come in the order of H.basis.
+
+    Only what the datum occupies is solved.  The parity with the larger
+    fold goes first.  A parity's coefficient 2-norm is its fold's, with
+    mirrored rows weighted by 1/2, so under a cut the second parity is not
+    solved when twice that norm is at most mode_tol times the largest
+    coefficient of the first: each of its coefficients would be cut.  Kept
+    modes that are one run of a half's columns are a view of it, not a copy.
     """
     if np.ndim(u) != 1:
         raise DomainError(f"occupied modes need one datum vector, got shape {np.shape(u)}")
-    c = H.to_eigenbasis(np.asarray(u, dtype=complex))
-    if project:
-        c[H.bound_state_indices] = 0.0
-    c, energies = c[H.basis.order], H.eigenvalues[H.basis.order]
-    if mode_tol > 0.0:
-        a = np.abs(c)
-        keep = a > mode_tol * a.max()
-        return OccupiedModes(H.basis.columns(keep), energies[keep], c[keep])
-    return OccupiedModes(H.basis, energies, c)
+    folds, k = H.folds(np.asarray(u, dtype=complex)), H.mirror_rows
+    norms = [np.sqrt(0.5 * np.vdot(f[:k], f[:k]).real + np.vdot(f[k:], f[k:]).real) for f in folds]
+    first = int(norms[1] > norms[0])
+    solved, amax = {}, 0.0
+    for parity in (first, 1 - first):
+        if parity != first and mode_tol > 0.0 and 2.0 * norms[parity] <= mode_tol * amax:
+            break
+        w, v = H.half(parity)
+        c = real_basis_product(v.T, folds[parity])
+        if project:
+            c[w < 0] = 0.0
+        solved[parity] = w, v, c
+        amax = np.abs(c).max(initial=amax)
+    columns, energies, coef = [np.zeros((H.n - k, 0))] * 2, [], []
+    for parity, (w, v, c) in sorted(solved.items()):
+        if mode_tol > 0.0:
+            keep = np.abs(c) > mode_tol * amax
+            v, w, c = _kept_columns(v, keep), w[keep], c[keep]
+        columns[parity] = v
+        energies.append(w)
+        coef.append(c)
+    return OccupiedModes(Eigenbasis(H.n, *columns), np.concatenate(energies), np.concatenate(coef))
+
+
+def _kept_columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """v[:, keep], a view where the kept columns are one run."""
+    i = np.flatnonzero(keep)
+    if len(i) and i[-1] - i[0] >= len(i):  # a hole
+        return v[:, keep]
+    start = i[0] if len(i) else 0
+    return v[:, start : start + len(i)]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,11 +249,44 @@ class TestManifest:
         assert isinstance(man["usable_cores"], int) and man["usable_cores"] >= 1
         assert isinstance(man["peak_rss_mb"], float) and man["peak_rss_mb"] > 0
         assert isinstance(man["wall_s"], float) and man["wall_s"] > 0
+        # the zero potential's even packet: one half-size eigensolve
+        assert man["eigensolves"] == [256]
         # where the run ran and what it cost stay out of the reproducible bytes
         for name in ("report.json", "data.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         report = (tmp_path / "a" / "report.json").read_text()
         assert "wall_s" not in report and "peak_rss_mb" not in report
+
+    @pytest.mark.parametrize(
+        "potential, n_points, params, want",
+        [
+            (None, 161, {}, [81]),  # zero potential, the even half with the middle node
+            (None, 161, {"u0_shape": "odd"}, [80]),  # the odd half
+            # no palindrome on this grid: one dstevd
+            ({"family": "gaussian", "amplitude": 1.0, "width": 1.0}, 200, {}, [200]),
+        ],
+    )
+    def test_eigensolves_lists_the_tridiagonals_solved(self, tmp_path, potential, n_points, params, want):
+        path = small_dispersive_config(
+            tmp_path, potential, grid={"n_points": n_points, "l_box": 20.0}, params=params
+        )
+        assert run(load_config(path), out_dir=tmp_path / "a") in (0, 2)
+        assert json.loads((tmp_path / "a" / "run_manifest.json").read_text())["eigensolves"] == want
+
+    @pytest.mark.parametrize("name, want", [("dispersive_free", [1024]), ("strichartz_inhom_244", [512])])
+    def test_shipped_free_configs_solve_one_half(self, tmp_path, name, want):
+        # an even packet and an odd forcing on the zero potential
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+        assert run(cfg, out_dir=tmp_path) == 0
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["eigensolves"] == want
+
+    def test_eigensolves_empty_without_a_hamiltonian(self, tmp_path):
+        path = small_dispersive_config(
+            tmp_path, experiment="convolution-lemma", params={"horizons": [0.5, 1.0]},
+            stochastic={"n_steps": 16, "n_paths": 4, "seed": 1},
+        )
+        assert run(load_config(path), out_dir=tmp_path / "a") == 0
+        assert json.loads((tmp_path / "a" / "run_manifest.json").read_text())["eigensolves"] == []
 
 
 class TestReproducibility:
@@ -313,6 +347,28 @@ class TestReproducibility:
             assert man["workers"] == blas
             blobs.append((out / "data.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_half_eigensolve_same_bytes_across_blas_thread_counts(self):
+        # dstevd runs on scipy's own OpenBLAS, which the lab does not pin and
+        # which reads OPENBLAS_NUM_THREADS when it loads: the even half of
+        # criterion 3's H (1536 rows) solves to the same bytes at 1 and 2
+        # threads, in fresh processes
+        code = (
+            "import hashlib; "
+            "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
+            "from dispersion_lab.spectral_operator import build_hamiltonian; "
+            "V = sample_potential(PotentialSpec('zero'), Grid(l_box=100.0, n_points=3072)); "
+            "w, v = build_hamiltonian(V).half(0); "
+            "assert v.shape == (1536, 1536); "
+            "print(hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest())"
+        )
+        digests = []
+        for blas in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)

@@ -591,3 +591,31 @@ class TestStreamedNormMemory:
                 tracemalloc.stop()
         assert norms.shape == (128, 129)
         assert peak < all_tables / 4
+
+    def test_one_parity_datum_holds_one_half(self):
+        # criterion 3's datum: an even width-0.18 packet at n = 3072 keeps
+        # the 1315 lowest even modes at mode_tol 1e-6.  Only the even half
+        # (1536 x 1536, 18.9 MB) is solved, and its kept run is a view, so
+        # the peak is that half plus the eigensolve's workspace.  Solving
+        # both halves and copying the kept columns held more than the two
+        # halves plus the copy.
+        import tracemalloc
+
+        from dispersion_lab.grid_model import PotentialSpec
+        from dispersion_lab.spectral_operator import occupied_modes
+
+        grid = Grid(l_box=100.0, n_points=3072)
+        V = sample_potential(PotentialSpec("zero"), grid)
+        u0 = gaussian_packet(grid, width=0.18)
+        tracemalloc.start()
+        try:
+            H = build_hamiltonian(V)
+            modes = occupied_modes(H, u0, project=True, mode_tol=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        even = H.half(0)[1]
+        assert H.eigensolves == [1536] and modes.basis.odd.shape == (1536, 0)
+        assert modes.basis.even.shape == (1536, 1315)
+        assert np.shares_memory(modes.basis.even, even)
+        assert peak < 2 * even.nbytes + modes.basis.even.nbytes

@@ -344,7 +344,7 @@ def split_and_dense(spec: PotentialSpec, n: int):
     dense = spectral_operator.DiscreteHamiltonian(
         potential=H.potential,
         eigenvalues=w,
-        basis=spectral_operator.Eigenbasis(n, v, v[:, :0], np.arange(n)),
+        basis=spectral_operator.Eigenbasis(n, v, v[:, :0]),
     )
     return H, dense
 
@@ -432,6 +432,94 @@ class TestParitySplit:
         assert np.max(np.abs(em - euler_maruyama_ito(dense, inc, 1.0, u, 16))) <= 1e-12
         propagate_batch(H, [0.3, -0.2], u, mode_tol=1e-12)
         assert "eigenvectors" not in vars(H)
+
+
+def cut_after_all_coefficients(H, u, project, mode_tol):
+    """occupied_modes as one dense cut: every coefficient of a fully solved
+    H, the bound states zeroed, then the mode cut, its columns copied."""
+    c = H.to_eigenbasis(np.asarray(u, dtype=complex))
+    if project:
+        c[H.bound_state_indices] = 0.0
+    c, energies = c[H.order], H.eigenvalues[H.order]
+    a = np.abs(c)
+    keep = a > mode_tol * a.max() if mode_tol > 0.0 else np.ones(len(c), dtype=bool)
+    me = H.basis.even.shape[1]
+    basis = spectral_operator.Eigenbasis(H.n, H.basis.even[:, keep[:me]], H.basis.odd[:, keep[me:]])
+    return spectral_operator.OccupiedModes(basis, energies[keep], c[keep])
+
+
+def assert_same_modes(got, want, taus, grid):
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.coef, want.coef)
+    assert np.array_equal(got.basis.even, want.basis.even)
+    assert np.array_equal(got.basis.odd, want.basis.odd)
+    for p in (2.0, 4.0, math.inf):
+        assert np.array_equal(reduced(got, taus, p, grid), reduced(want, taus, p, grid))
+
+
+@pytest.mark.parametrize("n", [160, 161, 513, 1024])
+@pytest.mark.parametrize("spec", [ZERO, WELL], ids=["zero", "well"])
+class TestOneParitySolve:
+    """occupied_modes solves only the parity halves a datum occupies."""
+
+    def test_same_modes_as_one_dense_cut(self, spec, n, monkeypatch):
+        V = sample_potential(spec, Grid(l_box=40.0, n_points=n))
+        eager = build_hamiltonian(V)
+        assert eager.basis.odd.shape[1] == n // 2  # both halves solved
+        solved = []
+        dstevd = spectral_operator._dstevd
+        monkeypatch.setattr(
+            spectral_operator, "_dstevd", lambda d, e: solved.append(len(d)) or dstevd(d, e)
+        )
+        u = smooth_datum(eager, n)
+        taus = np.random.Generator(np.random.Philox(key=[n, 15])).uniform(-1.0, 1.0, 64)
+        for name, datum in (("even", u + u[::-1]), ("odd", u - u[::-1]), ("mixed", u)):
+            for mode_tol in (0.0, 1e-12, 1e-6):
+                for project in (False, True):
+                    solved.clear()
+                    H = build_hamiltonian(V)
+                    got = occupied_modes(H, datum, project, mode_tol)
+                    want = cut_after_all_coefficients(eager, datum, project, mode_tol)
+                    assert_same_modes(got, want, taus, H.grid)
+                    assert H.eigensolves == solved
+                    if name == "mixed" or mode_tol == 0.0:
+                        assert sorted(solved) == sorted([n - n // 2, n // 2])
+                    else:
+                        assert solved == [n - n // 2 if name == "even" else n // 2]
+
+    def test_second_parity_next_to_the_cut(self, spec, n):
+        # three even modes and one odd mode at 1.5 or 0.4 times the cut: at
+        # 1.5 the odd mode is kept, so its half must be solved, though half
+        # its norm is below the cut; at 0.4 twice its norm is below the cut
+        eager = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
+        even, odd = eager.half(0)[1], eager.half(1)[1]
+        taus = np.linspace(-1.0, 1.0, 50)
+        for scale, kept_odd in ((1.5, 1), (0.4, 0)):
+            c = np.zeros(n)
+            c[:3] = [1.0, 0.5, 0.25]
+            c[even.shape[1] + 2] = scale * 1e-6
+            u = spectral_operator.Eigenbasis(n, even, odd).full_product(c)
+            H = build_hamiltonian(eager.potential)
+            got = occupied_modes(H, u, mode_tol=1e-6)
+            assert_same_modes(got, cut_after_all_coefficients(eager, u, False, 1e-6), taus, H.grid)
+            assert got.basis.odd.shape[1] == kept_odd
+            assert len(H.eigensolves) == 1 + kept_odd
+
+    def test_kept_run_is_a_view_and_a_hole_copies(self, spec, n):
+        H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
+        eager = build_hamiltonian(H.potential)
+        taus = np.linspace(-1.0, 1.0, 50)
+        even = H.half(0)[1]
+        no_odd = spectral_operator.Eigenbasis(n, even, even[:, :0])
+        for modes, run in (([0, 1, 2, 3], True), ([0, 1, 3], False), ([5, 6, 7], True)):
+            c = np.zeros(even.shape[1])
+            c[modes] = [1.0, 0.5, 0.25, 0.125][: len(modes)]
+            u = no_odd.full_product(c)
+            got = occupied_modes(H, u, mode_tol=1e-6)
+            assert got.basis.even.shape == (len(even), len(modes)) and got.basis.odd.shape[1] == 0
+            assert np.shares_memory(got.basis.even, even) is run
+            assert_same_modes(got, cut_after_all_coefficients(eager, u, False, 1e-6), taus, H.grid)
+        assert H.eigensolves == [len(even)]
 
 
 # even; odd whose last 256-row panel is the middle node alone; even

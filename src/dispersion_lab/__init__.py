@@ -26,7 +26,6 @@ from .stochastic import (
 )
 from .estimates import (
     EstimateReport,
-    MixedNormSpec,
     admissible_pair,
     fit_decay_exponent,
     lp_norm_x,
@@ -54,7 +53,6 @@ __all__ = [
     "euler_maruyama_ito",
     "sample_brownian",
     "EstimateReport",
-    "MixedNormSpec",
     "admissible_pair",
     "fit_decay_exponent",
     "lp_norm_x",

@@ -25,9 +25,5 @@ class StabilityWarning(UserWarning):
     """Explicit SDE step large enough for mode-wise amplification."""
 
 
-class AliasingWarning(UserWarning):
-    """Spectral density sampled too coarsely for the smoothing width."""
-
-
 class HypothesisViolationWarning(UserWarning):
     """An experiment was run on data violating its standing hypothesis."""

@@ -10,8 +10,8 @@ in its eigenbasis.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -21,7 +21,7 @@ import scipy
 from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
-from .errors import AliasingWarning, DomainError
+from .errors import DomainError
 from .grid_model import Grid, PotentialGrid, simpson_weights, sorted_unique
 
 DENSE_SOLVER_CAP = 8192
@@ -173,8 +173,6 @@ class DiscreteHamiltonian:
     def _assembled(self) -> tuple[np.ndarray, Eigenbasis, np.ndarray]:
         (w_even, v_even), (w_odd, v_odd) = self.half(0), self.half(1)
         w = np.concatenate([w_even, w_odd])
-        if not self.mirror_rows:  # the one dstevd's order
-            return w, Eigenbasis(self.n, v_even, v_odd), np.arange(len(w))
         ascending = np.argsort(w, kind="stable")
         order = np.empty_like(ascending)
         order[ascending] = np.arange(len(w))
@@ -657,32 +655,28 @@ def stone_spectral_density(
     a: float,
     b: float,
     epsilon: float,
-    n_lambda: int,
     f: np.ndarray,
 ) -> SpectralDensityEstimate:
     """Spectral density from the resolvent jump across the real axis.
 
-    density(lam) = Im <(H - lam - i eps)^{-1} f, f> / pi on n_lambda
-    points; its integral over [a, b] approximates the spectral mass of
-    f on the interval as eps -> 0.
+    density(lam) = Im <(H - lam - i eps)^{-1} f, f> / pi on an even lam
+    grid over [a, b] of max(2, ceil((b - a) / (eps / 4))) points, so its
+    step is about eps / 4 and never above eps / 2; its integral over
+    [a, b] approximates the spectral mass of f on the interval as
+    eps -> 0.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    lams = np.linspace(a, b, n_lambda)
-    inside = H.eigenvalues[(H.eigenvalues >= a) & (H.eigenvalues <= b)]
-    if len(inside) > 1:
-        gaps = np.sort(np.diff(inside))  # np.median would import numpy.ma
-        mid = len(gaps) // 2
-        spacing = float(gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2)
-        if epsilon < spacing / 10.0 and (b - a) / (n_lambda - 1) > epsilon:
-            warnings.warn(
-                "lambda grid coarser than the smoothing width; the density "
-                "will alias between samples",
-                AliasingWarning,
-                stacklevel=2,
-            )
+    # float division: an overflow is inf, with no numpy RuntimeWarning
+    n_lambda = float(b - a) / float(epsilon / 4.0)
+    if not math.isfinite(n_lambda):
+        raise DomainError(
+            f"the interval [{a:.3g}, {b:.3g}] holds more lambda samples "
+            f"{epsilon / 4.0:.3g} apart than a float can count"
+        )
+    lams = np.linspace(a, b, max(2, math.ceil(n_lambda)))
     f = np.asarray(f, dtype=complex)
     dens = np.empty(len(lams))
     for i, lam in enumerate(lams):

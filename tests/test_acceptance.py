@@ -169,12 +169,11 @@ def test_criterion_07_stone_formula(ham_gauss_1024):
     spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
     eps = spacing / 10.0
     margin = 80.0 * eps
-    n_lam = int(np.ceil(2 * margin / (eps / 4.0)))
     f = H.eigenvectors[:, k]
-    enclosing = stone_spectral_density(H, w[k] - margin, w[k] + margin, eps, n_lam, f=f)
+    enclosing = stone_spectral_density(H, w[k] - margin, w[k] + margin, eps, f=f)
     mass = enclosing.integral()
     assert abs(mass - 1.0) < 1e-2, mass
-    boundary = stone_spectral_density(H, w[k], w[k] + margin, eps, n_lam // 2, f=f)
+    boundary = stone_spectral_density(H, w[k], w[k] + margin, eps, f=f)
     half = boundary.integral()
     assert abs(half - 0.5) < 2e-2, half
     note(7, f"spectral mass {mass:.4f} (enclosing) and {half:.4f} (eigenvalue on the "

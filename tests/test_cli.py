@@ -475,6 +475,20 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     assert not out.exists()
 
 
+def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):
+    # an interval narrower than the eps / 4 step still gets both ends sampled,
+    # so the run reports the mass under them, not the 0 of a single sample
+    out = tmp_path / "out"
+    raw = {"experiment": "stone-density", "params": {"margin_factor": 0.1}}
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [r for r in (out / "data.csv").read_text().splitlines() if not r.startswith("#")][1:]
+    assert len(rows) == 2
+    report = json.loads((out / "report.json").read_text())["metrics"]
+    assert [float(r.split(",")[0]) for r in rows] == report["interval"]
+    assert report["mass"] > 0
+
+
 @pytest.mark.parametrize("override", [True, False], ids=["out", "output_dir"])
 def test_output_path_that_is_a_file_ends_in_one_error_line(tmp_path, capsys, override):
     afile = tmp_path / "afile"

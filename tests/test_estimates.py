@@ -12,7 +12,6 @@ from dispersion_lab.errors import (
     HypothesisViolationWarning,
 )
 from dispersion_lab.estimates import (
-    MixedNormSpec,
     admissible_pair,
     convolution_lemma_experiment,
     dispersive_experiment,
@@ -76,42 +75,41 @@ class TestMixedNorm:
     def test_constant_samples(self):
         times = np.linspace(0.0, 2.0, 65)
         samples = np.ones((5, 65))
-        spec = MixedNormSpec(rho=3.0, r=4.0, horizon=2.0)
-        assert mixed_norm(samples, times, spec) == pytest.approx(2.0 ** 0.25, rel=1e-12)
+        assert mixed_norm(samples, times, 3.0, 4.0) == pytest.approx(2.0 ** 0.25, rel=1e-12)
 
     def test_single_sample_reduces_to_space_norm(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, horizon=1.0)
-        val = mixed_norm(np.array([[7.5]]), np.array([0.0]), spec)
+        val = mixed_norm(np.array([[7.5]]), np.array([0.0]), 2.0, 2.0)
         assert val == 7.5
 
     def test_two_path_power_mean(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=2.0, r=INF, horizon=1.0)
-        assert mixed_norm(samples, times, spec) == pytest.approx(np.sqrt((4.0 + 16.0) / 2.0))
+        assert mixed_norm(samples, times, 2.0, INF) == pytest.approx(np.sqrt((4.0 + 16.0) / 2.0))
 
     def test_inf_over_paths(self):
         times = np.linspace(0.0, 1.0, 3)
         samples = np.vstack([np.full(3, 2.0), np.full(3, 4.0)])
-        spec = MixedNormSpec(rho=INF, r=INF, horizon=1.0)
-        assert mixed_norm(samples, times, spec) == 4.0
+        assert mixed_norm(samples, times, INF, INF) == 4.0
 
-    def test_window_mismatch_rejected(self):
-        spec = MixedNormSpec(rho=2.0, r=2.0, horizon=2.0)
-        with pytest.raises(DomainError):
-            mixed_norm(np.ones((1, 5)), np.linspace(0, 1, 5), spec)
+    @pytest.mark.parametrize("rho, r", [(0.5, 2.0), (2.0, 0.5), (0.0, INF)])
+    def test_exponent_below_one_rejected(self, rho, r):
+        with pytest.raises(DomainError, match="exponents must be >= 1 or inf"):
+            mixed_norm(np.ones((1, 5)), np.linspace(0, 1, 5), rho, r)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(DomainError):
-            MixedNormSpec(rho=2.0, r=2.0, horizon=0.0)
+    @pytest.mark.parametrize("start", [0.25, -0.25, 1e-300])
+    def test_times_not_starting_at_zero_rejected(self, start):
+        # the window is [0, times[-1]]: samples that start elsewhere miss part of it
+        with pytest.raises(DomainError, match="sample times must start at 0"):
+            mixed_norm(np.ones((1, 5)), np.linspace(start, 1, 5), 2.0, 2.0)
+        with pytest.raises(DomainError, match="sample times must start at 0"):
+            mixed_norm(np.array([[7.5]]), np.array([start]), 2.0, 2.0)
 
     def test_monotone_under_domination(self, rng):
         times = np.linspace(0.0, 1.0, 17)
-        spec = MixedNormSpec(rho=3.0, r=2.0, horizon=1.0)
         for _ in range(10):
             big = rng.uniform(0.5, 2.0, size=(4, 17))
             small = big * rng.uniform(0.0, 1.0, size=(4, 17))
-            assert mixed_norm(small, times, spec) <= mixed_norm(big, times, spec) + 1e-12
+            assert mixed_norm(small, times, 3.0, 2.0) <= mixed_norm(big, times, 3.0, 2.0) + 1e-12
 
 
 class TestAdmissibilityAndMu:
@@ -317,6 +315,18 @@ class TestConvolutionLemma:
         with pytest.raises(DomainError):
             convolution_lemma_experiment(1.0, [0.5, 1.0], n_steps=8, n_paths=2, seed=0)
 
+    def test_runs_without_the_worker_pool(self, monkeypatch):
+        # its per-path kernels hold the GIL, so the paths run in a plain loop
+        from dispersion_lab import estimates
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the convolution lemma reached ordered_map")
+
+        monkeypatch.setattr(estimates, "ordered_map", no_pool)
+        horizons = np.array([0.5, 1.0, 2.0])
+        rep = convolution_lemma_experiment(0.0, horizons, n_steps=16, n_paths=3, seed=1)
+        assert np.allclose(rep.values, horizons**3 / 3.0, rtol=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_equals_full_matrix_kernel_exactly(self, alpha):
         from dispersion_lab.estimates import _sub_seed
@@ -427,7 +437,7 @@ def assert_inhom_equals_direct_sum(H, g, project):
         for k in range(1, n_steps + 1):
             states[:, k] = ens.dt * evolve(modes, b[k] - b[:k]).sum(axis=1)
         norms[pi] = lp_norms_columns(states, 4.0, H.grid)
-    expect = mixed_norm(norms, ens.times, MixedNormSpec(rho=2.0, r=4.0, horizon=T))
+    expect = mixed_norm(norms, ens.times, 2.0, 4.0)
     assert rep.values[0] == pytest.approx(expect, rel=1e-10)
     return rep
 
@@ -529,9 +539,8 @@ class TestTimeResolutionStability:
         ens = sample_brownian(T, n_steps, n_paths, seed=33)
         norms = _space_norms_at_taus(H, u0, ens.values, 4.0, False, 1e-12)
         norms = norms.reshape(n_paths, n_steps + 1)
-        spec = MixedNormSpec(rho=4.0, r=4.0, horizon=T)
-        full = mixed_norm(norms, ens.times, spec)
-        half = mixed_norm(norms[:, ::2], ens.times[::2], spec)
+        full = mixed_norm(norms, ens.times, 4.0, 4.0)
+        half = mixed_norm(norms[:, ::2], ens.times[::2], 4.0, 4.0)
         # the path norm is Holder-1/2 in t, so quadrature converges slowly;
         # stability at the percent level is what the window fits rely on
         assert abs(half - full) / full < 1e-2

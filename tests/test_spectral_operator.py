@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersion_lab import spectral_operator
-from dispersion_lab.errors import AliasingWarning, DomainError
+from dispersion_lab.errors import DomainError
 from dispersion_lab.estimates import lp_norms_columns
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
@@ -673,10 +673,7 @@ class TestStoneDensity:
         spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
         eps = spacing / 10.0
         margin = 80.0 * eps
-        n_lam = int(np.ceil(2 * margin / (eps / 4.0)))
-        est = stone_spectral_density(
-            H, w[k] - margin, w[k] + margin, eps, n_lam, f=H.eigenvectors[:, k]
-        )
+        est = stone_spectral_density(H, w[k] - margin, w[k] + margin, eps, f=H.eigenvectors[:, k])
         assert est.integral() == pytest.approx(1.0, abs=1e-2)
         assert est.density.min() > -1e-10
 
@@ -687,8 +684,7 @@ class TestStoneDensity:
         spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
         eps = spacing / 10.0
         margin = 80.0 * eps
-        n_lam = int(np.ceil(margin / (eps / 4.0)))
-        est = stone_spectral_density(H, w[k], w[k] + margin, eps, n_lam, f=H.eigenvectors[:, k])
+        est = stone_spectral_density(H, w[k], w[k] + margin, eps, f=H.eigenvectors[:, k])
         assert est.integral() == pytest.approx(0.5, abs=2e-2)
 
     def test_random_vector_total_mass(self, ham_gauss_1024, rng):
@@ -699,8 +695,7 @@ class TestStoneDensity:
         span = w[-1] - w[0]
         eps = 1e-3 * span
         a, b = w[0] - 300 * eps, w[-1] + 300 * eps
-        n_lam = int(np.ceil((b - a) / (eps / 3.0)))
-        est = stone_spectral_density(H, a, b, eps, n_lam, f=f)
+        est = stone_spectral_density(H, a, b, eps, f=f)
         assert est.integral() == pytest.approx(1.0, abs=1e-2)
 
     def test_additive_over_subintervals(self, ham_gauss_1024):
@@ -710,10 +705,9 @@ class TestStoneDensity:
         eps = (w[k + 1] - w[k]) / 10.0
         a, c, b = w[k] - 60 * eps, w[k] + 10 * eps, w[k] + 60 * eps
         f = H.eigenvectors[:, k]
-        n = 600
-        m_full = stone_spectral_density(H, a, b, eps, 2 * n, f=f).integral()
-        m1 = stone_spectral_density(H, a, c, eps, n, f=f).integral()
-        m2 = stone_spectral_density(H, c, b, eps, n, f=f).integral()
+        m_full = stone_spectral_density(H, a, b, eps, f=f).integral()
+        m1 = stone_spectral_density(H, a, c, eps, f=f).integral()
+        m2 = stone_spectral_density(H, c, b, eps, f=f).integral()
         assert m1 + m2 == pytest.approx(m_full, abs=1e-3)
 
     def test_matches_lorentzian_histogram(self, ham_gauss_1024, rng):
@@ -724,7 +718,7 @@ class TestStoneDensity:
         w = H.eigenvalues
         a, b = w[0], w[40]
         eps = (b - a) / 50.0
-        est = stone_spectral_density(H, a, b, eps, 200, f=f)
+        est = stone_spectral_density(H, a, b, eps, f=f)
         coef2 = (H.eigenvectors.T @ f) ** 2
         hist = np.zeros_like(est.lambda_grid)
         for lam_k, c2 in zip(w, coef2):
@@ -737,14 +731,23 @@ class TestStoneDensity:
     def test_interval_order_enforced(self, ham_gauss_1024):
         f = ham_gauss_1024.eigenvectors[:, 12]
         with pytest.raises(DomainError):
-            stone_spectral_density(ham_gauss_1024, 2.0, 1.0, 0.1, 10, f=f)
+            stone_spectral_density(ham_gauss_1024, 2.0, 1.0, 0.1, f=f)
 
-    def test_aliasing_warning(self, ham_gauss_1024):
-        H = ham_gauss_1024
-        w = H.eigenvalues
-        eps = (w[13] - w[12]) / 100.0
-        with pytest.warns(AliasingWarning):
-            stone_spectral_density(H, w[10], w[20], eps, 8, f=H.eigenvectors[:, 12])
+    @pytest.mark.parametrize("width", [0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 10.0, 1000.0])
+    def test_lambda_grid_follows_epsilon(self, width):
+        # at least both ends, and a step of about eps / 4 that never exceeds eps / 2
+        H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=4.0, n_points=16)))
+        eps, a = 0.1, 3.0
+        est = stone_spectral_density(H, a, a + width * eps, eps, f=np.ones(16))
+        lams, step = est.lambda_grid, np.diff(est.lambda_grid)
+        assert len(lams) >= 2 and lams[0] == a and lams[-1] == a + width * eps
+        assert min(width * eps, eps / 4) * (1 - 1e-9) <= step.min()
+        assert step.max() <= eps / 2 * (1 + 1e-12)
+
+    def test_uncountable_lambda_grid_rejected(self, ham_gauss_1024):
+        f = ham_gauss_1024.eigenvectors[:, 12]
+        with pytest.raises(DomainError, match="than a float can count"):
+            stone_spectral_density(ham_gauss_1024, 0.0, 1e300, 1e-10, f=f)
 
 
 def free_resolvent_kernel(energy: float, x: float, y: float) -> complex:

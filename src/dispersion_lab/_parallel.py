@@ -24,13 +24,20 @@ _BLAS_SYMBOLS = (
     "openblas_{}_num_threads64_",
     "openblas_{}_num_threads",
 )
+# the name of the kernel OpenBLAS picked at load, in the same builds' order
+_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
 
 
-def pin_blas(libs_dir: str) -> tuple[int, bool]:
+def pin_blas(libs_dir: str) -> tuple[int, bool, str | None]:
     """Pin the OpenBLAS in libs_dir to one thread.
 
-    Returns the thread count it started with and whether the pin took;
-    (1, False) where no library there exports a known symbol pair.
+    Returns the thread count it started with, whether the pin took and
+    the kernel's name (None where the library exports no name symbol);
+    (1, False, None) where no library there exports a known symbol pair.
     """
     for path in sorted(glob.glob(os.path.join(libs_dir, "lib*openblas*.so*"))):
         try:
@@ -46,11 +53,20 @@ def pin_blas(libs_dir: str) -> tuple[int, bool]:
             put.argtypes, put.restype = [ctypes.c_int], None
             found = max(1, get())
             put(1)
-            return found, get() == 1
-    return 1, False
+            return found, get() == 1, _corename(lib)
+    return 1, False, None
 
 
-BLAS_THREADS_FOUND, BLAS_PINNED = pin_blas(
+def _corename(lib) -> str | None:
+    """The name of the kernel lib runs, None where it exports no name symbol."""
+    for name in _CORENAME_SYMBOLS:
+        if (fn := getattr(lib, name, None)) is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+BLAS_THREADS_FOUND, BLAS_PINNED, BLAS_CORENAME = pin_blas(
     os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 )
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
-from ._parallel import BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
+from ._parallel import BLAS_CORENAME, BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
 from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
 from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
 
@@ -730,6 +730,7 @@ def _blas() -> dict:
         "version": blas.get("version"),
         "threads_found": BLAS_THREADS_FOUND,
         "pinned": BLAS_PINNED,
+        "corename": BLAS_CORENAME,
     }
 
 
@@ -799,8 +800,13 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_dict(doc)
         try:
             return run(config, out_dir=args.out)
+        except DispersionLabError:
+            raise  # reported below, with its own message and field path
         except MemoryError as exc:  # sizes are uncapped, so a valid config may ask for too much
             print(f"error: {config.experiment}: out of memory ({exc})", file=sys.stderr)
+            return 1
+        except ValueError as exc:  # or more than numpy can size: "Maximum allowed size exceeded"
+            print(f"error: {config.experiment}: {exc}", file=sys.stderr)
             return 1
     except (DispersionLabError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ non-constructive constants, so every experiment verifies an exponent
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,22 +48,16 @@ def lp_norm_x(u: np.ndarray, p: float, grid: Grid) -> float:
 def lp_norms_columns(states: np.ndarray | RowPanels, p: float, grid: Grid) -> np.ndarray:
     """L^p norm of every column of a (n_points, n_times) state matrix.
 
-    states may also be RowPanels, whose |u|^p blocks (RowPanels.abs_blocks)
-    are folded in row order: a running maximum for p = inf, and for finite
-    p the running sum rides along as row 0 of the next block.  numpy adds
-    the rows of a C-ordered array with more than one column strictly in
-    order, so the fold equals the sum of the stacked blocks bit for bit.
+    states may also be RowPanels: each of its |u|^p blocks
+    (RowPanels.abs_blocks) is summed over its rows, and the partial sums
+    are added in block order; for p = inf the block maxima are folded.
+    The blocks are fixed by the panel height, never by the worker count.
     """
     g = (lambda a: a) if p == INF else (lambda a: a**p)
     blocks = states.abs_blocks(g) if isinstance(states, RowPanels) else [g(np.abs(states))]
-    acc = None
-    for a in blocks:
-        if p == INF:
-            acc = a.max(axis=0) if acc is None else np.maximum(acc, a.max(axis=0))
-        else:
-            acc = np.sum(a if acc is None else np.vstack([acc, a]), axis=0)
     if p == INF:
-        return acc
+        return functools.reduce(np.maximum, (a.max(axis=0) for a in blocks))
+    acc = functools.reduce(np.add, (a.sum(axis=0) for a in blocks))
     return (grid.h * acc) ** (1.0 / p)
 
 

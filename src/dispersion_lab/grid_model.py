@@ -108,29 +108,10 @@ class PotentialGrid:
         return not np.any(self.values)
 
     def l1_norm(self) -> float:
-        """h-weighted Simpson estimate of int |V| over the box."""
-        return float(_simpson(np.abs(self.values), self.grid.h))
-
-
-def _simpson(y: np.ndarray, dx: float) -> np.float64:
-    """Composite Simpson of equally spaced samples y (at least 3) at step dx.
-
-    Repeats the arithmetic of scipy.integrate.simpson(y, dx=dx) operation
-    for operation, so the value is the same to the last bit without
-    importing scipy.integrate.  An even point count integrates the last
-    interval with Cartwright's correction.
-    """
-    n = len(y)
-    stop = n - 2 if n % 2 else n - 3
-    result = np.sum(y[0:stop:2] + 4.0 * y[1 : stop + 1 : 2] + y[2 : stop + 2 : 2])
-    result *= dx / 3.0
-    if n % 2 == 0:
-        h0 = h1 = np.float64(dx)
-        alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
-        beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
-        eta = (1 * h1**3) / (6 * h0 * (h0 + h1))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
+        """Composite Simpson estimate of int |V| over the box: simpson_weights
+        applied with a numpy sum, so no BLAS kernel enters the value."""
+        w = simpson_weights(self.grid.n_points, self.grid.h)
+        return float(np.sum(w * np.abs(self.values)))
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:

@@ -372,8 +372,7 @@ class RowPanels:
     panels of _ROW_PANEL rows of the half vectors, so a column reduction
     holds one panel of the (n, b) states, not all of them.  Together the
     blocks hold every row once, in grid order for a basis without mirror
-    rows.  A single column comes as one panel: it is only n values, and
-    numpy sums a single column pairwise rather than row by row.
+    rows.
     """
 
     basis: Eigenbasis  # (n, m)
@@ -386,8 +385,7 @@ class RowPanels:
 
     def _panels(self):
         height = len(self.basis.even)
-        rows = _ROW_PANEL if self.data.shape[1] > 1 else height
-        return (slice(r, r + rows) for r in range(0, height, rows))
+        return (slice(r, r + _ROW_PANEL) for r in range(0, height, _ROW_PANEL))
 
     def __iter__(self):
         for rows in self._panels():

@@ -28,6 +28,29 @@ def half_inverse_moment_report(ens, times):
     return fit_report(times, vals, ens.n_paths, ens.seed)
 
 
+# streamed finite-p norms against the norms of the whole states: the partial
+# sums per row panel round differently from one sum over all rows.  The
+# largest relative difference measured over the streamed-norm tests (n up
+# to 1024) was 5.3e-15
+WHOLE_STATE_RTOL = 1e-14
+
+
+def panel_sum_norms(panels, p, grid):
+    """lp_norms_columns of RowPanels written out: |u| of each block of
+    iter(panels), each mirror block from its own product slice, then per
+    block the column maxima (p = inf) or the row sums of |u|^p, folded in
+    block order."""
+    acc = None
+    for a in map(np.abs, panels):
+        if p == math.inf:
+            part = a.max(axis=0)
+            acc = part if acc is None else np.maximum(acc, part)
+        else:
+            part = (a**p).sum(axis=0)
+            acc = part if acc is None else acc + part
+    return acc if p == math.inf else (grid.h * acc) ** (1.0 / p)
+
+
 def richardson_resolvent_column(grid, values, energy, eps, y):
     """Reference R(energy + i0)(., y): whole-grid solves against a grid delta at
     the node y for the shifts eps, eps/2 and eps/4, extrapolated in eps."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dispersion_lab import spectral_operator
-from dispersion_lab.cli_runner import load_config, run
+from dispersion_lab.cli_runner import ExperimentConfig, load_config, run
 from dispersion_lab.estimates import (
     convolution_lemma_experiment,
     dispersive_experiment,
@@ -33,12 +33,11 @@ from dispersion_lab.scattering import (
 from dispersion_lab.spectral_operator import (
     born_series_terms,
     build_hamiltonian,
-    propagate_batch,
     richardson_resolvent_table,
     stone_spectral_density,
     tridiagonal_resolvent_solve,
 )
-from dispersion_lab.stochastic import euler_maruyama_ito, sample_brownian
+from dispersion_lab.stochastic import sample_brownian
 
 from conftest import GAUSS31, HALF_INVERSE_MOMENT, SECH21, ZERO, half_inverse_moment_report
 
@@ -87,25 +86,18 @@ def test_criterion_03_expectation_decay():
             f"{np.median(ratios):.3f}")
 
 
-def test_criterion_04_solution_operator_identity(ham_gauss_1024):
-    H = ham_gauss_1024
-    c = H.to_eigenbasis(gaussian_packet(H.grid, width=2.0))
-    c[H.eigenvalues > 2.5] = 0.0
-    c /= np.linalg.norm(c)
-    u0 = H.from_eigenbasis(c)
-    T, n_fine, n_paths = 1.0, 2**12, 200
-    levels = [2**k for k in range(6, 13)]
-    ens = sample_brownian(T, n_fine, n_paths, seed=9)
-    exact = propagate_batch(H, ens.values[:, -1], u0)
-    errs = np.zeros(len(levels))
-    for li, nst in enumerate(levels):
-        # one batched integration per level, its per-path errors summed in path order
-        em = euler_maruyama_ito(H, ens.increments, T, u0, nst)
-        for p in range(n_paths):
-            errs[li] += np.linalg.norm(em[:, p] - exact[:, p])
-    errs /= n_paths
-    dts = np.array([T / n for n in levels])
-    order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+def test_criterion_04_solution_operator_identity(tmp_path):
+    # the registry's sde-convergence runner: the strong error against the
+    # exact flow e^(-i beta(T) H) u0, with u0 a width-2 packet cut to E <= 2.5
+    cfg = ExperimentConfig.from_dict({
+        "experiment": "sde-convergence",
+        "potential": {"family": "gaussian", "amplitude": 3.0, "width": 1.0},
+        "grid": {"n_points": 1024, "l_box": 40.0},
+        "stochastic": {"horizon": 1.0, "n_paths": 200, "seed": 9},
+        "params": {"level_min": 6, "level_max": 12, "energy_cut": 2.5},
+    })
+    assert run(cfg, out_dir=tmp_path) == 0
+    order = json.loads((tmp_path / "report.json").read_text())["metrics"]["fitted_order"]
     assert 0.35 <= order <= 0.65, order
     note(4, f"Euler-Maruyama -> e^(-i beta(T) H) with strong order {order:.3f} "
             "in [0.35, 0.65]")

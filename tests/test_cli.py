@@ -241,7 +241,10 @@ class TestManifest:
         # the thread count numpy's BLAS started with, and whether it is now pinned to one
         assert isinstance(man["blas"]["threads_found"], int) and man["blas"]["threads_found"] >= 1
         assert isinstance(man["blas"]["pinned"], bool)
-        if not man["blas"]["pinned"]:
+        if man["blas"]["pinned"]:
+            # the kernel OpenBLAS picked at load: data.csv bytes are equal per kernel
+            assert isinstance(man["blas"]["corename"], str) and man["blas"]["corename"]
+        else:
             assert man["blas"]["threads_found"] == 1
         assert set(man["thread_env"]) == set(THREAD_VARS)
         assert man["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
@@ -461,6 +464,15 @@ RUN_ONLY_FAILURES = {
         },
         "h^2 underflows to 0",
     ),
+    # counts that numpy refuses to size ("Maximum allowed size exceeded")
+    "n-lambdas-too-large-for-numpy": (
+        {"experiment": "scatter-sweep", "params": {"n_lambdas": 2**70}},
+        "error: scatter-sweep: ",
+    ),
+    "n-steps-too-large-for-numpy": (
+        {"experiment": "dispersive", "stochastic": {"n_steps": 2**70}},
+        "error: dispersive: ",
+    ),
 }
 
 
@@ -470,6 +482,7 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert [ln.startswith("error: ") for ln in err.splitlines()].count(True) == 1
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and words in last
     assert not out.exists()

@@ -33,7 +33,13 @@ from dispersion_lab.grid_model import Grid, sample_potential, sorted_unique
 from dispersion_lab.spectral_operator import build_hamiltonian
 from dispersion_lab.stochastic import sample_brownian
 
-from conftest import HALF_INVERSE_MOMENT, ZERO, half_inverse_moment_report
+from conftest import (
+    HALF_INVERSE_MOMENT,
+    WHOLE_STATE_RTOL,
+    ZERO,
+    half_inverse_moment_report,
+    panel_sum_norms,
+)
 
 INF = math.inf
 
@@ -453,19 +459,6 @@ def per_path_duhamel_tables(modes, ens):
         yield np.exp(-1j * np.outer(modes.energies, b)) * duh
 
 
-def row_fold_norms(panels, p, grid):
-    """lp_norms_columns as it read RowPanels before the mirror reuse: |.|
-    and |.|^p of every block of the product, folded in row order."""
-    acc = None
-    for a in map(np.abs, panels):
-        if p == INF:
-            acc = a.max(axis=0) if acc is None else np.maximum(acc, a.max(axis=0))
-        else:
-            a = a**p
-            acc = np.sum(a if acc is None else np.vstack([acc, a]), axis=0)
-    return acc if p == INF else (grid.h * acc) ** (1.0 / p)
-
-
 class TestDuhamelKernel:
     """duhamel against the per-path closure it replaced.
 
@@ -486,10 +479,15 @@ class TestDuhamelKernel:
         ens = sample_brownian(1.0, self.N_STEPS, self.N_PATHS, seed=91)
         group = max(1, chunk // (self.N_STEPS + 1))
         tables = list(per_path_duhamel_tables(modes, ens))
-        want = np.concatenate([
-            row_fold_norms(RowPanels(modes.basis, np.hstack(tables[i : i + group])), p, H.grid)
+        groups = [
+            RowPanels(modes.basis, np.hstack(tables[i : i + group]))
             for i in range(0, self.N_PATHS, group)
-        ]).reshape(ens.values.shape)
+        ]
+        want = np.concatenate([panel_sum_norms(g, p, H.grid) for g in groups])
+        want = want.reshape(ens.values.shape)
+        whole = np.concatenate([lp_norms_columns(np.vstack(list(g)), p, H.grid) for g in groups])
+        rtol = 0 if p == INF else WHOLE_STATE_RTOL
+        np.testing.assert_allclose(want, whole.reshape(want.shape), rtol=rtol)
         runs = []
         reduce = lambda states: lp_norms_columns(states, p, H.grid)
         with pytest.MonkeyPatch.context() as mp:
@@ -499,7 +497,7 @@ class TestDuhamelKernel:
                     runs.append(duhamel(modes, ens.values, ens.dt, reduce))
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], want)
-        per_path = np.stack([row_fold_norms(RowPanels(modes.basis, t), p, H.grid) for t in tables])
+        per_path = np.stack([panel_sum_norms(RowPanels(modes.basis, t), p, H.grid) for t in tables])
         assert np.max(np.abs(per_path - want)) <= 1e-14 * np.abs(want).max()
         return modes
 

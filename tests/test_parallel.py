@@ -52,10 +52,10 @@ class TestWorkerCount:
 
     def test_unpinnable_blas_keeps_its_threads(self, tmp_path, cores, blas_found):
         # no OpenBLAS with known symbols (MKL, Accelerate): nothing is pinned,
-        # one thread is counted, and the lab runs one worker
+        # one thread is counted, no kernel is named, and the lab runs one worker
         (tmp_path / "libopenblas_fake.so").write_bytes(b"not a shared object")
-        found, pinned = _parallel.pin_blas(str(tmp_path))
-        assert (found, pinned) == (1, False)
+        found, pinned, corename = _parallel.pin_blas(str(tmp_path))
+        assert (found, pinned, corename) == (1, False, None)
         blas_found(found)
         cores(8)
         assert worker_count() == 1

@@ -15,6 +15,7 @@ runner reads typed values only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -319,6 +320,15 @@ def _initial_data(ctx: RunContext, prefix: str = "u0"):
     return u
 
 
+@contextlib.contextmanager
+def _field(path: str):
+    """Prefix a DomainError raised in the block with the config field at fault."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+
+
 def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
     """The fit, its sampling and its extras; the samples themselves go to data.csv."""
     keys = ("fitted_slope", "fitted_intercept", "slope_ci_95", "n_paths", "seed", "extras")
@@ -403,6 +413,9 @@ def _run_resolvent_check(ctx: RunContext):
     probes = np.linspace(-half, half, pr["n_probes"])
     l_or = pr["oracle_l_box"]
     grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / pr["oracle_h"])) + 1)
+    with _field("params.probe_half_width"):  # before any Jost march or solve
+        for y in probes:
+            spectral_operator.node_index(grid_or, float(y))
     vals_or = ctx.cfg.potential(grid_or.x)
     rows = []
     max_rel = 0.0
@@ -434,7 +447,9 @@ def _run_born_check(ctx: RunContext):
     lam0 = V.l1_norm() ** 2
     energy = ctx.params["energy_factor"] * lam0
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
-    terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
+    # energy_factor > 1, so only a V with ||V||_1 = 0 leaves E at the threshold
+    with _field("potential"):
+        terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
     # late terms underflow to exactly 0; a ratio to a 0 term is nan, as row 0's
     ratios = [math.nan] + [b / a if a else math.nan for a, b in zip(sups, sups[1:])]
@@ -479,10 +494,8 @@ def _run_stone_density(ctx: RunContext):
             f"(epsilon) collapses to [{a}, {b}]"
         )
     f = H.from_eigenbasis(np.eye(1, H.n, k)[0])
-    try:  # with eps > 0 and a < b, only the lambda count can fail
+    with _field("params.margin_factor"):  # with eps > 0 and a < b, only the lambda count can fail
         est = spectral_operator.stone_spectral_density(H, a, b, eps, f)
-    except DomainError as exc:
-        raise DomainError(f"params.margin_factor: {exc}") from None
     mass = est.integral()
     rows = list(zip(est.lambda_grid, est.density))
     report = {
@@ -533,7 +546,7 @@ def _run_sde_convergence(ctx: RunContext):
     errs = np.array([strong_error(nst) for nst in levels]) / cfg.n_paths
     dts = np.array([cfg.horizon / n for n in levels])
     # an unstable step can overflow the errors: a degenerate fit, not an error
-    rep = estimates.fit_report(dts, errs, cfg.n_paths, cfg.seed, n_boot=1000, min_points=len(levels))
+    rep = estimates.fit_report(dts, errs, cfg.n_paths, cfg.seed, min_points=len(levels))
     rows = list(zip(dts, errs))
     # extras holds only the degenerate flag and its reason, when set
     report = {"fitted_order": rep.fitted_slope, "slope_ci_95": rep.slope_ci_95, **rep.extras}
@@ -587,6 +600,13 @@ def _run_expectation_decay(ctx: RunContext):
     return _report_from_estimate(rep), ["t", "mean_sup_norm"], rows
 
 
+def _admissible(cfg: ExperimentConfig, mu: Callable) -> None:
+    """mu(r, p) as the window experiment checks it, before H is built; an
+    inadmissible pair names norms.p when p < 2, which no r can mend, else norms.r."""
+    with _field("norms.p" if cfg.p < 2 else "norms.r"):
+        mu(cfg.r, cfg.p)
+
+
 def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
     """Run a window-scaling experiment over params.horizons, sampled as the config says."""
     cfg = ctx.cfg
@@ -620,6 +640,7 @@ def _run_convolution_lemma(ctx: RunContext):
     **_packet_params(0.5),
 )
 def _run_strichartz_hom(ctx: RunContext):
+    _admissible(ctx.cfg, estimates.mu_homogeneous)
     return _window_scaling(
         ctx,
         estimates.strichartz_homogeneous_experiment,
@@ -640,6 +661,10 @@ def _run_strichartz_hom(ctx: RunContext):
 )
 def _run_strichartz_inhom(ctx: RunContext):
     cfg = ctx.cfg
+    _admissible(cfg, estimates.mu_inhomogeneous)
+    rp = estimates.holder_conjugate(cfg.r)
+    if not rp <= cfg.rho <= cfg.r:
+        raise DomainError(f"norms.rho: rho must lie in [r', r] = [{rp}, {cfg.r}], got {cfg.rho}")
     g = _initial_data(ctx, "forcing")
     g = g / estimates.lp_norm_x(g, estimates.holder_conjugate(cfg.p), cfg.grid)
     return _window_scaling(

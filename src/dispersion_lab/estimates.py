@@ -180,7 +180,7 @@ def percentile(x, q: float) -> float:
 def fit_decay_exponent(
     abscissa,
     values,
-    n_boot: int = 1000,
+    n_boot: int = N_BOOT,
     min_points: int = 8,
 ) -> EstimateReport:
     """Ordinary least squares on (log a, log v) with a bootstrap CI.
@@ -229,7 +229,6 @@ def fit_report(
     values,
     n_paths: int,
     seed: int,
-    n_boot: int = N_BOOT,
     min_points: int = 8,
     reason: str | None = None,
     **extras,
@@ -244,7 +243,7 @@ def fit_report(
     v = np.asarray(values, dtype=float)
     if reason is None:
         try:
-            rep = fit_decay_exponent(a, v, n_boot=n_boot, min_points=min_points)
+            rep = fit_decay_exponent(a, v, min_points=min_points)
         except (DomainError, ConditioningError) as exc:
             reason = str(exc)
     if reason is not None:

@@ -576,7 +576,8 @@ def tridiagonal_resolvent_solve(
     return _shifted_solve(_shifted_factor(grid, values, z), np.array(rhs, dtype=complex))
 
 
-def _node_index(grid: Grid, y: float) -> int:
+def node_index(grid: Grid, y: float) -> int:
+    """Index of the grid node at y; a DomainError if y is not one."""
     iy = int(round((y + grid.l_box) / grid.h))
     if not (0 <= iy < grid.n_points) or abs(grid.x[iy] - y) > 1e-9 * max(1.0, grid.h):
         raise DomainError(f"probe y={y} is not a grid node")
@@ -614,7 +615,7 @@ def richardson_resolvent_table(
     solve's bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    iys = [_node_index(grid, float(y)) for y in ys]
+    iys = [node_index(grid, float(y)) for y in ys]
     lo = np.clip(np.searchsorted(grid.x, xs, side="right") - 1, 0, grid.n_points - 2)
     rows = sorted_unique(np.concatenate([lo, lo + 1]))
     buf = np.empty(grid.n_points, dtype=complex)

@@ -464,6 +464,29 @@ RUN_ONLY_FAILURES = {
         },
         "h^2 underflows to 0",
     ),
+    # norms that validate takes but no window bound covers
+    "strichartz-hom-r-inf": (
+        {"experiment": "strichartz-hom", "norms": {"r": "inf"}},
+        "norms.r: (inf, 4.0) is not an admissible pair",
+    ),
+    "strichartz-hom-r-below-2": (
+        {"experiment": "strichartz-hom", "norms": {"r": 1.5}},
+        "norms.r: (1.5, 4.0) is not an admissible pair",
+    ),
+    "strichartz-inhom-rho-above-r": (
+        {"experiment": "strichartz-inhom", "norms": {"rho": 8}},
+        "norms.rho: rho must lie in [r', r]",
+    ),
+    # E = energy_factor * ||V||_1^2 is the threshold itself when V = 0
+    "born-check-zero-potential": (
+        {"experiment": "born-check", "potential": {"family": "zero"}},
+        "potential: energy 0.0 is not above the series threshold",
+    ),
+    # probes -1.5, -0.5, 0.5, 1.5 against the oracle's step 0.008
+    "resolvent-probes-off-oracle-grid": (
+        {"experiment": "resolvent-check", "params": {"probe_half_width": 1.5, "n_probes": 4}},
+        "params.probe_half_width: probe y=-1.5 is not a grid node",
+    ),
     # counts that numpy refuses to size ("Maximum allowed size exceeded")
     "n-lambdas-too-large-for-numpy": (
         {"experiment": "scatter-sweep", "params": {"n_lambdas": 2**70}},

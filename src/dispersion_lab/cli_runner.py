@@ -387,8 +387,8 @@ def _run_resonance(ctx: RunContext):
     return report, ["lambda", "abs_w"], rows
 
 
-# nodes of the dense oracle's grid, 2 * oracle_l_box / oracle_h + 1: at
-# least a Grid's 16, at most four times the default oracle grid
+# nodes of the oracle grid, 2 * grid.l_box / oracle_h + 1: at least a Grid's 16,
+# at most 2_000_001, which keeps its one factorization under 140 MB
 _ORACLE_NODES = (16, 2_000_001)
 
 
@@ -398,21 +398,19 @@ _ORACLE_NODES = (16, 2_000_001)
     lambdas=Param([0.5, 1.0, 2.0], 0, ends="(]"),
     probe_half_width=Param(2.0, 0),
     n_probes=Param(5, 1),
-    oracle_l_box=Param(2000.0, 0, ends="(]"),
     oracle_h=Param(
         0.008,
-        lambda doc: 2.0 * doc["params"]["oracle_l_box"] / (_ORACLE_NODES[1] - 1),
-        lambda doc: 2.0 * doc["params"]["oracle_l_box"] / (_ORACLE_NODES[0] - 1),
+        lambda doc: 2.0 * doc["grid"]["l_box"] / (_ORACLE_NODES[1] - 1),
+        lambda doc: 2.0 * doc["grid"]["l_box"] / (_ORACLE_NODES[0] - 1),
         "(]",
         note="the oracle grid needs %d to %d nodes" % _ORACLE_NODES,
     ),
 )
 def _run_resolvent_check(ctx: RunContext):
     pr = ctx.params
-    half = pr["probe_half_width"]
-    probes = np.linspace(-half, half, pr["n_probes"])
-    l_or = pr["oracle_l_box"]
-    grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / pr["oracle_h"])) + 1)
+    probes = np.linspace(-pr["probe_half_width"], pr["probe_half_width"], pr["n_probes"])
+    # the oracle spans the run's box: both it and the Jost kernel take V as 0 outside
+    grid_or = Grid(ctx.grid.l_box, int(round(2 * ctx.grid.l_box / pr["oracle_h"])) + 1)
     with _field("params.probe_half_width"):  # before any Jost march or solve
         for y in probes:
             spectral_operator.node_index(grid_or, float(y))
@@ -421,10 +419,10 @@ def _run_resolvent_check(ctx: RunContext):
     max_rel = 0.0
     for lam in pr["lambdas"]:
         jost_tab = scattering.resolvent_kernel_jost_table(ctx.V, lam, probes, probes)
-        eps = lam * 11.5 / l_or * 4.0
-        dense_tab = spectral_operator.richardson_resolvent_table(
-            grid_or, vals_or, lam**2, eps, probes, probes
-        )
+        with _field("params.oracle_h"):
+            dense_tab = spectral_operator.outgoing_resolvent_table(
+                grid_or, vals_or, lam**2, probes, probes
+            )
         for j, y in enumerate(probes):
             for i, x in enumerate(probes):
                 jv, dv = jost_tab[i, j], dense_tab[i, j]
@@ -601,10 +599,12 @@ def _run_expectation_decay(ctx: RunContext):
 
 
 def _admissible(cfg: ExperimentConfig, mu: Callable) -> None:
-    """mu(r, p) as the window experiment checks it, before H is built; an
-    inadmissible pair names norms.p when p < 2, which no r can mend, else norms.r."""
+    """mu(r, p) as the window experiment checks it, and r < inf, before H is
+    built; a failure names norms.p when p < 2, which no r can mend, else norms.r."""
     with _field("norms.p" if cfg.p < 2 else "norms.r"):
         mu(cfg.r, cfg.p)
+        if cfg.r == math.inf:
+            raise DomainError("r = inf windows are out of scope for the Monte Carlo")
 
 
 def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):

@@ -82,8 +82,9 @@ class PotentialSpec:
             return np.zeros_like(x)
         if self.family == "gaussian":
             return self.amplitude * np.exp(-((x / self.width) ** 2))
-        if self.family == "sech_squared":
-            return self.amplitude / np.cosh(x / self.width) ** 2
+        if self.family == "sech_squared":  # cosh^2 overflows past |x|/w ~ 355, to V = 0 exactly
+            with np.errstate(over="ignore"):
+                return self.amplitude / np.cosh(x / self.width) ** 2
         if self.family == "square_well":
             return np.where(np.abs(x) <= self.width, self.amplitude, 0.0)
         tx = np.array([p[0] for p in self.table])

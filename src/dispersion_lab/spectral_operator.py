@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
 from .errors import DomainError
-from .grid_model import Grid, PotentialGrid, simpson_weights, sorted_unique
+from .grid_model import Grid, PotentialGrid, simpson_weights
 
 DENSE_SOLVER_CAP = 8192
 
@@ -584,58 +584,36 @@ def node_index(grid: Grid, y: float) -> int:
     return iy
 
 
-def _delta(grid: Grid, iy: int, out: np.ndarray) -> np.ndarray:
-    """Grid delta at node iy (unit mass), written into out."""
-    out[:] = 0.0
-    out[iy] = 1.0 / grid.h
-    return out
+def outgoing_closure(grid: Grid, values: np.ndarray, energy: float) -> np.ndarray:
+    """values with the lattice's exact outgoing boundary at energy + i0 folded in.
 
-
-def _richardson(cols) -> np.ndarray:
-    # cancels the O(eps) and O(eps^2) terms of the shifts eps, eps/2, eps/4
-    c1, c2, c4 = cols
-    return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
-
-
-def richardson_resolvent_table(
-    grid: Grid, values: np.ndarray, energy: float, eps: float, xs, ys
-) -> np.ndarray:
-    """R(energy + i0)(x_i, y_j) on a probe set, linear in x between nodes.
-
-    Column j extrapolates (_richardson) the solves of H - energy - i eps/d,
-    d = 1, 2, 4, against a grid delta at y_j, interpolated at the xs as
-    np.interp does.  Each shift is factored once for all ys, and each y's
-    column is solved into one reused buffer of which only the rows
-    bracketing the xs are kept.
-
-    Each solve runs on the trailing block from row a on, one row above the
-    lower of y_j's node and the first kept row (a >= 0).  Above row a the
-    forward sweep of the delta only carries zeros, and the back sweep never
-    reads those rows when it fills rows >= a, so the kept rows are the full
-    solve's bit for bit.
+    Beyond the box, V taken as 0, (H - E) u = 0 is solved by u_j = zeta^j,
+    zeta = c + i sqrt(1 - c^2), c = 1 - E h^2 / 2, the root of R(E + i0).  A
+    ghost node zeta times its neighbour closes each wall exactly: zeta / h^2
+    comes off the first and last diagonal entries, and the tridiagonal solve
+    of the result at z = energy is R(E + i0).  It needs 0 < E h^2 < 4.
     """
-    xs = np.asarray(xs, dtype=float)
-    iys = [node_index(grid, float(y)) for y in ys]
-    lo = np.clip(np.searchsorted(grid.x, xs, side="right") - 1, 0, grid.n_points - 2)
-    rows = sorted_unique(np.concatenate([lo, lo + 1]))
-    buf = np.empty(grid.n_points, dtype=complex)
+    _, off = _stencil(grid, values)  # its h^2 and overflow checks come first
+    c = 1.0 - 0.5 * energy * grid.h**2
+    if not -1.0 < c < 1.0:
+        raise DomainError(f"the outgoing closure needs 0 < E h^2 < 4, got {energy * grid.h**2:.4g}")
+    closed = np.array(values, dtype=complex)
+    closed[[0, -1]] += complex(c, math.sqrt(1.0 - c * c)) * off[0]
+    return closed
 
-    def solve_rows(factors: tuple, iy: int) -> np.ndarray:
-        a = max(min(iy, int(rows[0])) - 1, 0)
-        dl, d, du, du2, ipiv = factors
-        trailing = (dl[a:], d[a:], du[a:], du2[a:], ipiv[a:] - a)
-        return _shifted_solve(trailing, _delta(grid, iy - a, buf[a:]))[rows - a]
 
-    def probe_rows(z: complex) -> np.ndarray:
-        # the factors are freed on return: one factorization in memory at a time
-        factors = _shifted_factor(grid, values, z)
-        return np.stack([solve_rows(factors, iy) for iy in iys], axis=1)
-
-    cols = _richardson([probe_rows(energy + 1j * eps / d) for d in (1.0, 2.0, 4.0)])
-    xr = grid.x[rows]
-    return np.stack(
-        [np.interp(xs, xr, c.real) + 1j * np.interp(xs, xr, c.imag) for c in cols.T], axis=1
-    )
+def outgoing_resolvent_table(grid: Grid, values: np.ndarray, energy: float, xs, ys) -> np.ndarray:
+    """R(energy + i0)(x_i, y_j) on grid nodes, the box closed by outgoing_closure:
+    one factorization, then per y_j a solve against a grid delta (unit mass).
+    An x or y that is not a grid node is a DomainError."""
+    ixs = [node_index(grid, float(x)) for x in xs]
+    factors = _shifted_factor(grid, outgoing_closure(grid, values, energy), energy)
+    out = np.empty((len(ixs), len(ys)), dtype=complex)
+    for j, y in enumerate(ys):
+        delta = np.zeros(grid.n_points, dtype=complex)
+        delta[node_index(grid, float(y))] = 1.0 / grid.h
+        out[:, j] = _shifted_solve(factors, delta)[ixs]
+    return out
 
 
 @dataclass(frozen=True)

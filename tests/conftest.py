@@ -7,7 +7,7 @@ import pytest
 from dispersion_lab import _parallel
 from dispersion_lab.estimates import fit_report
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
-from dispersion_lab.spectral_operator import build_hamiltonian, tridiagonal_resolvent_solve
+from dispersion_lab.spectral_operator import build_hamiltonian
 
 GAUSS31 = PotentialSpec("gaussian", amplitude=3.0, width=1.0)
 SECH21 = PotentialSpec("sech_squared", amplitude=-2.0, width=1.0)
@@ -49,17 +49,6 @@ def panel_sum_norms(panels, p, grid):
             part = (a**p).sum(axis=0)
             acc = part if acc is None else acc + part
     return acc if p == math.inf else (grid.h * acc) ** (1.0 / p)
-
-
-def richardson_resolvent_column(grid, values, energy, eps, y):
-    """Reference R(energy + i0)(., y): whole-grid solves against a grid delta at
-    the node y for the shifts eps, eps/2 and eps/4, extrapolated in eps."""
-    delta = np.zeros(grid.n_points, dtype=complex)
-    delta[int(round((y + grid.l_box) / grid.h))] = 1.0 / grid.h
-    c1, c2, c4 = (
-        tridiagonal_resolvent_solve(grid, values, energy + 1j * eps / d, delta) for d in (1.0, 2.0, 4.0)
-    )
-    return (c1 - 6.0 * c2 + 8.0 * c4) / 3.0
 
 
 @pytest.fixture(scope="session")

@@ -454,20 +454,32 @@ RUN_ONLY_FAILURES = {
         {
             "experiment": "resolvent-check",
             "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
-            "grid": {"l_box": 20, "n_points": 4001},
-            "params": {
-                "oracle_l_box": 1e-200,
-                "oracle_h": 1e-201,
-                "probe_half_width": 0,
-                "n_probes": 1,
-            },
+            "grid": {"l_box": 1e-200, "n_points": 4001},
+            "params": {"oracle_h": 1e-201, "probe_half_width": 0, "n_probes": 1},
         },
-        "h^2 underflows to 0",
+        "params.oracle_h: grid step h=1e-201 is too small: h^2 underflows to 0",
+    ),
+    # E h^2 = 6.25 on the oracle grid, beyond the lattice band's 4
+    "oracle-step-outside-the-band": (
+        {
+            "experiment": "resolvent-check",
+            "grid": {"l_box": 4, "n_points": 161},
+            "params": {"lambdas": [5], "oracle_h": 0.5},
+        },
+        "params.oracle_h: the outgoing closure needs 0 < E h^2 < 4",
     ),
     # norms that validate takes but no window bound covers
     "strichartz-hom-r-inf": (
         {"experiment": "strichartz-hom", "norms": {"r": "inf"}},
         "norms.r: (inf, 4.0) is not an admissible pair",
+    ),
+    "strichartz-hom-r-inf-p-2": (
+        {"experiment": "strichartz-hom", "norms": {"r": "inf", "p": 2}},
+        "norms.r: r = inf windows are out of scope for the Monte Carlo",
+    ),
+    "strichartz-inhom-r-inf-p-2": (
+        {"experiment": "strichartz-inhom", "norms": {"rho": 2, "r": "inf", "p": 2}},
+        "norms.r: r = inf windows are out of scope for the Monte Carlo",
     ),
     "strichartz-hom-r-below-2": (
         {"experiment": "strichartz-hom", "norms": {"r": 1.5}},
@@ -486,6 +498,11 @@ RUN_ONLY_FAILURES = {
     "resolvent-probes-off-oracle-grid": (
         {"experiment": "resolvent-check", "params": {"probe_half_width": 1.5, "n_probes": 4}},
         "params.probe_half_width: probe y=-1.5 is not a grid node",
+    ),
+    # the oracle spans the run's box, so a probe beyond it is no node of it
+    "resolvent-probes-beyond-the-box": (
+        {"experiment": "resolvent-check", "grid": {"l_box": 2}, "params": {"probe_half_width": 3}},
+        "params.probe_half_width: probe y=-3.0 is not a grid node",
     ),
     # counts that numpy refuses to size ("Maximum allowed size exceeded")
     "n-lambdas-too-large-for-numpy": (
@@ -509,6 +526,15 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and words in last
     assert not out.exists()
+
+
+def test_resolvent_check_on_sech2_lists_no_warnings(tmp_path, capsys):
+    # the oracle samples V on the run's box only, where cosh(x)^2 is finite
+    out = tmp_path / "out"
+    raw = {"experiment": "resolvent-check", "potential": {"family": "sech_squared", "amplitude": -2}}
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert json.loads((out / "run_manifest.json").read_text())["warnings"] == []
 
 
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):
@@ -545,6 +571,7 @@ def test_output_path_that_is_a_file_ends_in_one_error_line(tmp_path, capsys, ove
 REMOVED_PARAMS = [
     ("resonance", "tol"),
     ("dispersive", "beta_min"),
+    ("resolvent-check", "oracle_l_box"),
     *((e, k) for e in ("dispersive", "expectation-decay", "strichartz-hom") for k in ("u0_center", "u0_momentum")),
 ]
 

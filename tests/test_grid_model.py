@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,17 @@ class TestSamplePotential:
         g = Grid(l_box=5.0, n_points=101)
         V = sample_potential(SECH21, g)
         assert V.values[50] == pytest.approx(-2.0)
+
+    def test_sech_squared_on_a_wide_box_warns_nothing(self):
+        # cosh(x)^2 overflows past |x| ~ 355; the sample there is an exact 0
+        g = Grid(l_box=800.0, n_points=1601)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = sample_potential(SECH21, g).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's overflow warnings, unguarded
+            unguarded = -2.0 / np.cosh(g.x) ** 2
+        assert np.array_equal(v, unguarded) and np.all(v[np.abs(g.x) > 400] == 0.0)
 
     @pytest.mark.parametrize("spec", [GAUSS31, SECH21, PotentialSpec("square_well", -1.0, 2.0)])
     def test_even_families_sample_symmetric(self, spec):

@@ -68,7 +68,7 @@ TINY = {
     "stochastic": {"horizon": 16.0, "n_steps": 64, "n_paths": 2, "seed": 3},
 }
 TINY_PARAMS = {
-    "resolvent-check": {"oracle_l_box": 20.0, "oracle_h": 0.05},
+    "resolvent-check": {"oracle_h": 0.05},
     "sde-convergence": {"level_max": 10},
 }
 

@@ -13,7 +13,7 @@ from dispersion_lab.scattering import (
     wronskian,
     zero_energy_test,
 )
-from dispersion_lab.spectral_operator import richardson_resolvent_table
+from dispersion_lab.spectral_operator import outgoing_resolvent_table
 
 from conftest import GAUSS31, SECH21
 
@@ -171,13 +171,11 @@ class TestResolventKernel:
         assert a == b
 
     def test_against_dense_solve(self, gauss_pot):
-        # oracle: banded solve of (H - (lam^2 + i eps)) with Richardson in eps
+        # oracle: one banded solve on the same box, closed by the lattice's
+        # exact outgoing boundary; both take V as 0 outside the box
         lam = 1.5
-        l_or, h_or = 2000.0, 0.008
-        grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / h_or)) + 1)
-        vals_or = GAUSS31(grid_or.x)
-        eps = lam * 11.5 / l_or * 4
-        dense = richardson_resolvent_table(grid_or, vals_or, lam**2, eps, [-1.0], [1.0])[0, 0]
+        grid_or = Grid(l_box=20.0, n_points=5001)
+        dense = outgoing_resolvent_table(grid_or, GAUSS31(grid_or.x), lam**2, [-1.0], [1.0])[0, 0]
         jost = kernel_at(gauss_pot, lam, -1.0, 1.0)
         assert abs(jost - dense) / abs(dense) < 1e-3
 

@@ -17,8 +17,9 @@ from dispersion_lab.spectral_operator import (
     evolve,
     occupied_modes,
     propagate_batch,
+    outgoing_closure,
+    outgoing_resolvent_table,
     real_basis_product,
-    richardson_resolvent_table,
     stone_spectral_density,
     tridiagonal_resolvent_solve,
 )
@@ -29,7 +30,6 @@ from conftest import (
     WHOLE_STATE_RTOL,
     ZERO,
     panel_sum_norms,
-    richardson_resolvent_column,
 )
 
 
@@ -639,22 +639,14 @@ class TestBornSeries:
         assert max(ratios) <= 1.1 * bound
 
     def test_matches_dense_resolvent(self, born_setup):
+        # the oracle solves on the same box at a finer step, closed by the
+        # outgoing boundary: both take V and f as 0 outside the box
         grid, V, lam0, f = born_setup
         energy = 4.0 * lam0
         born = np.sum(born_series_terms(V, energy, f, n_max=20), axis=0)
-        l_or, h_or = 1000.0, 0.0032
-        grid_or = Grid(l_box=l_or, n_points=int(round(2 * l_or / h_or)) + 1)
-        rhs = GAUSS31.__call__  # noqa: F841 - clarity only
-        f_or = np.exp(-(grid_or.x**2)).astype(complex)
-        vals_or = GAUSS31(grid_or.x)
-        k = np.sqrt(energy)
-        eps = 2.0 * k * 11.5 / (2.0 * (l_or - 8.0)) * 4.0
-        sols = []
-        for e in (eps, eps / 2.0, eps / 4.0):
-            from dispersion_lab.spectral_operator import tridiagonal_resolvent_solve
-
-            sols.append(tridiagonal_resolvent_solve(grid_or, vals_or, energy + 1j * e, f_or))
-        oracle = (sols[0] - 6.0 * sols[1] + 8.0 * sols[2]) / 3.0
+        grid_or = Grid(l_box=grid.l_box, n_points=9376)  # h = 0.0032
+        closed = outgoing_closure(grid_or, GAUSS31(grid_or.x), energy)
+        oracle = tridiagonal_resolvent_solve(grid_or, closed, energy, np.exp(-(grid_or.x**2)))
         mask = np.abs(grid.x) <= 3.0
         xs = grid.x[mask]
         oi = np.interp(xs, grid_or.x, oracle.real) + 1j * np.interp(xs, grid_or.x, oracle.imag)
@@ -758,18 +750,6 @@ def free_resolvent_kernel(energy: float, x: float, y: float) -> complex:
     return 1j / (2.0 * k) * np.exp(1j * abs(x - y) * k)
 
 
-class TestDenseResolventHelpers:
-    def test_column_is_kernel_row(self):
-        # free case: R(z)(x, y) from the solver matches the closed form;
-        # eps/4 must still damp the walls, hence eps ~ 4 * 11.5 k / (2 L)
-        grid = Grid(l_box=1000.0, n_points=250001)
-        vals = np.zeros(grid.n_points)
-        energy, eps = 1.0, 0.046
-        col = richardson_resolvent_column(grid, vals, energy, eps, 0.0)
-        ix = int(round((1.0 + grid.l_box) / grid.h))
-        assert col[ix] == pytest.approx(free_resolvent_kernel(1.0, 1.0, 0.0), rel=5e-3)
-
-
 class TestFreeResolventApply:
     def test_next_fast_len_matches_scipy(self):
         from scipy.fft import next_fast_len
@@ -855,47 +835,73 @@ class TestFactorOnceSolves:
         assert info == 0
         assert np.array_equal(tridiagonal_resolvent_solve(grid, vals, z, rhs), expected)
 
-    def test_probe_table_matches_columns(self):
-        grid = Grid(l_box=50.0, n_points=5001)
+
+def closed_banded_solve(grid, values, energy, rhs):
+    """solve_banded of H - energy with outgoing_closure's two corner entries."""
+    from scipy.linalg import solve_banded
+
+    h, n = grid.h, grid.n_points
+    c = 1.0 - 0.5 * energy * h**2
+    zeta = complex(c, math.sqrt(1.0 - c * c))
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -1.0 / h**2
+    ab[1] = 2.0 / h**2 + values - energy
+    ab[1, [0, -1]] -= zeta / h**2
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestOutgoingClosure:
+    @pytest.mark.parametrize("n", [200, 201])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_free_lattice_green_function_exact(self, n, lam):
+        # V = 0: R(E + i0)(x_j, x_k) = h zeta^|j-k| / (1/zeta - zeta), the
+        # lattice's own free kernel, on every node pair of a 12-node sample
+        grid = Grid(l_box=10.0, n_points=n)
+        energy, h = lam**2, grid.h
+        c = 1.0 - 0.5 * energy * h**2
+        zeta = complex(c, math.sqrt(1.0 - c * c))
+        idx = np.linspace(0, n - 1, 12).round().astype(int)
+        tab = outgoing_resolvent_table(grid, np.zeros(n), energy, grid.x[idx], grid.x[idx])
+        exact = h * zeta ** np.abs(idx[:, None] - idx[None, :]) / (1.0 / zeta - zeta)
+        assert np.max(np.abs(tab - exact) / np.abs(exact)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    def test_free_continuum_kernel(self, scatter_grid, lam):
+        # the lattice momentum kappa, cos(kappa h) = 1 - lam^2 h^2 / 2, is
+        # lam (1 + (lam h)^2 / 24) and the amplitude h / (2 sin(kappa h)) is
+        # (1 + (lam h)^2 / 8) / (2 lam) to leading order, so the relative
+        # error is at most (lam h)^2 (1/8 + lam |x - y| / 24), plus 1% for
+        # the higher orders.  Measured on criterion 5's probes, h = 0.01:
+        # 3.1e-6 to 1.4e-4, at most 1.0001 times the leading-order bound
+        h, n, probes = scatter_grid.h, scatter_grid.n_points, np.linspace(-2.0, 2.0, 5)
+        tab = outgoing_resolvent_table(scatter_grid, np.zeros(n), lam**2, probes, probes)
+        dist = np.abs(probes[:, None] - probes[None, :])
+        exact = 1j / (2.0 * lam) * np.exp(1j * lam * dist)
+        bound = 1.01 * (lam * h) ** 2 * (1 / 8 + lam * dist / 24)
+        assert np.all(np.abs(tab - exact) / np.abs(exact) <= bound)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_table_equals_solve_banded_of_closed_system(self, n):
+        grid = Grid(l_box=5.0, n_points=n)
         vals = sample_potential(GAUSS31, grid).values
-        probes = np.linspace(-2.0, 2.0, 5)
-        xs = np.append(probes, [0.123, -1.77])  # off-node rows interpolate
-        tab = richardson_resolvent_table(grid, vals, 1.0, 0.05, xs, probes)
-        assert tab.shape == (len(xs), len(probes))
-        for j, y in enumerate(probes):
-            col = richardson_resolvent_column(grid, vals, 1.0, 0.05, float(y))
-            iy = np.round((probes + grid.l_box) / grid.h).astype(int)
-            assert np.max(np.abs(tab[:5, j] - col[iy]) / np.abs(col[iy])) <= 1e-14
-            interp = np.interp(xs, grid.x, col.real) + 1j * np.interp(xs, grid.x, col.imag)
-            assert np.array_equal(tab[:, j], interp)
+        energy, nodes = 2.25, [0, 7, n // 2, n - 1]
+        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes], grid.x[nodes])
+        for j, iy in enumerate(nodes):
+            delta = np.zeros(n, dtype=complex)
+            delta[iy] = 1.0 / grid.h
+            col = closed_banded_solve(grid, vals, energy, delta)
+            assert np.allclose(tab[:, j], col[nodes], rtol=1e-12, atol=0.0)
 
-    def test_sliced_solves_equal_full_columns(self):
-        # y on nodes 0 and 1 clamps the trailing block to the whole system;
-        # x rows below y set its first row elsewhere
-        from dispersion_lab.spectral_operator import (
-            _delta,
-            _richardson,
-            _shifted_factor,
-            _shifted_solve,
-        )
-
-        grid = Grid(l_box=10.0, n_points=201)
-        vals = np.random.default_rng(3).normal(size=grid.n_points)
-        ys = grid.x[[0, 1, 2, 60, 100, 140, 200]]
-        for xs in (grid.x[[0, 5, 100, 199]], grid.x[[1, 99, 101]], grid.x[[120, 130]]):
-            tab = richardson_resolvent_table(grid, vals, 1.0, 0.05, xs, ys)
-            ix = np.round((xs + grid.l_box) / grid.h).astype(int)
-            for j, y in enumerate(ys):
-                iy = int(round((y + grid.l_box) / grid.h))
-                cols = []
-                for d in (1.0, 2.0, 4.0):
-                    factors = _shifted_factor(grid, vals, 1.0 + 0.05j / d)
-                    rhs = _delta(grid, iy, np.empty(grid.n_points, dtype=complex))
-                    cols.append(_shifted_solve(factors, rhs))
-                col = _richardson(cols)
-                assert np.array_equal(tab[:, j], col[ix])
-
-    def test_probe_table_rejects_off_grid_y(self):
+    def test_off_grid_probe_rejected(self):
         grid = Grid(l_box=10.0, n_points=101)
-        with pytest.raises(DomainError):
-            richardson_resolvent_table(grid, np.zeros(101), 1.0, 0.1, [0.0], [0.05])
+        with pytest.raises(DomainError, match="probe y=0.05 is not a grid node"):
+            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [0.0], [0.05])
+        with pytest.raises(DomainError, match="is not a grid node"):
+            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [10.2], [0.0])
+
+    @pytest.mark.parametrize("energy", [0.0, -1.0, 4.0 / 0.2**2, 1e6])
+    def test_closure_outside_the_band_rejected(self, energy):
+        # h = 0.2: the closure needs 0 < E h^2 < 4
+        grid = Grid(l_box=10.0, n_points=101)
+        with pytest.raises(DomainError, match="needs 0 < E h\\^2 < 4"):
+            outgoing_closure(grid, np.zeros(101), energy)

@@ -380,9 +380,7 @@ def _run_resonance(ctx: RunContext):
     resonant, w0 = scattering.zero_energy_test(V)
     rows = [(0.0, abs(w0))]
     for lam in (0.01, 0.05, 0.1, 0.5):
-        fp = scattering.jost_solution(V, lam, "plus")
-        fm = scattering.jost_solution(V, lam, "minus")
-        rows.append((lam, abs(scattering.wronskian(fp, fm))))
+        rows.append((lam, abs(scattering.midpoint_wronskian(V, lam))))
     report = {"resonant": bool(resonant), "abs_w0": abs(w0), "tol": scattering.RESONANCE_TOL}
     return report, ["lambda", "abs_w"], rows
 

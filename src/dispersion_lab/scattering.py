@@ -6,6 +6,9 @@ the reduced functions m defined by f = e^{+-i lam x} m(lam, x), which
 satisfy m'' +- 2 i lam m' = V m with flat boundary data m = 1, m' = 0.
 Integrating m instead of f keeps the boundary condition exact and avoids
 oscillatory blow-up at large |x| lam.
+
+The resolvent kernel reads the whole table of jost_solution; the Wronskian,
+resonance test and scattering data read one node, which jost_at_node marches to.
 """
 
 from __future__ import annotations
@@ -45,21 +48,15 @@ class JostFunction:
         return phase * (self.m_prime + 1j * self._s * self.lam * self.m_values)
 
     def at_node(self, i: int) -> tuple[complex, complex]:
-        """(f, f') at grid node i alone, equal to f_values()[i], f_prime_values()[i].
-
-        Works on length-1 slices: numpy's complex scalar product rounds
-        differently from its array loop.
-        """
+        """(f, f') at grid node i alone, equal to f_values()[i], f_prime_values()[i]."""
         sl = slice(i, i + 1)
-        phase = np.exp(1j * self._s * self.lam * self.grid.x[sl])
-        m = self.m_values[sl]
-        f = phase * m
-        fd = phase * (self.m_prime[sl] + 1j * self._s * self.lam * m)
-        return f[0], fd[0]
+        return _node_pair(self.lam, self._s, self.grid.x[sl], self.m_values[sl], self.m_prime[sl])
 
     def f_at(self, x: float) -> complex:
-        """f at an off-grid point, m interpolated linearly."""
+        """f at an off-grid point of the box, m interpolated linearly."""
         xs = self.grid.x
+        if not xs[0] <= x <= xs[-1]:
+            raise DomainError(f"x={x} lies outside the box [{xs[0]}, {xs[-1]}]")
         mr = np.interp(x, xs, self.m_values.real)
         mi = np.interp(x, xs, self.m_values.imag)
         return np.exp(1j * self._s * self.lam * x) * (mr + 1j * mi)
@@ -86,35 +83,36 @@ def _midpoint_values(v: np.ndarray) -> np.ndarray:
     return mid
 
 
-def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
-    """Integrate the reduced Jost equation across the full grid.
+def _node_pair(lam: float, s: float, x, m, mp) -> tuple[complex, complex]:
+    """(f, f') from length-1 slices: numpy's complex scalar product rounds differently."""
+    phase = np.exp(1j * s * lam * x)
+    return (phase * m)[0], (phase * (mp + 1j * s * lam * m))[0]
 
-    Fixed-step classical RK4 on (m, m'), marching inward from the
-    boundary on the `sign` side where m = 1, m' = 0.  The equation is
-    linear, so each step is a 2x2 matrix; all step matrices are built at
-    once and composed by a log-depth prefix product.
+
+def _step_matrices(V: PotentialGrid, lam: float, sign: str, n_steps: int) -> list:
+    """Entries [p00, p01, p10, p11] of the first n_steps RK4 step matrices.
+
+    Fixed-step classical RK4 on (m, m'), linear so one 2x2 matrix a step,
+    marching inward from the `sign` wall, where m = 1, m' = 0.
     """
     if sign not in SIGNS:
         raise ContractViolationError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    grid = V.grid
-    h = grid.h
+    h = V.grid.h
     v = V.values
     vmax = float(np.max(np.abs(v))) if len(v) else 0.0
     if h * (abs(lam) + np.sqrt(vmax)) > 0.5:
         raise DomainError(
-            f"step h={h:.4g} too coarse for lam={lam} and this potential; "
+            f"grid.n_points: step h={h:.4g} too coarse for lam={lam} and this potential; "
             "refine the grid"
         )
     vm = _midpoint_values(v)
     s = 1.0 if sign == "plus" else -1.0
     c = -s * 2j * lam  # m'' = V m + c m'
-    # V at the start, midpoint and end of every step, in marching order
-    if sign == "plus":
-        va, vb, vc = v[:0:-1], vm[::-1], v[-2::-1]
-        step = -h
-    else:
-        va, vb, vc = v[:-1], vm, v[1:]
-        step = h
+    if sign == "plus":  # marching order
+        v, vm = v[::-1], vm[::-1]
+    # V at the start, midpoint and end of every step
+    va, vb, vc = v[:n_steps], vm[:n_steps], v[1 : n_steps + 1]
+    step = -s * h
     half = 0.5 * step
     sixth = step / 6.0
 
@@ -138,31 +136,62 @@ def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
             y1 + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
         )
 
-    # entries of the 2x2 step matrices, one flat array each (np.matmul on
-    # stacked 2x2 matrices is far slower); the images of the unit vectors
-    # are their columns
-    p00, p10 = rk4(1.0, 0.0)
-    p01, p11 = rk4(0.0, 1.0)
-    # inclusive prefix product P[i] = steps[i] @ ... @ steps[0] by doubling,
-    # P[i] <- P[i] @ P[i - k] for k = 1, 2, 4, ...
+    # one flat array per entry (np.matmul on stacked 2x2 matrices is far
+    # slower); the images of the unit vectors are the columns
+    (p00, p10), (p01, p11) = rk4(1.0, 0.0), rk4(0.0, 1.0)
+    return [p00, p01, p10, p11]
+
+
+def _matmul(a, b):
+    """Entrywise products a @ b of stacked 2x2 matrices, each as [p00, p01, p10, p11]."""
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = a, b
+    return [
+        a00 * b00 + a01 * b10,
+        a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10,
+        a10 * b01 + a11 * b11,
+    ]
+
+
+def jost_solution(V: PotentialGrid, lam: float, sign: str) -> JostFunction:
+    """Integrate the reduced Jost equation across the full grid.
+
+    The step matrices are composed by a log-depth inclusive prefix product
+    P[t] = steps[t] @ ... @ steps[0]: O(n log n) work for the whole table.
+    """
+    n = V.grid.n_points
+    p = _step_matrices(V, lam, sign, n - 1)
+    # by doubling, P[t] <- P[t] @ P[t - k] for k = 1, 2, 4, ...
     k = 1
-    while k < len(p00):
-        a00, a01, a10, a11 = p00[k:], p01[k:], p10[k:], p11[k:]
-        b00, b01, b10, b11 = p00[:-k], p01[:-k], p10[:-k], p11[:-k]
-        p00[k:], p01[k:], p10[k:], p11[k:] = (
-            a00 * b00 + a01 * b10,
-            a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10,
-            a10 * b01 + a11 * b11,
-        )
+    while k < n - 1:
+        for q, r in zip(p, _matmul([q[k:] for q in p], [q[:-k] for q in p])):
+            q[k:] = r
         k *= 2
-    m = np.ones(grid.n_points, dtype=complex)
-    mp = np.zeros(grid.n_points, dtype=complex)
-    if sign == "plus":
-        m[-2::-1], mp[-2::-1] = p00, p10
-    else:
-        m[1:], mp[1:] = p00, p10
-    return JostFunction(lam=lam, sign=sign, grid=grid, m_values=m, m_prime=mp)
+    m = np.ones(n, dtype=complex)
+    mp = np.zeros(n, dtype=complex)
+    inner = slice(-2, None, -1) if sign == "plus" else slice(1, None)
+    m[inner], mp[inner] = p[0], p[2]
+    return JostFunction(lam=lam, sign=sign, grid=V.grid, m_values=m, m_prime=mp)
+
+
+def jost_at_node(V: PotentialGrid, lam: float, sign: str, i: int) -> tuple[complex, complex]:
+    """(f, f') at node i alone, bit for bit jost_solution(V, lam, sign).at_node(i).
+
+    Builds only the steps from the wall to node i and multiplies them pairwise
+    in descending order, level by level, an odd one left over carried up as is.
+    The scan's round k = 2^(j-1) pairs P[t] with P[t - k], so at level j P[t]
+    rests on t, t - 2^j, t - 2 * 2^j, ...: the same tree and formulas, in linear work.
+    """
+    n = V.grid.n_points
+    if not 0 <= i < n:
+        raise ContractViolationError(f"node {i} is not on a grid of {n} points")
+    p = [q[::-1] for q in _step_matrices(V, lam, sign, n - 1 - i if sign == "plus" else i)]
+    while len(p[0]) > 1:
+        even = len(p[0]) // 2 * 2
+        pairs = _matmul([q[0:even:2] for q in p], [q[1:even:2] for q in p])
+        p = [np.concatenate((r, q[even:])) for r, q in zip(pairs, p)]
+    m, mp = (p[0], p[2]) if len(p[0]) else (np.ones(1, dtype=complex), np.zeros(1, dtype=complex))
+    return _node_pair(lam, 1.0 if sign == "plus" else -1.0, V.grid.x[i : i + 1], m, mp)
 
 
 def _check_pair(f_plus: JostFunction, f_minus: JostFunction) -> None:
@@ -187,14 +216,23 @@ def wronskian(f_plus: JostFunction, f_minus: JostFunction) -> complex:
     """
     _check_pair(f_plus, f_minus)
     i0 = f_plus.grid.n_points // 2
-    fp, fpd = f_plus.at_node(i0)
-    fm, fmd = f_minus.at_node(i0)
+    return _wronskian_at(f_plus.at_node(i0), f_minus.at_node(i0))
+
+
+def _wronskian_at(plus: tuple[complex, complex], minus: tuple[complex, complex]) -> complex:
+    (fp, fpd), (fm, fmd) = plus, minus
     return complex(fp * fmd - fpd * fm)
+
+
+def midpoint_wronskian(V: PotentialGrid, lam: float) -> complex:
+    """W(lam) from node marches to the grid midpoint: wronskian's value, no tables."""
+    i0 = V.grid.n_points // 2
+    return _wronskian_at(jost_at_node(V, lam, "plus", i0), jost_at_node(V, lam, "minus", i0))
 
 
 def zero_energy_test(V: PotentialGrid) -> tuple[bool, complex]:
     """(resonant, W(0)): the verdict of detect_resonance and its Wronskian."""
-    w0 = wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))
+    w0 = midpoint_wronskian(V, 0.0)
     return abs(w0) < RESONANCE_TOL * max(1.0, V.l1_norm()), w0
 
 
@@ -212,26 +250,25 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
 
     Solves the 2x2 system f- = alpha f+(lam, .) + beta f+(-lam, .) from
     values and derivatives at the matching point, then fills the
-    transmission -2 i lam / W and reflection alpha / beta.
+    transmission -2 i lam / W and reflection alpha / beta.  Two node marches
+    do: for real V and lam, (f, f') of f+(-lam) is the conjugate of f+(lam)'s
+    bit for bit: the march commutes with conjugation, and libm's sin is odd.
     """
     if lam == 0:
         raise DomainError("scattering coefficients are singular at lam = 0")
-    fp = jost_solution(V, lam, "plus")
-    fp_neg = jost_solution(V, -lam, "plus")
-    fm = jost_solution(V, lam, "minus")
     i0 = V.grid.n_points // 2
-    a11, a21 = fp.at_node(i0)
-    a12, a22 = fp_neg.at_node(i0)
+    a11, a21 = plus = jost_at_node(V, lam, "plus", i0)
+    b1, b2 = minus = jost_at_node(V, lam, "minus", i0)
+    a12, a22 = a11.conjugate(), a21.conjugate()
     det = a11 * a22 - a12 * a21
     scale = max(abs(a11) * abs(a22), abs(a12) * abs(a21), 1e-300)
     if abs(det) < 1e-10 * scale:
         raise ConditioningError(
             f"matching system nearly singular at lam={lam} (det={abs(det):.2e})"
         )
-    b1, b2 = fm.at_node(i0)
     alpha = (b1 * a22 - a12 * b2) / det
     beta = (a11 * b2 - b1 * a21) / det
-    w = wronskian(fp, fm)
+    w = _wronskian_at(plus, minus)
     transmission = -2j * lam / w
     reflection = alpha / beta
     return ScatteringData(

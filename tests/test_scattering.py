@@ -6,6 +6,7 @@ from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.scattering import (
     _midpoint_values,
     detect_resonance,
+    jost_at_node,
     jost_solution,
     lambda_sweep_grid,
     resolvent_kernel_jost_table,
@@ -15,7 +16,7 @@ from dispersion_lab.scattering import (
 )
 from dispersion_lab.spectral_operator import outgoing_resolvent_table
 
-from conftest import GAUSS31, SECH21
+from conftest import GAUSS31, SECH21, ZERO
 
 
 def reflectionless_transmission(lam):
@@ -183,6 +184,14 @@ class TestResolventKernel:
         with pytest.raises(DomainError):
             kernel_at(gauss_pot, 0.0, 0.0, 1.0)
 
+    def test_probe_outside_the_box_rejected(self):
+        # m is only known on the box; np.interp would clamp it at the ends
+        V = sample_potential(GAUSS31, Grid(l_box=2.0, n_points=401))
+        with pytest.raises(DomainError, match="outside the box"):
+            resolvent_kernel_jost_table(V, 1.0, [3.0], [0.0])
+        with pytest.raises(DomainError, match="outside the box"):
+            resolvent_kernel_jost_table(V, 1.0, [0.0], [-3.0])
+
     def test_near_resonance_guard(self, sech_pot):
         # resonant family: |W(lam)| ~ 2 lam near zero trips a loose tolerance
         with pytest.raises(ConditioningError, match="below tolerance"):
@@ -272,11 +281,34 @@ class TestJostComposition:
             jost_solution(V, 5.0, sign)
         jost_solution(V, 0.1, sign)  # a fine enough lam still passes
 
-    def test_node_values_match_full_grid(self, gauss_pot):
+    @pytest.mark.parametrize("spec", [ZERO, GAUSS31, SECH21], ids=["zero", "gauss", "sech"])
+    @pytest.mark.parametrize("n", [257, 258])
+    def test_node_values_match_full_grid(self, spec, n):
+        # the node march builds the scan's product tree for its node, so it
+        # gives the table's bits at every node, the empty products at the walls too
+        V = sample_potential(spec, Grid(l_box=10.0, n_points=n))
         for sign in ("plus", "minus"):
-            f = jost_solution(gauss_pot, 1.3, sign)
-            for i in (0, 17, 2000, 4000):
-                assert f.at_node(i) == (f.f_values()[i], f.f_prime_values()[i])
+            for lam in (0.0, 0.05, -0.05, 1.3):
+                f = jost_solution(V, lam, sign)
+                fv, fd = f.f_values(), f.f_prime_values()
+                for i in range(n):
+                    assert jost_at_node(V, lam, sign, i) == f.at_node(i) == (fv[i], fd[i])
+        for i in (-1, n):
+            with pytest.raises(ContractViolationError):
+                jost_at_node(V, 1.3, "plus", i)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ZERO, GAUSS31, SECH21, PotentialSpec("square_well", amplitude=-1.0, width=1.0)],
+        ids=["zero", "gauss", "sech", "well"],
+    )
+    def test_negative_lambda_is_the_conjugate(self, scatter_grid, spec):
+        # scattering_coefficients takes f+(-lam) at the midpoint as conj(f+(lam))
+        V = sample_potential(spec, scatter_grid)
+        i0 = V.grid.n_points // 2
+        for lam in lambda_sweep_grid(V.l1_norm() ** 2):
+            f, fd = jost_at_node(V, float(lam), "plus", i0)
+            assert jost_at_node(V, -float(lam), "plus", i0) == (f.conjugate(), fd.conjugate())
 
     @pytest.mark.parametrize("pot", ["zero_pot", "gauss_pot", "sech_pot"])
     def test_zero_energy_test_matches_detect_resonance(self, request, pot):

@@ -282,17 +282,12 @@ def _select_time_indices(
     return sorted_unique(np.round(ts / ensemble.dt).astype(int))
 
 
-def _space_norms_at_taus(
-    H: DiscreteHamiltonian,
-    u0: np.ndarray,
-    taus: np.ndarray,
-    p: float,
-    project: bool,
-    mode_tol: float,
+def _sup_norms_at_taus(
+    H: DiscreteHamiltonian, u0: np.ndarray, taus: np.ndarray, mode_tol: float
 ) -> np.ndarray:
-    """L^p norms of e^{-i tau H} (P_ac) u0 for a flat list of phases."""
-    modes = occupied_modes(H, u0, project, mode_tol)
-    return evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, p, H.grid))
+    """Sup norms of e^{-i tau H} P_ac u0 for a flat list of phases."""
+    modes = occupied_modes(H, u0, project=True, mode_tol=mode_tol)
+    return evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, INF, H.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,7 @@ def dispersive_experiment(
     ksel = _select_time_indices(ensemble, t_min, n_time_samples)
     taus = ensemble.values[:, ksel].ravel()
     xs = np.abs(taus)
-    vs = _space_norms_at_taus(H, u0, taus, INF, project=True, mode_tol=1e-12)
+    vs = _sup_norms_at_taus(H, u0, taus, mode_tol=1e-12)
     keep = xs >= beta_min
     xs, vs = xs[keep], vs[keep]
     n, seed = ensemble.n_paths, ensemble.seed
@@ -361,9 +356,9 @@ def expectation_decay_experiment(
     u0 = u0 / lp_norm_x(u0, 1.0, H.grid)
     ksel = _select_time_indices(ensemble, t_min, n_time_samples, spacing="geometric")
     ts = ensemble.times[ksel]
-    sup = _space_norms_at_taus(
-        H, u0, ensemble.values[:, ksel], INF, project=True, mode_tol=1e-6
-    ).reshape(ensemble.n_paths, len(ksel))
+    sup = _sup_norms_at_taus(H, u0, ensemble.values[:, ksel], mode_tol=1e-6).reshape(
+        ensemble.n_paths, len(ksel)
+    )
     vals = np.mean(sup**p, axis=0) ** (1.0 / p)
     return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
 

@@ -1,5 +1,5 @@
 """Spatial grid, potential families, the grid L1 norm of a sampled potential
-and the composite Simpson weights of the Born series and the time quadratures.
+and the composite Simpson weights of ||V||_1 and the time quadratures.
 
 Every family lies in each weighted class ``int |V(x)| (1+|x|)^j dx < infty``
 by construction: a Gaussian, sech^2 and a square well decay fast, and a

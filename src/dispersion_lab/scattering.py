@@ -22,6 +22,7 @@ from .grid_model import Grid, PotentialGrid
 
 SIGNS = ("plus", "minus")
 RESONANCE_TOL = 1e-4  # of |W(0)|, relative to max(1, ||V||_1)
+KERNEL_W_TOL = 1e-10  # of |W(lam)|, relative to max(1, 2 |lam|): below it, no kernel
 
 
 @dataclass(frozen=True)
@@ -281,20 +282,14 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
     )
 
 
-def resolvent_kernel_jost_table(
-    V: PotentialGrid,
-    lam: float,
-    xs,
-    ys,
-    w_tol: float = 1e-10,
-) -> np.ndarray:
+def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, xs, ys) -> np.ndarray:
     """Kernel values on a probe set, one Jost pair for all entries."""
     if lam == 0:
         raise DomainError("kernel formula divides by W(lam); lam = 0 not allowed")
     fp = jost_solution(V, lam, "plus")
     fm = jost_solution(V, lam, "minus")
     w = wronskian(fp, fm)
-    if abs(w) < w_tol * max(1.0, 2.0 * abs(lam)):
+    if abs(w) < KERNEL_W_TOL * max(1.0, 2.0 * abs(lam)):
         raise ConditioningError(f"|W({lam})| = {abs(w):.2e} below tolerance")
     out = np.empty((len(xs), len(ys)), dtype=complex)
     for i, xv in enumerate(xs):

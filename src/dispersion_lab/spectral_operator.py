@@ -22,7 +22,7 @@ from numpy.linalg import LinAlgError
 
 from ._parallel import ordered_map
 from .errors import DomainError
-from .grid_model import Grid, PotentialGrid, simpson_weights
+from .grid_model import Grid, PotentialGrid
 
 DENSE_SOLVER_CAP = 8192
 
@@ -482,61 +482,28 @@ def propagate_batch(
     return evolve(occupied_modes(H, u, mode_tol=mode_tol), taus)
 
 
-def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth length >= target, scipy.fft.next_fast_len(target, real=False)."""
-    n = max(target, 1)
-    while True:
-        m = n
-        for f in (2, 3, 5, 7, 11):
-            while m % f == 0:
-                m //= f
-        if m == 1:
-            return n
-        n += 1
-
-
-class _FreeResolventApply:
-    """Outgoing R0(energy + i0) as a fast convolution against grid quadrature.
-
-    The full linear convolution is computed exactly as
-    scipy.signal.fftconvolve does for complex 1-D input (complex FFTs of
-    the next fast length, product, inverse, crop), so the terms match it
-    bit for bit; numpy.fft runs the same pocketfft transforms without
-    importing scipy.fft.  The kernel's transform is taken once.
-    """
-
-    def __init__(self, grid: Grid, energy: float):
-        k = np.sqrt(energy)
-        n = grid.n_points
-        offsets = grid.h * np.arange(-(n - 1), n)
-        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(offsets))
-        self.weights = simpson_weights(n, grid.h)
-        self.n = n
-        self.size = _next_fast_len(3 * n - 2)
-        self.kernel_hat = np.fft.fft(kernel, self.size)
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        full = np.fft.ifft(np.fft.fft(self.weights * f, self.size) * self.kernel_hat, self.size)
-        return full[self.n - 1 : 2 * self.n - 1]
-
-
 def born_series_terms(
     V: PotentialGrid, energy: float, f: np.ndarray, n_max: int
 ) -> list[np.ndarray]:
     """Terms R0 (-V R0)^n f of the outgoing resolvent expansion, n = 0..n_max.
 
-    R0 is the free resolvent at energy + i0.  Requires an energy above
-    ||V||_1^2 so the term ratio stays below ||V||_1 / (2 sqrt(energy)) < 1.
+    R0 is the lattice's free resolvent at energy + i0, the box closed by
+    outgoing_closure: H0 - E is factored once and each term is one banded
+    solve.  Requires an energy above ||V||_1^2, so the term ratio stays below
+    ||V||_1 / (2 sqrt(energy)) < 1, and 0 < E h^2 < 4.  f is not modified.
     """
     threshold = V.l1_norm() ** 2
     if energy <= threshold:
         raise DomainError(
             f"energy {energy} is not above the series threshold {threshold:.4g}"
         )
-    r0 = _FreeResolventApply(V.grid, energy)
-    terms = [r0(np.asarray(f, dtype=complex))]
+    grid = V.grid
+    closed = outgoing_closure(grid, np.zeros(grid.n_points), energy)
+    factors = _shifted_factor(grid, closed, energy)
+    # each solve overwrites its right-hand side, so the first one gets a copy of f
+    terms = [_shifted_solve(factors, np.array(f, dtype=complex))]
     for _ in range(n_max):
-        terms.append(r0(-V.values * terms[-1]))
+        terms.append(_shifted_solve(factors, -V.values * terms[-1]))
     return terms
 
 
@@ -571,7 +538,7 @@ def tridiagonal_resolvent_solve(
     """Solve (H - z) u = rhs for the tridiagonal H, any grid size.
 
     Tridiagonal LU, independent of the eigendecomposition; this is the dense
-    oracle route paired with Jost/Born constructions elsewhere.
+    oracle route paired with the Jost constructions elsewhere.
     """
     return _shifted_solve(_shifted_factor(grid, values, z), np.array(rhs, dtype=complex))
 

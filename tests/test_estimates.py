@@ -21,6 +21,7 @@ from dispersion_lab.estimates import (
     gaussian_packet,
     holder_conjugate,
     lp_norm_x,
+    lp_norms_columns,
     mixed_norm,
     mu_homogeneous,
     mu_inhomogeneous,
@@ -528,14 +529,14 @@ class TestTimeResolutionStability:
     def test_doubling_time_grid_is_converged(self, ham_free_1024_l30):
         # Richardson-style check on one ensemble: the window norm from the
         # half-resolution time grid agrees with the full-resolution one
-        from dispersion_lab.estimates import _space_norms_at_taus
-
         H = ham_free_1024_l30
         u0 = gaussian_packet(H.grid, width=0.5)
         u0 = u0 / lp_norm_x(u0, 2.0, H.grid)
         T, n_steps, n_paths = 2.0, 128, 16
         ens = sample_brownian(T, n_steps, n_paths, seed=33)
-        norms = _space_norms_at_taus(H, u0, ens.values, 4.0, False, 1e-12)
+        reduce = lambda states: lp_norms_columns(states, 4.0, H.grid)
+        modes = spectral_operator.occupied_modes(H, u0, mode_tol=1e-12)
+        norms = spectral_operator.evolve(modes, ens.values, reduce)
         norms = norms.reshape(n_paths, n_steps + 1)
         full = mixed_norm(norms, ens.times, 4.0, 4.0)
         half = mixed_norm(norms[:, ::2], ens.times[::2], 4.0, 4.0)

@@ -106,13 +106,13 @@ class TestL1Norm:
     def test_closed_forms(self, n, spec, exact):
         V = sample_potential(spec, Grid(l_box=30.0, n_points=n))
         assert V.l1_norm() == pytest.approx(exact, rel=1e-13)
-        # the same weights as the Born series and the time quadratures
+        # the same weights as the time quadratures
         w = simpson_weights(n, V.grid.h)
         assert V.l1_norm() == pytest.approx(w @ np.abs(V.values), rel=1e-14)
 
 
 class TestSimpsonWeights:
-    """The one weight function behind the Born series and the time quadratures."""
+    """The one weight function behind ||V||_1 and the time quadratures."""
 
     @pytest.mark.parametrize("n", [16, 17, 2048, 4097])
     def test_integrates_one_and_x_exactly(self, n):

@@ -36,6 +36,9 @@ MALFORMED = [
     ("dispersive", {"u0_shape": "square"}, "u0_shape"),
     ("expectation-decay", {"p_exponent": 3}, "p_exponent"),
     ("convolution-lemma", {"horizons": [1.0, -2.0]}, "horizons"),
+    # 8 * margin_factor banded solves: above the cap of 1e3 a run could take hours
+    ("stone-density", {"margin_factor": 1e308}, "margin_factor"),
+    ("stone-density", {"margin_factor": 1000.5}, "margin_factor"),
 ]
 
 # malformed values of the other sections, each keyed by the field path its

@@ -653,6 +653,22 @@ class TestBornSeries:
         rel = np.max(np.abs(born[mask] - oi)) / np.max(np.abs(oi))
         assert rel < 1e-2
 
+    def test_sum_is_the_closed_solve_on_its_grid(self, born_setup):
+        # R0 is the lattice's outgoing free resolvent, so the 20-term sum is
+        # R(E + i0) f of the same closed lattice, up to the series' tail
+        grid, V, lam0, f = born_setup
+        energy = 4.0 * lam0
+        born = np.sum(born_series_terms(V, energy, f, n_max=20), axis=0)
+        closed = outgoing_closure(grid, V.values, energy)
+        exact = tridiagonal_resolvent_solve(grid, closed, energy, f)
+        assert np.max(np.abs(born - exact)) / np.max(np.abs(exact)) <= 1e-12
+
+    def test_leaves_the_datum_unchanged(self, born_setup):
+        _, V, lam0, f = born_setup
+        kept = f.copy()
+        born_series_terms(V, 4.0 * lam0, f, n_max=2)
+        assert np.array_equal(f, kept)
+
     def test_below_threshold_rejected(self, born_setup):
         _, V, lam0, f = born_setup
         with pytest.raises(DomainError, match="is not above the series threshold"):
@@ -742,57 +758,6 @@ class TestStoneDensity:
         f = ham_gauss_1024.eigenvectors[:, 12]
         with pytest.raises(DomainError, match="than a float can count"):
             stone_spectral_density(ham_gauss_1024, 0.0, 1e300, 1e-10, f=f)
-
-
-def free_resolvent_kernel(energy: float, x: float, y: float) -> complex:
-    """Closed-form free-line kernel (-d2/dx2 - energy - i0)^{-1}(x, y)."""
-    k = np.sqrt(energy)
-    return 1j / (2.0 * k) * np.exp(1j * abs(x - y) * k)
-
-
-class TestFreeResolventApply:
-    def test_next_fast_len_matches_scipy(self):
-        from scipy.fft import next_fast_len
-
-        from dispersion_lab.spectral_operator import _next_fast_len
-
-        targets = range(1, 20001)
-        assert [_next_fast_len(t) for t in targets] == [next_fast_len(t, real=False) for t in targets]
-
-    @pytest.mark.parametrize(
-        "grid", [Grid(l_box=15.0, n_points=4097), Grid(l_box=5.0, n_points=63), Grid(l_box=5.0, n_points=64)]
-    )
-    def test_equals_fftconvolve_exactly(self, grid):
-        from scipy.signal import fftconvolve
-
-        from dispersion_lab.spectral_operator import _FreeResolventApply
-
-        rng = np.random.default_rng(grid.n_points)
-        f = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-        n = grid.n_points
-        k = np.sqrt(37.0)
-        r0 = _FreeResolventApply(grid, 37.0)
-        offsets = grid.h * np.arange(-(n - 1), n)
-        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(offsets))
-        expected = fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]
-        assert np.array_equal(r0(f), expected)
-
-    def test_born_check_terms_equal_fftconvolve_series(self):
-        from scipy.signal import fftconvolve
-
-        from dispersion_lab.spectral_operator import _FreeResolventApply
-
-        V = sample_potential(GAUSS31, Grid(l_box=15.0, n_points=4097))
-        energy = 4.0 * V.l1_norm() ** 2
-        f = np.exp(-V.grid.x**2).astype(complex)
-        r0 = _FreeResolventApply(V.grid, energy)
-        n, k = V.grid.n_points, np.sqrt(energy)
-        kernel = 1j / (2.0 * k) * np.exp(1j * k * np.abs(V.grid.h * np.arange(-(n - 1), n)))
-        expected = [fftconvolve(r0.weights * f, kernel)[n - 1 : 2 * n - 1]]
-        for _ in range(20):
-            expected.append(fftconvolve(r0.weights * (-V.values * expected[-1]), kernel)[n - 1 : 2 * n - 1])
-        got = born_series_terms(V, energy, f, 20)
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestFactorOnceSolves:

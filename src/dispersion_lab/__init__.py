@@ -10,8 +10,8 @@ from .scattering import (
     ScatteringData,
     detect_resonance,
     jost_solution,
+    midpoint_wronskian,
     scattering_coefficients,
-    wronskian,
 )
 from .spectral_operator import (
     DiscreteHamiltonian,
@@ -43,8 +43,8 @@ __all__ = [
     "ScatteringData",
     "detect_resonance",
     "jost_solution",
+    "midpoint_wronskian",
     "scattering_coefficients",
-    "wronskian",
     "DiscreteHamiltonian",
     "SpectralDensityEstimate",
     "build_hamiltonian",

@@ -7,8 +7,10 @@ satisfy m'' +- 2 i lam m' = V m with flat boundary data m = 1, m' = 0.
 Integrating m instead of f keeps the boundary condition exact and avoids
 oscillatory blow-up at large |x| lam.
 
-The resolvent kernel reads the whole table of jost_solution; the Wronskian,
-resonance test and scattering data read one node, which jost_at_node marches to.
+The resolvent kernel reads the whole table of jost_solution, once per sign
+and energy: every probe at once through f_at, and W at the table's midpoint
+node.  The Wronskian, resonance test and scattering data read one node,
+which jost_at_node marches to.
 """
 
 from __future__ import annotations
@@ -53,14 +55,28 @@ class JostFunction:
         sl = slice(i, i + 1)
         return _node_pair(self.lam, self._s, self.grid.x[sl], self.m_values[sl], self.m_prime[sl])
 
-    def f_at(self, x: float) -> complex:
-        """f at an off-grid point of the box, m interpolated linearly."""
+    def f_at(self, x) -> np.ndarray:
+        """f at points of the box, any shape, m interpolated by cubic Hermite.
+
+        Hermite on the table's own m and m' keeps the march's O(h^4); at a
+        node t = 0, so the node's m comes back exactly.
+        """
         xs = self.grid.x
-        if not xs[0] <= x <= xs[-1]:
-            raise DomainError(f"x={x} lies outside the box [{xs[0]}, {xs[-1]}]")
-        mr = np.interp(x, xs, self.m_values.real)
-        mi = np.interp(x, xs, self.m_values.imag)
-        return np.exp(1j * self._s * self.lam * x) * (mr + 1j * mi)
+        x = np.asarray(x, dtype=float)
+        outside = (x < xs[0]) | (x > xs[-1])
+        if outside.any():
+            raise DomainError(f"x={x[outside][0]} lies outside the box [{xs[0]}, {xs[-1]}]")
+        i = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
+        dx = xs[i + 1] - xs[i]
+        t = (x - xs[i]) / dx
+        u = 1.0 - t
+        m = (
+            (1.0 + 2.0 * t) * u * u * self.m_values[i]
+            + t * u * u * dx * self.m_prime[i]
+            + t * t * (3.0 - 2.0 * t) * self.m_values[i + 1]
+            - t * t * u * dx * self.m_prime[i + 1]
+        )
+        return np.exp(1j * self._s * self.lam * x) * m
 
 
 @dataclass(frozen=True)
@@ -195,38 +211,17 @@ def jost_at_node(V: PotentialGrid, lam: float, sign: str, i: int) -> tuple[compl
     return _node_pair(lam, 1.0 if sign == "plus" else -1.0, V.grid.x[i : i + 1], m, mp)
 
 
-def _check_pair(f_plus: JostFunction, f_minus: JostFunction) -> None:
-    if f_plus.sign != "plus" or f_minus.sign != "minus":
-        raise ContractViolationError("wronskian expects a (plus, minus) pair")
-    if f_plus.lam != f_minus.lam:
-        raise ContractViolationError(
-            f"mismatched spectral parameters {f_plus.lam} vs {f_minus.lam}"
-        )
-    if f_plus.grid is not f_minus.grid and not (
-        f_plus.grid.l_box == f_minus.grid.l_box
-        and f_plus.grid.n_points == f_minus.grid.n_points
-    ):
-        raise ContractViolationError("Jost pair must share one grid")
-
-
-def wronskian(f_plus: JostFunction, f_minus: JostFunction) -> complex:
-    """W = f+ f-' - f+' f- at the grid midpoint.
-
-    Derivatives come from the integrated m', not finite differences, so
-    the free case reproduces W = -2 i lam to round-off.
-    """
-    _check_pair(f_plus, f_minus)
-    i0 = f_plus.grid.n_points // 2
-    return _wronskian_at(f_plus.at_node(i0), f_minus.at_node(i0))
-
-
 def _wronskian_at(plus: tuple[complex, complex], minus: tuple[complex, complex]) -> complex:
     (fp, fpd), (fm, fmd) = plus, minus
     return complex(fp * fmd - fpd * fm)
 
 
 def midpoint_wronskian(V: PotentialGrid, lam: float) -> complex:
-    """W(lam) from node marches to the grid midpoint: wronskian's value, no tables."""
+    """W = f+ f-' - f+' f- at the grid midpoint, from two node marches.
+
+    Derivatives come from the integrated m', not finite differences, so
+    the free case reproduces W = -2 i lam to round-off.
+    """
     i0 = V.grid.n_points // 2
     return _wronskian_at(jost_at_node(V, lam, "plus", i0), jost_at_node(V, lam, "minus", i0))
 
@@ -247,7 +242,7 @@ def detect_resonance(V: PotentialGrid) -> bool:
 
 
 def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
-    """Match f- against f+(lam), f+(-lam) at x = 0.
+    """Match f- against f+(lam), f+(-lam) at node n // 2 (x = h/2 on an even grid).
 
     Solves the 2x2 system f- = alpha f+(lam, .) + beta f+(-lam, .) from
     values and derivatives at the matching point, then fills the
@@ -283,20 +278,20 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
 
 
 def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, xs, ys) -> np.ndarray:
-    """Kernel values on a probe set, one Jost pair for all entries."""
+    """Kernel f+(max(x, y)) f-(min(x, y)) / W(lam) on the probe mesh xs x ys.
+
+    One table per sign, each read once for every probe; W comes from the
+    same tables' midpoint node, equal to midpoint_wronskian(V, lam).
+    """
     if lam == 0:
         raise DomainError("kernel formula divides by W(lam); lam = 0 not allowed")
     fp = jost_solution(V, lam, "plus")
     fm = jost_solution(V, lam, "minus")
-    w = wronskian(fp, fm)
+    i0 = V.grid.n_points // 2
+    w = _wronskian_at(fp.at_node(i0), fm.at_node(i0))
     if abs(w) < KERNEL_W_TOL * max(1.0, 2.0 * abs(lam)):
         raise ConditioningError(f"|W({lam})| = {abs(w):.2e} below tolerance")
-    out = np.empty((len(xs), len(ys)), dtype=complex)
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            hi, lo = (xv, yv) if xv >= yv else (yv, xv)
-            out[i, j] = fp.f_at(hi) * fm.f_at(lo) / w
-    return out
+    return fp.f_at(np.maximum.outer(xs, ys)) * fm.f_at(np.minimum.outer(xs, ys)) / w
 
 
 def lambda_sweep_grid(lam0: float, n: int = 48) -> np.ndarray:

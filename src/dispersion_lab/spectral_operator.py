@@ -527,7 +527,8 @@ def _shifted_factor(grid: Grid, values: np.ndarray, z: complex) -> tuple:
 
 
 def _shifted_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve against gttrf factors in place: rhs (complex, contiguous) is the result."""
+    """Solve against gttrf factors in place: rhs (complex; a vector, or a
+    Fortran-ordered block of columns) is the result."""
     x, _ = _flapack.zgttrs(*factors, rhs, overwrite_b=1)
     return x
 
@@ -571,16 +572,14 @@ def outgoing_closure(grid: Grid, values: np.ndarray, energy: float) -> np.ndarra
 
 def outgoing_resolvent_table(grid: Grid, values: np.ndarray, energy: float, xs, ys) -> np.ndarray:
     """R(energy + i0)(x_i, y_j) on grid nodes, the box closed by outgoing_closure:
-    one factorization, then per y_j a solve against a grid delta (unit mass).
-    An x or y that is not a grid node is a DomainError."""
+    one factorization and one solve against the block of grid deltas (unit
+    mass), a column per y_j.  An x or y that is not a grid node is a DomainError."""
     ixs = [node_index(grid, float(x)) for x in xs]
+    iys = [node_index(grid, float(y)) for y in ys]
     factors = _shifted_factor(grid, outgoing_closure(grid, values, energy), energy)
-    out = np.empty((len(ixs), len(ys)), dtype=complex)
-    for j, y in enumerate(ys):
-        delta = np.zeros(grid.n_points, dtype=complex)
-        delta[node_index(grid, float(y))] = 1.0 / grid.h
-        out[:, j] = _shifted_solve(factors, delta)[ixs]
-    return out
+    deltas = np.zeros((grid.n_points, len(iys)), dtype=complex, order="F")
+    deltas[iys, range(len(iys))] = 1.0 / grid.h
+    return _shifted_solve(factors, deltas)[ixs]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 from dispersion_lab import spectral_operator
 from dispersion_lab.cli_runner import ExperimentConfig, load_config, run
 from dispersion_lab.grid_model import Grid, sample_potential
-from dispersion_lab.scattering import jost_solution, wronskian
+from dispersion_lab.scattering import jost_solution, midpoint_wronskian
 from dispersion_lab.spectral_operator import (
     born_series_terms,
     build_hamiltonian,
@@ -140,7 +140,7 @@ def test_criterion_08_alpha_zero_is_exact(tmp_path):
 def test_criterion_10_wronskian_checks():
     zero, gauss = potential("resonance-zero"), potential("resonance-gaussian")
     for lam in np.geomspace(0.1, 10.0, 7):
-        w = wronskian(jost_solution(zero, lam, "plus"), jost_solution(zero, lam, "minus"))
+        w = midpoint_wronskian(zero, lam)
         assert abs(w - (-2j * lam)) < 1e-10
     fp, fm = jost_solution(gauss, 1.5, "plus"), jost_solution(gauss, 1.5, "minus")
     prof = (fp.f_values() * fm.f_prime_values() - fp.f_prime_values() * fm.f_values())[50:-50]

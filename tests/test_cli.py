@@ -572,6 +572,16 @@ def test_resolvent_check_on_sech2_lists_no_warnings(tmp_path, capsys):
     assert json.loads((out / "run_manifest.json").read_text())["warnings"] == []
 
 
+def test_resolvent_check_off_node_probes_meet_criterion_5(tmp_path):
+    # no default probe is a node of the default grid (h = 80 / 2047), so the
+    # kernel reads every probe between nodes: the bound needs the march's O(h^4)
+    # there, which linear interpolation of m does not keep
+    out = tmp_path / "out"
+    raw = {"experiment": "resolvent-check", "potential": {"family": "gaussian", "amplitude": 3}}
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["metrics"]["max_rel_err"] < 1e-3
+
+
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):
     # an interval narrower than the eps / 4 step still gets both ends sampled,
     # so the run reports the mass under them, not the 0 of a single sample

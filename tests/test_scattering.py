@@ -6,13 +6,14 @@ from dispersion_lab.errors import ConditioningError, ContractViolationError, Dom
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
 from dispersion_lab.scattering import (
     _midpoint_values,
+    _wronskian_at,
     detect_resonance,
     jost_at_node,
     jost_solution,
     lambda_sweep_grid,
+    midpoint_wronskian,
     resolvent_kernel_jost_table,
     scattering_coefficients,
-    wronskian,
     zero_energy_test,
 )
 from dispersion_lab.spectral_operator import outgoing_resolvent_table
@@ -48,6 +49,14 @@ class TestJostSolution:
             vals.append(m[n // 2])
         assert abs(vals[0] - vals[1]) < 1e-7
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_f_at_nodes_returns_the_table(self, gauss_pot, sign):
+        # t = 0 at every node but the last, which is t = 1 of the last interval
+        f = jost_solution(gauss_pot, 1.3, sign)
+        at, table = f.f_at(f.grid.x), f.f_values()
+        assert np.array_equal(at[:-1], table[:-1])
+        assert abs(at[-1] - table[-1]) <= 1e-14
+
     def test_coarse_grid_rejected(self):
         grid = Grid(l_box=20.0, n_points=64)
         V = sample_potential(GAUSS31, grid)
@@ -67,12 +76,12 @@ class TestJostSolution:
 class TestWronskian:
     @pytest.mark.parametrize("lam", [0.1, 1.0, 3.0, 10.0])
     def test_free_closed_form(self, zero_pot, lam):
-        w = wronskian(jost_solution(zero_pot, lam, "plus"), jost_solution(zero_pot, lam, "minus"))
+        w = midpoint_wronskian(zero_pot, lam)
         assert abs(w - (-2j * lam)) < 1e-10
 
     def test_reflectionless_value(self, sech_pot):
         # closed form W = -2 i lam / T with T = (lam+i)/(lam-i): W(1) = -2
-        w = wronskian(jost_solution(sech_pot, 1.0, "plus"), jost_solution(sech_pot, 1.0, "minus"))
+        w = midpoint_wronskian(sech_pot, 1.0)
         assert w == pytest.approx(-2.0 + 0j, abs=1e-8)
 
     def test_x_independence(self, gauss_pot):
@@ -84,19 +93,9 @@ class TestWronskian:
 
     def test_conjugation_symmetry(self, gauss_pot):
         for lam in (0.3, 1.1, 2.7):
-            wp = wronskian(
-                jost_solution(gauss_pot, lam, "plus"), jost_solution(gauss_pot, lam, "minus")
-            )
-            wm = wronskian(
-                jost_solution(gauss_pot, -lam, "plus"), jost_solution(gauss_pot, -lam, "minus")
-            )
+            wp = midpoint_wronskian(gauss_pot, lam)
+            wm = midpoint_wronskian(gauss_pot, -lam)
             assert abs(wm - np.conj(wp)) < 1e-8
-
-    def test_mismatched_pair_rejected(self, gauss_pot):
-        fp = jost_solution(gauss_pot, 1.0, "plus")
-        fm = jost_solution(gauss_pot, 2.0, "minus")
-        with pytest.raises(ContractViolationError):
-            wronskian(fp, fm)
 
 
 class TestResonance:
@@ -186,12 +185,12 @@ class TestResolventKernel:
             kernel_at(gauss_pot, 0.0, 0.0, 1.0)
 
     def test_probe_outside_the_box_rejected(self):
-        # m is only known on the box; np.interp would clamp it at the ends
+        # m is only known on the box; the interval index would clamp at the ends
         V = sample_potential(GAUSS31, Grid(l_box=2.0, n_points=401))
-        with pytest.raises(DomainError, match="outside the box"):
+        with pytest.raises(DomainError, match=r"x=3\.0 lies outside the box"):
             resolvent_kernel_jost_table(V, 1.0, [3.0], [0.0])
-        with pytest.raises(DomainError, match="outside the box"):
-            resolvent_kernel_jost_table(V, 1.0, [0.0], [-3.0])
+        with pytest.raises(DomainError, match=r"x=-3\.0 lies outside the box"):
+            resolvent_kernel_jost_table(V, 1.0, [0.0, 1.0], [-3.0, -4.0])
 
     def test_near_resonance_guard(self, sech_pot, monkeypatch):
         # resonant family: |W(lam)| ~ 2 lam near zero trips a loose tolerance
@@ -317,4 +316,6 @@ class TestJostComposition:
         V = request.getfixturevalue(pot)
         resonant, w0 = zero_energy_test(V)
         assert resonant is detect_resonance(V)
-        assert w0 == wronskian(jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus"))
+        i0 = V.grid.n_points // 2
+        fp, fm = jost_solution(V, 0.0, "plus"), jost_solution(V, 0.0, "minus")
+        assert w0 == _wronskian_at(fp.at_node(i0), fm.at_node(i0))

@@ -857,6 +857,20 @@ class TestOutgoingClosure:
             col = closed_banded_solve(grid, vals, energy, delta)
             assert np.allclose(tab[:, j], col[nodes], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_table_columns_equal_single_solves(self, n):
+        # the one block solve gives each column the bits of its own solve
+        grid = Grid(l_box=5.0, n_points=n)
+        vals = sample_potential(GAUSS31, grid).values
+        energy, nodes = 2.25, [0, 7, n // 2, n - 1]
+        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes], grid.x[nodes])
+        closed = outgoing_closure(grid, vals, energy)
+        for j, iy in enumerate(nodes):
+            delta = np.zeros(n)
+            delta[iy] = 1.0 / grid.h
+            col = tridiagonal_resolvent_solve(grid, closed, energy, delta)
+            assert np.array_equal(tab[:, j], col[nodes])
+
     def test_off_grid_probe_rejected(self):
         grid = Grid(l_box=10.0, n_points=101)
         with pytest.raises(DomainError, match="probe y=0.05 is not a grid node"):

@@ -288,11 +288,46 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     matrix is a basis without mirror rows, even where 2/h^2 + V rounds its
     asymmetry away.
     """
-    if V.grid.n_points > DENSE_SOLVER_CAP:
-        raise DomainError(
-            f"n_points={V.grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
-        )
+    _check_solver_cap(V.grid)
     return DiscreteHamiltonian(V)
+
+
+def _check_solver_cap(grid: Grid) -> None:
+    if grid.n_points > DENSE_SOLVER_CAP:
+        raise DomainError(
+            f"grid.n_points: {grid.n_points} exceeds the dense eigensolver cap {DENSE_SOLVER_CAP}"
+        )
+
+
+def eigenpair_with_neighbours(V: PotentialGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues k-1, k, k+1 (ascending, 1 <= k <= n-2) of the grid
+    Hamiltonian of V, and the eigenvector of eigenvalue k.
+
+    Solves only these: LAPACK dstebz bisects for the three eigenvalues by
+    index and dstein finds the one eigenvector by inverse iteration, O(n)
+    work each and no n x n matrix.  The vector has unit euclidean norm and
+    an arbitrary sign; its error is about eps ||H|| / gap, gap the distance
+    from eigenvalue k to the nearest other one.  The grid is held to the
+    dense eigensolver's cap, which bounds every solve on it.
+    """
+    _check_solver_cap(V.grid)
+    diag, off = _stencil(V.grid, V.values)
+    # range 2 selects by index, 1-based.  The absolute tolerance 2 * tiny is
+    # LAPACK's advice for the most accurate eigenvalues; 0 would stop at
+    # eps * ||H||_1, which a large barrier in V makes larger than the
+    # eigenvalues themselves
+    tol = 2.0 * np.finfo(float).tiny
+    m, w, iblock, isplit, info = _flapack.dstebz(diag, off, 2, 0.0, 1.0, k, k + 2, tol, "B")
+    if info != 0:
+        raise LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    # order "B", which dstein needs, ascends within each block that the
+    # stencil splits into; a barrier in V above ~1e31 / h^2 splits it
+    ascending = np.argsort(w[:m], kind="stable")
+    j = ascending[1]
+    v, info = _flapack.dstein(diag, off, w[j : j + 1], np.roll(iblock, -j), isplit)
+    if info != 0:
+        raise LinAlgError(f"dstein did not converge (LAPACK info={info})")
+    return w[ascending], v[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +629,7 @@ class SpectralDensityEstimate:
 
 
 def stone_spectral_density(
-    H: DiscreteHamiltonian,
+    V: PotentialGrid,
     a: float,
     b: float,
     epsilon: float,
@@ -602,11 +637,11 @@ def stone_spectral_density(
 ) -> SpectralDensityEstimate:
     """Spectral density from the resolvent jump across the real axis.
 
-    density(lam) = Im <(H - lam - i eps)^{-1} f, f> / pi on an even lam
-    grid over [a, b] of max(2, ceil((b - a) / (eps / 4))) points, so its
-    step is about eps / 4 and never above eps / 2; its integral over
-    [a, b] approximates the spectral mass of f on the interval as
-    eps -> 0.
+    density(lam) = Im <(H - lam - i eps)^{-1} f, f> / pi for the grid
+    Hamiltonian H of V, one banded solve per lam, on an even lam grid over
+    [a, b] of max(2, ceil((b - a) / (eps / 4))) points, so its step is
+    about eps / 4 and never above eps / 2; its integral over [a, b]
+    approximates the spectral mass of f on the interval as eps -> 0.
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -623,8 +658,6 @@ def stone_spectral_density(
     f = np.asarray(f, dtype=complex)
     dens = np.empty(len(lams))
     for i, lam in enumerate(lams):
-        u = tridiagonal_resolvent_solve(
-            H.grid, H.potential.values, lam + 1j * epsilon, f
-        )
+        u = tridiagonal_resolvent_solve(V.grid, V.values, lam + 1j * epsilon, f)
         dens[i] = np.imag(np.vdot(f, u)) / np.pi
     return SpectralDensityEstimate(lambda_grid=lams, density=dens)

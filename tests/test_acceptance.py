@@ -117,7 +117,7 @@ def test_criterion_07_eigenvalue_on_the_edge():
     k, w = params["eigenindex"], H.eigenvalues
     eps = params["epsilon_factor"] * min(w[k] - w[k - 1], w[k + 1] - w[k])
     half = stone_spectral_density(
-        H, w[k], w[k] + params["margin_factor"] * eps, eps, f=H.eigenvectors[:, k]
+        H.potential, w[k], w[k] + params["margin_factor"] * eps, eps, f=H.eigenvectors[:, k]
     ).integral()
     assert abs(half - 0.5) < 2e-2, half
     note(7, f"spectral mass {half:.4f} with the eigenvalue on the edge")

@@ -16,6 +16,7 @@ from dispersion_lab.cli_runner import (
     run,
 )
 from dispersion_lab.errors import ValidationError
+from dispersion_lab.grid_model import sample_potential
 
 
 def small_dispersive_config(tmp_path, potential=None, **overrides):
@@ -442,6 +443,16 @@ RUN_ONLY_FAILURES = {
         {"experiment": "stone-density", "params": {"epsilon_factor": 5e-324}},
         "params.epsilon_factor",
     ),
+    # more nodes than the eigensolvers take: an H-building run, and
+    # stone-density, which checks the same bound before its one selected solve
+    "dense-solver-cap": (
+        {"experiment": "dispersive", "grid": {"n_points": 9000}},
+        "error: grid.n_points: 9000 exceeds the dense eigensolver cap 8192",
+    ),
+    "stone-solver-cap": (
+        {"experiment": "stone-density", "grid": {"n_points": 10**6}},
+        "error: grid.n_points: 1000000 exceeds the dense eigensolver cap 8192",
+    ),
     "grid-step-squares-to-zero": (
         {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},
         "h^2 underflows to 0",
@@ -579,7 +590,46 @@ def test_resolvent_check_off_node_probes_meet_criterion_5(tmp_path):
     out = tmp_path / "out"
     raw = {"experiment": "resolvent-check", "potential": {"family": "gaussian", "amplitude": 3}}
     assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["metrics"]["max_rel_err"] < 1e-3
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["max_rel_err"] < 1e-3 and metrics["max_rel_err_ok"] is True
+
+
+def test_resolvent_check_above_criterion_5_is_flagged(tmp_path):
+    # a square well's jumps fall at different places on the run grid and on
+    # the oracle's, so the kernel misses the bound: a verdict, not a silent number
+    out = tmp_path / "out"
+    raw = {"experiment": "resolvent-check", "potential": {"family": "square_well", "amplitude": -2}}
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["max_rel_err"] > 1e-3 and metrics["max_rel_err_ok"] is False
+
+
+def test_stone_density_solves_only_the_eigenpairs_it_reads(tmp_path, monkeypatch):
+    # the benchmark case runs no dense eigensolve, and its mass is the dense route's
+    solved = []
+    dstevd = spectral_operator._dstevd
+    monkeypatch.setattr(
+        spectral_operator, "_dstevd", lambda d, e: solved.append(len(d)) or dstevd(d, e)
+    )
+    cfg = ExperimentConfig.from_dict(
+        {
+            "experiment": "stone-density",
+            "potential": {"family": "gaussian", "amplitude": 3.0, "width": 1.0},
+            "grid": {"n_points": 1024, "l_box": 40.0},
+        }
+    )
+    assert run(cfg, out_dir=tmp_path) == 0
+    assert solved == []
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["eigensolves"] == []
+    mass = json.loads((tmp_path / "report.json").read_text())["metrics"]["mass"]
+    H = spectral_operator.build_hamiltonian(sample_potential(cfg.potential, cfg.grid))
+    k, w = cfg.params["eigenindex"], H.eigenvalues
+    eps = cfg.params["epsilon_factor"] * min(w[k] - w[k - 1], w[k + 1] - w[k])
+    margin = cfg.params["margin_factor"] * eps
+    dense = spectral_operator.stone_spectral_density(
+        H.potential, w[k] - margin, w[k] + margin, eps, H.eigenvectors[:, k]
+    )
+    assert abs(mass - dense.integral()) <= 1e-9
 
 
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):

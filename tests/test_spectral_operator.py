@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from dispersion_lab import spectral_operator
 from dispersion_lab.errors import DomainError
 from dispersion_lab.estimates import lp_norms_columns
-from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
+from dispersion_lab.grid_model import Grid, PotentialGrid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
     RowPanels,
     born_series_terms,
     build_hamiltonian,
+    eigenpair_with_neighbours,
     evolve,
     occupied_modes,
     propagate_batch,
@@ -101,8 +102,10 @@ class TestBuildHamiltonian:
     def test_size_cap(self):
         grid = Grid(l_box=10.0, n_points=9000)
         V = sample_potential(ZERO, grid)
-        with pytest.raises(DomainError, match="exceeds the dense eigensolver cap"):
-            build_hamiltonian(V)
+        # stone-density's selected solve holds the grid to the same cap
+        for solve in (build_hamiltonian, lambda V: eigenpair_with_neighbours(V, 12)):
+            with pytest.raises(DomainError, match="^grid.n_points: 9000 exceeds the dense"):
+                solve(V)
 
 
 class TestProjectAc:
@@ -384,7 +387,7 @@ class TestParitySplit:
             assert np.max(np.abs(H.from_eigenbasis(c) - data)) <= scale
             # the folded product gives the coefficients in eigenvalue order
             assert np.max(np.abs(c - H.eigenvectors.T @ data)) <= scale
-        # stone-density's datum: one eigenvector without the dense matrix
+        # one eigenvector in grid order without the dense matrix
         for k in (0, n // 2, n - 1):
             assert np.array_equal(H.from_eigenbasis(np.eye(1, n, k)[0]), H.eigenvectors[:, k])
 
@@ -675,6 +678,47 @@ class TestBornSeries:
             born_series_terms(V, 0.5 * lam0, f, n_max=3)
 
 
+# at the bottom of the spectrum, stone-density's default index and the top
+@pytest.mark.parametrize("k", [1, 12, -2], ids=["1", "12", "n-2"])
+@pytest.mark.parametrize("n", [128, 1024])
+@pytest.mark.parametrize(
+    "spec", [ZERO, GAUSS31, SECH21, WELL], ids=["zero", "gauss31", "sech21", "well"]
+)
+def test_eigenpair_with_neighbours_matches_dense(spec, n, k):
+    H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
+    k %= n
+    w, v = eigenpair_with_neighbours(H.potential, k)
+    norm, dense_w = 4.0 / H.grid.h**2, H.eigenvalues[k - 1 : k + 2]
+    assert np.max(np.abs(w - dense_w)) <= 1e-12 * norm
+    # each route's vector is off by about eps ||H|| / gap; that exceeds 1e-9
+    # only at the square well's top, whose modes pair up across the well
+    # (gap 3e-8, where the routes differ by 1e-9 against a bound of 4e-6)
+    gap = min(np.diff(dense_w))
+    dense = H.eigenvectors[:, k]
+    error = np.max(np.abs(np.sign(v @ dense) * v - dense))
+    assert error <= max(1e-9, 2.0 * np.finfo(float).eps * norm / gap)
+
+
+def test_eigenpair_with_neighbours_on_a_split_stencil():
+    # a barrier of 1e33 at node 40 splits the stencil into blocks of 40 and 87
+    # rows, which bisection lists block by block; the wider block holds the
+    # two lowest eigenvalues, and an absolute tolerance of eps * ||H||_1
+    # (1e17) would leave all three unresolved
+    grid = Grid(l_box=40.0, n_points=128)
+    values = np.zeros(128)
+    values[40] = 1e33
+    V = PotentialGrid(grid, values)
+    diag, off = spectral_operator._stencil(grid, values)
+    left = spectral_operator._dstevd(diag[:40], off[:39])
+    right = spectral_operator._dstevd(diag[41:], off[41:])
+    assert right[0][1] < left[0][0]
+    w, v = eigenpair_with_neighbours(V, 1)
+    assert np.allclose(w, np.sort(np.concatenate([left[0], right[0]]))[:3], rtol=1e-12, atol=0)
+    # eigenvalue 1 is the wider block's second: its vector lives on that block
+    assert not np.any(v[:41])
+    assert np.max(np.abs(np.sign(v[41:] @ right[1][:, 1]) * v[41:] - right[1][:, 1])) <= 1e-12
+
+
 class TestStoneDensity:
     def test_eigenvector_point_mass(self, ham_gauss_1024):
         H = ham_gauss_1024
@@ -683,7 +727,8 @@ class TestStoneDensity:
         spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
         eps = spacing / 10.0
         margin = 80.0 * eps
-        est = stone_spectral_density(H, w[k] - margin, w[k] + margin, eps, f=H.eigenvectors[:, k])
+        f = H.eigenvectors[:, k]
+        est = stone_spectral_density(H.potential, w[k] - margin, w[k] + margin, eps, f=f)
         assert est.integral() == pytest.approx(1.0, abs=1e-2)
         assert est.density.min() > -1e-10
 
@@ -694,7 +739,7 @@ class TestStoneDensity:
         spacing = min(w[k] - w[k - 1], w[k + 1] - w[k])
         eps = spacing / 10.0
         margin = 80.0 * eps
-        est = stone_spectral_density(H, w[k], w[k] + margin, eps, f=H.eigenvectors[:, k])
+        est = stone_spectral_density(H.potential, w[k], w[k] + margin, eps, f=H.eigenvectors[:, k])
         assert est.integral() == pytest.approx(0.5, abs=2e-2)
 
     def test_random_vector_total_mass(self, ham_gauss_1024, rng):
@@ -705,7 +750,7 @@ class TestStoneDensity:
         span = w[-1] - w[0]
         eps = 1e-3 * span
         a, b = w[0] - 300 * eps, w[-1] + 300 * eps
-        est = stone_spectral_density(H, a, b, eps, f=f)
+        est = stone_spectral_density(H.potential, a, b, eps, f=f)
         assert est.integral() == pytest.approx(1.0, abs=1e-2)
 
     def test_additive_over_subintervals(self, ham_gauss_1024):
@@ -715,9 +760,9 @@ class TestStoneDensity:
         eps = (w[k + 1] - w[k]) / 10.0
         a, c, b = w[k] - 60 * eps, w[k] + 10 * eps, w[k] + 60 * eps
         f = H.eigenvectors[:, k]
-        m_full = stone_spectral_density(H, a, b, eps, f=f).integral()
-        m1 = stone_spectral_density(H, a, c, eps, f=f).integral()
-        m2 = stone_spectral_density(H, c, b, eps, f=f).integral()
+        m_full = stone_spectral_density(H.potential, a, b, eps, f=f).integral()
+        m1 = stone_spectral_density(H.potential, a, c, eps, f=f).integral()
+        m2 = stone_spectral_density(H.potential, c, b, eps, f=f).integral()
         assert m1 + m2 == pytest.approx(m_full, abs=1e-3)
 
     def test_matches_lorentzian_histogram(self, ham_gauss_1024, rng):
@@ -728,7 +773,7 @@ class TestStoneDensity:
         w = H.eigenvalues
         a, b = w[0], w[40]
         eps = (b - a) / 50.0
-        est = stone_spectral_density(H, a, b, eps, f=f)
+        est = stone_spectral_density(H.potential, a, b, eps, f=f)
         coef2 = (H.eigenvectors.T @ f) ** 2
         hist = np.zeros_like(est.lambda_grid)
         for lam_k, c2 in zip(w, coef2):
@@ -741,14 +786,14 @@ class TestStoneDensity:
     def test_interval_order_enforced(self, ham_gauss_1024):
         f = ham_gauss_1024.eigenvectors[:, 12]
         with pytest.raises(DomainError):
-            stone_spectral_density(ham_gauss_1024, 2.0, 1.0, 0.1, f=f)
+            stone_spectral_density(ham_gauss_1024.potential, 2.0, 1.0, 0.1, f=f)
 
     @pytest.mark.parametrize("width", [0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 10.0, 1000.0])
     def test_lambda_grid_follows_epsilon(self, width):
         # at least both ends, and a step of about eps / 4 that never exceeds eps / 2
-        H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=4.0, n_points=16)))
+        V = sample_potential(ZERO, Grid(l_box=4.0, n_points=16))
         eps, a = 0.1, 3.0
-        est = stone_spectral_density(H, a, a + width * eps, eps, f=np.ones(16))
+        est = stone_spectral_density(V, a, a + width * eps, eps, f=np.ones(16))
         lams, step = est.lambda_grid, np.diff(est.lambda_grid)
         assert len(lams) >= 2 and lams[0] == a and lams[-1] == a + width * eps
         assert min(width * eps, eps / 4) * (1 - 1e-9) <= step.min()
@@ -757,7 +802,7 @@ class TestStoneDensity:
     def test_uncountable_lambda_grid_rejected(self, ham_gauss_1024):
         f = ham_gauss_1024.eigenvectors[:, 12]
         with pytest.raises(DomainError, match="than a float can count"):
-            stone_spectral_density(ham_gauss_1024, 0.0, 1e300, 1e-10, f=f)
+            stone_spectral_density(ham_gauss_1024.potential, 0.0, 1e300, 1e-10, f=f)
 
 
 class TestFactorOnceSolves:

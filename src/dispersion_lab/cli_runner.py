@@ -299,6 +299,17 @@ _HORIZONS = Param([0.25, 0.5, 1.0, 2.0, 4.0], 0, ends="(]")
 _T_MIN = Param(
     0.5, 0, lambda doc: doc["stochastic"]["horizon"], "[)", note="below stochastic.horizon"
 )
+
+
+def _time_samples(default: int) -> Param:
+    # the sample times are allocated before their rounding to path steps
+    # drops duplicates
+    return Param(
+        default, 1, lambda doc: doc["stochastic"]["n_steps"],
+        note="stochastic.n_steps: no more distinct sample times exist",
+    )
+
+
 # the packet of each shape an initial datum or forcing may take
 _PACKETS = {"gaussian": estimates.gaussian_packet, "odd": estimates.odd_packet}
 
@@ -557,7 +568,7 @@ def _run_sde_convergence(ctx: RunContext):
     "dispersive",
     "L1 -> Linf decay of the noise-driven propagator: fits the -1/2 exponent in |beta(t)|",
     t_min=_T_MIN,
-    n_time_samples=Param(16, 1),
+    n_time_samples=_time_samples(16),
     **_packet_params(0.5),
 )
 def _run_dispersive(ctx: RunContext):
@@ -583,7 +594,7 @@ def _run_dispersive(ctx: RunContext):
     "path-averaged sup-norm decay: fits the -1/4 exponent in t for p < 2",
     p_exponent=Param(1.0, 1, 2, "[)"),
     t_min=_T_MIN,
-    n_time_samples=Param(24, 1),
+    n_time_samples=_time_samples(24),
     **_packet_params(0.18),
 )
 def _run_expectation_decay(ctx: RunContext):

@@ -207,12 +207,20 @@ def fit_decay_exponent(
     la, lv = np.log(a), np.log(v)
     slope, intercept = np.polyfit(la, lv, 1)
     rng = np.random.Generator(np.random.Philox(key=[1234, 0]))
-    boots = []
+    # each kept resample as its multiplicities, one row per resample; a
+    # resample with one distinct abscissa has no slope and is skipped
+    counts = np.zeros((n_boot, len(a)))
+    kept = 0
     for _ in range(n_boot):
         idx = rng.integers(0, len(a), len(a))
-        if np.ptp(la[idx]) == 0:
-            continue
-        boots.append(np.polyfit(la[idx], lv[idx], 1)[0])
+        if np.ptp(la[idx]) != 0:
+            counts[kept] = np.bincount(idx, minlength=len(a))
+            kept += 1
+    # every resample's least-squares slope in one pass, from its moments
+    # about the sample means (the slope is shift invariant)
+    x, y = la - la.mean(), lv - lv.mean()
+    sx, sy, sxx, sxy = (counts[:kept] @ np.stack([x, y, x * x, x * y], axis=1)).T
+    boots = (sxy - sx * sy / len(a)) / (sxx - sx * sx / len(a))
     lo, hi = (percentile(boots, q) for q in (2.5, 97.5))
     lo, hi = min(lo, slope), max(hi, slope)
     return EstimateReport(

@@ -3,8 +3,10 @@
 Conventions fixed across the package: the Hamiltonian eigenvalue is the
 energy E; where a scattering momentum lam appears, E = lam^2.  The
 Laplacian is the 3-point stencil with Dirichlet walls just outside the
-grid, which keeps H exactly symmetric and e^{-i tau H} exactly unitary
-in its eigenbasis.
+grid, which keeps H exactly symmetric and e^{-i tau H} unitary in its
+eigenbasis, to the round-off of its phases: each is exp(-i tau E), or,
+in a dense window of taus, a Chebyshev expansion of it whose dropped
+tail is below eps (ChebyshevWindows).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -66,6 +68,11 @@ class Eigenbasis:
     @property
     def mirror_rows(self) -> int:
         return self.n - len(self.even)
+
+    @property
+    def parities(self) -> int:
+        """How many reflection parities hold a column."""
+        return (self.even.shape[1] > 0) + (self.odd.shape[1] > 0)
 
     def product(self, data: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
         """Row blocks of self @ data: every product with an eigenbasis runs here.
@@ -235,16 +242,21 @@ class DiscreteHamiltonian:
 
 
 def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """basis @ data for a real basis and real or complex data.
+    """basis @ data for a real basis and real or complex data, or for a
+    complex basis and real data.
 
-    numpy would first copy the real basis to complex; viewing C-contiguous
-    complex data as interleaved (re, im) float64 pairs keeps the product a
-    single real GEMM.
+    numpy would first copy the real operand to complex; viewing complex
+    data, whose last axis is contiguous, as interleaved (re, im) float64
+    pairs keeps the product a single real GEMM.  A complex basis takes the
+    transposed product, data.T @ basis.T, the same way.
     """
     data = np.asarray(data)
+    if basis.dtype.kind == "c":
+        return real_basis_product(data.T, basis.T).T
     if data.dtype.kind != "c":
         return basis @ data
-    data = np.ascontiguousarray(data, dtype=np.complex128)
+    if data.dtype != np.complex128 or data.ndim != 2 or data.strides[-1] != data.itemsize:
+        data = np.ascontiguousarray(data, dtype=np.complex128)
     pairs = data.reshape(len(data), int(np.prod(data.shape[1:]))).view(np.float64)
     out = (basis @ pairs).view(np.complex128)
     return out.reshape((basis.shape[0],) + data.shape[1:])
@@ -331,7 +343,8 @@ def eigenpair_with_neighbours(V: PotentialGrid, k: int) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# propagation kernel: occupied modes -> phases -> one real GEMM per tau block
+# propagation kernel: occupied modes -> phases -> one real GEMM per tau block,
+# or per Chebyshev window of taus
 
 _TAU_CHUNK = 512  # fixed so results never depend on the worker count
 _ROW_PANEL = 256  # rows of a reduced block's states held at a time
@@ -400,18 +413,20 @@ def _kept_columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RowPanels:
-    """The states basis @ data of one tau block or Duhamel path group,
-    produced in row panels.
+    """The states (basis @ data) * phase of one tau block, tau window or
+    Duhamel path group, produced in row panels.
 
     Iterating yields the row blocks of basis.product(data, rows) for
-    panels of _ROW_PANEL rows of the half vectors, so a column reduction
-    holds one panel of the (n, b) states, not all of them.  Together the
-    blocks hold every row once, in grid order for a basis without mirror
-    rows.
+    panels of _ROW_PANEL rows of the half vectors, times phase, one
+    unit-modulus factor per column (none where phase is None), so a column
+    reduction holds one panel of the (n, b) states, not all of them.
+    Together the blocks hold every row once, in grid order for a basis
+    without mirror rows.
     """
 
     basis: Eigenbasis  # (n, m)
-    data: np.ndarray  # (m, b), complex
+    data: np.ndarray  # (m, b)
+    phase: np.ndarray | None = None  # (b,), complex
     ndim = 2
 
     @property
@@ -424,14 +439,21 @@ class RowPanels:
 
     def __iter__(self):
         for rows in self._panels():
-            yield from self.basis.product(self.data, rows)
+            for block in self.basis.product(self.data, rows):
+                yield block if self.phase is None else block * self.phase
+
+    def states(self) -> np.ndarray:
+        """The whole (n, b) states, rows in grid order."""
+        states = self.basis.full_product(self.data)
+        return states if self.phase is None else states * self.phase
 
     def abs_blocks(self, g):
         """g(|block|) for the blocks of iter(self), in the same order.
 
         Where one parity holds every mode, a mirror block is its top rows
         up to sign, so its g(|.|) is a view of theirs: no second product
-        slice, negation, abs or g.  The two share memory; write to neither.
+        slice, negation, phase, abs or g.  The two share memory; write to
+        neither.
         """
         if 0 < self.basis.even.shape[1] < len(self.data):
             for block in self:
@@ -439,8 +461,11 @@ class RowPanels:
             return
         top_rows = replace(self.basis, n=len(self.basis.even))  # no mirror rows
         for rows in self._panels():
-            # the product is freed before the block is handed on
-            a = g(np.abs(top_rows.product(self.data, rows)[0]))
+            top = top_rows.product(self.data, rows)[0]
+            if self.phase is not None:
+                top *= self.phase
+            a = g(np.abs(top))
+            del top  # the product is freed before the block is handed on
             yield a
             if mirror := len(range(self.basis.mirror_rows)[rows]):
                 yield a[:mirror]
@@ -457,23 +482,205 @@ def _phases(energies: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     """Columns e^{-i tau_k H} u for a flat list of phases tau_k.
 
-    The phases are applied in fixed blocks of _TAU_CHUNK columns, which are
+    The taus that ChebyshevWindows.plan groups into windows are expanded
+    there; the phases of every other tau are applied in fixed blocks of
+    _TAU_CHUNK columns, in their given order.  Blocks and windows are
     independent work units for the thread pool.  reduce, if given, maps
-    each block's states, handed over as RowPanels, to b per-column values,
-    so only those are kept.
+    the states of each block, and of each window's runs of at most
+    _TAU_CHUNK taus, handed over as RowPanels, to b per-column values, so
+    only those are kept.
     """
     taus = np.asarray(taus, dtype=float).ravel()
+    plan = ChebyshevWindows.plan(modes, taus)
+    direct = taus if plan is None else taus[plan.direct]
+
+    def finish(panels: RowPanels) -> np.ndarray:
+        return panels.states() if reduce is None else reduce(panels)
 
     def one_block(start: int) -> np.ndarray:
-        z = _phases(modes.energies, taus[start : start + _TAU_CHUNK])
+        z = _phases(modes.energies, direct[start : start + _TAU_CHUNK])
         z *= modes.coef[:, None]
-        if reduce is None:
-            return modes.basis.full_product(z)
-        return reduce(RowPanels(modes.basis, z))
+        return finish(RowPanels(modes.basis, z))
+
+    def one_window(window: tuple[float, np.ndarray]) -> np.ndarray:
+        centre, index = window
+        basis = plan.window_basis(modes, centre)
+        return np.concatenate(
+            [
+                finish(plan.panels(basis, centre, taus[index[i : i + _TAU_CHUNK]]))
+                for i in range(0, len(index), _TAU_CHUNK)
+            ],
+            axis=-1,
+        )
 
     # an empty tau list still yields one (empty) block of the right shape
-    parts = ordered_map(one_block, range(0, max(len(taus), 1), _TAU_CHUNK))
-    return np.concatenate(parts, axis=-1)
+    blocks = [partial(one_block, i) for i in range(0, max(len(direct), 1), _TAU_CHUNK)]
+    windows = [] if plan is None else [partial(one_window, w) for w in plan.windows]
+    parts = np.concatenate(ordered_map(lambda work: work(), blocks + windows), axis=-1)
+    if plan is None:
+        return parts
+    out = np.empty_like(parts)
+    out[..., np.concatenate([plan.direct, *(index for _, index in plan.windows)])] = parts
+    return out
+
+
+# half-widths a_max = R delta of the expansions that ChebyshevWindows.plan
+# tries, from 8 to 512 in steps of sqrt(2)
+_WINDOW_RANGES = 2.0 ** np.arange(3.0, 9.5, 0.5)
+
+
+def chebyshev_degree(a_max: float) -> int:
+    """The smallest degree N whose dropped tail 2 sum_{n > N} |J_n(a)| is
+    at most eps = 2.2e-16 for every |a| <= a_max.
+
+    The tail bound is |J_n(a)| <= (|a|/2)^n / n! (DLMF 10.14.4).  Past
+    n > a_max / 2 these bounds t_n shrink by at least q = a_max / (2 (N + 2))
+    per step, so the tail is at most 2 t_{N+1} / (1 - q).
+    """
+    log_eps = math.log(np.finfo(float).eps)
+    log_half = math.log(a_max / 2.0) if a_max > 0 else -math.inf
+    degree = 0
+    while True:
+        q = a_max / (2.0 * (degree + 2))
+        tail = math.log(2.0) + (degree + 1) * log_half - math.lgamma(degree + 2)
+        if q < 1.0 and tail - math.log1p(-q) <= log_eps:
+            return degree
+        degree += 1
+
+
+def chebyshev_coefficients(a: np.ndarray, degree: int) -> np.ndarray:
+    """c_n(a_j) = eps_n (-i)^n J_n(a_j), n = 0..degree, as a (degree + 1, m)
+    array: the Chebyshev coefficients of e^{-i a s} on [-1, 1], eps_0 = 1
+    and eps_n = 2 (Jacobi-Anger).
+
+    They are the cosine coefficients of e^{-i a cos(theta)}, here by the
+    Gauss-Chebyshev rule on Q = degree + 1 nodes, exact for every cosine
+    below 2Q.  A coefficient c_n picks up the aliases +-c_{2lQ +- n}, l >= 1,
+    all of degree at least degree + 2, so within the tail that
+    chebyshev_degree bounds.
+    """
+    q = degree + 1
+    theta = np.pi * (np.arange(q) + 0.5) / q
+    weights = np.cos(np.outer(np.arange(q), theta)) * (2.0 / q)
+    weights[0] *= 0.5
+    return real_basis_product(weights, _phases(np.cos(theta), a))
+
+
+def chebyshev_table(s: np.ndarray, degree: int) -> np.ndarray:
+    """T_n(s_k), n = 0..degree, as a (degree + 1, len(s)) array, by the
+    three-term recurrence T_{n+1} = 2 s T_n - T_{n-1}."""
+    t = np.empty((degree + 1, len(s)))
+    t[0] = 1.0
+    if degree:
+        t[1] = s
+    for n in range(2, degree + 1):
+        np.multiply(2.0 * s, t[n - 1], out=t[n])
+        t[n] -= t[n - 2]
+    return t
+
+
+@dataclass(frozen=True)
+class ChebyshevWindows:
+    """Dense windows of tau whose phases are expanded in Chebyshev polynomials.
+
+    With Ebar and R the centre and half-width of the occupied energies, a
+    window of half-width delta around its centre tau0 holds taus with
+    |tau - tau0| <= delta, and for each of them
+
+        e^{-i E tau} = e^{-i Ebar tau} e^{-i (E - Ebar) tau0}
+                       sum_{n <= N} c_n((E - Ebar) delta) T_n((tau - tau0) / delta),
+
+    with |(E - Ebar) delta| <= a_max = R delta, N = chebyshev_degree(a_max)
+    and c_n from chebyshev_coefficients; each phase is off by at most eps
+    from the dropped tail.  The window's m x b phase matrix thus has rank
+    N + 1: its states are the N + 1 columns of the window basis
+    G = basis @ diag(coef e^{-i (E - Ebar) tau0}) C, combined by T_n and
+    times e^{-i Ebar tau}.  That is N + 1 GEMM columns against the m modes
+    per window, plus, per occupied parity, one against the N + 1 terms per
+    tau, in place of one against the m modes per tau.
+    """
+
+    energies: np.ndarray  # (m,): E - Ebar
+    centre: float  # Ebar
+    half_width: float  # delta
+    coefficients: np.ndarray  # (N + 1, m), complex: C
+    windows: list  # (tau0, indices of its taus, ascending)
+    direct: np.ndarray  # indices of the taus in no window, ascending
+
+    @classmethod
+    def plan(cls, modes: OccupiedModes, taus: np.ndarray):
+        """The windows that save the most GEMM columns, None if none saves any.
+
+        For each a_max in _WINDOW_RANGES, delta = a_max / R and the centres
+        are the multiples of 2 delta: a tau joins the window of the nearest
+        one, if it lies within delta of it.  A window of b taus is kept
+        where its N + 1 columns against the m modes and, per occupied
+        parity, b columns against the N + 1 terms are fewer than the b
+        columns of its taus against the m modes.  The a_max whose kept
+        windows save the most columns wins.  All of it comes from the modes
+        and the taus.
+        """
+        energies, m = modes.energies, len(modes.energies)
+        if not m or energies.min() == energies.max():
+            return None
+        lo, hi = float(energies.min()), float(energies.max())
+        finite = np.flatnonzero(np.isfinite(taus))
+        finite = finite[np.argsort(taus[finite], kind="stable")]
+        t = taus[finite]
+        best, chosen = 0, None
+        for a_max in _WINDOW_RANGES:
+            terms = chebyshev_degree(a_max) + 1
+            if terms >= m:
+                break
+            delta = float(a_max) / ((hi - lo) / 2.0)
+            centres = 2.0 * delta * np.rint(t / (2.0 * delta))  # ascending, as t
+            inside = np.abs(t - centres) <= delta
+            centres = centres[inside]
+            first = np.flatnonzero(np.diff(centres, prepend=np.nan) != 0)
+            counts = np.diff(first, append=len(centres))
+            saving = m * counts - terms * (m + modes.basis.parities * counts)
+            if (total := saving[saving > 0].sum()) > best:
+                best = total
+                chosen = terms - 1, delta, centres, finite[inside], first, counts, saving
+        if chosen is None:
+            return None
+        degree, delta, centres, index, first, counts, saving = chosen
+        windows = [
+            (centres[i], np.sort(index[i : i + b]))
+            for i, b, gain in zip(first, counts, saving)
+            if gain > 0
+        ]
+        direct = np.ones(len(taus), dtype=bool)
+        for _, window in windows:
+            direct[window] = False
+        centre = (lo + hi) / 2.0
+        shifted = energies - centre
+        return cls(
+            shifted, centre, delta, chebyshev_coefficients(shifted * delta, degree),
+            windows, np.flatnonzero(direct),
+        )
+
+    def window_basis(self, modes: OccupiedModes, tau0: float) -> Eigenbasis:
+        """G = basis @ diag(coef e^{-i (E - Ebar) tau0}) C per parity, as
+        complex half vectors (n - k, N + 1) whose rows are contiguous in
+        memory, the layout the transposed product of real_basis_product
+        reads without a copy."""
+        d = self.coefficients * (_phases(self.energies, np.array([tau0]))[:, 0] * modes.coef)
+        terms, split = len(d), modes.basis.even.shape[1]
+        halves = []
+        for half, cols in ((modes.basis.even, d[:, :split]), (modes.basis.odd, d[:, split:])):
+            g = np.zeros((terms if half.shape[1] else 0, len(half)), dtype=complex)
+            if half.shape[1]:
+                y = np.concatenate([cols.real, cols.imag]) @ half.T
+                g.real, g.imag = y[:terms], y[terms:]
+            halves.append(g.T)
+        return Eigenbasis(modes.basis.n, *halves)
+
+    def panels(self, basis: Eigenbasis, tau0: float, taus: np.ndarray) -> RowPanels:
+        """RowPanels of the states of taus in the window of tau0, whose basis is G."""
+        t = chebyshev_table((taus - tau0) / self.half_width, len(self.coefficients) - 1)
+        data = np.concatenate([t] * basis.parities)
+        return RowPanels(basis, data, _phases(np.array([self.centre]), taus)[0])
 
 
 def duhamel(modes: OccupiedModes, paths: np.ndarray, dt: float, reduce) -> np.ndarray:

@@ -19,6 +19,16 @@ from dispersion_lab.errors import ValidationError
 from dispersion_lab.grid_model import sample_potential
 
 
+# an expectation-decay run small enough for a test, whose 1600 taus form
+# Chebyshev windows
+SMALL_WINDOWED_DECAY = {
+    "experiment": "expectation-decay",
+    "grid": {"n_points": 512, "l_box": 40.0},
+    "stochastic": {"horizon": 8.0, "n_steps": 64, "n_paths": 100, "seed": 5},
+    "params": {"n_time_samples": 16},
+}
+
+
 def small_dispersive_config(tmp_path, potential=None, **overrides):
     cfg = {
         "experiment": "dispersive",
@@ -206,8 +216,9 @@ class TestImportBudget:
 
 
     def test_runs_leave_numpy_ma_unloaded(self, tmp_path):
-        # np.unique, np.percentile and np.median import numpy.ma on first use, 12-18 ms
-        stone = tmp_path / "stone.json"
+        # np.unique, np.percentile and np.median import numpy.ma on first use,
+        # 12-18 ms.  The expectation-decay run forms Chebyshev windows
+        stone, decay = tmp_path / "stone.json", tmp_path / "decay.json"
         stone.write_text(
             json.dumps(
                 {
@@ -217,10 +228,17 @@ class TestImportBudget:
                 }
             )
         )
+        decay.write_text(json.dumps(SMALL_WINDOWED_DECAY | {"output_dir": str(tmp_path / "decay")}))
         code = (
-            "import sys; from dispersion_lab.cli_runner import load_config, run; "
+            "import sys; from dispersion_lab import spectral_operator as so; "
+            "from dispersion_lab.cli_runner import load_config, run; "
+            "plan = so.ChebyshevWindows.plan.__func__; plans = []; "
+            "so.ChebyshevWindows.plan = "
+            "classmethod(lambda *a: plans.append(plan(*a)) or plans[-1]); "
             f"assert run(load_config({str(small_dispersive_config(tmp_path))!r})) == 0; "
             f"assert run(load_config({str(stone)!r})) == 0; "
+            f"assert run(load_config({str(decay)!r})) == 0; "
+            "assert plans[-1] is not None and plans[-1].windows; "
             "print('numpy.ma' in sys.modules)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

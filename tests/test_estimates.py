@@ -12,6 +12,7 @@ from dispersion_lab.errors import (
     HypothesisViolationWarning,
 )
 from dispersion_lab.estimates import (
+    N_BOOT,
     admissible_pair,
     convolution_lemma_experiment,
     dispersive_experiment,
@@ -196,6 +197,28 @@ class TestFitDecayExponent:
         v[3] = np.inf
         with pytest.raises(DomainError, match="finite"):
             fit_decay_exponent(a, v)
+
+    @pytest.mark.parametrize("n, distinct", [(8, 1), (32, 32), (3200, 3200), (400, 40)])
+    def test_bootstrap_is_one_polyfit_per_resample(self, rng, n, distinct):
+        # the reference: the same Philox draws, a resample with one distinct
+        # abscissa skipped, one np.polyfit per kept resample.  The one-pass
+        # slopes sum in another order; 1e-12 relative is ~4500 ulp.  With
+        # 6 of 8 abscissae equal, about 10% of the resamples are skipped
+        a = np.exp(rng.uniform(0.0, 4.0, distinct))[rng.integers(0, distinct, n)]
+        a[:2] = [1.0, 100.0]
+        v = a**-0.5 * np.exp(0.3 * rng.normal(size=n))
+        la, lv = np.log(a), np.log(v)
+        draws = np.random.Generator(np.random.Philox(key=[1234, 0]))
+        boots = []
+        for _ in range(N_BOOT):
+            idx = draws.integers(0, n, n)
+            if np.ptp(la[idx]) != 0:
+                boots.append(np.polyfit(la[idx], lv[idx], 1)[0])
+        if distinct == 1:
+            assert len(boots) < N_BOOT  # the skip rule took part
+        slope = np.polyfit(la, lv, 1)[0]
+        want = (min(percentile(boots, 2.5), slope), max(percentile(boots, 97.5), slope))
+        np.testing.assert_allclose(fit_decay_exponent(a, v).slope_ci_95, want, rtol=1e-12)
 
 
 class TestNumpyMaFreeOrderStatistics:

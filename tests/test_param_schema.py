@@ -39,6 +39,10 @@ MALFORMED = [
     # 8 * margin_factor banded solves: above the cap of 1e3 a run could take hours
     ("stone-density", {"margin_factor": 1e308}, "margin_factor"),
     ("stone-density", {"margin_factor": 1000.5}, "margin_factor"),
+    # at most stochastic.n_steps (64 here) distinct sample times exist; 10**9
+    # would allocate 8 GB of sample times before dropping the duplicates
+    ("dispersive", {"n_time_samples": 10**9}, "n_time_samples"),
+    ("expectation-decay", {"n_time_samples": 65}, "n_time_samples"),
 ]
 
 # malformed values of the other sections, each keyed by the field path its

@@ -11,9 +11,13 @@ from dispersion_lab.errors import DomainError
 from dispersion_lab.estimates import lp_norms_columns
 from dispersion_lab.grid_model import Grid, PotentialGrid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
+    ChebyshevWindows,
     RowPanels,
     born_series_terms,
     build_hamiltonian,
+    chebyshev_coefficients,
+    chebyshev_degree,
+    chebyshev_table,
     eigenpair_with_neighbours,
     evolve,
     occupied_modes,
@@ -236,15 +240,24 @@ class TestPropagationKernel:
         n_taus=st.integers(1, 60),
         chunk=st.integers(1, 16),
         seed=st.integers(0, 2**16),
+        windowed=st.booleans(),
     )
-    def test_block_split_and_worker_count(self, ham_gauss_1024, workers, n_taus, chunk, seed):
+    def test_block_split_and_worker_count(
+        self, ham_gauss_1024, workers, n_taus, chunk, seed, windowed
+    ):
         # for every block size the thread pool returns the serial bytes;
         # across block sizes only round-off differs, because a GEMM's column
-        # results depend on how many columns it is given
+        # results depend on how many columns it is given.  A windowed tau
+        # list adds 400 equal taus, which form a Chebyshev window whose runs
+        # of taus take the block size too
         H = ham_gauss_1024
         rng = np.random.Generator(np.random.Philox(key=[seed, 3]))
         taus = rng.uniform(-4.0, 4.0, n_taus)
         modes = occupied_modes(H, smooth_datum(H, seed), mode_tol=1e-12)
+        if windowed:
+            taus = np.concatenate([taus, np.full(400, 0.7)])
+            plan = ChebyshevWindows.plan(modes, taus)
+            assert plan is not None and len(plan.windows) > 0
         whole = evolve(modes, taus)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral_operator, "_TAU_CHUNK", chunk)
@@ -334,6 +347,144 @@ class TestStreamedReduction:
                 with workers(n):
                     runs.append(reduced(modes, taus, p, H.grid))
         assert np.array_equal(runs[0], runs[1])
+
+
+def blocked_phases_only(mp):
+    """Patch evolve to the blocked phases for every tau: no Chebyshev window."""
+    mp.setattr(spectral_operator.ChebyshevWindows, "plan", classmethod(lambda cls, *args: None))
+
+
+def geometric_tail_bound(degree: int, a_max: float) -> float:
+    """2 sum_{n > degree} (a_max/2)^n / n! by its geometric majorant; inf
+    where the terms do not yet shrink."""
+    q = a_max / (2.0 * (degree + 2))
+    if q >= 1.0:
+        return math.inf
+    if a_max == 0.0:
+        return 0.0
+    log_term = (degree + 1) * math.log(a_max / 2.0) - math.lgamma(degree + 2)
+    return 2.0 * math.exp(log_term) / (1.0 - q)
+
+
+class TestChebyshevExpansion:
+    """e^{-i a s} on [-1, 1] as sum_{n <= N} eps_n (-i)^n J_n(a) T_n(s)."""
+
+    @pytest.mark.parametrize("a_max", [0.0, 1.0, 8.0, 45.25, 362.0, 1024.0])
+    def test_degree_is_the_least_meeting_its_tail_bound(self, a_max):
+        from scipy.special import jv
+
+        eps = np.finfo(float).eps
+        degree = chebyshev_degree(a_max)
+        assert geometric_tail_bound(degree, a_max) <= eps
+        assert degree == 0 or geometric_tail_bound(degree - 1, a_max) > eps
+        # the bound bounds: the exact tail, at a_max and inside it
+        n = np.arange(degree + 1, degree + 400)
+        for a in (a_max, 0.5 * a_max, 0.9 * a_max):
+            assert 2.0 * np.abs(jv(n, a)).sum() <= geometric_tail_bound(degree, a_max)
+
+    @pytest.mark.parametrize("a_max", [1.0, 8.0, 45.25, 362.0])
+    def test_coefficients_are_bessel_values(self, a_max):
+        from scipy.special import jv
+
+        degree = chebyshev_degree(a_max)
+        a = np.linspace(-a_max, a_max, 41)
+        n = np.arange(degree + 1)[:, None]
+        want = np.where(n == 0, 1.0, 2.0) * (-1j) ** n * jv(n, a)
+        got = chebyshev_coefficients(a, degree)
+        assert got.shape == (degree + 1, len(a))
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, math.sqrt(a_max))
+
+    @pytest.mark.parametrize("a_max", [8.0, 45.25, 362.0, 512.0])
+    def test_expansion_is_the_phase(self, a_max):
+        # the dropped tail is below eps; what is left is the rounding of the
+        # ~a_max terms of size ~a_max^(-1/2), measured at 5-8e-16 a_max
+        degree = chebyshev_degree(a_max)
+        a = np.linspace(-a_max, a_max, 101)
+        s = np.concatenate([np.linspace(-1.0, 1.0, 201), [0.0, -1.0, 1.0]])
+        series = chebyshev_coefficients(a, degree).T @ chebyshev_table(s, degree)
+        assert np.abs(series - np.exp(-1j * np.outer(a, s))).max() <= 2e-15 * a_max
+
+    def test_table_is_cos_n_arccos(self):
+        s = np.linspace(-1.0, 1.0, 57)
+        want = np.cos(np.outer(np.arange(31), np.arccos(s)))
+        np.testing.assert_allclose(chebyshev_table(s, 30), want, rtol=0, atol=1e-13)
+
+
+def dense_taus(name: str) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(key=[len(name), 17]))
+    if name == "one-window":  # inside the window of centre 0, whatever its width
+        return np.concatenate([rng.uniform(-0.004, 0.004, 700), [0.0]])
+    if name == "near-13":
+        return np.concatenate([rng.uniform(12.8, 13.0, 600), rng.uniform(-13.0, -12.8, 600)])
+    if name == "equal":
+        return np.full(700, -2.3)
+    # "mixed": a dense cluster among sparse taus that no window takes
+    return rng.permutation(np.concatenate([rng.uniform(1.0, 1.1, 900), rng.uniform(-6.0, 6.0, 40)]))
+
+
+WINDOW_CASES = {
+    # zero potential, an off-centre datum: both reflection parities
+    "zero-both-parities": (ZERO, Grid(l_box=20.0, n_points=512), 1.3, False),
+    "gaussian-unsplit": (GAUSS31, Grid(l_box=40.0, n_points=1024), 0.0, False),
+    "sech2-projected": (SECH21, Grid(l_box=30.0, n_points=1024), 0.4, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+@pytest.mark.parametrize("taus_name", ["one-window", "near-13", "equal", "mixed"])
+def test_window_route_matches_blocked_phases(case, taus_name):
+    """The windows agree with the blocked phases to 1e-12: states relative
+    to ||coef||, norms relative at p = 1, 2, 4 and inf."""
+    spec, grid, centre, project = WINDOW_CASES[case]
+    H = build_hamiltonian(sample_potential(spec, grid))
+    u = np.exp(-(((grid.x - centre) / 0.5) ** 2)).astype(complex)
+    modes = occupied_modes(H, u, project=project, mode_tol=1e-12)
+    assert modes.basis.parities == (2 if case == "zero-both-parities" else 1)
+    assert modes.basis.mirror_rows == (grid.n_points // 2 if spec == ZERO else 0)
+    taus = dense_taus(taus_name)
+    plan = ChebyshevWindows.plan(modes, taus)
+    assert plan is not None and len(plan.windows) > 0
+    if taus_name == "one-window":
+        assert len(plan.windows) == 1 and len(plan.direct) == 0
+    if taus_name == "mixed":
+        assert 0 < len(plan.direct) <= 40
+    # every window tau lies within the half-width of its centre, and the
+    # degree is the one the tail bound asks of the window's widest phase
+    for tau0, index in plan.windows:
+        assert np.all(np.abs(taus[index] - tau0) <= plan.half_width)
+    radius = (modes.energies.max() - modes.energies.min()) / 2.0
+    assert len(plan.coefficients) == chebyshev_degree(radius * plan.half_width) + 1
+    windowed = evolve(modes, taus)
+    with pytest.MonkeyPatch.context() as mp:
+        blocked_phases_only(mp)
+        blocked = evolve(modes, taus)
+        blocked_norms = [reduced(modes, taus, p, grid) for p in P_EXPONENTS]
+    scale = np.linalg.norm(modes.coef)
+    assert np.abs(windowed - blocked).max() <= 1e-12 * scale
+    for p, want in zip(P_EXPONENTS, blocked_norms):
+        np.testing.assert_allclose(reduced(modes, taus, p, grid), want, rtol=1e-12, atol=0.0)
+        # the streamed norms are those of the whole windowed states
+        np.testing.assert_allclose(
+            reduced(modes, taus, p, grid), lp_norms_columns(windowed, p, grid),
+            rtol=0 if p == math.inf else WHOLE_STATE_RTOL,
+        )
+
+
+def test_windows_only_where_they_save_columns(ham_gauss_1024):
+    # sparse taus, or too few modes for any expansion, keep the blocked phases
+    H = ham_gauss_1024
+    modes = occupied_modes(H, smooth_datum(H, 3), mode_tol=1e-12)
+    sparse = np.linspace(-4.0, 4.0, 1024)
+    assert ChebyshevWindows.plan(modes, sparse) is None
+    few = occupied_modes(H, H.eigenvectors[:, 5] + H.eigenvectors[:, 9], mode_tol=1e-12)
+    assert len(few.energies) == 2
+    assert ChebyshevWindows.plan(few, np.zeros(5000)) is None
+    dense = np.full(5000, 0.25)
+    assert ChebyshevWindows.plan(modes, dense) is not None
+    # a non-finite tau joins no window
+    taus = np.concatenate([dense, [np.nan, np.inf]])
+    plan = ChebyshevWindows.plan(modes, taus)
+    assert list(plan.direct) == [5000, 5001]
 
 
 # a palindrome on every grid below, with four bound states

@@ -254,21 +254,24 @@ class RunContext:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One registry entry: what the experiment checks, its runner, its params."""
+    """One registry entry: what the experiment checks, its runner, its params,
+    and whether it solves eigenpairs of H, which holds grid.n_points to the
+    eigensolvers' cap."""
 
     description: str
     runner: Callable[[RunContext], tuple]
     params: dict[str, Param]
+    solves_eigenpairs: bool
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _experiment(name: str, description: str, **params: Param):
+def _experiment(name: str, description: str, solves_eigenpairs: bool = False, **params: Param):
     """Register the decorated runner as experiment name; params check in order."""
 
     def register(runner):
-        EXPERIMENTS[name] = Experiment(description, runner, params)
+        EXPERIMENTS[name] = Experiment(description, runner, params, solves_eigenpairs)
         return runner
 
     return register
@@ -283,7 +286,19 @@ SECTIONS: dict[str, dict[str, Param] | Param] = {
         "width": Param(1.0),
         "table": Param(None, pairs=True),
     },
-    "grid": {"n_points": Param(2048, 16), "l_box": Param(40.0, 0, ends="(]")},
+    "grid": {
+        "n_points": Param(
+            2048,
+            16,
+            lambda doc: (
+                spectral_operator.DENSE_SOLVER_CAP
+                if EXPERIMENTS[doc["experiment"]].solves_eigenpairs
+                else math.inf
+            ),
+            note=f"at most {spectral_operator.DENSE_SOLVER_CAP} where eigenpairs of H are solved",
+        ),
+        "l_box": Param(40.0, 0, ends="(]"),
+    },
     "stochastic": {
         "horizon": Param(8.0, 0, ends="(]"),
         "n_steps": Param(256, 1),
@@ -481,6 +496,7 @@ def _run_born_check(ctx: RunContext):
 @_experiment(
     "stone-density",
     "spectral measure recovered from the resolvent jump across the real axis",
+    solves_eigenpairs=True,
     eigenindex=Param(
         12, 1, lambda doc: doc["grid"]["n_points"] - 2, note="a neighbour on each side"
     ),
@@ -522,6 +538,7 @@ def _run_stone_density(ctx: RunContext):
 @_experiment(
     "sde-convergence",
     "strong order of the Ito integrator against the time-changed propagator e^{-i beta(T) H}",
+    solves_eigenpairs=True,
     level_min=Param(6, 0),
     level_max=Param(
         12, lambda doc: doc["params"]["level_min"] + 4,
@@ -567,6 +584,7 @@ def _run_sde_convergence(ctx: RunContext):
 @_experiment(
     "dispersive",
     "L1 -> Linf decay of the noise-driven propagator: fits the -1/2 exponent in |beta(t)|",
+    solves_eigenpairs=True,
     t_min=_T_MIN,
     n_time_samples=_time_samples(16),
     **_packet_params(0.5),
@@ -592,6 +610,7 @@ def _run_dispersive(ctx: RunContext):
 @_experiment(
     "expectation-decay",
     "path-averaged sup-norm decay: fits the -1/4 exponent in t for p < 2",
+    solves_eigenpairs=True,
     p_exponent=Param(1.0, 1, 2, "[)"),
     t_min=_T_MIN,
     n_time_samples=_time_samples(24),
@@ -648,6 +667,7 @@ def _run_convolution_lemma(ctx: RunContext):
 @_experiment(
     "strichartz-hom",
     "mixed-norm window scaling T^(mu/2) of the free noise-driven evolution",
+    solves_eigenpairs=True,
     horizons=_HORIZONS,
     project=Param(False),
     **_packet_params(0.5),
@@ -668,6 +688,7 @@ def _run_strichartz_hom(ctx: RunContext):
 @_experiment(
     "strichartz-inhom",
     "mixed-norm window scaling T^mu of the forced (Duhamel) term",
+    solves_eigenpairs=True,
     horizons=_HORIZONS,
     project=Param(False),
     **_packet_params(1.0, "forcing", "odd"),

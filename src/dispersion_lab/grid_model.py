@@ -22,7 +22,15 @@ FAMILIES = ("zero", "gaussian", "sech_squared", "square_well", "custom_table")
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of n_points on [-l_box, l_box], symmetric about 0."""
+    """Uniform grid of n_points on [-l_box, l_box], mirror-exact about 0.
+
+    x[i] == -x[n-1-i] bit for bit, x[0] == -l_box, x[-1] == l_box, and the
+    middle node of an odd n is exactly 0.0, so an even potential family
+    samples to a palindrome and its H splits by reflection parity
+    (build_hamiltonian).  The nodes are the linspace's, mirrored: each is
+    within two ulps of l_box (at most 2 l_box eps) of
+    np.linspace(-l_box, l_box, n_points).
+    """
 
     l_box: float
     n_points: int
@@ -39,7 +47,9 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(-self.l_box, self.l_box, self.n_points)
+        # a - b == -(b - a) in IEEE arithmetic, and halving is exact
+        x = np.linspace(-self.l_box, self.l_box, self.n_points)
+        return 0.5 * (x - x[::-1])
 
 
 @dataclass(frozen=True)

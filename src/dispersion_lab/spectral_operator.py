@@ -294,11 +294,11 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     and H is solved as two half-size problems, one per reflection parity,
     kept as half vectors: half the eigensolve and half the flops of every
     product with the basis, and a datum of one parity needs one half only
-    (occupied_modes).  The zero potential, a square well and a symmetric
-    table are palindromes on almost every grid.  A linspace grid is not
-    bit-symmetric, so a gaussian or sech^2 sample keeps one dstevd, whose
-    matrix is a basis without mirror rows, even where 2/h^2 + V rounds its
-    asymmetry away.
+    (occupied_modes).  Grid.x is mirror-exact, so every even family (zero,
+    gaussian, sech^2, square well) samples to a palindrome on every grid,
+    and a symmetric table on almost every grid.  Any other potential keeps
+    one dstevd, whose matrix is a basis without mirror rows, even where
+    2/h^2 + V rounds its asymmetry away.
     """
     _check_solver_cap(V.grid)
     return DiscreteHamiltonian(V)

@@ -12,6 +12,13 @@ from dispersion_lab.spectral_operator import build_hamiltonian
 GAUSS31 = PotentialSpec("gaussian", amplitude=3.0, width=1.0)
 SECH21 = PotentialSpec("sech_squared", amplitude=-2.0, width=1.0)
 ZERO = PotentialSpec("zero")
+# an asymmetric well with two bound states: no grid samples it to a
+# palindrome, so its H is one dstevd without mirror rows, where every even
+# family splits by reflection parity.  The table covers boxes up to 1000
+LOPSIDED = PotentialSpec(
+    "custom_table",
+    table=((-1e3, 0.0), (-2.0, 0.0), (-1.0, -3.0), (0.5, -3.0), (1.5, -1.0), (3.0, 0.0), (1e3, 0.0)),
+)
 
 # E|Z|^(-1/2) = 2^(-1/4) Gamma(1/4) / sqrt(pi) for standard normal Z
 HALF_INVERSE_MOMENT = 2**-0.25 * math.gamma(0.25) / math.sqrt(math.pi)
@@ -103,6 +110,12 @@ def ham_sech_4096():
 def ham_gauss_1024():
     grid = Grid(l_box=40.0, n_points=1024)
     return build_hamiltonian(sample_potential(GAUSS31, grid))
+
+
+@pytest.fixture(scope="session")
+def ham_lopsided_1024_l30():
+    grid = Grid(l_box=30.0, n_points=1024)
+    return build_hamiltonian(sample_potential(LOPSIDED, grid))
 
 
 @pytest.fixture(scope="session")

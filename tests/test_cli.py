@@ -16,7 +16,9 @@ from dispersion_lab.cli_runner import (
     run,
 )
 from dispersion_lab.errors import ValidationError
-from dispersion_lab.grid_model import sample_potential
+from dispersion_lab.grid_model import PotentialSpec, sample_potential
+
+from conftest import LOPSIDED
 
 
 # an expectation-decay run small enough for a test, whose 1600 taus form
@@ -191,14 +193,16 @@ class TestRun:
 class TestImportBudget:
     def test_lab_import_leaves_heavy_scipy_modules_unloaded(self):
         # the eigensolve, the Born series' banded solves and the resolvent
-        # solve load LAPACK without scipy.linalg; no FFT module is needed
+        # solve load LAPACK without scipy.linalg; no FFT module is needed.  An
+        # asymmetric well keeps H one dstevd, which scipy's driver reproduces;
+        # a tenth of its depth keeps the Born energy 4 ||V||_1^2 in the band
+        shallow = PotentialSpec("custom_table", table=tuple((x, v / 10) for x, v in LOPSIDED.table))
         code = (
             "import sys, numpy as np, dispersion_lab.cli_runner; "
             "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
             "from dispersion_lab.spectral_operator import ("
             "_stencil, born_series_terms, build_hamiltonian, tridiagonal_resolvent_solve); "
-            "V = sample_potential(PotentialSpec('gaussian', amplitude=0.5, width=1.0), "
-            "Grid(l_box=5.0, n_points=63)); "
+            f"V = sample_potential({shallow!r}, Grid(l_box=5.0, n_points=63)); "
             "born_series_terms(V, 4.0 * V.l1_norm() ** 2, np.ones(63), 2); "
             "H = build_hamiltonian(V); "
             "tridiagonal_resolvent_solve(V.grid, V.values, 1.0 + 0.1j, np.ones(63)); "
@@ -284,8 +288,10 @@ class TestManifest:
         [
             (None, 161, {}, [81]),  # zero potential, the even half with the middle node
             (None, 161, {"u0_shape": "odd"}, [80]),  # the odd half
-            # no palindrome on this grid: one dstevd
-            ({"family": "gaussian", "amplitude": 1.0, "width": 1.0}, 200, {}, [200]),
+            # an even family is a palindrome on every grid: the even half
+            ({"family": "gaussian", "amplitude": 1.0, "width": 1.0}, 200, {}, [100]),
+            # an asymmetric well is none: one dstevd
+            ({"family": "custom_table", "table": [list(p) for p in LOPSIDED.table]}, 200, {}, [200]),
         ],
     )
     def test_eigensolves_lists_the_tridiagonals_solved(self, tmp_path, potential, n_points, params, want):
@@ -461,16 +467,6 @@ RUN_ONLY_FAILURES = {
         {"experiment": "stone-density", "params": {"epsilon_factor": 5e-324}},
         "params.epsilon_factor",
     ),
-    # more nodes than the eigensolvers take: an H-building run, and
-    # stone-density, which checks the same bound before its one selected solve
-    "dense-solver-cap": (
-        {"experiment": "dispersive", "grid": {"n_points": 9000}},
-        "error: grid.n_points: 9000 exceeds the dense eigensolver cap 8192",
-    ),
-    "stone-solver-cap": (
-        {"experiment": "stone-density", "grid": {"n_points": 10**6}},
-        "error: grid.n_points: 1000000 exceeds the dense eigensolver cap 8192",
-    ),
     "grid-step-squares-to-zero": (
         {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},
         "h^2 underflows to 0",
@@ -590,6 +586,41 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and words in last
     assert not out.exists()
+
+
+# the experiments that build H, and stone-density, which solves selected
+# eigenpairs of it: the eigensolvers take at most DENSE_SOLVER_CAP nodes
+EIGENPAIR_EXPERIMENTS = (
+    "dispersive",
+    "expectation-decay",
+    "sde-convergence",
+    "stone-density",
+    "strichartz-hom",
+    "strichartz-inhom",
+)
+
+
+@pytest.mark.parametrize("n_points", [8193, 10**6])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_grid_above_the_solver_cap_fails_validate(tmp_path, capsys, experiment, n_points):
+    # more nodes than the eigensolvers take fail at validate, and so at run
+    # before any solve, naming the field; an experiment that solves no
+    # eigenpair takes them
+    path = _write(tmp_path, {"experiment": experiment, "grid": {"n_points": n_points}})
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    if experiment not in EIGENPAIR_EXPERIMENTS:
+        assert code == 0 and err == ""
+        return
+    want = (
+        f"error: grid.n_points: must be an integer in [16, {spectral_operator.DENSE_SOLVER_CAP}] "
+        f"(at most {spectral_operator.DENSE_SOLVER_CAP} where eigenpairs of H are solved), "
+        f"got {n_points}\n"
+    )
+    assert code == 1 and err == want
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == want and not out.exists()
 
 
 def test_resolvent_check_on_sech2_lists_no_warnings(tmp_path, capsys):

@@ -542,10 +542,19 @@ class TestDuhamelKernel:
         assert modes.basis.even.shape[1] > 0 and modes.basis.odd.shape[1] > 0
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
-    def test_unsplit_projected(self, ham_sech_1024_l30, workers, p):
-        H = ham_sech_1024_l30
+    def test_unsplit_projected(self, ham_lopsided_1024_l30, workers, p):
+        H = ham_lopsided_1024_l30
         assert H.basis.mirror_rows == 0 and len(H.bound_state_indices) > 0
         self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, INF])
+    def test_split_projected(self, ham_sech_1024_l30, workers, p):
+        # sech^2 samples to a palindrome; its bound state is even, the datum
+        # occupies both parities
+        H = ham_sech_1024_l30
+        assert H.basis.mirror_rows == 512 and len(H.bound_state_indices) > 0
+        modes = self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
+        assert modes.basis.parities == 2
 
 
 class TestTimeResolutionStability:

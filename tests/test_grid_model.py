@@ -15,11 +15,35 @@ from dispersion_lab.grid_model import (
 from conftest import GAUSS31, SECH21, ZERO
 
 
+# the grids the configs and the benchmark cases run: (n_points, l_box)
+GRIDS = [(2048, 40.0), (3072, 100.0), (1024, 30.0), (1024, 40.0), (4001, 20.0), (4097, 15.0), (512, 40.0)]
+BOXES = sorted({l_box for _, l_box in GRIDS})
+
+
 class TestGrid:
     def test_spacing_and_symmetry(self):
         g = Grid(l_box=10.0, n_points=101)
         assert g.h == pytest.approx(0.2)
         assert np.allclose(g.x, -g.x[::-1])
+
+    @pytest.mark.parametrize("n", [16, 17, 512, 513, 1024, 2048, 3072, 4001, 4097, 8192])
+    @pytest.mark.parametrize("l_box", [40.0, 100.0, 3.7, 1e-3])
+    def test_mirror_exact(self, n, l_box):
+        x = Grid(l_box=l_box, n_points=n).x
+        assert np.array_equal(x, -x[::-1])
+        assert x[0] == -l_box and x[-1] == l_box
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+        assert np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("l_box", BOXES + [3.7, 54.4])
+    def test_within_two_ulps_of_linspace(self, l_box):
+        # mirroring moved a node by at most 2 ulps of l_box in a scan of
+        # n = 16..8192 on about 100 boxes in [0.01, 1000]: 0.8 l_box eps at
+        # l_box = 40 and 20, up to 1.37 l_box eps on other boxes
+        for n in list(range(16, 1025)) + [2048, 3072, 4001, 4097, 8192]:
+            x = Grid(l_box=l_box, n_points=n).x
+            assert np.abs(x - np.linspace(-l_box, l_box, n)).max() <= 2 * np.spacing(l_box)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError):
@@ -55,6 +79,12 @@ class TestSamplePotential:
             warnings.simplefilter("ignore")  # numpy's overflow warnings, unguarded
             unguarded = -2.0 / np.cosh(g.x) ** 2
         assert np.array_equal(v, unguarded) and np.all(v[np.abs(g.x) > 400] == 0.0)
+
+    @pytest.mark.parametrize("spec", [GAUSS31, SECH21, PotentialSpec("square_well", -1.0, 2.0)])
+    @pytest.mark.parametrize("n, l_box", GRIDS)
+    def test_even_families_are_palindromes_on_every_run_grid(self, spec, n, l_box):
+        v = sample_potential(spec, Grid(l_box=l_box, n_points=n)).values
+        assert np.array_equal(v, v[::-1])
 
     @pytest.mark.parametrize("spec", [GAUSS31, SECH21, PotentialSpec("square_well", -1.0, 2.0)])
     def test_even_families_sample_symmetric(self, spec):

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, estimates, scattering, spectral_operator, stochastic
 from ._parallel import BLAS_CORENAME, BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
 from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
-from .grid_model import FAMILIES, Grid, PotentialSpec, sample_potential
+from .grid_model import FAMILIES, L_BOX_MAX, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
 # thread caps that the manifest records: the BLAS threads they grant become
@@ -247,6 +247,13 @@ class RunContext:
         return spectral_operator.build_hamiltonian(self.V)
 
     @property
+    def born_threshold(self) -> float:
+        """||V||_1^2; where it overflows, a DomainError that names the field scaling V."""
+        table = self.cfg.potential.family == "custom_table"
+        with _field("potential.table" if table else "potential.amplitude"):
+            return self.V.born_threshold()
+
+    @property
     def eigensolves(self) -> list[int]:
         """Rows of each tridiagonal the run's H solved, in order; [] without an H."""
         return self.H.eigensolves if "H" in vars(self) else []
@@ -297,7 +304,7 @@ SECTIONS: dict[str, dict[str, Param] | Param] = {
             ),
             note=f"at most {spectral_operator.DENSE_SOLVER_CAP} where eigenpairs of H are solved",
         ),
-        "l_box": Param(40.0, 0, ends="(]"),
+        "l_box": Param(40.0, 0, L_BOX_MAX, "(]", note="the box length 2 l_box is finite"),
     },
     "stochastic": {
         "horizon": Param(8.0, 0, ends="(]"),
@@ -368,7 +375,7 @@ def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
 )
 def _run_scatter_sweep(ctx: RunContext):
     V = ctx.V
-    lam0 = V.l1_norm() ** 2
+    lam0 = ctx.born_threshold
     lams = scattering.lambda_sweep_grid(lam0, ctx.params["n_lambdas"])
     rows = []
     unit_dev = 0.0
@@ -470,7 +477,7 @@ def _run_resolvent_check(ctx: RunContext):
 )
 def _run_born_check(ctx: RunContext):
     V = ctx.V
-    lam0 = V.l1_norm() ** 2
+    lam0 = ctx.born_threshold
     energy = ctx.params["energy_factor"] * lam0
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
     # energy_factor > 1, so only a V with ||V||_1 = 0 leaves E at the threshold;
@@ -548,10 +555,9 @@ def _run_stone_density(ctx: RunContext):
 )
 def _run_sde_convergence(ctx: RunContext):
     cfg, H = ctx.cfg, ctx.H
-    c = H.to_eigenbasis(estimates.gaussian_packet(cfg.grid, width=2.0))
-    c[H.eigenvalues > ctx.params["energy_cut"]] = 0.0
-    c /= np.linalg.norm(c)
-    u0 = H.from_eigenbasis(c)
+    modes = spectral_operator.occupied_modes(H, estimates.gaussian_packet(cfg.grid, width=2.0))
+    c = np.where(modes.energies > ctx.params["energy_cut"], 0.0, modes.coef)
+    u0 = modes.basis.full_product(c / np.linalg.norm(c))
     lmin, lmax = ctx.params["level_min"], ctx.params["level_max"]
     n_fine = 2**lmax
     levels = [2**k for k in range(lmin, lmax + 1)]

@@ -4,12 +4,14 @@ and the composite Simpson weights of ||V||_1 and the time quadratures.
 Every family lies in each weighted class ``int |V(x)| (1+|x|)^j dx < infty``
 by construction: a Gaussian, sech^2 and a square well decay fast, and a
 custom table is extended by zero, so truncating the line to a finite box
-converges.  ``PotentialGrid.l1_norm()`` gives the ||V||_1 behind the
-high-energy threshold ||V||_1^2 of the Born series.
+converges.  ``PotentialGrid.born_threshold()`` gives the high-energy
+threshold ||V||_1^2 of the Born series.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +20,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 FAMILIES = ("zero", "gaussian", "sech_squared", "square_well", "custom_table")
+L_BOX_MAX = sys.float_info.max / 2  # the largest l_box whose box length 2 l_box is finite
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not np.isfinite(self.l_box) or self.l_box <= 0:
-            raise ValidationError(f"l_box must be positive and finite, got {self.l_box}")
+        if not 0 < self.l_box <= L_BOX_MAX:
+            raise ValidationError(f"l_box must lie in (0, {L_BOX_MAX}], got {self.l_box}")
         if self.n_points < 16:
             raise ValidationError(f"n_points must be >= 16, got {self.n_points}")
 
@@ -123,6 +126,19 @@ class PotentialGrid:
         applied with a numpy sum, so no BLAS kernel enters the value."""
         w = simpson_weights(self.grid.n_points, self.grid.h)
         return float(np.sum(w * np.abs(self.values)))
+
+    def born_threshold(self) -> float:
+        """||V||_1^2, the energy above which the Born series converges; a
+        DomainError where it overflows."""
+        with np.errstate(over="ignore"):
+            l1 = self.l1_norm()
+        try:
+            threshold = l1**2
+        except OverflowError:  # a float power raises where numpy would give inf
+            threshold = math.inf
+        if threshold == math.inf:
+            raise DomainError(f"the Born series threshold ||V||_1^2 overflows (||V||_1 = {l1:.3g})")
+        return threshold
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:

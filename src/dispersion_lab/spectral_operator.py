@@ -111,10 +111,10 @@ class DiscreteHamiltonian:
     is an exact palindrome gives mirror_rows = n // 2; any other has none,
     and its even half is the whole dstevd, its odd half empty.
 
-    eigenvalues, basis, order and eigenvectors assemble both halves:
-    eigenvalues ascend, and basis column j is eigenpair order[j].
-    Eigenvectors are orthonormal in the plain euclidean inner product;
-    L2(grid) norms differ by a factor sqrt(h).
+    The dense reference (eigenvalues, basis, order, eigenvectors), read by
+    tests and the bench tracer only, assembles both halves: eigenvalues
+    ascend and basis column j is eigenpair order[j].  Eigenvectors are
+    orthonormal; L2(grid) norms differ from euclidean ones by sqrt(h).
     """
 
     def __init__(self, potential: PotentialGrid, eigenvalues=None, basis: Eigenbasis | None = None):
@@ -266,10 +266,13 @@ def _stencil(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal 2/h^2 + V and off-diagonal -1/h^2 of the 3-point -Delta + V.
 
     The only division by h^2 in the package; a step whose square underflows
-    to 0, or a diagonal that overflows, is a DomainError (dstevd would
-    return NaNs with info 0 on an infinite diagonal).
+    to 0 or overflows, or a diagonal that overflows, is a DomainError
+    (dstevd would return NaNs with info 0 on an infinite diagonal).
     """
-    h2 = grid.h**2
+    try:
+        h2 = grid.h**2
+    except OverflowError:  # the float power raises; an inf h^2 would drop -Delta
+        raise DomainError(f"grid step h={grid.h:.3g} is too large: h^2 overflows") from None
     if h2 == 0.0:
         raise DomainError(f"grid step h={grid.h:.3g} is too small: h^2 underflows to 0")
     diag = 2.0 / h2 + values
@@ -367,14 +370,14 @@ def occupied_modes(
     project zeroes the bound-state coefficients.  mode_tol > 0 keeps only
     the eigenmodes whose amplitude exceeds mode_tol times the largest one,
     trading a bounded truncation error for a smaller basis product.  The
-    modes come in the order of H.basis.
+    modes come even first, then odd, each parity in ascending energy.
 
-    Only what the datum occupies is solved.  The parity with the larger
-    fold goes first.  A parity's coefficient 2-norm is its fold's, with
-    mirrored rows weighted by 1/2, so under a cut the second parity is not
-    solved when twice that norm is at most mode_tol times the largest
-    coefficient of the first: each of its coefficients would be cut.  Kept
-    modes that are one run of a half's columns are a view of it, not a copy.
+    Only what the datum occupies is solved, the parity with the larger fold
+    first.  A parity's coefficient 2-norm is its fold's, mirrored rows
+    weighted by 1/2: the second parity is not solved when twice that norm
+    is at most mode_tol times the first's largest coefficient, where each
+    of its coefficients would be cut (at mode_tol = 0, its fold is exactly
+    zero).  Kept modes that are one run of a half's columns are a view.
     """
     if np.ndim(u) != 1:
         raise DomainError(f"occupied modes need one datum vector, got shape {np.shape(u)}")
@@ -383,7 +386,7 @@ def occupied_modes(
     first = int(norms[1] > norms[0])
     solved, amax = {}, 0.0
     for parity in (first, 1 - first):
-        if parity != first and mode_tol > 0.0 and 2.0 * norms[parity] <= mode_tol * amax:
+        if parity != first and 2.0 * norms[parity] <= mode_tol * amax:
             break
         w, v = H.half(parity)
         c = real_basis_product(v.T, folds[parity])
@@ -734,7 +737,7 @@ def born_series_terms(
     solve.  Requires an energy above ||V||_1^2, so the term ratio stays below
     ||V||_1 / (2 sqrt(energy)) < 1, and 0 < E h^2 < 4.  f is not modified.
     """
-    threshold = V.l1_norm() ** 2
+    threshold = V.born_threshold()
     if energy <= threshold:
         raise DomainError(
             f"energy {energy} is not above the series threshold {threshold:.4g}"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersion_lab import spectral_operator
+from dispersion_lab import estimates, spectral_operator
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -471,6 +471,10 @@ RUN_ONLY_FAILURES = {
         {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},
         "h^2 underflows to 0",
     ),
+    "grid-step-squares-past-the-float-range": (
+        {"experiment": "dispersive", "grid": {"l_box": 1e200, "n_points": 64}},
+        "error: grid step h=3.17e+198 is too large: h^2 overflows",
+    ),
     "oracle-step-squares-to-zero": (
         {
             "experiment": "resolvent-check",
@@ -563,6 +567,18 @@ RUN_ONLY_FAILURES = {
             "error: grid.n_points: step h=0.6349 too coarse for lam=",
         )
         for experiment in ("resonance", "scatter-sweep", "dispersive", "resolvent-check")
+    },
+    # ||V||_1^2, the Born series threshold, overflows a float
+    **{
+        f"{experiment}-born-threshold-overflows": (
+            {
+                "experiment": experiment,
+                "potential": {"family": "gaussian", "amplitude": 1e308, "width": 1},
+                "grid": {"n_points": 64, "l_box": 20},
+            },
+            "error: potential.amplitude: the Born series threshold ||V||_1^2 overflows",
+        )
+        for experiment in ("scatter-sweep", "born-check")
     },
     # counts that numpy refuses to size ("Maximum allowed size exceeded")
     "n-lambdas-too-large-for-numpy": (
@@ -679,6 +695,36 @@ def test_stone_density_solves_only_the_eigenpairs_it_reads(tmp_path, monkeypatch
         H.potential, w[k] - margin, w[k] + margin, eps, H.eigenvectors[:, k]
     )
     assert abs(mass - dense.integral()) <= 1e-9
+
+
+@pytest.mark.parametrize("n_points", [256, 257])
+def test_sde_convergence_enters_through_the_occupied_half(tmp_path, monkeypatch, n_points):
+    # the centred Gaussian datum is even: one half-size eigensolve, and the
+    # u0 of the assembled view's route (all coefficients, the energy cut, the
+    # whole basis) bit for bit
+    seen = {}
+    propagate = spectral_operator.propagate_batch
+
+    def spy(H, taus, u0, mode_tol):
+        seen.update(H=H, u0=u0)
+        return propagate(H, taus, u0, mode_tol=mode_tol)
+
+    monkeypatch.setattr(spectral_operator, "propagate_batch", spy)
+    raw = {
+        "experiment": "sde-convergence",
+        "potential": {"family": "gaussian", "amplitude": 3.0, "width": 1.0},
+        "grid": {"n_points": n_points, "l_box": 20.0},
+        "stochastic": {"horizon": 1.0, "n_paths": 4, "seed": 2},
+        "params": {"level_min": 4, "level_max": 8, "energy_cut": 2.5},
+    }
+    assert run(load_config(_write(tmp_path, raw)), out_dir=tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["eigensolves"] == [n_points - n_points // 2]
+    dense = spectral_operator.build_hamiltonian(seen["H"].potential)
+    c = dense.to_eigenbasis(estimates.gaussian_packet(dense.grid, width=2.0))
+    c[dense.eigenvalues > 2.5] = 0.0
+    c /= np.linalg.norm(c)
+    assert seen["u0"].tobytes() == dense.from_eigenbasis(c).tobytes()
 
 
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from dispersion_lab.errors import DomainError, ValidationError
 from dispersion_lab.grid_model import (
+    L_BOX_MAX,
     Grid,
     PotentialGrid,
     PotentialSpec,
@@ -52,6 +53,14 @@ class TestGrid:
     def test_bad_half_width_rejected(self):
         with pytest.raises(ValidationError):
             Grid(l_box=0.0, n_points=64)
+
+    @pytest.mark.parametrize("l_box", [np.inf, np.nan, 1e308, np.nextafter(L_BOX_MAX, np.inf)])
+    def test_box_length_must_be_finite(self, l_box):
+        # above L_BOX_MAX the box length 2 l_box overflows: h would be inf, x NaN
+        with pytest.raises(ValidationError):
+            Grid(l_box=l_box, n_points=64)
+        g = Grid(l_box=L_BOX_MAX, n_points=64)
+        assert np.isfinite(2.0 * g.l_box) and np.isfinite(g.h)
 
 
 class TestSamplePotential:
@@ -139,6 +148,29 @@ class TestL1Norm:
         # the same weights as the time quadratures
         w = simpson_weights(n, V.grid.h)
         assert V.l1_norm() == pytest.approx(w @ np.abs(V.values), rel=1e-14)
+
+
+class TestBornThreshold:
+    def test_is_the_squared_l1_norm(self):
+        V = sample_potential(GAUSS31, Grid(l_box=20.0, n_points=512))
+        assert V.born_threshold() == V.l1_norm() ** 2
+
+    # ||V||_1 = 1.77e160 and 1.77e308 square past the float range; the table's
+    # Simpson sum itself overflows, with no numpy warning
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PotentialSpec("gaussian", 1e160, 1.0),
+            PotentialSpec("gaussian", 1e308, 1.0),
+            PotentialSpec("custom_table", table=((-30.0, 1e308), (30.0, 1e308))),
+        ],
+    )
+    def test_overflow_is_a_domain_error(self, spec):
+        V = sample_potential(spec, Grid(l_box=20.0, n_points=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="threshold"):
+                V.born_threshold()
 
 
 class TestSimpsonWeights:

@@ -60,6 +60,8 @@ MALFORMED_SECTIONS = [
     ("grid.n_points", {"grid": {"n_points": 64.7}}),
     ("grid.n_points", {"grid": {"n_points": "64"}}),
     ("grid.l_box", {"grid": {"l_box": True}}),
+    # 2 l_box overflows: h is inf and x NaN
+    ("grid.l_box", {"grid": {"l_box": 1e308}}),
     ("output_dir", {"output_dir": 5}),
     ("potential.amplitude", {"potential": {"amplitude": "3"}}),
     ("potential.table", {"potential": {"table": "ab"}}),

@@ -624,14 +624,15 @@ class TestParitySplit:
 
 def cut_after_all_coefficients(H, u, project, mode_tol):
     """occupied_modes as one dense cut: every coefficient of a fully solved
-    H, the bound states zeroed, then the mode cut, its columns copied."""
-    c = H.to_eigenbasis(np.asarray(u, dtype=complex))
+    H, the bound states zeroed, then the mode cut, its columns copied.  The
+    cut at mode_tol = 0 drops a parity whose coefficients are all exactly 0."""
+    c = H.to_eigenbasis(np.asarray(u, dtype=complex))[H.order]
+    energies, me = H.eigenvalues[H.order], H.basis.even.shape[1]
+    occupied = np.repeat([np.any(c[:me]), np.any(c[me:])], [me, len(c) - me])
     if project:
-        c[H.bound_state_indices] = 0.0
-    c, energies = c[H.order], H.eigenvalues[H.order]
+        c[energies < 0] = 0.0
     a = np.abs(c)
-    keep = a > mode_tol * a.max() if mode_tol > 0.0 else np.ones(len(c), dtype=bool)
-    me = H.basis.even.shape[1]
+    keep = a > mode_tol * a.max() if mode_tol > 0.0 else occupied
     basis = spectral_operator.Eigenbasis(H.n, H.basis.even[:, keep[:me]], H.basis.odd[:, keep[me:]])
     return spectral_operator.OccupiedModes(basis, energies[keep], c[keep])
 
@@ -670,7 +671,11 @@ class TestOneParitySolve:
                     want = cut_after_all_coefficients(eager, datum, project, mode_tol)
                     assert_same_modes(got, want, taus, H.grid)
                     assert H.eigensolves == solved
-                    if name == "mixed" or mode_tol == 0.0:
+                    if mode_tol == 0.0:  # exactly the halves with a nonzero fold
+                        sizes = (n - n // 2, n // 2)
+                        folds = H.folds(datum)
+                        assert sorted(solved) == sorted(sizes[p] for p in (0, 1) if np.any(folds[p]))
+                    if name == "mixed":
                         assert sorted(solved) == sorted([n - n // 2, n // 2])
                     else:
                         assert solved == [n - n // 2 if name == "even" else n // 2]

@@ -284,6 +284,14 @@ def _experiment(name: str, description: str, solves_eigenpairs: bool = False, **
     return register
 
 
+def _l_box_end(doc: dict, end: int) -> float:
+    """An end of grid.l_box's range: (0, L_BOX_MAX], narrowed where eigenpairs
+    of H are solved to the boxes whose step lies in STENCIL_STEPS."""
+    if not EXPERIMENTS[doc["experiment"]].solves_eigenpairs:
+        return (0.0, L_BOX_MAX)[end]
+    return spectral_operator.STENCIL_STEPS[end] * (doc["grid"]["n_points"] - 1) / 2.0
+
+
 # every other config section, and output_dir: a field's bound may read the
 # sections before it, and the params, checked after all of them, may read any
 SECTIONS: dict[str, dict[str, Param] | Param] = {
@@ -304,7 +312,14 @@ SECTIONS: dict[str, dict[str, Param] | Param] = {
             ),
             note=f"at most {spectral_operator.DENSE_SOLVER_CAP} where eigenpairs of H are solved",
         ),
-        "l_box": Param(40.0, 0, L_BOX_MAX, "(]", note="the box length 2 l_box is finite"),
+        "l_box": Param(
+            40.0,
+            lambda doc: _l_box_end(doc, 0),
+            lambda doc: _l_box_end(doc, 1),
+            "(]",
+            note="2 l_box is finite, and where eigenpairs of H are solved, the step "
+            "h = 2 l_box / (n_points - 1) has finite, nonzero h^2 and 1 / h^2",
+        ),
     },
     "stochastic": {
         "horizon": Param(8.0, 0, ends="(]"),
@@ -479,6 +494,11 @@ def _run_born_check(ctx: RunContext):
     V = ctx.V
     lam0 = ctx.born_threshold
     energy = ctx.params["energy_factor"] * lam0
+    if not math.isfinite(energy):
+        raise DomainError(
+            "params.energy_factor: E = energy_factor * ||V||_1^2 overflows "
+            f"(||V||_1^2 = {lam0:.3g})"
+        )
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
     # energy_factor > 1, so only a V with ||V||_1 = 0 leaves E at the threshold;
     # above it, only a grid too coarse for the closure (E h^2 >= 4) can fail

@@ -25,7 +25,14 @@ from .errors import (
 )
 from .grid_model import Grid, simpson_weights, sorted_unique
 from .scattering import detect_resonance
-from .spectral_operator import DiscreteHamiltonian, RowPanels, duhamel, evolve, occupied_modes
+from .spectral_operator import (
+    DiscreteHamiltonian,
+    OccupiedModes,
+    RowPanels,
+    duhamel,
+    evolve,
+    occupied_modes,
+)
 from .stochastic import BrownianEnsemble, sample_brownian
 
 INF = math.inf
@@ -290,12 +297,21 @@ def _select_time_indices(
     return sorted_unique(np.round(ts / ensemble.dt).astype(int))
 
 
-def _sup_norms_at_taus(
-    H: DiscreteHamiltonian, u0: np.ndarray, taus: np.ndarray, mode_tol: float
-) -> np.ndarray:
-    """Sup norms of e^{-i tau H} P_ac u0 for a flat list of phases."""
-    modes = occupied_modes(H, u0, project=True, mode_tol=mode_tol)
-    return evolve(modes, taus, reduce=lambda states: lp_norms_columns(states, INF, H.grid))
+def lp_norms_at_taus(modes: OccupiedModes, taus, p: float, grid: Grid) -> np.ndarray:
+    """||e^{-i tau H} u||_p for every tau, in the shape of taus; modes are u's.
+
+    H and its eigenbasis are real, so for real coefficients e^{+i tau H} u
+    = conj(e^{-i tau H} u) and every norm is even in tau: evolve then
+    propagates each distinct |tau| once, and the norms are mapped back.
+    Complex coefficients keep the signed taus.
+    """
+    taus = np.asarray(taus, dtype=float)
+    reduce = lambda states: lp_norms_columns(states, p, grid)
+    if np.any(modes.coef.imag):
+        return evolve(modes, taus, reduce).reshape(taus.shape)
+    a = np.abs(taus)
+    distinct = sorted_unique(a)
+    return evolve(modes, distinct, reduce)[np.searchsorted(distinct, a)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +348,7 @@ def dispersive_experiment(
     ksel = _select_time_indices(ensemble, t_min, n_time_samples)
     taus = ensemble.values[:, ksel].ravel()
     xs = np.abs(taus)
-    vs = _sup_norms_at_taus(H, u0, taus, mode_tol=1e-12)
+    vs = lp_norms_at_taus(occupied_modes(H, u0, project=True, mode_tol=1e-12), taus, INF, grid)
     keep = xs >= beta_min
     xs, vs = xs[keep], vs[keep]
     n, seed = ensemble.n_paths, ensemble.seed
@@ -364,9 +380,8 @@ def expectation_decay_experiment(
     u0 = u0 / lp_norm_x(u0, 1.0, H.grid)
     ksel = _select_time_indices(ensemble, t_min, n_time_samples, spacing="geometric")
     ts = ensemble.times[ksel]
-    sup = _sup_norms_at_taus(H, u0, ensemble.values[:, ksel], mode_tol=1e-6).reshape(
-        ensemble.n_paths, len(ksel)
-    )
+    modes = occupied_modes(H, u0, project=True, mode_tol=1e-6)
+    sup = lp_norms_at_taus(modes, ensemble.values[:, ksel], INF, H.grid)
     vals = np.mean(sup**p, axis=0) ** (1.0 / p)
     return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
 
@@ -449,10 +464,11 @@ def strichartz_homogeneous_experiment(
     u0 = u0 / lp_norm_x(u0, 2.0, H.grid)
     modes = occupied_modes(H, u0, project, mode_tol=1e-12)
     horizons = np.asarray(horizons, dtype=float)
-    lhs = np.empty(len(horizons))
-    for i, ens in _windows(horizons, n_steps, n_paths, seed):
-        norms = evolve(modes, ens.values, reduce=lambda st: lp_norms_columns(st, p, H.grid))
-        lhs[i] = mixed_norm(norms.reshape(n_paths, n_steps + 1), ens.times, r, r)
+    # every horizon's paths in one table: one evolve, one plan of windows
+    ensembles = _windows(horizons, n_steps, n_paths, seed)
+    values, times = zip(*((e.values, e.times) for _, e in ensembles))
+    norms = lp_norms_at_taus(modes, np.stack(values), p, H.grid)
+    lhs = np.array([mixed_norm(g, t, r, r) for g, t in zip(norms, times)])
     return _window_report(
         horizons, lhs, horizons ** (mu / 2.0), n_paths, seed, mu=mu, target_exponent=mu / 2.0
     )

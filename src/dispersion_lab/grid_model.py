@@ -161,7 +161,8 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique of an integer array: its distinct values in ascending order.
+    """np.unique of an integer array, or of floats without NaN: its distinct
+    values in ascending order.
 
     np.unique imports numpy.ma on first use, 12-18 ms per process; a sort
     and a neighbour-difference mask give the same array.

@@ -27,6 +27,9 @@ from .errors import DomainError
 from .grid_model import Grid, PotentialGrid
 
 DENSE_SOLVER_CAP = 8192
+# the grid steps h whose h^2 and 2 / h^2 are both finite and nonzero, each
+# with a factor 2 to spare: _stencil takes every one of them
+STENCIL_STEPS = (math.sqrt(np.finfo(float).tiny), math.sqrt(2.0 / np.finfo(float).tiny))
 
 
 def _load_flapack():

@@ -467,14 +467,6 @@ RUN_ONLY_FAILURES = {
         {"experiment": "stone-density", "params": {"epsilon_factor": 5e-324}},
         "params.epsilon_factor",
     ),
-    "grid-step-squares-to-zero": (
-        {"experiment": "dispersive", "grid": {"l_box": 1e-200, "n_points": 64}},
-        "h^2 underflows to 0",
-    ),
-    "grid-step-squares-past-the-float-range": (
-        {"experiment": "dispersive", "grid": {"l_box": 1e200, "n_points": 64}},
-        "error: grid step h=3.17e+198 is too large: h^2 overflows",
-    ),
     "oracle-step-squares-to-zero": (
         {
             "experiment": "resolvent-check",
@@ -529,6 +521,15 @@ RUN_ONLY_FAILURES = {
             "grid": {"n_points": 64, "l_box": 20},
         },
         "error: grid.n_points: the outgoing closure needs 0 < E h^2 < 4, got 45.59",
+    ),
+    # E = energy_factor * ||V||_1^2 = 1e308 * 28.3 overflows to inf
+    "born-check-energy-overflows": (
+        {
+            "experiment": "born-check",
+            "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
+            "params": {"energy_factor": 1e308},
+        },
+        "error: params.energy_factor: E = energy_factor * ||V||_1^2 overflows",
     ),
     "born-check-zero-datum-grid-too-coarse": (
         {

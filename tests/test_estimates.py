@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dispersion_lab import _parallel, spectral_operator
+from dispersion_lab import _parallel, estimates, spectral_operator
 from dispersion_lab.errors import (
     ConditioningError,
     ContractViolationError,
@@ -22,6 +22,7 @@ from dispersion_lab.estimates import (
     gaussian_packet,
     holder_conjugate,
     lp_norm_x,
+    lp_norms_at_taus,
     lp_norms_columns,
     mixed_norm,
     mu_homogeneous,
@@ -32,7 +33,7 @@ from dispersion_lab.estimates import (
     strichartz_inhomogeneous_experiment,
 )
 from dispersion_lab.grid_model import Grid, sample_potential, sorted_unique
-from dispersion_lab.spectral_operator import build_hamiltonian
+from dispersion_lab.spectral_operator import build_hamiltonian, occupied_modes
 from dispersion_lab.stochastic import sample_brownian
 
 from conftest import (
@@ -555,6 +556,140 @@ class TestDuhamelKernel:
         assert H.basis.mirror_rows == 512 and len(H.bound_state_indices) > 0
         modes = self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
         assert modes.basis.parities == 2
+
+
+# lp_norms_at_taus against evolve on the signed taus: for a real datum it
+# propagates other taus, in other windows and blocks, so the norms differ by
+# evolve's round-off.  The largest relative differences measured: 3.8e-14
+# over the data.csv samples of the benchmark's eight Monte Carlo cases,
+# 1.9e-14 over TestEvenNormFold's cases, and 1.05e-13 with every mode of the
+# unsplit LOPSIDED H (1024 nodes) in windows over a 3250-tau table.  The bound
+# leaves a factor 2 over the largest
+FOLD_RTOL = 2e-13
+
+
+def signed_norms(modes, taus, p, grid):
+    """The norms of the signed route: evolve on every tau as given."""
+    reduce = lambda states: lp_norms_columns(states, p, grid)
+    return spectral_operator.evolve(modes, taus, reduce).reshape(np.shape(taus))
+
+
+def fold_taus():
+    """A (25, 33) tau table: 20 Brownian paths, each with its zero at t = 0,
+    and the negatives of the first 5, so it holds +- pairs, 0.0 and -0.0."""
+    b = sample_brownian(4.0, 32, 20, seed=17).values
+    return np.concatenate([b, -b[:5]])
+
+
+@pytest.fixture()
+def evolve_calls(monkeypatch):
+    """The taus of every evolve call that estimates makes, in order."""
+    calls = []
+
+    def spy(modes, taus, reduce=None):
+        calls.append(np.asarray(taus, dtype=float).ravel())
+        return spectral_operator.evolve(modes, taus, reduce)
+
+    monkeypatch.setattr(estimates, "evolve", spy)
+    return calls
+
+
+class TestEvenNormFold:
+    DATA = {
+        "even": lambda g: gaussian_packet(g, width=0.5),
+        "odd": lambda g: odd_packet(g, width=0.8),
+        "mixed": lambda g: odd_packet(g, width=0.8) + 0.3 * gaussian_packet(g, width=0.5),
+    }
+
+    @pytest.mark.parametrize("datum", sorted(DATA))
+    def test_real_datum_matches_signed_taus(self, ham_sech_1024_l30, evolve_calls, datum):
+        # sech^2 splits by parity and has a bound state, which project drops
+        H = ham_sech_1024_l30
+        taus = fold_taus()
+        for project in (False, True):
+            for mode_tol in (0.0, 1e-12, 1e-6):
+                modes = occupied_modes(H, self.DATA[datum](H.grid), project, mode_tol)
+                assert not np.any(modes.coef.imag)
+                for p in (1.0, 2.0, 4.0, INF):
+                    got = lp_norms_at_taus(modes, taus, p, H.grid)
+                    np.testing.assert_allclose(
+                        got, signed_norms(modes, taus, p, H.grid), rtol=FOLD_RTOL, atol=0
+                    )
+        # every call took the folded route
+        assert {len(t) for t in evolve_calls} == {len(np.unique(np.abs(taus)))}
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_complex_datum_keeps_the_signed_taus(self, ham_sech_1024_l30, evolve_calls, p):
+        H = ham_sech_1024_l30
+        u = gaussian_packet(H.grid, width=0.5) * np.exp(1.5j * H.grid.x)
+        modes = occupied_modes(H, u, project=True, mode_tol=1e-12)
+        assert np.any(modes.coef.imag)
+        taus = fold_taus()
+        got = lp_norms_at_taus(modes, taus, p, H.grid)
+        assert np.array_equal(got, signed_norms(modes, taus, p, H.grid))
+        assert [len(t) for t in evolve_calls] == [taus.size]
+
+    def test_evolve_sees_each_distinct_abs_tau_once(self, ham_free_1024_l30, evolve_calls):
+        H = ham_free_1024_l30
+        taus = fold_taus()
+        distinct = np.unique(np.abs(taus))
+        assert len(distinct) < len(np.unique(taus)) < taus.size  # +- pairs and zeros
+        modes = occupied_modes(H, gaussian_packet(H.grid, width=0.5), mode_tol=1e-12)
+        lp_norms_at_taus(modes, taus, 4.0, H.grid)
+        assert len(evolve_calls) == 1
+        assert np.array_equal(np.sort(evolve_calls[0]), distinct)
+
+    def test_same_bytes_at_one_and_two_workers(self, ham_sech_1024_l30, workers):
+        H = ham_sech_1024_l30
+        modes = occupied_modes(H, odd_packet(H.grid, width=0.8) + 0.5, True, 1e-12)
+        taus = fold_taus()
+        runs = []
+        for n in (1, 2):
+            with workers(n):
+                runs.append(lp_norms_at_taus(modes, taus, INF, H.grid).tobytes())
+        assert runs[0] == runs[1]
+
+
+class TestStrichartzHomOneEvolve:
+    """strichartz-hom propagates every horizon's paths in one evolve call."""
+
+    HORIZONS = [0.25, 0.5, 1.0, 2.0, 4.0]
+    KW = dict(r=4.0, p=4.0, n_steps=32, n_paths=8, seed=51)
+
+    def per_horizon(self, H, u0, project):
+        """The window norms of one evolve on the signed taus per horizon."""
+        u0 = np.asarray(u0, dtype=complex) / lp_norm_x(u0, 2.0, H.grid)
+        modes = occupied_modes(H, u0, project, mode_tol=1e-12)
+        kw = self.KW
+        return [
+            mixed_norm(signed_norms(modes, ens.values, kw["p"], H.grid), ens.times, kw["r"], kw["r"])
+            for _, ens in estimates._windows(
+                np.array(self.HORIZONS), kw["n_steps"], kw["n_paths"], kw["seed"]
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "ham, project", [("ham_free_1024_l30", False), ("ham_sech_1024_l30", True)]
+    )
+    def test_one_evolve_matches_per_horizon_route(self, request, evolve_calls, ham, project):
+        H = request.getfixturevalue(ham)
+        u0 = gaussian_packet(H.grid, width=0.5)
+        rep = strichartz_homogeneous_experiment(
+            H, u0, horizons=self.HORIZONS, project=project, **self.KW
+        )
+        rows = len(self.HORIZONS) * self.KW["n_paths"] * (self.KW["n_steps"] + 1)
+        assert len(evolve_calls) == 1 and len(evolve_calls[0]) < rows
+        np.testing.assert_allclose(rep.values, self.per_horizon(H, u0, project), rtol=FOLD_RTOL)
+
+    def test_same_bytes_at_one_and_two_workers(self, ham_free_1024_l30, workers):
+        H = ham_free_1024_l30
+        u0 = gaussian_packet(H.grid, width=0.5)
+        runs = []
+        for n in (1, 2):
+            with workers(n):
+                rep = strichartz_homogeneous_experiment(H, u0, horizons=self.HORIZONS, **self.KW)
+                runs.append(rep.values.tobytes())
+        assert runs[0] == runs[1]
 
 
 class TestTimeResolutionStability:

@@ -6,6 +6,7 @@ import warnings
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,10 @@ MALFORMED_SECTIONS = [
     ("grid.l_box", {"grid": {"l_box": True}}),
     # 2 l_box overflows: h is inf and x NaN
     ("grid.l_box", {"grid": {"l_box": 1e308}}),
+    # the stencil's h^2 overflows, and underflows to 0 (161 nodes): these used
+    # to pass validate and end run with a step error that named no field
+    ("grid.l_box", {"grid": {"l_box": 1e200}}),
+    ("grid.l_box", {"grid": {"l_box": 1e-200}}),
     ("output_dir", {"output_dir": 5}),
     ("potential.amplitude", {"potential": {"amplitude": "3"}}),
     ("potential.table", {"potential": {"table": "ab"}}),
@@ -152,6 +157,25 @@ def test_seed_edges():
     assert ExperimentConfig.from_dict(top).seed == 2**63 - 1
     with pytest.raises(ValidationError, match=r"stochastic.seed: must be an integer in \[0, 9223372036854775808\)"):
         ExperimentConfig.from_dict({"experiment": "dispersive", "stochastic": {"seed": 2**63}})
+
+
+@pytest.mark.parametrize("n_points", [16, 161, spectral_operator.DENSE_SOLVER_CAP])
+def test_l_box_range_keeps_the_stencil_finite(n_points):
+    # where eigenpairs of H are solved, the stencil of every l_box validate
+    # takes is finite and nonzero, and just beyond either end fails at
+    # validate; an experiment that solves none keeps (0, L_BOX_MAX]
+    doc = {"experiment": "dispersive", "grid": {"n_points": n_points}}
+    param = SECTIONS["grid"]["l_box"]
+    lo, hi = bound(param.lo, doc), bound(param.hi, doc)
+    for l_box in (math.nextafter(lo, math.inf), hi):
+        cfg = ExperimentConfig.from_dict(dict(doc, grid={"n_points": n_points, "l_box": l_box}))
+        diag, off = spectral_operator._stencil(cfg.grid, np.zeros(n_points))
+        assert np.all(np.isfinite(diag)) and diag[0] > 0 > off[0] > -np.inf
+    for l_box in (lo, math.nextafter(hi, math.inf)):
+        with pytest.raises(ValidationError, match="grid.l_box: must be a number in "):
+            ExperimentConfig.from_dict(dict(doc, grid={"n_points": n_points, "l_box": l_box}))
+    jost = {"experiment": "resonance", "grid": {"n_points": n_points}}
+    assert (bound(param.lo, jost), bound(param.hi, jost)) == (0.0, cli_runner.L_BOX_MAX)
 
 
 @pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity", "infinity"])

@@ -43,7 +43,6 @@ THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
 
@@ -377,10 +376,10 @@ def _field(path: str):
         raise DomainError(f"{path}: {exc}") from None
 
 
-def _report_from_estimate(rep: estimates.EstimateReport) -> dict:
-    """The fit, its sampling and its extras; the samples themselves go to data.csv."""
-    keys = ("fitted_slope", "fitted_intercept", "slope_ci_95", "n_paths", "seed", "extras")
-    return {k: getattr(rep, k) for k in keys}
+def _report_from_estimate(rep: estimates.EstimateReport, cfg: ExperimentConfig) -> dict:
+    """The fit, the run's sampling and the fit's extras; the samples themselves go to data.csv."""
+    fit = {k: getattr(rep, k) for k in ("fitted_slope", "fitted_intercept", "slope_ci_95")}
+    return {**fit, "n_paths": cfg.n_paths, "seed": cfg.seed, "extras": rep.extras}
 
 
 @_experiment(
@@ -500,9 +499,11 @@ def _run_born_check(ctx: RunContext):
             f"(||V||_1^2 = {lam0:.3g})"
         )
     f = estimates.gaussian_packet(ctx.grid, width=1.0)
-    # energy_factor > 1, so only a V with ||V||_1 = 0 leaves E at the threshold;
+    # energy_factor > 1, so only a V with ||V||_1 = 0 leaves E at the threshold:
+    # a V that vanishes, or a box whose samples of V do (too wide or narrow);
     # above it, only a grid too coarse for the closure (E h^2 >= 4) can fail
-    with _field("potential" if energy <= lam0 else "grid.n_points"):
+    null_field = "potential" if ctx.cfg.potential.vanishes else "grid.l_box"
+    with _field(null_field if energy <= lam0 else "grid.n_points"):
         terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
     # late terms underflow to exactly 0; a ratio to a 0 term is nan, as row 0's
@@ -577,7 +578,7 @@ def _run_sde_convergence(ctx: RunContext):
     cfg, H = ctx.cfg, ctx.H
     modes = spectral_operator.occupied_modes(H, estimates.gaussian_packet(cfg.grid, width=2.0))
     c = np.where(modes.energies > ctx.params["energy_cut"], 0.0, modes.coef)
-    u0 = modes.basis.full_product(c / np.linalg.norm(c))
+    u0 = modes.basis.product(c / np.linalg.norm(c))
     lmin, lmax = ctx.params["level_min"], ctx.params["level_max"]
     n_fine = 2**lmax
     levels = [2**k for k in range(lmin, lmax + 1)]
@@ -600,7 +601,7 @@ def _run_sde_convergence(ctx: RunContext):
     errs = np.array([strong_error(nst) for nst in levels]) / cfg.n_paths
     dts = np.array([cfg.horizon / n for n in levels])
     # an unstable step can overflow the errors: a degenerate fit, not an error
-    rep = estimates.fit_report(dts, errs, cfg.n_paths, cfg.seed, min_points=len(levels))
+    rep = estimates.fit_report(dts, errs, min_points=len(levels))
     rows = list(zip(dts, errs))
     # extras holds only the degenerate flag and its reason, when set
     report = {"fitted_order": rep.fitted_slope, "slope_ci_95": rep.slope_ci_95, **rep.extras}
@@ -625,7 +626,7 @@ def _run_dispersive(ctx: RunContext):
         t_min=ctx.params["t_min"],
         n_time_samples=ctx.params["n_time_samples"],
     )
-    report = _report_from_estimate(rep)
+    report = _report_from_estimate(rep, cfg)
     report["hypothesis_violation"] = rep.extras["resonant"]
     if rep.extras["resonant"]:
         report["warning"] = "zero-energy resonance detected"
@@ -653,7 +654,7 @@ def _run_expectation_decay(ctx: RunContext):
         n_time_samples=ctx.params["n_time_samples"],
     )
     rows = list(zip(rep.abscissa, rep.values))
-    return _report_from_estimate(rep), ["t", "mean_sup_norm"], rows
+    return _report_from_estimate(rep, cfg), ["t", "mean_sup_norm"], rows
 
 
 def _admissible(cfg: ExperimentConfig, mu: Callable) -> None:
@@ -677,7 +678,7 @@ def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
         **kwargs,
     )
     rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
-    return _report_from_estimate(rep), ["horizon", "lhs", "ratio"], rows
+    return _report_from_estimate(rep, cfg), ["horizon", "lhs", "ratio"], rows
 
 
 @_experiment(

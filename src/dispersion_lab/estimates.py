@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     HypothesisViolationWarning,
 )
-from .grid_model import Grid, simpson_weights, sorted_unique
+from .grid_model import Grid, gaussian_profile, simpson_weights, sorted_unique
 from .scattering import detect_resonance
 from .spectral_operator import (
     DiscreteHamiltonian,
@@ -153,8 +153,6 @@ class EstimateReport:
     fitted_slope: float
     fitted_intercept: float
     slope_ci_95: tuple[float, float]
-    n_paths: int = 0
-    seed: int = 0
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -242,14 +240,12 @@ def fit_decay_exponent(
 def fit_report(
     abscissa,
     values,
-    n_paths: int,
-    seed: int,
     min_points: int = 8,
     reason: str | None = None,
     **extras,
 ) -> EstimateReport:
-    """The finished report of an experiment: its fit over at least a decade,
-    the run's path count and seed, and extras.
+    """The finished report of an experiment: its fit over at least a decade
+    and extras.
 
     A fit the samples cannot support, or a reason passed by the caller,
     gives a nan fit flagged degenerate with that reason.
@@ -265,7 +261,6 @@ def fit_report(
         nan = float("nan")
         flags = {"degenerate": True, "degenerate_reason": reason}
         rep = EstimateReport(a, v, nan, nan, (nan, nan), extras=flags)
-    rep.n_paths, rep.seed = n_paths, seed
     rep.extras.update(extras)
     return rep
 
@@ -275,14 +270,12 @@ def fit_report(
 
 def gaussian_packet(grid: Grid, width: float = 0.5) -> np.ndarray:
     """exp(-(x/w)^2) as a complex array."""
-    x = grid.x
-    return np.exp(-((x / width) ** 2)).astype(complex)
+    return gaussian_profile(grid.x, width).astype(complex)
 
 
 def odd_packet(grid: Grid, width: float = 0.8) -> np.ndarray:
     """x exp(-(x/w)^2); vanishing mean kills the zero-energy component."""
-    x = grid.x
-    return (x * np.exp(-((x / width) ** 2))).astype(complex)
+    return (grid.x * gaussian_profile(grid.x, width)).astype(complex)
 
 
 def _select_time_indices(
@@ -351,14 +344,12 @@ def dispersive_experiment(
     vs = lp_norms_at_taus(occupied_modes(H, u0, project=True, mode_tol=1e-12), taus, INF, grid)
     keep = xs >= beta_min
     xs, vs = xs[keep], vs[keep]
-    n, seed = ensemble.n_paths, ensemble.seed
     if len(vs) == 0 or vs.max() < 1e-8:
         # nothing left to fit (e.g. the projection annihilated u0)
         reason = "no sample left above beta_min with a sup norm of at least 1e-8"
-        return fit_report(
-            np.ones(1), np.ones(1), n, seed, reason=reason, resonant=resonant, beta_min=beta_min
-        )
-    return fit_report(xs, vs, n, seed, resonant=resonant, beta_min=beta_min, n_samples=len(xs))
+        xs, vs = np.ones(1), np.ones(1)
+        return fit_report(xs, vs, reason=reason, resonant=resonant, beta_min=beta_min)
+    return fit_report(xs, vs, resonant=resonant, beta_min=beta_min, n_samples=len(xs))
 
 
 def expectation_decay_experiment(
@@ -383,7 +374,7 @@ def expectation_decay_experiment(
     modes = occupied_modes(H, u0, project=True, mode_tol=1e-6)
     sup = lp_norms_at_taus(modes, ensemble.values[:, ksel], INF, H.grid)
     vals = np.mean(sup**p, axis=0) ** (1.0 / p)
-    return fit_report(ts, vals, ensemble.n_paths, ensemble.seed, p=p)
+    return fit_report(ts, vals, p=p)
 
 
 def _sub_seed(seed: int, index: int) -> int:
@@ -401,12 +392,12 @@ def _windows(horizons: np.ndarray, n_steps: int, n_paths: int, seed: int):
         yield i, sample_brownian(float(T), n_steps, n_paths, _sub_seed(seed, i))
 
 
-def _window_report(horizons, lhs, scale, n_paths: int, seed: int, **extras) -> EstimateReport:
+def _window_report(horizons, lhs, scale, **extras) -> EstimateReport:
     """fit_report of a window scaling, with the ratios lhs / scale that the
     bound keeps bounded (0 where scale is 0) and their max / min spread."""
     ratios = np.where(scale > 0, lhs / np.where(scale > 0, scale, 1.0), 0.0)
     spread = float(ratios.max() / ratios.min()) if np.all(ratios > 0) else float("nan")
-    return fit_report(horizons, lhs, n_paths, seed, ratios=ratios, ratio_max_min=spread, **extras)
+    return fit_report(horizons, lhs, ratios=ratios, ratio_max_min=spread, **extras)
 
 
 def convolution_lemma_experiment(
@@ -437,7 +428,7 @@ def convolution_lemma_experiment(
             g = kern.sum(axis=1) * ens.dt
             per_path[pi] = np.sum(wq * g**2)
         lhs[i] = float(np.mean(per_path))
-    return _window_report(horizons, lhs, horizons ** (3.0 - alpha), n_paths, seed, alpha=alpha)
+    return _window_report(horizons, lhs, horizons ** (3.0 - alpha), alpha=alpha)
 
 
 def strichartz_homogeneous_experiment(
@@ -469,9 +460,7 @@ def strichartz_homogeneous_experiment(
     values, times = zip(*((e.values, e.times) for _, e in ensembles))
     norms = lp_norms_at_taus(modes, np.stack(values), p, H.grid)
     lhs = np.array([mixed_norm(g, t, r, r) for g, t in zip(norms, times)])
-    return _window_report(
-        horizons, lhs, horizons ** (mu / 2.0), n_paths, seed, mu=mu, target_exponent=mu / 2.0
-    )
+    return _window_report(horizons, lhs, horizons ** (mu / 2.0), mu=mu, target_exponent=mu / 2.0)
 
 
 def strichartz_inhomogeneous_experiment(
@@ -520,12 +509,5 @@ def strichartz_inhomogeneous_experiment(
         lhs[i] = mixed_norm(norms, ens.times, rho, r)
         rhs[i] = mixed_norm(f_norms, ens.times, rho, rp)
     return _window_report(
-        horizons,
-        lhs,
-        horizons**mu * rhs,
-        n_paths,
-        seed,
-        mu=mu,
-        n_modes=len(modes.energies),
-        rhs_norms=rhs,
+        horizons, lhs, horizons**mu * rhs, mu=mu, n_modes=len(modes.energies), rhs_norms=rhs
     )

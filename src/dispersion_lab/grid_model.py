@@ -88,13 +88,20 @@ class PotentialSpec:
             if self.family != "zero" and (not np.isfinite(self.width) or self.width <= 0):
                 raise ValidationError("width must be positive and finite")
 
+    @property
+    def vanishes(self) -> bool:
+        """Whether V is 0 everywhere, on every grid."""
+        if self.family == "custom_table":
+            return not any(v for _, v in self.table)
+        return self.family == "zero" or self.amplitude == 0.0
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Evaluate V pointwise (zero extension outside a custom table)."""
         x = np.asarray(x, dtype=float)
         if self.family == "zero":
             return np.zeros_like(x)
         if self.family == "gaussian":
-            return self.amplitude * np.exp(-((x / self.width) ** 2))
+            return self.amplitude * gaussian_profile(x, self.width)
         if self.family == "sech_squared":  # cosh^2 overflows past |x|/w ~ 355, to V = 0 exactly
             with np.errstate(over="ignore"):
                 return self.amplitude / np.cosh(x / self.width) ** 2
@@ -139,6 +146,12 @@ class PotentialGrid:
         if threshold == math.inf:
             raise DomainError(f"the Born series threshold ||V||_1^2 overflows (||V||_1 = {l1:.3g})")
         return threshold
+
+
+def gaussian_profile(x: np.ndarray, width: float) -> np.ndarray:
+    """exp(-(x/w)^2): where (x/w)^2 overflows, past |x|/w ~ 1e154, exactly 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((x / width) ** 2))
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:

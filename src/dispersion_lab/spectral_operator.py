@@ -55,69 +55,57 @@ _flapack = _load_flapack()
 
 @dataclass(frozen=True)
 class Eigenbasis:
-    """Eigenvectors of H as half vectors, even columns first, then odd ones.
+    """Eigenvector columns of one reflection parity, as half vectors.
 
-    The last k = n - len(even) grid rows mirror the first k: even column j
-    is (even[:, j], even[:k, j] reversed), odd column j is (odd[:, j],
-    -odd[:k, j] reversed).  A reflection-symmetric H has k = n // 2; on an
-    odd n the halves end at the middle node, where an odd vector is 0.  Any
-    other H has k = 0, every column in even and none odd.
+    The last k = n - len(half) grid rows mirror the first k times sign:
+    column j is (half[:, j], sign * half[:k, j] reversed), sign +1 for even
+    modes and -1 for odd ones.  A reflection-symmetric H has k = n // 2; on
+    an odd n the halves end at the middle node, where an odd vector is 0.
+    Any other H, and a datum of both parities, has k = 0: whole columns.
     """
 
     n: int
-    even: np.ndarray  # (n - k, m_even)
-    odd: np.ndarray  # (n - k, m_odd)
+    half: np.ndarray  # (n - k, m)
+    sign: int = 1
 
     @property
     def mirror_rows(self) -> int:
-        return self.n - len(self.even)
+        return self.n - len(self.half)
 
-    @property
-    def parities(self) -> int:
-        """How many reflection parities hold a column."""
-        return (self.even.shape[1] > 0) + (self.odd.shape[1] > 0)
+    def unfold(self, top: np.ndarray) -> np.ndarray:
+        """Rows of a product with the half vectors extended to the grid: the
+        first k rows, reversed and times sign, follow as the mirror rows."""
+        if not (k := self.mirror_rows):
+            return top
+        mirror = top[:k][::-1]
+        return np.concatenate([top, mirror if self.sign > 0 else -mirror])
 
-    def product(self, data: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
-        """Row blocks of self @ data: every product with an eigenbasis runs here.
+    def product(self, data: np.ndarray) -> np.ndarray:
+        """self @ data with its rows in grid order: one GEMM on the half vectors."""
+        return self.unfold(real_basis_product(self.half, data))
 
-        For the half-vector rows i in rows: the product's rows i, then, if
-        any i < k, the mirror rows n-1-i of those, i ascending.  One GEMM per
-        occupied parity yields both: the even part plus and minus the odd part.
-        """
-        me, m = self.even.shape[1], len(data)
-        k = len(range(self.mirror_rows)[rows])
-        # a parity with no occupied mode is skipped; with no mode at all, the
-        # even GEMM makes the zeros
-        even = real_basis_product(self.even[rows], data[:me]) if me or not m else None
-        odd = real_basis_product(self.odd[rows], data[me:]) if m > me else None
-        if odd is None:
-            top, mirror = even, even[:k]
-        elif even is None:
-            top, mirror = odd, -odd[:k]
-        else:
-            top, mirror = even + odd, even[:k] - odd[:k]
-        return (top, mirror) if k else (top,)
-
-    def full_product(self, data: np.ndarray) -> np.ndarray:
-        """self @ data with its rows in grid order."""
-        blocks = self.product(data)
-        return np.concatenate([blocks[0], blocks[1][::-1]]) if len(blocks) == 2 else blocks[0]
+    @classmethod
+    def whole(cls, parts: list[Eigenbasis]) -> Eigenbasis:
+        """The columns of parts side by side, unfolded: a basis with k = 0."""
+        return cls(parts[0].n, np.hstack([p.unfold(p.half) for p in parts]))
 
 
 class DiscreteHamiltonian:
     """Symmetric tridiagonal -Delta + V, diagonalized one reflection parity at a time.
 
     half(0) and half(1) are the even and odd eigenpairs: ascending energies
-    and their half-vector columns (see Eigenbasis).  Each half is solved on
-    first use, by one dstevd on its half tridiagonal, and kept; eigensolves
-    lists the rows of each tridiagonal solved, in order.  A potential that
-    is an exact palindrome gives mirror_rows = n // 2; any other has none,
-    and its even half is the whole dstevd, its odd half empty.
+    and their half-vector columns, whose Eigenbasis has sign +1 and -1.
+    Each half is solved on first use, by one dstevd on its half
+    tridiagonal, and kept; eigensolves lists the rows of each tridiagonal
+    solved, in order.  A potential that is an exact palindrome gives
+    mirror_rows = n // 2; any other has none, and its even half is the
+    whole dstevd, its odd half empty.
 
-    The dense reference (eigenvalues, basis, order, eigenvectors), read by
-    tests and the bench tracer only, assembles both halves: eigenvalues
-    ascend and basis column j is eigenpair order[j].  Eigenvectors are
-    orthonormal; L2(grid) norms differ from euclidean ones by sqrt(h).
+    The dense reference (eigenvalues, order, eigenvectors and the
+    transforms with them), read by tests and the bench tracer only,
+    assembles both halves: eigenvalues ascend and eigenvector column j is
+    eigenpair order[j].  Eigenvectors are orthonormal; L2(grid) norms
+    differ from euclidean ones by sqrt(h).
     """
 
     def __init__(self, potential: PotentialGrid, eigenvalues=None, basis: Eigenbasis | None = None):
@@ -131,8 +119,8 @@ class DiscreteHamiltonian:
             self.mirror_rows = self.n // 2 if palindrome else 0
             self._halves = [None, None]
         else:
-            self.mirror_rows = basis.mirror_rows
-            self._halves = [(eigenvalues, basis.even), (eigenvalues[:0], basis.odd)]
+            self.mirror_rows = 0
+            self._halves = [(eigenvalues, basis.half), (eigenvalues[:0], basis.half[:, :0])]
 
     @property
     def grid(self) -> Grid:
@@ -180,25 +168,20 @@ class DiscreteHamiltonian:
         return w, v
 
     @cached_property
-    def _assembled(self) -> tuple[np.ndarray, Eigenbasis, np.ndarray]:
-        (w_even, v_even), (w_odd, v_odd) = self.half(0), self.half(1)
-        w = np.concatenate([w_even, w_odd])
+    def _assembled(self) -> tuple[np.ndarray, np.ndarray]:
+        w = np.concatenate([self.half(0)[0], self.half(1)[0]])
         ascending = np.argsort(w, kind="stable")
         order = np.empty_like(ascending)
         order[ascending] = np.arange(len(w))
-        return w[ascending], Eigenbasis(self.n, v_even, v_odd), order
+        return w[ascending], order
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self._assembled[0]
 
     @property
-    def basis(self) -> Eigenbasis:
-        return self._assembled[1]
-
-    @property
     def order(self) -> np.ndarray:
-        return self._assembled[2]
+        return self._assembled[1]
 
     @property
     def bound_state_indices(self) -> np.ndarray:
@@ -206,13 +189,14 @@ class DiscreteHamiltonian:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Dense (n, n) eigenvector columns in eigenvalue order, assembled once."""
-        even, odd, k = self.basis.even, self.basis.odd, self.mirror_rows
-        if not k:
-            return even
-        mirror = np.hstack([even, -odd])[:k]
+        """Dense (n, n) eigenvector columns in eigenvalue order, assembled
+        once; without mirror rows, the dstevd matrix itself."""
+        if not self.mirror_rows:
+            return self.half(0)[1]
         v = np.empty((self.n, self.n))
-        v[:, self.order] = np.vstack([np.hstack([even, odd]), mirror[::-1]])
+        v[:, self.order] = Eigenbasis.whole(
+            [Eigenbasis(self.n, self.half(p)[1], 1 - 2 * p) for p in (0, 1)]
+        ).half
         return v
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -234,14 +218,10 @@ class DiscreteHamiltonian:
         return folded, top - mirror
 
     def to_eigenbasis(self, u: np.ndarray) -> np.ndarray:
-        folds = self.folds(u)
-        c = np.concatenate([real_basis_product(self.half(p)[1].T, folds[p]) for p in (0, 1)])
-        out = np.empty_like(c)
-        out[self.order] = c
-        return out
+        return real_basis_product(self.eigenvectors.T, u)
 
     def from_eigenbasis(self, c: np.ndarray) -> np.ndarray:
-        return self.basis.full_product(np.asarray(c)[self.order])
+        return real_basis_product(self.eigenvectors, c)
 
 
 def real_basis_product(basis: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -360,7 +340,7 @@ _ROW_PANEL = 256  # rows of a reduced block's states held at a time
 class OccupiedModes:
     """Eigenbasis data of a datum restricted to its occupied modes."""
 
-    basis: Eigenbasis  # (n, m) real eigenvector columns
+    basis: Eigenbasis  # (n, m) real eigenvector columns, as half vectors
     energies: np.ndarray  # (m,)
     coef: np.ndarray  # (m,), complex
 
@@ -380,7 +360,10 @@ def occupied_modes(
     weighted by 1/2: the second parity is not solved when twice that norm
     is at most mode_tol times the first's largest coefficient, where each
     of its coefficients would be cut (at mode_tol = 0, its fold is exactly
-    zero).  Kept modes that are one run of a half's columns are a view.
+    zero).  Kept modes of one parity are its half vectors, a view where
+    they are one run of the half's columns; modes of both parities, which
+    no packet of the lab has but a library caller's datum may, are whole
+    columns (Eigenbasis.whole).
     """
     if np.ndim(u) != 1:
         raise DomainError(f"occupied modes need one datum vector, got shape {np.shape(u)}")
@@ -397,15 +380,18 @@ def occupied_modes(
             c[w < 0] = 0.0
         solved[parity] = w, v, c
         amax = np.abs(c).max(initial=amax)
-    columns, energies, coef = [np.zeros((H.n - k, 0))] * 2, [], []
+    parts, energies, coef = [], [], []
     for parity, (w, v, c) in sorted(solved.items()):
         if mode_tol > 0.0:
             keep = np.abs(c) > mode_tol * amax
             v, w, c = _kept_columns(v, keep), w[keep], c[keep]
-        columns[parity] = v
+        parts.append(Eigenbasis(H.n, v, 1 - 2 * parity))
         energies.append(w)
         coef.append(c)
-    return OccupiedModes(Eigenbasis(H.n, *columns), np.concatenate(energies), np.concatenate(coef))
+    # a parity left without modes drops out; the first one solved stays
+    parts = [b for b in parts if b.half.shape[1]] or parts[:1]
+    basis = parts[0] if len(parts) == 1 else Eigenbasis.whole(parts)
+    return OccupiedModes(basis, np.concatenate(energies), np.concatenate(coef))
 
 
 def _kept_columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -420,14 +406,12 @@ def _kept_columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class RowPanels:
     """The states (basis @ data) * phase of one tau block, tau window or
-    Duhamel path group, produced in row panels.
+    Duhamel path group, handed to a column reduction.
 
-    Iterating yields the row blocks of basis.product(data, rows) for
-    panels of _ROW_PANEL rows of the half vectors, times phase, one
-    unit-modulus factor per column (none where phase is None), so a column
+    phase holds one unit-modulus factor per column (none where phase is
+    None).  states() forms them whole, rows in grid order; abs_blocks
+    forms them _ROW_PANEL rows of the half vectors at a time, so a
     reduction holds one panel of the (n, b) states, not all of them.
-    Together the blocks hold every row once, in grid order for a basis
-    without mirror rows.
     """
 
     basis: Eigenbasis  # (n, m)
@@ -439,41 +423,30 @@ class RowPanels:
     def shape(self) -> tuple[int, int]:
         return (self.basis.n, self.data.shape[1])
 
-    def _panels(self):
-        height = len(self.basis.even)
-        return (slice(r, r + _ROW_PANEL) for r in range(0, height, _ROW_PANEL))
-
-    def __iter__(self):
-        for rows in self._panels():
-            for block in self.basis.product(self.data, rows):
-                yield block if self.phase is None else block * self.phase
-
     def states(self) -> np.ndarray:
         """The whole (n, b) states, rows in grid order."""
-        states = self.basis.full_product(self.data)
+        states = self.basis.product(self.data)
         return states if self.phase is None else states * self.phase
 
     def abs_blocks(self, g):
-        """g(|block|) for the blocks of iter(self), in the same order.
+        """g(|block|) for row blocks that together hold every row of the
+        states once.
 
-        Where one parity holds every mode, a mirror block is its top rows
-        up to sign, so its g(|.|) is a view of theirs: no second product
-        slice, negation, phase, abs or g.  The two share memory; write to
+        Per panel of half-vector rows: its block, then, if it holds any of
+        the first k rows, their mirror rows' block.  Those are the same rows
+        up to sign, so their g(|.|) is a view of the panel's: no second
+        product, negation, phase, abs or g.  The two share memory; write to
         neither.
         """
-        if 0 < self.basis.even.shape[1] < len(self.data):
-            for block in self:
-                yield g(np.abs(block))
-            return
-        top_rows = replace(self.basis, n=len(self.basis.even))  # no mirror rows
-        for rows in self._panels():
-            top = top_rows.product(self.data, rows)[0]
+        half, k = self.basis.half, self.basis.mirror_rows
+        for r in range(0, len(half), _ROW_PANEL):
+            top = real_basis_product(half[r : r + _ROW_PANEL], self.data)
             if self.phase is not None:
                 top *= self.phase
             a = g(np.abs(top))
             del top  # the product is freed before the block is handed on
             yield a
-            if mirror := len(range(self.basis.mirror_rows)[rows]):
+            if mirror := len(range(k)[r : r + _ROW_PANEL]):
                 yield a[:mirror]
 
 
@@ -602,8 +575,8 @@ class ChebyshevWindows:
     N + 1: its states are the N + 1 columns of the window basis
     G = basis @ diag(coef e^{-i (E - Ebar) tau0}) C, combined by T_n and
     times e^{-i Ebar tau}.  That is N + 1 GEMM columns against the m modes
-    per window, plus, per occupied parity, one against the N + 1 terms per
-    tau, in place of one against the m modes per tau.
+    per window, plus one against the N + 1 terms per tau, in place of one
+    against the m modes per tau.
     """
 
     energies: np.ndarray  # (m,): E - Ebar
@@ -620,11 +593,10 @@ class ChebyshevWindows:
         For each a_max in _WINDOW_RANGES, delta = a_max / R and the centres
         are the multiples of 2 delta: a tau joins the window of the nearest
         one, if it lies within delta of it.  A window of b taus is kept
-        where its N + 1 columns against the m modes and, per occupied
-        parity, b columns against the N + 1 terms are fewer than the b
-        columns of its taus against the m modes.  The a_max whose kept
-        windows save the most columns wins.  All of it comes from the modes
-        and the taus.
+        where its N + 1 columns against the m modes and b columns against
+        the N + 1 terms are fewer than the b columns of its taus against
+        the m modes.  The a_max whose kept windows save the most columns
+        wins.  All of it comes from the modes and the taus.
         """
         energies, m = modes.energies, len(modes.energies)
         if not m or energies.min() == energies.max():
@@ -644,7 +616,7 @@ class ChebyshevWindows:
             centres = centres[inside]
             first = np.flatnonzero(np.diff(centres, prepend=np.nan) != 0)
             counts = np.diff(first, append=len(centres))
-            saving = m * counts - terms * (m + modes.basis.parities * counts)
+            saving = m * counts - terms * (m + counts)
             if (total := saving[saving > 0].sum()) > best:
                 best = total
                 chosen = terms - 1, delta, centres, finite[inside], first, counts, saving
@@ -667,26 +639,20 @@ class ChebyshevWindows:
         )
 
     def window_basis(self, modes: OccupiedModes, tau0: float) -> Eigenbasis:
-        """G = basis @ diag(coef e^{-i (E - Ebar) tau0}) C per parity, as
-        complex half vectors (n - k, N + 1) whose rows are contiguous in
-        memory, the layout the transposed product of real_basis_product
+        """G = basis @ diag(coef e^{-i (E - Ebar) tau0}) C as complex half
+        vectors (n - k, N + 1) of the modes' sign, whose rows are contiguous
+        in memory: the layout the transposed product of real_basis_product
         reads without a copy."""
         d = self.coefficients * (_phases(self.energies, np.array([tau0]))[:, 0] * modes.coef)
-        terms, split = len(d), modes.basis.even.shape[1]
-        halves = []
-        for half, cols in ((modes.basis.even, d[:, :split]), (modes.basis.odd, d[:, split:])):
-            g = np.zeros((terms if half.shape[1] else 0, len(half)), dtype=complex)
-            if half.shape[1]:
-                y = np.concatenate([cols.real, cols.imag]) @ half.T
-                g.real, g.imag = y[:terms], y[terms:]
-            halves.append(g.T)
-        return Eigenbasis(modes.basis.n, *halves)
+        y = np.concatenate([d.real, d.imag]) @ modes.basis.half.T
+        g = np.empty((len(d), len(modes.basis.half)), dtype=complex)
+        g.real, g.imag = y[: len(d)], y[len(d) :]
+        return replace(modes.basis, half=g.T)
 
     def panels(self, basis: Eigenbasis, tau0: float, taus: np.ndarray) -> RowPanels:
         """RowPanels of the states of taus in the window of tau0, whose basis is G."""
         t = chebyshev_table((taus - tau0) / self.half_width, len(self.coefficients) - 1)
-        data = np.concatenate([t] * basis.parities)
-        return RowPanels(basis, data, _phases(np.array([self.centre]), taus)[0])
+        return RowPanels(basis, t, _phases(np.array([self.centre]), taus)[0])
 
 
 def duhamel(modes: OccupiedModes, paths: np.ndarray, dt: float, reduce) -> np.ndarray:

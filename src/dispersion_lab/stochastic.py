@@ -128,5 +128,5 @@ def euler_maruyama_ito(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             c = c * (drift - ilam * dbeta[:, k, None])
-        out = modes.basis.full_product(c.T)
+        out = modes.basis.product(c.T)
     return out if increments.ndim == 2 else out[:, 0]

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dispersion_lab import _parallel
+from dispersion_lab import _parallel, spectral_operator
 from dispersion_lab.estimates import fit_report
 from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential
-from dispersion_lab.spectral_operator import build_hamiltonian
+from dispersion_lab.spectral_operator import build_hamiltonian, real_basis_product
 
 GAUSS31 = PotentialSpec("gaussian", amplitude=3.0, width=1.0)
 SECH21 = PotentialSpec("sech_squared", amplitude=-2.0, width=1.0)
@@ -32,7 +32,7 @@ def half_inverse_moment_report(ens, times):
     """
     ksel = np.round(np.asarray(times) / ens.dt).astype(int)
     vals = np.mean(np.abs(ens.values[:, ksel]) ** -0.5, axis=0)
-    return fit_report(times, vals, ens.n_paths, ens.seed)
+    return fit_report(times, vals)
 
 
 # streamed finite-p norms against the norms of the whole states: the partial
@@ -42,13 +42,27 @@ def half_inverse_moment_report(ens, times):
 WHOLE_STATE_RTOL = 1e-14
 
 
+def panel_blocks(panels):
+    """The row blocks of RowPanels written out: per panel of _ROW_PANEL
+    half-vector rows, its product slice times phase, then, if it holds any
+    of the first k rows, their mirror rows as a block of its own, negated
+    for an odd basis and times phase."""
+    basis, k, rows = panels.basis, panels.basis.mirror_rows, spectral_operator._ROW_PANEL
+    for r in range(0, len(basis.half), rows):
+        top = real_basis_product(basis.half[r : r + rows], panels.data)
+        mirror = top[: len(range(k)[r : r + rows])]
+        blocks = [top, mirror if basis.sign > 0 else -mirror] if len(mirror) else [top]
+        for block in blocks:
+            yield block if panels.phase is None else block * panels.phase
+
+
 def panel_sum_norms(panels, p, grid):
-    """lp_norms_columns of RowPanels written out: |u| of each block of
-    iter(panels), each mirror block from its own product slice, then per
+    """lp_norms_columns of RowPanels written out: |u| of each of its
+    panel_blocks, each mirror block from its own product slice, then per
     block the column maxima (p = inf) or the row sums of |u|^p, folded in
     block order."""
     acc = None
-    for a in map(np.abs, panels):
+    for a in map(np.abs, panel_blocks(panels)):
         if p == math.inf:
             part = a.max(axis=0)
             acc = part if acc is None else np.maximum(acc, part)
@@ -56,6 +70,14 @@ def panel_sum_norms(panels, p, grid):
             part = (a**p).sum(axis=0)
             acc = part if acc is None else acc + part
     return acc if p == math.inf else (grid.h * acc) ** (1.0 / p)
+
+
+def column_signs(basis):
+    """Per whole column of basis: +1 where it is even, -1 where it is odd,
+    0 where it is neither, by exact comparison with its mirror image."""
+    v = basis.unfold(basis.half)
+    even, odd = (np.all(v == s * v[::-1], axis=0) for s in (1, -1))
+    return np.where(even, 1, np.where(odd, -1, 0))
 
 
 @pytest.fixture(scope="session")

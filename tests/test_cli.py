@@ -174,6 +174,8 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config"]["stochastic"]["seed"] == 99
+        metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+        assert (metrics["n_paths"], metrics["seed"]) == (20, 99)
 
     def test_out_override(self, tmp_path):
         path = small_dispersive_config(tmp_path)
@@ -340,7 +342,7 @@ class TestReproducibility:
 
         grid = {"n_points": 161, "l_box": 20.0}
         V = sample_potential(PotentialSpec("zero"), Grid(**grid))
-        assert build_hamiltonian(V).basis.mirror_rows == 80
+        assert build_hamiltonian(V).mirror_rows == 80
         cfg = load_config(small_dispersive_config(tmp_path, grid=grid))
         monkeypatch.setattr(spectral_operator, "_TAU_CHUNK", 16)  # 10 blocks, not one
         blobs = []
@@ -509,8 +511,25 @@ RUN_ONLY_FAILURES = {
     # E = energy_factor * ||V||_1^2 is the threshold itself when V = 0
     "born-check-zero-potential": (
         {"experiment": "born-check", "potential": {"family": "zero"}},
-        "potential: energy 0.0 is not above the series threshold",
+        "error: potential: energy 0.0 is not above the series threshold",
     ),
+    "born-check-zero-amplitude": (
+        {"experiment": "born-check", "potential": {"family": "gaussian", "amplitude": 0}},
+        "error: potential: energy 0.0 is not above the series threshold",
+    ),
+    # a V that is not 0, on a box whose samples give ||V||_1^2 = 0: at 1e-200
+    # it underflows, at 1e200 every node lies where V is 0 in floats
+    **{
+        f"born-check-box-{l_box:g}-samples-no-potential": (
+            {
+                "experiment": "born-check",
+                "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
+                "grid": {"n_points": 64, "l_box": l_box},
+            },
+            "error: grid.l_box: energy 0.0 is not above the series threshold",
+        )
+        for l_box in (1e-200, 1e200)
+    },
     # E h^2 = 45.6 and 1.98e10, beyond the lattice band's 4, where the free
     # resolvent's kernel is not resolved (the second grid also samples the
     # datum exp(-x^2) to 0)
@@ -602,6 +621,7 @@ def test_run_that_cannot_finish_ends_in_one_error_line(tmp_path, capsys, raw, wo
     assert [ln.startswith("error: ") for ln in err.splitlines()].count(True) == 1
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and words in last
+    assert "Warning" not in err
     assert not out.exists()
 
 
@@ -700,9 +720,10 @@ def test_stone_density_solves_only_the_eigenpairs_it_reads(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("n_points", [256, 257])
 def test_sde_convergence_enters_through_the_occupied_half(tmp_path, monkeypatch, n_points):
-    # the centred Gaussian datum is even: one half-size eigensolve, and the
-    # u0 of the assembled view's route (all coefficients, the energy cut, the
-    # whole basis) bit for bit
+    # the centred Gaussian datum is even: one half-size eigensolve, the u0
+    # of the even half's route (all its coefficients, the energy cut, its
+    # product) bit for bit, and that of the dense assembled view (all
+    # coefficients, the cut, the whole basis) to round-off
     seen = {}
     propagate = spectral_operator.propagate_batch
 
@@ -722,10 +743,17 @@ def test_sde_convergence_enters_through_the_occupied_half(tmp_path, monkeypatch,
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["eigensolves"] == [n_points - n_points // 2]
     dense = spectral_operator.build_hamiltonian(seen["H"].potential)
-    c = dense.to_eigenbasis(estimates.gaussian_packet(dense.grid, width=2.0))
+    u = estimates.gaussian_packet(dense.grid, width=2.0).astype(complex)
+    w, v = dense.half(0)
+    c = spectral_operator.real_basis_product(v.T, dense.folds(u)[0])
+    c[w > 2.5] = 0.0
+    c /= np.linalg.norm(c)
+    assert seen["u0"].tobytes() == spectral_operator.Eigenbasis(n_points, v).product(c).tobytes()
+    c = dense.to_eigenbasis(u)
     c[dense.eigenvalues > 2.5] = 0.0
     c /= np.linalg.norm(c)
-    assert seen["u0"].tobytes() == dense.from_eigenbasis(c).tobytes()
+    # measured 2.7e-16 of the largest entry at both sizes
+    assert np.abs(seen["u0"] - dense.from_eigenbasis(c)).max() <= 1e-14 * np.abs(seen["u0"]).max()
 
 
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):

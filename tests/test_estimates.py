@@ -40,7 +40,9 @@ from conftest import (
     HALF_INVERSE_MOMENT,
     WHOLE_STATE_RTOL,
     ZERO,
+    column_signs,
     half_inverse_moment_report,
+    panel_blocks,
     panel_sum_norms,
 )
 
@@ -241,11 +243,13 @@ class TestNumpyMaFreeOrderStatistics:
 
 
 class TestFitReport:
-    def test_fit_carries_sampling_and_extras(self):
+    def test_fit_carries_extras(self):
+        # the run's path count and seed reach report.json from its config
+        # (test_cli's test_seed_override_reaches_manifest), not from the fit
         a = np.geomspace(1.0, 100.0, 12)
-        rep = fit_report(a, a**-0.5, 7, 11, tag="x")
+        rep = fit_report(a, a**-0.5, tag="x")
         assert rep.fitted_slope == pytest.approx(-0.5, abs=1e-12)
-        assert (rep.n_paths, rep.seed, rep.extras) == (7, 11, {"tag": "x"})
+        assert rep.extras == {"tag": "x"}
 
     @pytest.mark.parametrize(
         "values, reason",
@@ -257,14 +261,13 @@ class TestFitReport:
     )
     def test_unsupported_fit_is_degenerate(self, values, reason):
         a = np.array([1.0, 10.0, 100.0])
-        rep = fit_report(a, values, 7, 11, tag="x")
+        rep = fit_report(a, values, tag="x")
         assert math.isnan(rep.fitted_slope) and all(map(math.isnan, rep.slope_ci_95))
         assert rep.extras == {"degenerate": True, "degenerate_reason": reason, "tag": "x"}
-        assert (rep.n_paths, rep.seed) == (7, 11)
 
     def test_reason_skips_the_fit(self):
         a = np.geomspace(1.0, 100.0, 12)
-        rep = fit_report(a, a**-0.5, 7, 11, reason="nothing to fit")
+        rep = fit_report(a, a**-0.5, reason="nothing to fit")
         assert math.isnan(rep.fitted_slope)
         assert rep.extras == {"degenerate": True, "degenerate_reason": "nothing to fit"}
 
@@ -510,7 +513,9 @@ class TestDuhamelKernel:
         ]
         want = np.concatenate([panel_sum_norms(g, p, H.grid) for g in groups])
         want = want.reshape(ens.values.shape)
-        whole = np.concatenate([lp_norms_columns(np.vstack(list(g)), p, H.grid) for g in groups])
+        whole = np.concatenate(
+            [lp_norms_columns(np.vstack(list(panel_blocks(g))), p, H.grid) for g in groups]
+        )
         rtol = 0 if p == INF else WHOLE_STATE_RTOL
         np.testing.assert_allclose(want, whole.reshape(want.shape), rtol=rtol)
         runs = []
@@ -531,21 +536,21 @@ class TestDuhamelKernel:
     def test_free_split_one_parity(self, ham_free_1024_l30, workers, p, chunk):
         H = ham_free_1024_l30
         odd = self.check(H, odd_packet(H.grid, width=1.0), False, p, workers, chunk)
-        assert odd.basis.even.shape[1] == 0 < odd.basis.odd.shape[1]
+        assert (odd.basis.sign, odd.basis.mirror_rows) == (-1, 512) and len(odd.energies) > 0
         even = self.check(H, gaussian_packet(H.grid, width=1.0), False, p, workers, chunk)
-        assert even.basis.odd.shape[1] == 0 < even.basis.even.shape[1]
+        assert (even.basis.sign, even.basis.mirror_rows) == (1, 512) and len(even.energies) > 0
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
     def test_free_split_mixed_parity(self, ham_free_1024_l30, workers, p):
         H = ham_free_1024_l30
         f = odd_packet(H.grid, width=1.0) + 0.3 * gaussian_packet(H.grid, width=1.0)
         modes = self.check(H, f, False, p, workers)
-        assert modes.basis.even.shape[1] > 0 and modes.basis.odd.shape[1] > 0
+        assert modes.basis.mirror_rows == 0 and set(column_signs(modes.basis)) == {1, -1}
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
     def test_unsplit_projected(self, ham_lopsided_1024_l30, workers, p):
         H = ham_lopsided_1024_l30
-        assert H.basis.mirror_rows == 0 and len(H.bound_state_indices) > 0
+        assert H.mirror_rows == 0 and len(H.bound_state_indices) > 0
         self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
 
     @pytest.mark.parametrize("p", [2.0, 4.0, INF])
@@ -553,9 +558,9 @@ class TestDuhamelKernel:
         # sech^2 samples to a palindrome; its bound state is even, the datum
         # occupies both parities
         H = ham_sech_1024_l30
-        assert H.basis.mirror_rows == 512 and len(H.bound_state_indices) > 0
+        assert H.mirror_rows == 512 and len(H.bound_state_indices) > 0
         modes = self.check(H, odd_packet(H.grid, width=1.0) + 0.5, True, p, workers)
-        assert modes.basis.parities == 2
+        assert modes.basis.mirror_rows == 0 and set(column_signs(modes.basis)) == {1, -1}
 
 
 # lp_norms_at_taus against evolve on the signed taus: for a real datum it
@@ -790,7 +795,7 @@ class TestStreamedNormMemory:
         finally:
             tracemalloc.stop()
         even = H.half(0)[1]
-        assert H.eigensolves == [1536] and modes.basis.odd.shape == (1536, 0)
-        assert modes.basis.even.shape == (1536, 1315)
-        assert np.shares_memory(modes.basis.even, even)
-        assert peak < 2 * even.nbytes + modes.basis.even.nbytes
+        assert H.eigensolves == [1536] and modes.basis.sign == 1
+        assert modes.basis.half.shape == (1536, 1315)
+        assert np.shares_memory(modes.basis.half, even)
+        assert peak < 2 * even.nbytes + modes.basis.half.nbytes

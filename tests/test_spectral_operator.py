@@ -12,6 +12,7 @@ from dispersion_lab.estimates import lp_norms_columns
 from dispersion_lab.grid_model import Grid, PotentialGrid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
     ChebyshevWindows,
+    Eigenbasis,
     RowPanels,
     born_series_terms,
     build_hamiltonian,
@@ -35,6 +36,8 @@ from conftest import (
     SECH21,
     WHOLE_STATE_RTOL,
     ZERO,
+    column_signs,
+    panel_blocks,
     panel_sum_norms,
 )
 
@@ -106,9 +109,7 @@ class TestBuildHamiltonian:
         assert H.mirror_rows == n // 2
         w, v = eigh_tridiagonal(*spectral_operator._stencil(H.grid, H.potential.values))
         assert np.max(np.abs(H.eigenvalues - w)) <= 1e-14 * np.abs(w).max()
-        dense = spectral_operator.DiscreteHamiltonian(
-            H.potential, w, spectral_operator.Eigenbasis(n, v, v[:, :0])
-        )
+        dense = spectral_operator.DiscreteHamiltonian(H.potential, w, Eigenbasis(n, v))
         taus = np.random.Generator(np.random.Philox(key=[n, 6])).uniform(-4.0, 4.0, 300)
         odd, even = odd_packet(H.grid, width=0.8), gaussian_packet(H.grid, width=0.5)
         for u in (odd, even, odd + 0.3 * even):
@@ -340,7 +341,7 @@ class TestStreamedReduction:
         taus = rng.uniform(-4.0, 4.0, 1024)
         layout = np.asfortranarray if order == "F" else np.ascontiguousarray
         modes = occupied_modes(H, smooth_datum(H, n))  # all n modes
-        modes = replace(modes, basis=replace(modes.basis, even=layout(modes.basis.even)))
+        modes = replace(modes, basis=replace(modes.basis, half=layout(modes.basis.half)))
         whole = evolve(modes, taus)
         for p in P_EXPONENTS:
             got = reduced(modes, taus, p, grid)
@@ -456,11 +457,15 @@ def dense_taus(name: str) -> np.ndarray:
 
 WINDOW_CASES = {
     # zero potential, an off-centre datum: both reflection parities
-    "zero-both-parities": (ZERO, Grid(l_box=20.0, n_points=512), 1.3, False),
-    # an asymmetric well: one dstevd, every column even
-    "well-unsplit": (LOPSIDED, Grid(l_box=40.0, n_points=1024), 0.0, False),
+    "zero-both-parities": (ZERO, Grid(l_box=20.0, n_points=512), 1.3, False, 0),
+    # the odd part of that datum: the odd half alone
+    "zero-odd": (ZERO, Grid(l_box=20.0, n_points=512), 1.3, False, -1),
+    # an asymmetric well: one dstevd, whole columns
+    "well-unsplit": (LOPSIDED, Grid(l_box=40.0, n_points=1024), 0.0, False, 0),
     # sech^2 splits; an off-centre datum occupies both parities
-    "sech2-projected": (SECH21, Grid(l_box=30.0, n_points=1024), 0.4, True),
+    "sech2-projected": (SECH21, Grid(l_box=30.0, n_points=1024), 0.4, True, 0),
+    # its even part: the even half alone
+    "sech2-even-projected": (SECH21, Grid(l_box=30.0, n_points=1024), 0.4, True, 1),
 }
 
 
@@ -469,12 +474,17 @@ WINDOW_CASES = {
 def test_window_route_matches_blocked_phases(case, taus_name):
     """The windows agree with the blocked phases to 1e-12: states relative
     to ||coef||, norms relative at p = 1, 2, 4 and inf."""
-    spec, grid, centre, project = WINDOW_CASES[case]
+    spec, grid, centre, project, sign = WINDOW_CASES[case]
     H = build_hamiltonian(sample_potential(spec, grid))
     u = np.exp(-(((grid.x - centre) / 0.5) ** 2)).astype(complex)
+    if sign:
+        u += sign * u[::-1]
     modes = occupied_modes(H, u, project=project, mode_tol=1e-12)
-    assert modes.basis.parities == (1 if spec is LOPSIDED else 2)
-    assert modes.basis.mirror_rows == (0 if spec is LOPSIDED else grid.n_points // 2)
+    if sign:  # one half: mirror rows and the datum's sign
+        assert (modes.basis.mirror_rows, modes.basis.sign) == (grid.n_points // 2, sign)
+    else:  # whole columns: those of both parities, or of the unsplit H
+        assert modes.basis.mirror_rows == 0
+        assert set(column_signs(modes.basis)) == ({0} if spec is LOPSIDED else {1, -1})
     taus = dense_taus(taus_name)
     plan = ChebyshevWindows.plan(modes, taus)
     assert plan is not None and len(plan.windows) > 0
@@ -530,9 +540,7 @@ def split_and_dense(spec: PotentialSpec, n: int):
     H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
     w, v = spectral_operator._dstevd(*spectral_operator._stencil(H.grid, H.potential.values))
     dense = spectral_operator.DiscreteHamiltonian(
-        potential=H.potential,
-        eigenvalues=w,
-        basis=spectral_operator.Eigenbasis(n, v, v[:, :0]),
+        potential=H.potential, eigenvalues=w, basis=Eigenbasis(n, v)
     )
     return H, dense
 
@@ -551,7 +559,7 @@ class TestParitySplit:
 
     def test_eigenpairs_match_one_dstevd(self, spec, n):
         H, dense = split_and_dense(spec, n)
-        assert H.basis.mirror_rows == n // 2 and dense.basis.mirror_rows == 0
+        assert H.mirror_rows == n // 2 and dense.mirror_rows == 0
         assert np.array_equal(H.bound_state_indices, dense.bound_state_indices)
         assert len(H.bound_state_indices) == (4 if spec is WELL else 0)
         lam_max = np.abs(dense.eigenvalues).max()
@@ -570,11 +578,21 @@ class TestParitySplit:
             c = H.to_eigenbasis(data)
             scale = 1e-12 * np.abs(data).max()
             assert np.max(np.abs(H.from_eigenbasis(c) - data)) <= scale
-            # the folded product gives the coefficients in eigenvalue order
-            assert np.max(np.abs(c - H.eigenvectors.T @ data)) <= scale
-        # one eigenvector in grid order without the dense matrix
+            if data.ndim == 1:
+                # the folded products give the coefficients, in parity order
+                folded = np.empty(n, dtype=complex)
+                folded[H.order] = occupied_modes(H, data).coef
+                assert np.max(np.abs(folded - H.eigenvectors.T @ data)) <= scale
+        # one eigenvector in grid order from its half vector, without the
+        # dense matrix
+        me = len(H.half(0)[0])
         for k in (0, n // 2, n - 1):
-            assert np.array_equal(H.from_eigenbasis(np.eye(1, n, k)[0]), H.eigenvectors[:, k])
+            j = int(np.flatnonzero(H.order == k)[0])
+            parity = int(j >= me)
+            half = H.half(parity)[1]
+            basis = Eigenbasis(n, half, 1 - 2 * parity)
+            e = np.eye(1, half.shape[1], j - parity * me)[0]
+            assert np.array_equal(basis.product(e), H.eigenvectors[:, k])
 
     @pytest.mark.parametrize("p", [None, 4.0, math.inf])
     def test_evolve_matches_single_block(self, spec, n, p):
@@ -590,7 +608,7 @@ class TestParitySplit:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
         split = occupied_modes(H, u + u[::-1], mode_tol=1e-12).basis
-        assert split.odd.shape[1] == 0 and split.even.shape[1] == (n + 1) // 2
+        assert split.sign == 1 and split.half.shape == (n - n // 2, (n + 1) // 2)
 
     def test_projection_matches_single_block(self, spec, n):
         # bound_state_indices count in eigenvalue order, the split basis's
@@ -614,7 +632,7 @@ class TestParitySplit:
         from dispersion_lab.stochastic import euler_maruyama_ito
 
         H, dense = split_and_dense(spec, n)
-        u = H.from_eigenbasis(np.exp(-np.arange(n, dtype=float)))
+        u = dense.from_eigenbasis(np.exp(-np.arange(n, dtype=float)))
         inc = np.random.Generator(np.random.Philox(key=[n, 7])).normal(0.0, 0.01, (3, 16))
         em = euler_maruyama_ito(H, inc, 1.0, u, 16)
         assert np.max(np.abs(em - euler_maruyama_ito(dense, inc, 1.0, u, 16))) <= 1e-12
@@ -624,24 +642,33 @@ class TestParitySplit:
 
 def cut_after_all_coefficients(H, u, project, mode_tol):
     """occupied_modes as one dense cut: every coefficient of a fully solved
-    H, the bound states zeroed, then the mode cut, its columns copied.  The
-    cut at mode_tol = 0 drops a parity whose coefficients are all exactly 0."""
-    c = H.to_eigenbasis(np.asarray(u, dtype=complex))[H.order]
-    energies, me = H.eigenvalues[H.order], H.basis.even.shape[1]
+    H by the folded products, even then odd, the bound states zeroed, then
+    the mode cut, its columns copied.  The cut at mode_tol = 0 drops a
+    parity whose coefficients are all exactly 0; modes of both parities
+    are whole columns."""
+    halves = [H.half(p) for p in (0, 1)]
+    folds = H.folds(np.asarray(u, dtype=complex))
+    c = np.concatenate([real_basis_product(v.T, f) for (_, v), f in zip(halves, folds)])
+    energies, me = np.concatenate([w for w, _ in halves]), len(halves[0][0])
     occupied = np.repeat([np.any(c[:me]), np.any(c[me:])], [me, len(c) - me])
     if project:
         c[energies < 0] = 0.0
     a = np.abs(c)
     keep = a > mode_tol * a.max() if mode_tol > 0.0 else occupied
-    basis = spectral_operator.Eigenbasis(H.n, H.basis.even[:, keep[:me]], H.basis.odd[:, keep[me:]])
+    parts = [
+        Eigenbasis(H.n, v[:, kept], 1 - 2 * p)
+        for p, ((_, v), kept) in enumerate(zip(halves, (keep[:me], keep[me:])))
+        if kept.any()
+    ]
+    basis = parts[0] if len(parts) == 1 else Eigenbasis.whole(parts)
     return spectral_operator.OccupiedModes(basis, energies[keep], c[keep])
 
 
 def assert_same_modes(got, want, taus, grid):
     assert np.array_equal(got.energies, want.energies)
     assert np.array_equal(got.coef, want.coef)
-    assert np.array_equal(got.basis.even, want.basis.even)
-    assert np.array_equal(got.basis.odd, want.basis.odd)
+    assert (got.basis.n, got.basis.sign) == (want.basis.n, want.basis.sign)
+    assert np.array_equal(got.basis.half, want.basis.half)
     for p in (2.0, 4.0, math.inf):
         assert np.array_equal(reduced(got, taus, p, grid), reduced(want, taus, p, grid))
 
@@ -654,7 +681,8 @@ class TestOneParitySolve:
     def test_same_modes_as_one_dense_cut(self, spec, n, monkeypatch):
         V = sample_potential(spec, Grid(l_box=40.0, n_points=n))
         eager = build_hamiltonian(V)
-        assert eager.basis.odd.shape[1] == n // 2  # both halves solved
+        # both halves solved
+        assert [eager.half(p)[1].shape[1] for p in (0, 1)] == [n - n // 2, n // 2]
         solved = []
         dstevd = spectral_operator._dstevd
         monkeypatch.setattr(
@@ -691,11 +719,13 @@ class TestOneParitySolve:
             c = np.zeros(n)
             c[:3] = [1.0, 0.5, 0.25]
             c[even.shape[1] + 2] = scale * 1e-6
-            u = spectral_operator.Eigenbasis(n, even, odd).full_product(c)
+            u = Eigenbasis.whole([Eigenbasis(n, even), Eigenbasis(n, odd, -1)]).product(c)
             H = build_hamiltonian(eager.potential)
             got = occupied_modes(H, u, mode_tol=1e-6)
             assert_same_modes(got, cut_after_all_coefficients(eager, u, False, 1e-6), taus, H.grid)
-            assert got.basis.odd.shape[1] == kept_odd
+            # a kept odd mode makes whole columns of both parities
+            assert len(got.energies) == 3 + kept_odd
+            assert got.basis.mirror_rows == (0 if kept_odd else n // 2)
             assert len(H.eigensolves) == 1 + kept_odd
 
     def test_kept_run_is_a_view_and_a_hole_copies(self, spec, n):
@@ -703,16 +733,47 @@ class TestOneParitySolve:
         eager = build_hamiltonian(H.potential)
         taus = np.linspace(-1.0, 1.0, 50)
         even = H.half(0)[1]
-        no_odd = spectral_operator.Eigenbasis(n, even, even[:, :0])
         for modes, run in (([0, 1, 2, 3], True), ([0, 1, 3], False), ([5, 6, 7], True)):
             c = np.zeros(even.shape[1])
             c[modes] = [1.0, 0.5, 0.25, 0.125][: len(modes)]
-            u = no_odd.full_product(c)
+            u = Eigenbasis(n, even).product(c)
             got = occupied_modes(H, u, mode_tol=1e-6)
-            assert got.basis.even.shape == (len(even), len(modes)) and got.basis.odd.shape[1] == 0
-            assert np.shares_memory(got.basis.even, even) is run
+            assert got.basis.half.shape == (len(even), len(modes)) and got.basis.sign == 1
+            assert np.shares_memory(got.basis.half, even) is run
             assert_same_modes(got, cut_after_all_coefficients(eager, u, False, 1e-6), taus, H.grid)
         assert H.eigensolves == [len(even)]
+
+
+def lab_packet(H, shape):
+    """A datum as the CLI builds it: the gaussian or odd packet, or
+    sde-convergence's Gaussian cut to energies below 2.5."""
+    from dispersion_lab.estimates import gaussian_packet, odd_packet
+
+    if shape == "odd":
+        return odd_packet(H.grid, width=0.8)
+    if shape == "gaussian":
+        return gaussian_packet(H.grid, width=0.5)
+    modes = occupied_modes(H, gaussian_packet(H.grid, width=2.0))
+    return modes.basis.product(np.where(modes.energies > 2.5, 0.0, modes.coef))
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize(
+    "spec", [ZERO, GAUSS31, SECH21, WELL], ids=["zero", "gaussian", "sech2", "well"]
+)
+@pytest.mark.parametrize("shape", ["gaussian", "odd", "energy-cut"])
+def test_every_lab_packet_occupies_one_half(spec, n, shape):
+    # every even family samples to a palindrome on the mirror-exact grid,
+    # and every packet of the lab is exactly even or odd on it: its modes
+    # are one half with k = n // 2 and the packet's sign, from one eigensolve
+    V = sample_potential(spec, Grid(l_box=20.0, n_points=n))
+    u = lab_packet(build_hamiltonian(V), shape)
+    sign = -1 if shape == "odd" else 1
+    for project, mode_tol in ((False, 0.0), (True, 1e-12), (True, 1e-6)):
+        H = build_hamiltonian(V)
+        modes = occupied_modes(H, u, project, mode_tol)
+        assert (modes.basis.mirror_rows, modes.basis.sign) == (n // 2, sign)
+        assert H.eigensolves == [n // 2 if sign < 0 else n - n // 2]
 
 
 # even; odd whose last 256-row panel is the middle node alone; even
@@ -725,8 +786,8 @@ class TestOneParityMirrorReuse:
         H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=20.0, n_points=n)))
         u = mixed_parity_data(n, 12)
         modes = occupied_modes(H, u + parity * u[::-1], mode_tol=1e-12)
-        occupied = modes.basis.even if parity > 0 else modes.basis.odd
-        assert occupied.shape[1] == len(modes.energies) > 0
+        assert modes.basis.sign == parity and modes.basis.mirror_rows == n // 2
+        assert modes.basis.half.shape[1] == len(modes.energies) > 0
         taus = np.random.Generator(np.random.Philox(key=[n, 13])).uniform(-1.0, 1.0, 300)
         z = np.exp(-1j * np.outer(modes.energies, taus)) * modes.coef[:, None]
         return H, RowPanels(modes.basis, z)
@@ -735,7 +796,7 @@ class TestOneParityMirrorReuse:
         # panel_sum_norms reads each mirror block from its own GEMM slice
         # (negated when odd); the whole states are those blocks stacked
         H, panels = self.panels(n, parity)
-        blocks = list(panels)
+        blocks = list(panel_blocks(panels))
         if n == 513:
             assert [len(b) for b in blocks] == [256, 256, 1]
         whole = np.vstack(blocks)
@@ -755,9 +816,9 @@ class TestOneParityMirrorReuse:
             return a**4.0
 
         blocks = list(panels.abs_blocks(g))
-        half = len(panels.basis.even)
+        half = len(panels.basis.half)
         assert len(rows) == math.ceil(half / spectral_operator._ROW_PANEL)
-        assert sum(rows) == half and len(blocks) == len(list(panels))
+        assert sum(rows) == half and len(blocks) == len(list(panel_blocks(panels)))
 
 
 def test_potential_off_palindrome_keeps_one_dense_eigensolve(ham_gauss_1024):
@@ -769,7 +830,7 @@ def test_potential_off_palindrome_keeps_one_dense_eigensolve(ham_gauss_1024):
     H = build_hamiltonian(PotentialGrid(ham_gauss_1024.grid, values))
     diag, _ = spectral_operator._stencil(H.grid, H.potential.values)
     assert np.array_equal(diag, diag[::-1])
-    assert H.basis.mirror_rows == 0 and H.eigenvectors is H.basis.even
+    assert H.mirror_rows == 0 and H.eigenvectors is H.half(0)[1]
 
 
 def test_basis_without_mirror_rows_keeps_the_dense_bytes(ham_lopsided_1024_l30):
@@ -798,7 +859,7 @@ def test_mode_cut_needs_one_datum_vector(spec):
     # on both forms of the basis: one dstevd, and two parity halves; with or
     # without a cut, columns are no datum
     H = build_hamiltonian(sample_potential(spec, Grid(l_box=20.0, n_points=200)))
-    assert H.basis.mirror_rows == (0 if spec is LOPSIDED else 100)
+    assert H.mirror_rows == (0 if spec is LOPSIDED else 100)
     U = np.stack([smooth_datum(H, 1), smooth_datum(H, 2)], axis=1)
     for mode_tol in (1e-12, 0.0):
         with pytest.raises(DomainError, match="one datum vector"):

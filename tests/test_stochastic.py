@@ -116,7 +116,7 @@ def single_mode_hamiltonian(eigenvalue: float) -> DiscreteHamiltonian:
     return DiscreteHamiltonian(
         potential=PotentialGrid(grid=grid, values=np.zeros(16)),
         eigenvalues=lam,
-        basis=Eigenbasis(16, np.eye(16), np.eye(16)[:, :0]),
+        basis=Eigenbasis(16, np.eye(16)),
     )
 
 

@@ -8,7 +8,9 @@ this process may run on.  Every GEMM then runs on one thread, so
 data.csv does not depend on the count.  Where numpy's BLAS cannot be
 pinned (MKL, Accelerate, an OpenBLAS outside numpy.libs), it keeps its
 threads and the lab runs 1 worker.  scipy's LAPACK links its own
-OpenBLAS copy, which keeps its threads.
+OpenBLAS copy, which spectral_operator pins with pin_blas too, once its
+LAPACK extension has loaded it: an idle LAPACK thread would spin on a
+core the workers need.
 """
 
 import ctypes
@@ -18,15 +20,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# thread-count symbols of numpy's scipy-openblas wheels, then of older OpenBLAS builds
+# thread-count symbols of numpy's and scipy's scipy-openblas wheels (ILP64 and
+# LP64), then of older OpenBLAS builds
 _BLAS_SYMBOLS = (
     "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
     "openblas_{}_num_threads64_",
     "openblas_{}_num_threads",
 )
 # the name of the kernel OpenBLAS picked at load, in the same builds' order
 _CORENAME_SYMBOLS = (
     "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
     "openblas_get_corename64_",
     "openblas_get_corename",
 )
@@ -41,7 +46,7 @@ def pin_blas(libs_dir: str) -> tuple[int, bool, str | None]:
     """
     for path in sorted(glob.glob(os.path.join(libs_dir, "lib*openblas*.so*"))):
         try:
-            lib = ctypes.CDLL(path)  # the copy numpy already loaded
+            lib = ctypes.CDLL(path)  # the copy its package already loaded
         except OSError:
             continue
         for name in _BLAS_SYMBOLS:
@@ -66,9 +71,13 @@ def _corename(lib) -> str | None:
     return None
 
 
-BLAS_THREADS_FOUND, BLAS_PINNED, BLAS_CORENAME = pin_blas(
-    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-)
+def bundled_libs(package) -> str:
+    """Where the wheel of package keeps its bundled shared libraries."""
+    site = os.path.dirname(os.path.dirname(package.__file__))
+    return os.path.join(site, f"{package.__name__}.libs")
+
+
+BLAS_THREADS_FOUND, BLAS_PINNED, BLAS_CORENAME = pin_blas(bundled_libs(np))
 
 
 def usable_cores() -> int:

@@ -239,6 +239,8 @@ class RunContext:
 
     @cached_property
     def V(self):
+        with _field("grid.n_points"):
+            self.grid.x  # the grid's own nodes: the first array of its size
         return sample_potential(self.cfg.potential, self.grid)
 
     @cached_property
@@ -797,6 +799,11 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         },
         "workers": worker_count(),
         "blas": _blas(),
+        "lapack": {
+            "threads_found": spectral_operator.LAPACK_THREADS_FOUND,
+            "pinned": spectral_operator.LAPACK_PINNED,
+            "corename": spectral_operator.LAPACK_CORENAME,
+        },
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "usable_cores": usable_cores(),
         "peak_rss_mb": _peak_rss_mb(),

@@ -50,9 +50,13 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        # a - b == -(b - a) in IEEE arithmetic, and halving is exact
-        x = np.linspace(-self.l_box, self.l_box, self.n_points)
-        return 0.5 * (x - x[::-1])
+        """The nodes; a DomainError where n_points of them do not fit in memory."""
+        try:
+            x = np.linspace(-self.l_box, self.l_box, self.n_points)
+            # a - b == -(b - a) in IEEE arithmetic, and halving is exact
+            return 0.5 * (x - x[::-1])
+        except (MemoryError, ValueError) as exc:  # ValueError: beyond what numpy can size
+            raise DomainError(f"the {self.n_points} grid nodes do not fit in memory ({exc})") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from ._parallel import ordered_map
+from ._parallel import bundled_libs, ordered_map, pin_blas
 from .errors import DomainError
 from .grid_model import Grid, PotentialGrid
 
@@ -51,6 +51,10 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+# the OpenBLAS copy of scipy's wheel, which that load brought in and dstevd
+# runs on, pinned to one thread as numpy's is: idle, its threads spin on the
+# cores of the lab's workers.  (1, False, None) where scipy's LAPACK is no such copy
+LAPACK_THREADS_FOUND, LAPACK_PINNED, LAPACK_CORENAME = pin_blas(bundled_libs(scipy))
 
 
 @dataclass(frozen=True)
@@ -96,10 +100,10 @@ class DiscreteHamiltonian:
     half(0) and half(1) are the even and odd eigenpairs: ascending energies
     and their half-vector columns, whose Eigenbasis has sign +1 and -1.
     Each half is solved on first use, by one dstevd on its half
-    tridiagonal, and kept; eigensolves lists the rows of each tridiagonal
-    solved, in order.  A potential that is an exact palindrome gives
-    mirror_rows = n // 2; any other has none, and its even half is the
-    whole dstevd, its odd half empty.
+    tridiagonal or, for V = 0, in closed form (_sine_half), and kept;
+    eigensolves lists the rows of each half solved, in order.  A potential
+    that is an exact palindrome gives mirror_rows = n // 2; any other has
+    none, and its even half is the whole dstevd, its odd half empty.
 
     The dense reference (eigenvalues, order, eigenvectors and the
     transforms with them), read by tests and the bench tracer only,
@@ -137,7 +141,8 @@ class DiscreteHamiltonian:
         return self._halves[parity]
 
     def _solve(self, parity: int) -> tuple[np.ndarray, np.ndarray]:
-        """One dstevd on the half tridiagonal of one parity.
+        """The eigenpairs of one parity: discrete sines where V = 0, else
+        one dstevd on the half tridiagonal.
 
         With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
         mirror as the neighbour of node k-1, which adds off to that diagonal
@@ -146,6 +151,9 @@ class DiscreteHamiltonian:
         last off-diagonal sqrt(2) off; an odd vector is 0 at the middle.
         """
         (diag, off), n, k = self._tridiagonal, self.n, self.mirror_rows
+        if self.potential.is_zero:  # a palindrome, so k = n // 2
+            self.eigensolves.append(k if parity else n - k)
+            return _sine_half(n, -off[0], parity)
         if not k:  # one dstevd holds every mode
             if parity:
                 return diag[:0], np.zeros((n, 0))
@@ -264,6 +272,27 @@ def _stencil(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, np.full(grid.n_points - 1, -1.0 / h2)
 
 
+def _sine_half(n: int, c: float, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even (0) or odd (1) eigenpairs of c tridiag(-1, 2, -1) on n
+    nodes, in closed form, as DiscreteHamiltonian.half lays them out.
+
+    Eigenpair q = 1..n is the discrete sine: energy c (2 sin(q pi / (2(n+1))))^2
+    and vector sqrt(2 / (n+1)) sin(j q pi / (n+1)) at node j = 1..n.  It
+    mirrors times (-1)^(q+1), so odd q are the even modes and even q the
+    odd ones, both ascending in q.  The sines are read from one table at
+    (j q) mod 2(n+1), exactly 0 where a vector vanishes (the middle node
+    of an odd mode on an odd n).  The columns are contiguous, as dstevd's.
+    """
+    q = np.arange(1 + parity, n + 1, 2)
+    w = c * (2.0 * np.sin(q * (np.pi / (2 * (n + 1))))) ** 2
+    period = 2 * (n + 1)
+    table = math.sqrt(2.0 / (n + 1)) * np.sin(np.arange(period) * (np.pi / (n + 1)))
+    table[[0, n + 1]] = 0.0
+    phase = np.multiply.outer(q, np.arange(1, n - n // 2 + 1))
+    phase %= period
+    return w, table[phase].T
+
+
 def _dstevd(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v, info = _flapack.dstevd(diag, off, compute_v=1)
     if info != 0:
@@ -284,7 +313,8 @@ def build_hamiltonian(V: PotentialGrid) -> DiscreteHamiltonian:
     gaussian, sech^2, square well) samples to a palindrome on every grid,
     and a symmetric table on almost every grid.  Any other potential keeps
     one dstevd, whose matrix is a basis without mirror rows, even where
-    2/h^2 + V rounds its asymmetry away.
+    2/h^2 + V rounds its asymmetry away.  V = 0 needs no dstevd: its
+    halves are discrete sines.
     """
     _check_solver_cap(V.grid)
     return DiscreteHamiltonian(V)

@@ -271,6 +271,15 @@ class TestManifest:
             assert isinstance(man["blas"]["corename"], str) and man["blas"]["corename"]
         else:
             assert man["blas"]["threads_found"] == 1
+        # scipy's own OpenBLAS, which dstevd runs on, is pinned the same way
+        lapack = man["lapack"]
+        assert set(lapack) == {"threads_found", "pinned", "corename"}
+        assert isinstance(lapack["threads_found"], int) and lapack["threads_found"] >= 1
+        assert lapack["pinned"] is spectral_operator.LAPACK_PINNED
+        if lapack["pinned"]:
+            assert isinstance(lapack["corename"], str) and lapack["corename"]
+        else:
+            assert (lapack["threads_found"], lapack["corename"]) == (1, None)
         assert set(man["thread_env"]) == set(THREAD_VARS)
         assert man["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert man["thread_env"]["MKL_NUM_THREADS"] is None
@@ -379,26 +388,36 @@ class TestReproducibility:
         assert blobs[0] == blobs[1]
 
     def test_half_eigensolve_same_bytes_across_blas_thread_counts(self):
-        # dstevd runs on scipy's own OpenBLAS, which the lab does not pin and
-        # which reads OPENBLAS_NUM_THREADS when it loads: the even half of
-        # criterion 3's H (1536 rows) solves to the same bytes at 1 and 2
-        # threads, in fresh processes
+        # dstevd runs on scipy's own OpenBLAS, which reads OPENBLAS_NUM_THREADS
+        # when it loads and which the lab then pins to one thread: the odd
+        # half of criterion 2's H, gaussian(3,1) on 2048 nodes (1024 rows),
+        # solves to the same bytes at 1 and 2 threads, in fresh processes,
+        # and at 2 that OpenBLAS reports the one thread
+        # (a second pin_blas reads the count that the first one left)
         code = (
-            "import hashlib; "
+            "import hashlib, scipy; "
+            "from dispersion_lab import _parallel, spectral_operator; "
             "from dispersion_lab.grid_model import Grid, PotentialSpec, sample_potential; "
-            "from dispersion_lab.spectral_operator import build_hamiltonian; "
-            "V = sample_potential(PotentialSpec('zero'), Grid(l_box=100.0, n_points=3072)); "
-            "w, v = build_hamiltonian(V).half(0); "
-            "assert v.shape == (1536, 1536); "
-            "print(hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest())"
+            "spec = PotentialSpec('gaussian', amplitude=3.0, width=1.0); "
+            "V = sample_potential(spec, Grid(l_box=40.0, n_points=2048)); "
+            "w, v = spectral_operator.build_hamiltonian(V).half(1); "
+            "assert v.shape == (1024, 1024); "
+            "print(hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest(), "
+            "spectral_operator.LAPACK_THREADS_FOUND, spectral_operator.LAPACK_PINNED, "
+            "_parallel.pin_blas(_parallel.bundled_libs(scipy))[0])"
         )
-        digests = []
+        records = []
         for blas in (1, 2):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas))
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            records.append(proc.stdout.split())
+        (digest, *_), (other, *at_two) = records
+        assert len(digest) == 64 and digest == other
+        if spectral_operator.LAPACK_PINNED:
+            assert at_two == ["2", "True", "1"]
+        else:  # scipy's LAPACK is no OpenBLAS of its wheel: nothing to pin
+            assert at_two == ["1", "False", "1"]
 
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)
@@ -609,6 +628,16 @@ RUN_ONLY_FAILURES = {
         {"experiment": "dispersive", "stochastic": {"n_steps": 2**70}},
         "error: dispersive: ",
     ),
+    # grids whose nodes do not fit in memory (8 TiB at 2**40) or that numpy
+    # cannot size (2**70), where no eigenpairs are solved, so validate takes them
+    **{
+        f"{experiment}-grid-of-2**{power}-nodes": (
+            {"experiment": experiment, "grid": {"n_points": 2**power}},
+            f"error: grid.n_points: the {2**power} grid nodes do not fit in memory",
+        )
+        for experiment in ("scatter-sweep", "born-check", "resolvent-check")
+        for power in (40, 70)
+    },
 }
 
 

@@ -103,20 +103,11 @@ class TestBuildHamiltonian:
     def test_split_even_family_matches_scipy_on_the_full_stencil(self, spec, n, l_box):
         from scipy.linalg import eigh_tridiagonal
 
-        from dispersion_lab.estimates import gaussian_packet, odd_packet
-
         H = build_hamiltonian(sample_potential(spec, Grid(l_box=l_box, n_points=n)))
         assert H.mirror_rows == n // 2
         w, v = eigh_tridiagonal(*spectral_operator._stencil(H.grid, H.potential.values))
         assert np.max(np.abs(H.eigenvalues - w)) <= 1e-14 * np.abs(w).max()
-        dense = spectral_operator.DiscreteHamiltonian(H.potential, w, Eigenbasis(n, v))
-        taus = np.random.Generator(np.random.Philox(key=[n, 6])).uniform(-4.0, 4.0, 300)
-        odd, even = odd_packet(H.grid, width=0.8), gaussian_packet(H.grid, width=0.5)
-        for u in (odd, even, odd + 0.3 * even):
-            for project in (False, True):
-                got = reduced(occupied_modes(H, u, project, 1e-12), taus, math.inf, H.grid)
-                want = reduced(occupied_modes(dense, u, project, 1e-12), taus, math.inf, H.grid)
-                np.testing.assert_allclose(got, want, rtol=2e-12, atol=0.0)
+        assert_sup_norms_match_dense(H, w, v)
 
     def test_overflowing_step_is_a_domain_error(self):
         # 2/h^2 overflows to inf at l_box 1e-160, on which dstevd would return
@@ -143,6 +134,65 @@ class TestBuildHamiltonian:
         for solve in (build_hamiltonian, lambda V: eigenpair_with_neighbours(V, 12)):
             with pytest.raises(DomainError, match="^grid.n_points: 9000 exceeds the dense"):
                 solve(V)
+
+
+def assert_sup_norms_match_dense(H, w, v):
+    """The propagated sup norms of split H against those of the dense
+    eigenpairs (w, v) of its full stencil, within 2e-12 relative: an odd,
+    an even and a mixed packet, projected or not, 300 taus in [-4, 4]."""
+    from dispersion_lab.estimates import gaussian_packet, odd_packet
+
+    dense = spectral_operator.DiscreteHamiltonian(H.potential, w, Eigenbasis(H.n, v))
+    taus = np.random.Generator(np.random.Philox(key=[H.n, 6])).uniform(-4.0, 4.0, 300)
+    odd, even = odd_packet(H.grid, width=0.8), gaussian_packet(H.grid, width=0.5)
+    for u in (odd, even, odd + 0.3 * even):
+        for project in (False, True):
+            got = reduced(occupied_modes(H, u, project, 1e-12), taus, math.inf, H.grid)
+            want = reduced(occupied_modes(dense, u, project, 1e-12), taus, math.inf, H.grid)
+            np.testing.assert_allclose(got, want, rtol=2e-12, atol=0.0)
+
+
+def no_dstevd(*args):
+    raise AssertionError("dstevd was called")
+
+
+# even; odd with a middle node; odd whose last 256-row panel is the middle
+# node alone; even; criterion 3's size
+@pytest.mark.parametrize("n", [160, 161, 513, 1024, 3072])
+class TestSineHalves:
+    """V = 0 takes each parity half in closed form, the discrete sines, with no dstevd."""
+
+    # Tolerances from measurement: over these n, the energies differed from
+    # dstevd's on the full stencil by at most 7.7e-16 of the largest, and the
+    # vectors by at most 1.1e-12 (n = 3072, odd modes), up to sign, with
+    # gram deviations of at most 2.7e-15; the bounds are 2.5-4x those
+    def test_matches_dstevd_on_the_full_stencil(self, n, monkeypatch):
+        H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=40.0, n_points=n)))
+        w, v = spectral_operator._dstevd(*spectral_operator._stencil(H.grid, H.potential.values))
+        monkeypatch.setattr(spectral_operator, "_dstevd", no_dstevd)
+        for parity in (0, 1):
+            energies, half = H.half(parity)
+            # the full stencil's eigenpairs alternate in parity, even first
+            want_w, want_v = w[parity::2], v[:, parity::2]
+            assert np.all(np.diff(energies) > 0)
+            assert np.max(np.abs(energies - want_w)) <= 2e-15 * w.max()
+            got = Eigenbasis(n, half, 1 - 2 * parity).unfold(half)
+            assert np.max(np.abs(got.T @ got - np.eye(len(energies)))) <= 1e-14
+            signs = np.sign(np.sum(got * want_v, axis=0))
+            assert np.max(np.abs(got * signs - want_v)) <= 3e-12
+        assert H.eigensolves == [n - n // 2, n // 2]
+        monkeypatch.undo()
+        assert_sup_norms_match_dense(H, w, v)
+
+    def test_odd_modes_vanish_exactly_at_the_middle_node(self, n):
+        H = build_hamiltonian(sample_potential(ZERO, Grid(l_box=40.0, n_points=n)))
+        half = H.half(1)[1]
+        assert half.shape == (n - n // 2, n // 2)
+        if n % 2:
+            assert not np.any(half[n // 2])
+            assert not np.any(Eigenbasis(n, half, -1).unfold(half)[n // 2])
+            # and no even mode does
+            assert np.all(H.half(0)[1][n // 2])
 
 
 class TestProjectAc:
@@ -673,6 +723,21 @@ def assert_same_modes(got, want, taus, grid):
         assert np.array_equal(reduced(got, taus, p, grid), reduced(want, taus, p, grid))
 
 
+def count_half_solves(monkeypatch) -> list[int]:
+    """A list that the eigenpair count of every dstevd and every V = 0 sine
+    half appends to, in order: both routes a half is solved by."""
+    solved = []
+    for name in ("_dstevd", "_sine_half"):
+
+        def counted(*args, solve=getattr(spectral_operator, name)):
+            w, v = solve(*args)
+            solved.append(len(w))
+            return w, v
+
+        monkeypatch.setattr(spectral_operator, name, counted)
+    return solved
+
+
 @pytest.mark.parametrize("n", [160, 161, 513, 1024])
 @pytest.mark.parametrize("spec", [ZERO, WELL], ids=["zero", "well"])
 class TestOneParitySolve:
@@ -683,11 +748,7 @@ class TestOneParitySolve:
         eager = build_hamiltonian(V)
         # both halves solved
         assert [eager.half(p)[1].shape[1] for p in (0, 1)] == [n - n // 2, n // 2]
-        solved = []
-        dstevd = spectral_operator._dstevd
-        monkeypatch.setattr(
-            spectral_operator, "_dstevd", lambda d, e: solved.append(len(d)) or dstevd(d, e)
-        )
+        solved = count_half_solves(monkeypatch)
         u = smooth_datum(eager, n)
         taus = np.random.Generator(np.random.Philox(key=[n, 15])).uniform(-1.0, 1.0, 64)
         for name, datum in (("even", u + u[::-1]), ("odd", u - u[::-1]), ("mixed", u)):

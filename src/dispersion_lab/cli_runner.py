@@ -32,7 +32,13 @@ import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
 from ._parallel import BLAS_CORENAME, BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
-from .errors import DispersionLabError, DomainError, HypothesisViolationWarning, ValidationError
+from .errors import (
+    DispersionLabError,
+    DomainError,
+    HypothesisViolationWarning,
+    SizeError,
+    ValidationError,
+)
 from .grid_model import FAMILIES, L_BOX_MAX, Grid, PotentialSpec, sample_potential
 
 SCHEMA_LINE = "# schema=1"
@@ -370,12 +376,16 @@ def _initial_data(ctx: RunContext, prefix: str = "u0"):
 
 
 @contextlib.contextmanager
-def _field(path: str):
-    """Prefix a DomainError raised in the block with the config field at fault."""
+def _field(path: str, error: type[DomainError] = DomainError):
+    """Prefix an error of that type raised in the block with the config field at fault."""
     try:
         yield
-    except DomainError as exc:
+    except error as exc:
         raise DomainError(f"{path}: {exc}") from None
+
+
+# the counts that size a Brownian ensemble, named where it does not fit
+_ENSEMBLE = "stochastic.n_paths, stochastic.n_steps"
 
 
 def _report_from_estimate(rep: estimates.EstimateReport, cfg: ExperimentConfig) -> dict:
@@ -584,7 +594,8 @@ def _run_sde_convergence(ctx: RunContext):
     lmin, lmax = ctx.params["level_min"], ctx.params["level_max"]
     n_fine = 2**lmax
     levels = [2**k for k in range(lmin, lmax + 1)]
-    ens = stochastic.sample_brownian(cfg.horizon, n_fine, cfg.n_paths, cfg.seed)
+    with _field("stochastic.n_paths, params.level_max"):
+        ens = stochastic.sample_brownian(cfg.horizon, n_fine, cfg.n_paths, cfg.seed)
     # the exact flow on the modes the integrator keeps
     exact = spectral_operator.propagate_batch(
         H, ens.values[:, -1], u0, mode_tol=stochastic.EM_MODE_TOL
@@ -620,7 +631,8 @@ def _run_sde_convergence(ctx: RunContext):
 )
 def _run_dispersive(ctx: RunContext):
     cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
-    ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
+    with _field(_ENSEMBLE):
+        ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
     rep = estimates.dispersive_experiment(
         H,
         ens,
@@ -647,9 +659,11 @@ def _run_dispersive(ctx: RunContext):
 )
 def _run_expectation_decay(ctx: RunContext):
     cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
+    with _field(_ENSEMBLE):
+        ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
     rep = estimates.expectation_decay_experiment(
         H,
-        stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed),
+        ens,
         u0,
         p=ctx.params["p_exponent"],
         t_min=ctx.params["t_min"],
@@ -669,16 +683,18 @@ def _admissible(cfg: ExperimentConfig, mu: Callable) -> None:
 
 
 def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
-    """Run a window-scaling experiment over params.horizons, sampled as the config says."""
+    """Run a window-scaling experiment over params.horizons, sampled as the config says;
+    an ensemble that does not fit names the counts that size it."""
     cfg = ctx.cfg
-    rep = experiment(
-        *args,
-        horizons=ctx.params["horizons"],
-        n_steps=cfg.n_steps,
-        n_paths=cfg.n_paths,
-        seed=cfg.seed,
-        **kwargs,
-    )
+    with _field(_ENSEMBLE, SizeError):
+        rep = experiment(
+            *args,
+            horizons=ctx.params["horizons"],
+            n_steps=cfg.n_steps,
+            n_paths=cfg.n_paths,
+            seed=cfg.seed,
+            **kwargs,
+        )
     rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
     return _report_from_estimate(rep, cfg), ["horizon", "lhs", "ratio"], rows
 

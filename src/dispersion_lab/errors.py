@@ -9,6 +9,10 @@ class DomainError(DispersionLabError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
+class SizeError(DomainError):
+    """Arrays an argument sizes do not fit in memory, or exceed what numpy can size."""
+
+
 class ValidationError(DispersionLabError, ValueError):
     """Malformed input data or configuration."""
 

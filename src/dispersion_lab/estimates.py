@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# unused here: perfbench/tests/test_tracer.py asserts that this copy is the
-# _parallel function, which exercises the tracer's wrapping of copies
-from ._parallel import ordered_map  # noqa: F401
+from ._parallel import ordered_map
 from .errors import (
     ConditioningError,
     ContractViolationError,
@@ -400,6 +398,28 @@ def _window_report(horizons, lhs, scale, **extras) -> EstimateReport:
     return fit_report(horizons, lhs, ratios=ratios, ratio_max_min=spread, **extras)
 
 
+# paths whose kernels one work item holds at a time: a constant, so the
+# bytes never depend on it, that keeps a horizon's kernel buffers small
+# beside its ensemble
+KERNEL_PATHS = 512
+
+
+def _convolution_integrals(b: np.ndarray, alpha: float, dt: float) -> np.ndarray:
+    """int_0^T (int_0^t |b(t) - b(s)|^-alpha ds)^2 dt for each path (row) of b."""
+    # row t of every path's kernel in turn, |b_t - b_s|^-alpha for s < t;
+    # columns s >= t stay zero, so each row sums the same terms in the same
+    # order as the row of the path's full (t, s) matrix
+    kern = np.zeros_like(b)
+    g = np.zeros_like(b)
+    with np.errstate(divide="ignore"):
+        for t in range(1, b.shape[1]):
+            d = b[:, t : t + 1] - b[:, :t]
+            np.power(np.abs(d, out=d), -alpha, out=kern[:, :t])
+            g[:, t] = kern.sum(axis=1)
+    g *= dt
+    return (simpson_weights(b.shape[1], dt) * g**2).sum(axis=1)
+
+
 def convolution_lemma_experiment(
     alpha: float,
     horizons,
@@ -416,18 +436,16 @@ def convolution_lemma_experiment(
     if not 0 <= alpha < 1:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     horizons = np.asarray(horizons, dtype=float)
-    lhs = np.empty(len(horizons))
-    lower = np.tri(n_steps + 1, k=-1, dtype=bool)  # strictly s < t
-    for i, ens in _windows(horizons, n_steps, n_paths, seed):
-        wq = simpson_weights(n_steps + 1, ens.dt)
-        kern = np.zeros((n_steps + 1, n_steps + 1))
-        per_path = np.empty(n_paths)
-        for pi, b in enumerate(ens.values):
-            with np.errstate(divide="ignore"):
-                np.power(np.abs(np.subtract.outer(b, b)), -alpha, out=kern, where=lower)
-            g = kern.sum(axis=1) * ens.dt
-            per_path[pi] = np.sum(wq * g**2)
-        lhs[i] = float(np.mean(per_path))
+
+    def window(i: int) -> float:  # one horizon, one work item
+        ens = sample_brownian(float(horizons[i]), n_steps, n_paths, _sub_seed(seed, i))
+        per_path = [
+            _convolution_integrals(ens.values[j : j + KERNEL_PATHS], alpha, ens.dt)
+            for j in range(0, n_paths, KERNEL_PATHS)
+        ]
+        return float(np.mean(np.concatenate(per_path)))
+
+    lhs = np.array(ordered_map(window, range(len(horizons))))
     return _window_report(horizons, lhs, horizons ** (3.0 - alpha), alpha=alpha)
 
 

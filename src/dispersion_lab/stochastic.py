@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StabilityWarning
+from .errors import DomainError, SizeError, StabilityWarning
 from .spectral_operator import DiscreteHamiltonian, occupied_modes
 
 # unused here: perfbench/tests/test_tracer.py asserts that this copy is the
@@ -66,10 +66,24 @@ def sample_brownian(
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be >= 1")
     dt = horizon / n_steps
-    inc = np.empty((n_paths, n_steps))
+    try:
+        inc = np.empty((n_paths, n_steps))
+        values = np.zeros((n_paths, n_steps + 1))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond what numpy can size
+        raise SizeError(
+            f"the {n_paths} x {n_steps} Brownian increments do not fit in memory ({exc})"
+        ) from None
+    # path_rng(seed, p) for every p from one generator: resetting the key
+    # and counter gives the same stream as a fresh Philox, without the
+    # SeedSequence each construction draws and a keyed stream never reads
+    bitgen = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key, scale = fresh["state"]["key"], np.sqrt(dt)
     for p in range(n_paths):
-        inc[p] = path_rng(seed, p).normal(0.0, np.sqrt(dt), n_steps)
-    values = np.zeros((n_paths, n_steps + 1))
+        key[1] = p
+        bitgen.state = fresh
+        inc[p] = rng.normal(0.0, scale, n_steps)
     np.cumsum(inc, axis=1, out=values[:, 1:])
     inc.setflags(write=False)
     values.setflags(write=False)

@@ -624,9 +624,22 @@ RUN_ONLY_FAILURES = {
         {"experiment": "scatter-sweep", "params": {"n_lambdas": 2**70}},
         "error: scatter-sweep: ",
     ),
+    # Brownian ensembles that numpy cannot size name the counts that size them
     "n-steps-too-large-for-numpy": (
         {"experiment": "dispersive", "stochastic": {"n_steps": 2**70}},
-        "error: dispersive: ",
+        "error: stochastic.n_paths, stochastic.n_steps: the 200 x 1180591620717411303424 "
+        "Brownian increments do not fit in memory",
+    ),
+    **{
+        f"convolution-lemma-{name}-too-large-for-numpy": (
+            {"experiment": "convolution-lemma", "stochastic": {"n_steps": 16, **counts}},
+            "error: stochastic.n_paths, stochastic.n_steps: ",
+        )
+        for name, counts in (("n-paths", {"n_paths": 2**70}), ("n-steps", {"n_steps": 2**70}))
+    },
+    "sde-convergence-level-max-too-large-for-numpy": (
+        {"experiment": "sde-convergence", "params": {"level_max": 70}},
+        "error: stochastic.n_paths, params.level_max: ",
     ),
     # grids whose nodes do not fit in memory (8 TiB at 2**40) or that numpy
     # cannot size (2**70), where no eigenpairs are solved, so validate takes them

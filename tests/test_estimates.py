@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -349,24 +350,57 @@ class TestConvolutionLemma:
         with pytest.raises(DomainError):
             convolution_lemma_experiment(1.0, [0.5, 1.0], n_steps=8, n_paths=2, seed=0)
 
-    def test_runs_without_the_worker_pool(self, monkeypatch):
-        # its per-path kernels hold the GIL, so the paths run in a plain loop
-        from dispersion_lab import estimates
+    def test_horizons_run_on_the_pool_same_bytes_at_one_and_two_workers(
+        self, monkeypatch, workers
+    ):
+        # each horizon is one work item, which fills every path's kernel
+        # rows at once; more paths than KERNEL_PATHS take several groups
+        seen = []
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the convolution lemma reached ordered_map")
+        def recording_map(fn, items):
+            items = list(items)
+            seen.append(items)
+            return _parallel.ordered_map(fn, items)
 
-        monkeypatch.setattr(estimates, "ordered_map", no_pool)
+        monkeypatch.setattr(estimates, "ordered_map", recording_map)
         horizons = np.array([0.5, 1.0, 2.0])
-        rep = convolution_lemma_experiment(0.0, horizons, n_steps=16, n_paths=3, seed=1)
-        assert np.allclose(rep.values, horizons**3 / 3.0, rtol=1e-12)
+        n_paths = estimates.KERNEL_PATHS + 3
+        runs = []
+        for n in (1, 2):
+            with workers(n):
+                rep = convolution_lemma_experiment(0.5, horizons, n_steps=8, n_paths=n_paths, seed=1)
+            runs.append(rep.values)
+        assert seen == [[0, 1, 2]] * 2
+        assert np.array_equal(runs[0], runs[1])
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_equals_full_matrix_kernel_exactly(self, alpha):
+    @pytest.mark.parametrize("group", [1, 4, 7])
+    def test_same_bytes_whatever_the_path_group(self, monkeypatch, group):
+        # 7 paths in one group (the default), or in groups of 1, 4 + 3, 7
+        args = (0.5, [0.5, 1.0, 2.0])
+        kwargs = dict(n_steps=16, n_paths=7, seed=2)
+        one_group = convolution_lemma_experiment(*args, **kwargs).values
+        monkeypatch.setattr(estimates, "KERNEL_PATHS", group)
+        assert np.array_equal(convolution_lemma_experiment(*args, **kwargs).values, one_group)
+
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_equals_full_matrix_kernel_exactly(self, alpha, tie, monkeypatch):
         from dispersion_lab.estimates import _sub_seed
         from dispersion_lab.grid_model import simpson_weights
 
         horizons = [0.5, 1.0, 2.0]
+        if tie:  # b_t = b_s on one path of the first horizon: an infinite
+            # kernel entry where alpha > 0, so an infinite lhs there
+
+            def sample_brownian_tied(T, *args):
+                ens = sample_brownian(T, *args)
+                if T != horizons[0]:
+                    return ens
+                values = ens.values.copy()
+                values[1, 9] = values[1, 4]
+                return dataclasses.replace(ens, values=values)
+
+            monkeypatch.setattr(estimates, "sample_brownian", sample_brownian_tied)
         n_steps, n_paths, seed = 32, 6, 4
         rep = convolution_lemma_experiment(
             alpha, horizons, n_steps=n_steps, n_paths=n_paths, seed=seed
@@ -375,7 +409,7 @@ class TestConvolutionLemma:
         for i, T in enumerate(horizons):
             # the per-path integrand as it was computed on the full matrix,
             # with the weight f = 1 of the lemma
-            ens = sample_brownian(T, n_steps, n_paths, _sub_seed(seed, i))
+            ens = estimates.sample_brownian(T, n_steps, n_paths, _sub_seed(seed, i))
             fs = np.ones(n_steps + 1)
             wq = simpson_weights(n_steps + 1, ens.dt)
             vals = []
@@ -388,6 +422,7 @@ class TestConvolutionLemma:
                 vals.append(float(np.sum(wq * g**2)))
             expected.append(float(np.mean(vals)))
         assert np.array_equal(rep.values, expected)
+        assert np.isinf(rep.values).tolist() == [tie and alpha > 0, False, False]
 
     def test_alpha_half_scaling_small(self):
         horizons = 0.25 * 2.0 ** np.arange(0, 4.5, 0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dispersion_lab.errors import DomainError, StabilityWarning
+from dispersion_lab.errors import DomainError, SizeError, StabilityWarning
 from dispersion_lab.grid_model import Grid, PotentialGrid
 from dispersion_lab.spectral_operator import (
     DiscreteHamiltonian,
@@ -33,13 +33,17 @@ class TestSampleBrownian:
         se = np.std(prod) / np.sqrt(ens.n_paths)
         assert abs(np.mean(prod) - T / 2.0) < 4.0 * se
 
-    def test_bit_reproducible(self):
-        a = sample_brownian(1.0, 128, 8, seed=42)
-        b = sample_brownian(1.0, 128, 8, seed=42)
+    # 0 and the largest seed validate accepts (a Philox key word is 64 bits)
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+    def test_bit_reproducible(self, seed):
+        a = sample_brownian(1.0, 128, 8, seed=seed)
+        b = sample_brownian(1.0, 128, 8, seed=seed)
         assert np.array_equal(a.increments, b.increments)
-        # per-path substreams do not depend on generation order
-        lone = path_rng(42, 5).normal(0.0, np.sqrt(1.0 / 128), 128)
-        assert np.array_equal(a.increments[5], lone)
+        # every path is its own substream, path_rng(seed, p), whatever the
+        # order the paths are generated in
+        for p in range(8):
+            lone = path_rng(seed, p).normal(0.0, np.sqrt(1.0 / 128), 128)
+            assert np.array_equal(a.increments[p], lone)
 
     def test_first_increment_stable(self):
         a = sample_brownian(1.0, 16, 1, seed=42).increments[0, 0]
@@ -51,6 +55,11 @@ class TestSampleBrownian:
             sample_brownian(0.0, 4, 4, 0)
         with pytest.raises(DomainError):
             sample_brownian(1.0, 0, 4, 0)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(2**70, 16), (16, 2**70)])
+    def test_ensemble_beyond_numpy_sizes_is_a_size_error(self, n_paths, n_steps):
+        with pytest.raises(SizeError, match="Brownian increments do not fit in memory"):
+            sample_brownian(1.0, n_steps, n_paths, 0)
 
 
 class TestTimeChangedPropagate:

@@ -38,6 +38,7 @@ from .errors import (
     HypothesisViolationWarning,
     SizeError,
     ValidationError,
+    fits_in_memory,
 )
 from .grid_model import FAMILIES, L_BOX_MAX, Grid, PotentialSpec, sample_potential
 
@@ -402,7 +403,8 @@ def _report_from_estimate(rep: estimates.EstimateReport, cfg: ExperimentConfig) 
 def _run_scatter_sweep(ctx: RunContext):
     V = ctx.V
     lam0 = ctx.born_threshold
-    lams = scattering.lambda_sweep_grid(lam0, ctx.params["n_lambdas"])
+    with _field("params.n_lambdas", SizeError):
+        lams = scattering.lambda_sweep_grid(lam0, ctx.params["n_lambdas"])
     rows = []
     unit_dev = 0.0
     for lam in lams:
@@ -465,7 +467,8 @@ _ORACLE_NODES = (16, 2_000_001)
 )
 def _run_resolvent_check(ctx: RunContext):
     pr = ctx.params
-    probes = np.linspace(-pr["probe_half_width"], pr["probe_half_width"], pr["n_probes"])
+    with _field("params.n_probes", SizeError), fits_in_memory(f"the {pr['n_probes']} probes"):
+        probes = np.linspace(-pr["probe_half_width"], pr["probe_half_width"], pr["n_probes"])
     # the oracle spans the run's box: both it and the Jost kernel take V as 0 outside
     grid_or = Grid(ctx.grid.l_box, int(round(2 * ctx.grid.l_box / pr["oracle_h"])) + 1)
     with _field("params.probe_half_width"):  # before any Jost march or solve
@@ -499,7 +502,10 @@ def _run_resolvent_check(ctx: RunContext):
     "born-check",
     "high-energy resolvent series: term sup norms and their ratios against ||V||_1 / (2 sqrt(E))",
     energy_factor=Param(4.0, 1, ends="(]", note="E must exceed ||V||_1^2"),
-    n_terms=Param(20, 1),
+    # under the ratio bound the run checks, 1.1 / (2 sqrt(energy_factor)) < 0.55,
+    # term n is below 2^1024 * 0.55^n, from n = 2433 on under the least positive
+    # float 2^-1074: exactly 0.  Terms nonzero past it break the bound sooner
+    n_terms=Param(20, 1, 2433, note="later terms are exactly 0 under the checked ratio bound"),
 )
 def _run_born_check(ctx: RunContext):
     V = ctx.V
@@ -699,11 +705,27 @@ def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
     return _report_from_estimate(rep, cfg), ["horizon", "lhs", "ratio"], rows
 
 
+def _convolution_horizon(doc: dict, end: int) -> float:
+    """An end of the convolution lemma's horizons: T^(3 - alpha) within a
+    factor eps^2 = 4.9e-32 of each end of the float range.  The lhs is
+    C T^(3 - alpha), C = 1/3 at alpha = 0 and per path measured 0.33 to 4.3e9
+    for alpha up to 1 - 1e-6, so it stays finite and nonzero, as do its
+    factors |b(t) - b(s)|^-alpha ~ T^(-alpha/2) and dt ~ T."""
+    f = np.finfo(float)
+    span = (f.tiny / f.eps**2, f.max * f.eps**2)[end]
+    return float(span) ** (1.0 / (3.0 - doc["params"]["alpha"]))
+
+
 @_experiment(
     "convolution-lemma",
     "Brownian singular-convolution scaling: T^(2 - alpha) window growth",
     alpha=Param(0.5, 0, 1, "[)"),
-    horizons=_HORIZONS,
+    horizons=Param(
+        _HORIZONS.default,
+        lambda doc: _convolution_horizon(doc, 0),
+        lambda doc: _convolution_horizon(doc, 1),
+        note="T^(3 - alpha), the scale of the lhs, within a factor eps^2 of the float range",
+    ),
 )
 def _run_convolution_lemma(ctx: RunContext):
     return _window_scaling(ctx, estimates.convolution_lemma_experiment, alpha=ctx.params["alpha"])

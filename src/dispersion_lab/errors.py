@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+import contextlib
+
 
 class DispersionLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +13,17 @@ class DomainError(DispersionLabError, ValueError):
 
 class SizeError(DomainError):
     """Arrays an argument sizes do not fit in memory, or exceed what numpy can size."""
+
+
+@contextlib.contextmanager
+def fits_in_memory(what: str):
+    """Raise SizeError("<what> do not fit in memory") where an array the
+    block allocates does not: a MemoryError, or numpy's ValueError for a
+    size beyond what it can hold ("Maximum allowed size exceeded")."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise SizeError(f"{what} do not fit in memory ({exc})") from None
 
 
 class ValidationError(DispersionLabError, ValueError):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SizeError, ValidationError
+from .errors import DomainError, ValidationError, fits_in_memory
 
 FAMILIES = ("zero", "gaussian", "sech_squared", "square_well", "custom_table")
 L_BOX_MAX = sys.float_info.max / 2  # the largest l_box whose box length 2 l_box is finite
@@ -51,12 +51,10 @@ class Grid:
     @cached_property
     def x(self) -> np.ndarray:
         """The nodes; a SizeError where n_points of them do not fit in memory."""
-        try:
+        with fits_in_memory(f"the {self.n_points} grid nodes"):
             x = np.linspace(-self.l_box, self.l_box, self.n_points)
             # a - b == -(b - a) in IEEE arithmetic, and halving is exact
             return 0.5 * (x - x[::-1])
-        except (MemoryError, ValueError) as exc:  # ValueError: beyond what numpy can size
-            raise SizeError(f"the {self.n_points} grid nodes do not fit in memory ({exc})") from None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ContractViolationError, DomainError
+from .errors import ConditioningError, ContractViolationError, DomainError, fits_in_memory
 from .grid_model import Grid, PotentialGrid
 
 SIGNS = ("plus", "minus")
@@ -295,6 +295,8 @@ def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, xs, ys) -> np.ndar
 
 
 def lambda_sweep_grid(lam0: float, n: int = 48) -> np.ndarray:
-    """Geometric lam grid covering the low- and high-energy regimes."""
+    """Geometric lam grid covering the low- and high-energy regimes; a
+    SizeError where its n momenta do not fit in memory."""
     top = 4.0 * np.sqrt(max(lam0, 0.0)) + 1.0
-    return np.geomspace(0.05, top, n)
+    with fits_in_memory(f"the {n} momenta"):
+        return np.geomspace(0.05, top, n)

@@ -144,31 +144,28 @@ class DiscreteHamiltonian:
         """The eigenpairs of one parity: discrete sines where V = 0, else
         one dstevd on the half tridiagonal.
 
-        With k = n // 2, an even vector (x, x[::-1]) on an even n sees its
-        mirror as the neighbour of node k-1, which adds off to that diagonal
-        entry; an odd vector subtracts it.  On an odd n, scaling x by
-        sqrt(2) off the middle node makes the even block symmetric, with
-        last off-diagonal sqrt(2) off; an odd vector is 0 at the middle.
+        The half tridiagonal holds the first n - k rows of H for the even
+        modes and the first k for the odd ones, so an H without mirror rows
+        (k = 0) has every mode even and an empty odd half.  Where k > 0,
+        the rows carry the mirror coupling: an even vector (x, x[::-1]) on
+        an even n sees its mirror as the neighbour of node k-1, which adds
+        off to that diagonal entry, and an odd vector subtracts it.  On an
+        odd n, scaling x by sqrt(2) off the middle node makes the even
+        block symmetric, with last off-diagonal sqrt(2) off; an odd vector
+        is 0 at the middle.
         """
         (diag, off), n, k = self._tridiagonal, self.n, self.mirror_rows
+        rows = k if parity else n - k
+        if not rows:
+            return diag[:0], np.zeros((n - k, 0))
+        self.eigensolves.append(rows)
         if self.potential.is_zero:  # a palindrome, so k = n // 2
-            self.eigensolves.append(k if parity else n - k)
             return _sine_half(n, -off[0], parity)
-        if not k:  # one dstevd holds every mode
-            if parity:
-                return diag[:0], np.zeros((n, 0))
-            d, e = diag, off
-        elif parity == 0:
-            d, e = diag[: n - k].copy(), off[: n - k - 1].copy()
-            if n % 2:
-                e[-1] *= np.sqrt(2.0)
-            else:
-                d[-1] += off[0]
-        else:
-            d, e = diag[:k].copy(), off[: k - 1]
-            if not n % 2:
-                d[-1] -= off[0]
-        self.eigensolves.append(len(d))
+        d, e = diag[:rows].copy(), off[: rows - 1].copy()
+        if k and not n % 2:
+            d[-1] += -off[0] if parity else off[0]
+        elif k and not parity:
+            e[-1] *= np.sqrt(2.0)
         w, v = _dstevd(d, e)
         v[:k] *= np.sqrt(0.5)
         if len(v) < n - k:
@@ -385,33 +382,26 @@ def occupied_modes(
     trading a bounded truncation error for a smaller basis product.  The
     modes come even first, then odd, each parity in ascending energy.
 
-    Only what the datum occupies is solved, the parity with the larger fold
-    first.  A parity's coefficient 2-norm is its fold's, mirrored rows
-    weighted by 1/2: the second parity is not solved when twice that norm
-    is at most mode_tol times the first's largest coefficient, where each
-    of its coefficients would be cut (at mode_tol = 0, its fold is exactly
-    zero).  Kept modes of one parity are its half vectors, a view where
-    they are one run of the half's columns; modes of both parities, which
-    no packet of the lab has but a library caller's datum may, are whole
-    columns (Eigenbasis.whole).
+    Only what the datum occupies is solved: a parity is solved iff its
+    fold has a nonzero entry, and a zero datum keeps the even half.  Kept
+    modes of one parity are its half vectors, a view where they are one
+    run of the half's columns; modes of both parities, which no packet of
+    the lab has but a library caller's datum may, are whole columns
+    (Eigenbasis.whole).
     """
     if np.ndim(u) != 1:
         raise DomainError(f"occupied modes need one datum vector, got shape {np.shape(u)}")
-    folds, k = H.folds(np.asarray(u, dtype=complex)), H.mirror_rows
-    norms = [np.sqrt(0.5 * np.vdot(f[:k], f[:k]).real + np.vdot(f[k:], f[k:]).real) for f in folds]
-    first = int(norms[1] > norms[0])
-    solved, amax = {}, 0.0
-    for parity in (first, 1 - first):
-        if parity != first and 2.0 * norms[parity] <= mode_tol * amax:
-            break
+    folds = H.folds(np.asarray(u, dtype=complex))
+    solved = []
+    for parity in [p for p in (0, 1) if folds[p].any()] or [0]:
         w, v = H.half(parity)
         c = real_basis_product(v.T, folds[parity])
         if project:
             c[w < 0] = 0.0
-        solved[parity] = w, v, c
-        amax = np.abs(c).max(initial=amax)
+        solved.append((parity, w, v, c))
+    amax = max(np.abs(c).max(initial=0.0) for *_, c in solved)
     parts, energies, coef = [], [], []
-    for parity, (w, v, c) in sorted(solved.items()):
+    for parity, w, v, c in solved:
         if mode_tol > 0.0:
             keep = np.abs(c) > mode_tol * amax
             v, w, c = _kept_columns(v, keep), w[keep], c[keep]
@@ -494,29 +484,27 @@ def evolve(modes: OccupiedModes, taus: np.ndarray, reduce=None) -> np.ndarray:
     The taus that ChebyshevWindows.plan groups into windows are expanded
     there; the phases of every other tau are applied in fixed blocks of
     _TAU_CHUNK columns, in their given order.  Blocks and windows are
-    independent work units for the thread pool.  reduce, if given, maps
-    the states of each block, and of each window's runs of at most
-    _TAU_CHUNK taus, handed over as RowPanels, to b per-column values, so
-    only those are kept.
+    independent work units for the thread pool.  reduce maps the states
+    of each block, and of each window's runs of at most _TAU_CHUNK taus,
+    handed over as RowPanels, to b per-column values, so only those are
+    kept; None keeps the states themselves (RowPanels.states).
     """
     taus = np.asarray(taus, dtype=float).ravel()
     plan = ChebyshevWindows.plan(modes, taus)
     direct = taus if plan is None else taus[plan.direct]
-
-    def finish(panels: RowPanels) -> np.ndarray:
-        return panels.states() if reduce is None else reduce(panels)
+    reduce = RowPanels.states if reduce is None else reduce
 
     def one_block(start: int) -> np.ndarray:
         z = _phases(modes.energies, direct[start : start + _TAU_CHUNK])
         z *= modes.coef[:, None]
-        return finish(RowPanels(modes.basis, z))
+        return reduce(RowPanels(modes.basis, z))
 
     def one_window(window: tuple[float, np.ndarray]) -> np.ndarray:
         centre, index = window
         basis = plan.window_basis(modes, centre)
         return np.concatenate(
             [
-                finish(plan.panels(basis, centre, taus[index[i : i + _TAU_CHUNK]]))
+                reduce(plan.panels(basis, centre, taus[index[i : i + _TAU_CHUNK]]))
                 for i in range(0, len(index), _TAU_CHUNK)
             ],
             axis=-1,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError, StabilityWarning
+from .errors import DomainError, StabilityWarning, fits_in_memory
 from .spectral_operator import DiscreteHamiltonian, occupied_modes
 
 # unused here: perfbench/tests/test_tracer.py asserts that this copy is the
@@ -66,13 +66,9 @@ def sample_brownian(
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be >= 1")
     dt = horizon / n_steps
-    try:
+    with fits_in_memory(f"the {n_paths} x {n_steps} Brownian increments"):
         inc = np.empty((n_paths, n_steps))
         values = np.zeros((n_paths, n_steps + 1))
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond what numpy can size
-        raise SizeError(
-            f"the {n_paths} x {n_steps} Brownian increments do not fit in memory ({exc})"
-        ) from None
     # path_rng(seed, p) for every p from one generator: resetting the key
     # and counter gives the same stream as a fresh Philox, without the
     # SeedSequence each construction draws and a keyed stream never reads

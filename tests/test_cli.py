@@ -619,10 +619,15 @@ RUN_ONLY_FAILURES = {
         )
         for experiment in ("scatter-sweep", "born-check")
     },
-    # counts that numpy refuses to size ("Maximum allowed size exceeded")
+    # counts that numpy refuses to size ("Maximum allowed size exceeded") name
+    # their field
     "n-lambdas-too-large-for-numpy": (
         {"experiment": "scatter-sweep", "params": {"n_lambdas": 2**70}},
-        "error: scatter-sweep: ",
+        "error: params.n_lambdas: the 1180591620717411303424 momenta do not fit in memory",
+    ),
+    "n-probes-too-large-for-numpy": (
+        {"experiment": "resolvent-check", "params": {"n_probes": 2**70}},
+        "error: params.n_probes: the 1180591620717411303424 probes do not fit in memory",
     ),
     # Brownian ensembles that numpy cannot size name the counts that size them
     "n-steps-too-large-for-numpy": (

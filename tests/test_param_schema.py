@@ -37,6 +37,14 @@ MALFORMED = [
     ("dispersive", {"u0_shape": "square"}, "u0_shape"),
     ("expectation-decay", {"p_exponent": 3}, "p_exponent"),
     ("convolution-lemma", {"horizons": [1.0, -2.0]}, "horizons"),
+    # T^(3 - alpha) overflows, or underflows to 0: these used to pass validate
+    # and write inf and nan, or 0.0, cells
+    ("convolution-lemma", {"horizons": [1e200, 1e210]}, "horizons"),
+    ("convolution-lemma", {"horizons": [1e-300, 1e-290]}, "horizons"),
+    # past the count where every term of a series within the checked ratio
+    # bound is exactly 0; 2**70 used to run on with a banded solve per term
+    ("born-check", {"n_terms": 2434}, "n_terms"),
+    ("born-check", {"n_terms": 2**70}, "n_terms"),
     # 8 * margin_factor banded solves: above the cap of 1e3 a run could take hours
     ("stone-density", {"margin_factor": 1e308}, "margin_factor"),
     ("stone-density", {"margin_factor": 1000.5}, "margin_factor"),
@@ -176,6 +184,46 @@ def test_l_box_range_keeps_the_stencil_finite(n_points):
             ExperimentConfig.from_dict(dict(doc, grid={"n_points": n_points, "l_box": l_box}))
     jost = {"experiment": "resonance", "grid": {"n_points": n_points}}
     assert (bound(param.lo, jost), bound(param.hi, jost)) == (0.0, cli_runner.L_BOX_MAX)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0 - 1e-6])
+def test_convolution_horizons_keep_every_cell_finite_and_nonzero(tmp_path, alpha):
+    # a run at each end of the horizons' range writes finite, nonzero cells
+    # and fires no warning; just beyond either end fails validate
+    param = EXPERIMENTS["convolution-lemma"].params["horizons"]
+    doc = {"params": {"alpha": alpha}}
+    lo, hi = bound(param.lo, doc), bound(param.hi, doc)
+    for i, horizons in enumerate(([lo, 10.0 * lo], [hi / 10.0, hi])):
+        raw = {
+            "experiment": "convolution-lemma",
+            "stochastic": {"n_steps": 16, "n_paths": 8},
+            "params": {"alpha": alpha, "horizons": horizons},
+        }
+        out = tmp_path / f"out{i}"
+        assert run(ExperimentConfig.from_dict(raw), out_dir=out) == 0
+        cells = np.loadtxt(out / "data.csv", delimiter=",", skiprows=2)
+        assert cells.shape == (2, 3) and np.all(np.isfinite(cells)) and np.all(cells != 0)
+        assert json.loads((out / "run_manifest.json").read_text())["warnings"] == []
+    for t in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        raw = {"experiment": "convolution-lemma", "params": {"alpha": alpha, "horizons": [t]}}
+        with pytest.raises(ValidationError, match=r"params.horizons: must be a non-empty list"):
+            ExperimentConfig.from_dict(raw)
+
+
+def test_born_terms_cap_is_the_first_count_past_underflow(tmp_path):
+    # under the ratio bound born-check checks, 1.1 / (2 sqrt(energy_factor))
+    # < 0.55, term n of a series whose first term is below 2^1024 is below
+    # 2^1024 * 0.55^n: the cap is the least n that puts it under the least
+    # subnormal 2^-1074, where a float is 0
+    cap = EXPERIMENTS["born-check"].params["n_terms"].hi
+    assert 1024 + cap * math.log2(0.55) < -1074 <= 1024 + (cap - 1) * math.log2(0.55)
+    # measured: a run at the cap has its terms reach 0 long before it
+    out = tmp_path / "out"
+    assert run(load_config(tiny_config("born-check", {"n_terms": cap}, tmp_path)), out_dir=out) == 0
+    sups = np.loadtxt(out / "data.csv", delimiter=",", skiprows=2, usecols=1)
+    first_zero = int(np.argmax(sups == 0.0))
+    assert len(sups) == cap + 1 and 0 < first_zero < cap and not np.any(sups[first_zero:])
+    assert json.loads((out / "report.json").read_text())["metrics"]["ratios_ok"] is True
 
 
 @pytest.mark.parametrize("spelling", ["inf", "INF", "Infinity", "infinity"])

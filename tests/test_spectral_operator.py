@@ -770,9 +770,9 @@ class TestOneParitySolve:
                         assert solved == [n - n // 2 if name == "even" else n // 2]
 
     def test_second_parity_next_to_the_cut(self, spec, n):
-        # three even modes and one odd mode at 1.5 or 0.4 times the cut: at
-        # 1.5 the odd mode is kept, so its half must be solved, though half
-        # its norm is below the cut; at 0.4 twice its norm is below the cut
+        # three even modes and one odd mode at 1.5 or 0.4 times the cut: the
+        # odd fold is nonzero at both, so both halves are solved, and the
+        # odd mode is kept at 1.5 and cut at 0.4
         eager = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))
         even, odd = eager.half(0)[1], eager.half(1)[1]
         taus = np.linspace(-1.0, 1.0, 50)
@@ -787,7 +787,7 @@ class TestOneParitySolve:
             # a kept odd mode makes whole columns of both parities
             assert len(got.energies) == 3 + kept_odd
             assert got.basis.mirror_rows == (0 if kept_odd else n // 2)
-            assert len(H.eigensolves) == 1 + kept_odd
+            assert len(H.eigensolves) == 2
 
     def test_kept_run_is_a_view_and_a_hole_copies(self, spec, n):
         H = build_hamiltonian(sample_potential(spec, Grid(l_box=40.0, n_points=n)))

@@ -294,10 +294,16 @@ def _experiment(name: str, description: str, solves_eigenpairs: bool = False, **
 
 def _l_box_end(doc: dict, end: int) -> float:
     """An end of grid.l_box's range: (0, L_BOX_MAX], narrowed where eigenpairs
-    of H are solved to the boxes whose step lies in STENCIL_STEPS."""
-    if not EXPERIMENTS[doc["experiment"]].solves_eigenpairs:
-        return (0.0, L_BOX_MAX)[end]
-    return spectral_operator.STENCIL_STEPS[end] * (doc["grid"]["n_points"] - 1) / 2.0
+    of H are solved to the boxes whose step lies in STENCIL_STEPS, and for a
+    custom table to the boxes it covers."""
+    lo, hi = 0.0, L_BOX_MAX
+    if EXPERIMENTS[doc["experiment"]].solves_eigenpairs:
+        lo, hi = (s * (doc["grid"]["n_points"] - 1) / 2.0 for s in spectral_operator.STENCIL_STEPS)
+    potential = doc.get("potential", {})
+    if potential.get("family") == "custom_table" and potential["table"]:
+        xs = [x for x, _ in potential["table"]]
+        hi = min(hi, -min(xs), max(xs))
+    return (lo, hi)[end]
 
 
 # every other config section, and output_dir: a field's bound may read the
@@ -325,8 +331,8 @@ SECTIONS: dict[str, dict[str, Param] | Param] = {
             lambda doc: _l_box_end(doc, 0),
             lambda doc: _l_box_end(doc, 1),
             "(]",
-            note="2 l_box is finite, and where eigenpairs of H are solved, the step "
-            "h = 2 l_box / (n_points - 1) has finite, nonzero h^2 and 1 / h^2",
+            note="2 l_box is finite; where eigenpairs of H are solved, h = 2 l_box / "
+            "(n_points - 1) has finite, nonzero h^2 and 1 / h^2; a custom table covers the box",
         ),
     },
     "stochastic": {
@@ -524,8 +530,9 @@ def _run_born_check(ctx: RunContext):
     with _field(null_field if energy <= lam0 else "grid.n_points"):
         terms = spectral_operator.born_series_terms(V, energy, f, ctx.params["n_terms"])
     sups = [float(np.max(np.abs(t))) for t in terms]
-    # late terms underflow to exactly 0; a ratio to a 0 term is nan, as row 0's
-    ratios = [math.nan] + [b / a if a else math.nan for a, b in zip(sups, sups[1:])]
+    # a ratio with a term past the normal range, few digits or none left, is nan, as row 0's
+    tiny = np.finfo(float).tiny
+    ratios = [math.nan] + [b / a if min(a, b) >= tiny else math.nan for a, b in zip(sups, sups[1:])]
     max_ratio = max((q for q in ratios if not math.isnan(q)), default=math.nan)
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))
     rows = list(zip(range(len(sups)), sups, ratios))
@@ -593,22 +600,24 @@ def _run_stone_density(ctx: RunContext):
     energy_cut=Param(2.5),
 )
 def _run_sde_convergence(ctx: RunContext):
-    cfg, H = ctx.cfg, ctx.H
-    modes = spectral_operator.occupied_modes(H, estimates.gaussian_packet(cfg.grid, width=2.0))
-    c = np.where(modes.energies > ctx.params["energy_cut"], 0.0, modes.coef)
-    u0 = modes.basis.product(c / np.linalg.norm(c))
+    cfg, cut = ctx.cfg, ctx.params["energy_cut"]
+    # the datum: the Gaussian's modes at or below the cut, normalized, which the
+    # integrator and the exact flow share; the explicit step amplifies any mode
+    packet = spectral_operator.occupied_modes(ctx.H, estimates.gaussian_packet(cfg.grid, width=2.0))
+    modes = packet.restricted(packet.energies <= cut)
+    if not (norm := np.linalg.norm(modes.coef)) > 0:
+        lowest = f"{packet.energies.min():.6g}"
+        raise DomainError(f"params.energy_cut: {cut} is below the datum's lowest mode, {lowest}")
+    modes = spectral_operator.OccupiedModes(modes.basis, modes.energies, modes.coef / norm)
     lmin, lmax = ctx.params["level_min"], ctx.params["level_max"]
     n_fine = 2**lmax
     levels = [2**k for k in range(lmin, lmax + 1)]
     with _field("stochastic.n_paths, params.level_max"):
         ens = stochastic.sample_brownian(cfg.horizon, n_fine, cfg.n_paths, cfg.seed)
-    # the exact flow on the modes the integrator keeps
-    exact = spectral_operator.propagate_batch(
-        H, ens.values[:, -1], u0, mode_tol=stochastic.EM_MODE_TOL
-    )
+    exact = spectral_operator.evolve(modes, ens.values[:, -1])
 
     def strong_error(n_steps: int) -> float:
-        em = stochastic.euler_maruyama_ito(H, ens.increments, cfg.horizon, u0, n_steps)
+        em = stochastic.euler_maruyama_ito(modes, ens.increments, cfg.horizon, n_steps)
         # a sequential sum over paths; np.sum would pair the terms differently.
         # An error that overflows to inf is flagged by the degenerate fit below.
         with np.errstate(over="ignore"):

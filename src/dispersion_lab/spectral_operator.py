@@ -371,6 +371,14 @@ class OccupiedModes:
     energies: np.ndarray  # (m,)
     coef: np.ndarray  # (m,), complex
 
+    def restricted(self, keep: np.ndarray) -> OccupiedModes:
+        """The modes where the mask keep (m,) is True, their columns a view
+        of the basis's where the kept ones are one run."""
+        i, half = np.flatnonzero(keep), self.basis.half
+        half = half[:, i[0] : i[-1] + 1] if len(i) and i[-1] - i[0] < len(i) else half[:, keep]
+        basis = Eigenbasis(self.basis.n, half, self.basis.sign)
+        return OccupiedModes(basis, self.energies[keep], self.coef[keep])
+
 
 def occupied_modes(
     H: DiscreteHamiltonian, u: np.ndarray, project: bool = False, mode_tol: float = 0.0
@@ -398,29 +406,18 @@ def occupied_modes(
         c = real_basis_product(v.T, folds[parity])
         if project:
             c[w < 0] = 0.0
-        solved.append((parity, w, v, c))
-    amax = max(np.abs(c).max(initial=0.0) for *_, c in solved)
-    parts, energies, coef = [], [], []
-    for parity, w, v, c in solved:
-        if mode_tol > 0.0:
-            keep = np.abs(c) > mode_tol * amax
-            v, w, c = _kept_columns(v, keep), w[keep], c[keep]
-        parts.append(Eigenbasis(H.n, v, 1 - 2 * parity))
-        energies.append(w)
-        coef.append(c)
+        solved.append(OccupiedModes(Eigenbasis(H.n, v, 1 - 2 * parity), w, c))
+    if mode_tol > 0.0:
+        amax = max(np.abs(m.coef).max(initial=0.0) for m in solved)
+        solved = [m.restricted(np.abs(m.coef) > mode_tol * amax) for m in solved]
     # a parity left without modes drops out; the first one solved stays
-    parts = [b for b in parts if b.half.shape[1]] or parts[:1]
-    basis = parts[0] if len(parts) == 1 else Eigenbasis.whole(parts)
-    return OccupiedModes(basis, np.concatenate(energies), np.concatenate(coef))
-
-
-def _kept_columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """v[:, keep], a view where the kept columns are one run."""
-    i = np.flatnonzero(keep)
-    if len(i) and i[-1] - i[0] >= len(i):  # a hole
-        return v[:, keep]
-    start = i[0] if len(i) else 0
-    return v[:, start : start + len(i)]
+    parts = [m for m in solved if len(m.energies)] or solved[:1]
+    if len(parts) == 1:
+        return parts[0]
+    even, odd = parts
+    basis = Eigenbasis.whole([even.basis, odd.basis])
+    energies = np.concatenate([even.energies, odd.energies])
+    return OccupiedModes(basis, energies, np.concatenate([even.coef, odd.coef]))
 
 
 @dataclass(frozen=True)

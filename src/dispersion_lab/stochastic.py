@@ -3,8 +3,8 @@
 The solution operator of the white-noise-dispersion equation is the
 time-changed propagator S(t, s) = e^{-i (beta(t) - beta(s)) H}.  An
 explicit Euler-Maruyama integrator for the equivalent Ito form
-du = -(1/2) H^2 u dt - i H u dbeta serves as an independent check that
-the time change really solves the equation.
+du = -(1/2) H^2 u dt - i H u dbeta, on the OccupiedModes that evolve
+propagates exactly, checks that the time change solves the equation.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StabilityWarning, fits_in_memory
-from .spectral_operator import DiscreteHamiltonian, occupied_modes
+from .spectral_operator import OccupiedModes
 
 # unused here: perfbench/tests/test_tracer.py asserts that this copy is the
 # spectral_operator function, which exercises the tracer's wrapping of copies
 from .spectral_operator import propagate_batch  # noqa: F401
-
-
-# the integrator's mode cut: round-off occupation of stiff modes would be
-# amplified without bound by the explicit step
-EM_MODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,33 +89,23 @@ def sample_brownian(
 
 
 def euler_maruyama_ito(
-    H: DiscreteHamiltonian,
-    increments: np.ndarray,
-    horizon: float,
-    u0: np.ndarray,
-    n_steps: int,
+    modes: OccupiedModes, increments: np.ndarray, horizon: float, n_steps: int
 ) -> np.ndarray:
     """Explicit Euler-Maruyama for du = -(1/2) H^2 u dt - i H u dbeta.
 
-    Runs in the eigenbasis on the occupied modes of u0, for one path of
-    increments (n_fine,) or a batch (n_paths, n_fine) at once.  n_steps
-    must divide n_fine; coarser steps sum consecutive fine increments so
-    every refinement level sees the same path.  Returns u(T) as (n,) for
-    one path and as one column per path, (n, n_paths), for a batch.  u(t_k)
-    is the k-step run on the path's first k steps, with horizon k dt.
+    Steps every coefficient of modes: the caller chooses the modes, since
+    the explicit step amplifies a stiff mode's round-off occupation
+    without bound.  increments holds one path per row, (n_paths, n_fine);
+    n_steps must divide n_fine, and coarser steps sum consecutive fine
+    increments so every refinement level sees the same path.  Returns
+    u(T), one column per path (n, n_paths).  u(t_k) is the k-step run on
+    the path's first k steps, with horizon k dt.
     """
-    increments = np.asarray(increments, dtype=float)
-    paths = np.atleast_2d(increments)
-    n_fine = paths.shape[1]
+    n_paths, n_fine = np.shape(increments)
     if n_steps < 1 or n_fine % n_steps != 0:
-        raise DomainError(
-            f"n_steps={n_steps} must divide the path's {n_fine} increments"
-        )
-    if len(u0) != H.n:
-        raise DomainError("u0 length does not match the Hamiltonian grid")
-    dbeta = paths.reshape(len(paths), n_steps, n_fine // n_steps).sum(axis=2)
+        raise DomainError(f"n_steps={n_steps} must divide the path's {n_fine} increments")
+    dbeta = np.reshape(increments, (n_paths, n_steps, n_fine // n_steps)).sum(axis=2)
     dt = horizon / n_steps
-    modes = occupied_modes(H, u0, mode_tol=EM_MODE_TOL)
     lam = modes.energies
     lam_max2 = float(np.max(lam**2)) if len(lam) else 0.0
     if dt * lam_max2 > 1.0:
@@ -132,11 +117,10 @@ def euler_maruyama_ito(
         )
     drift = 1.0 - 0.5 * lam**2 * dt
     ilam = 1j * lam
-    c = np.tile(modes.coef, (len(paths), 1))  # (n_paths, n_modes)
+    c = np.tile(modes.coef, (n_paths, 1))  # (n_paths, n_modes)
     # an amplifying step may overflow the state to inf/nan; the
     # StabilityWarning above already flags that, numpy need not repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             c = c * (drift - ilam * dbeta[:, k, None])
-        out = modes.basis.product(c.T)
-    return out if increments.ndim == 2 else out[:, 0]
+        return modes.basis.product(c.T)

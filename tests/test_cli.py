@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersion_lab import estimates, spectral_operator
+from dispersion_lab import estimates, spectral_operator, stochastic
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -506,6 +506,17 @@ RUN_ONLY_FAILURES = {
         },
         "params.oracle_h: the outgoing closure needs 0 < E h^2 < 4",
     ),
+    # an energy cut below the lowest mode the Gaussian occupies (E = 0.006
+    # here): this used to divide 0 by 0 and write a degenerate fit on 0 errors
+    "sde-energy-cut-below-every-mode": (
+        {
+            "experiment": "sde-convergence",
+            "grid": {"n_points": 128, "l_box": 20},
+            "stochastic": {"horizon": 1, "n_paths": 4},
+            "params": {"level_min": 4, "level_max": 8, "energy_cut": 0.0},
+        },
+        "params.energy_cut: 0.0 is below the datum's lowest mode, 0.00597842",
+    ),
     # norms that validate takes but no window bound covers
     "strichartz-hom-r-inf": (
         {"experiment": "strichartz-hom", "norms": {"r": "inf"}},
@@ -767,18 +778,34 @@ def test_stone_density_solves_only_the_eigenpairs_it_reads(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("n_points", [256, 257])
 def test_sde_convergence_enters_through_the_occupied_half(tmp_path, monkeypatch, n_points):
-    # the centred Gaussian datum is even: one half-size eigensolve, the u0
-    # of the even half's route (all its coefficients, the energy cut, its
-    # product) bit for bit, and that of the dense assembled view (all
-    # coefficients, the cut, the whole basis) to round-off
-    seen = {}
-    propagate = spectral_operator.propagate_batch
+    # the centred Gaussian datum is even: one projection and one half-size
+    # eigensolve.  Euler-Maruyama at every level and the exact flow get the
+    # one OccupiedModes: a view of the even half's columns with E <= 2.5 and
+    # their coefficients, normalized, bit for bit; its state matches that of
+    # the dense assembled view (all coefficients, the cut, the whole basis)
+    # to round-off
+    seen = {"projections": [], "em": [], "exact": []}
+    project, em, evolve = (
+        spectral_operator.occupied_modes,
+        stochastic.euler_maruyama_ito,
+        spectral_operator.evolve,
+    )
 
-    def spy(H, taus, u0, mode_tol):
-        seen.update(H=H, u0=u0)
-        return propagate(H, taus, u0, mode_tol=mode_tol)
+    def project_spy(H, u, *args, **kwargs):
+        seen["projections"].append(H)
+        return project(H, u, *args, **kwargs)
 
-    monkeypatch.setattr(spectral_operator, "propagate_batch", spy)
+    def em_spy(modes, *args):
+        seen["em"].append(modes)
+        return em(modes, *args)
+
+    def evolve_spy(modes, *args):
+        seen["exact"].append(modes)
+        return evolve(modes, *args)
+
+    monkeypatch.setattr(spectral_operator, "occupied_modes", project_spy)
+    monkeypatch.setattr(stochastic, "euler_maruyama_ito", em_spy)
+    monkeypatch.setattr(spectral_operator, "evolve", evolve_spy)
     raw = {
         "experiment": "sde-convergence",
         "potential": {"family": "gaussian", "amplitude": 3.0, "width": 1.0},
@@ -789,18 +816,24 @@ def test_sde_convergence_enters_through_the_occupied_half(tmp_path, monkeypatch,
     assert run(load_config(_write(tmp_path, raw)), out_dir=tmp_path / "out") == 0
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["eigensolves"] == [n_points - n_points // 2]
-    dense = spectral_operator.build_hamiltonian(seen["H"].potential)
+    [H] = seen["projections"]
+    [modes] = seen["exact"]
+    assert len(seen["em"]) == 5 and all(m is modes for m in seen["em"])
+    assert modes.basis.sign == 1 and np.shares_memory(modes.basis.half, H.half(0)[1])
+    dense = spectral_operator.build_hamiltonian(H.potential)
     u = estimates.gaussian_packet(dense.grid, width=2.0).astype(complex)
     w, v = dense.half(0)
     c = spectral_operator.real_basis_product(v.T, dense.folds(u)[0])
-    c[w > 2.5] = 0.0
-    c /= np.linalg.norm(c)
-    assert seen["u0"].tobytes() == spectral_operator.Eigenbasis(n_points, v).product(c).tobytes()
+    keep = w <= 2.5
+    assert np.array_equal(modes.energies, w[keep])
+    assert np.array_equal(modes.coef, c[keep] / np.linalg.norm(c[keep]))
+    assert np.array_equal(modes.basis.half, v[:, keep])
     c = dense.to_eigenbasis(u)
     c[dense.eigenvalues > 2.5] = 0.0
     c /= np.linalg.norm(c)
+    u0 = modes.basis.product(modes.coef)
     # measured 2.7e-16 of the largest entry at both sizes
-    assert np.abs(seen["u0"] - dense.from_eigenbasis(c)).max() <= 1e-14 * np.abs(seen["u0"]).max()
+    assert np.abs(u0 - dense.from_eigenbasis(c)).max() <= 1e-14 * np.abs(u0).max()
 
 
 def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):
@@ -888,6 +921,27 @@ def test_born_check_with_zero_terms_runs_cleanly(tmp_path, capsys, raw, defined)
         assert 0.0 < metrics["max_ratio"] <= 1.1 * metrics["ratio_bound"]
     else:
         assert metrics["max_ratio"] is None
+
+
+def test_born_check_leaves_subnormal_terms_out_of_max_ratio(tmp_path):
+    # near the threshold on sech^2(-2, 1) the term sups are subnormal from
+    # n = 334 on and exactly 0 later.  A subnormal keeps ever fewer digits:
+    # the ratios between them read up to 0.5 (measured), so a ratio with a
+    # term below the normal range is nan and left out, as one with a 0 term
+    raw = {
+        "experiment": "born-check",
+        "potential": {"family": "sech_squared", "amplitude": -2, "width": 1},
+        "params": {"energy_factor": 1.01, "n_terms": 2433},
+    }
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, raw)), "--out", str(out)]) == 0
+    sups, ratios = np.loadtxt(out / "data.csv", delimiter=",", skiprows=2, usecols=(1, 2)).T
+    normal = sups >= np.finfo(float).tiny
+    assert np.argmin(normal) == 334 and not np.any(normal[334:])
+    assert np.array_equal(np.isnan(ratios[1:]), ~normal[1:])
+    metrics = json.loads((out / "report.json").read_text())["metrics"]
+    assert metrics["max_ratio"] == np.nanmax(ratios) == max(sups[1:334] / sups[:333])
+    assert abs(metrics["max_ratio"] - 0.1653) < 1e-4 and metrics["ratios_ok"] is True
 
 
 class TestRangeValidation:

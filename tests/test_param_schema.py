@@ -75,6 +75,9 @@ MALFORMED_SECTIONS = [
     # to pass validate and end run with a step error that named no field
     ("grid.l_box", {"grid": {"l_box": 1e200}}),
     ("grid.l_box", {"grid": {"l_box": 1e-200}}),
+    # a custom table that does not cover the box [-4, 4]: this used to pass
+    # validate and end run with an error that named no field
+    ("grid.l_box", {"potential": {"family": "custom_table", "table": [[-1, 0], [0, -1], [1, 0]]}}),
     ("output_dir", {"output_dir": 5}),
     ("potential.amplitude", {"potential": {"amplitude": "3"}}),
     ("potential.table", {"potential": {"table": "ab"}}),
@@ -235,7 +238,11 @@ def test_inf_spellings_are_stored_as_inf(spelling):
 def test_table_is_stored_as_float_pairs():
     table = [[-5, 0], [0, -1], [5.0, 0]]
     cfg = ExperimentConfig.from_dict(
-        {"experiment": "resonance", "potential": {"family": "custom_table", "table": table}}
+        {
+            "experiment": "resonance",
+            "potential": {"family": "custom_table", "table": table},
+            "grid": {"l_box": 5},
+        }
     )
     assert cfg.to_canonical_dict()["potential"]["table"] == [[-5.0, 0.0], [0.0, -1.0], [5.0, 0.0]]
     assert cfg.potential.table == ((-5.0, 0.0), (0.0, -1.0), (5.0, 0.0))

@@ -134,9 +134,9 @@ class TestEulerMaruyama:
         H = single_mode_hamiltonian(0.0)
         u0 = np.zeros(16, complex)
         u0[0] = 1.0
-        inc = path_rng(1, 0).normal(0.0, 0.1, 64)
-        out = euler_maruyama_ito(H, inc, 1.0, u0, 64)
-        assert np.array_equal(out, u0)
+        inc = path_rng(1, 0).normal(0.0, 0.1, (1, 64))
+        out = euler_maruyama_ito(occupied_modes(H, u0, mode_tol=1e-12), inc, 1.0, 64)
+        assert np.array_equal(out[:, 0], u0)
 
     def test_single_mode_strong_order(self):
         # oracle: the exact mode solution e^{-i lam beta(T)}; EM converges
@@ -145,15 +145,16 @@ class TestEulerMaruyama:
         H = single_mode_hamiltonian(lam)
         u0 = np.zeros(16, complex)
         u0[0] = 1.0
+        modes = occupied_modes(H, u0, mode_tol=1e-12)
         T, n_fine, n_paths = 1.0, 512, 200
         levels = [2**k for k in range(4, 10)]
         errs = np.zeros(len(levels))
         for p in range(n_paths):
-            inc = path_rng(33, p).normal(0.0, np.sqrt(T / n_fine), n_fine)
+            inc = path_rng(33, p).normal(0.0, np.sqrt(T / n_fine), (1, n_fine))
             exact = np.exp(-1j * lam * inc.sum())
             for li, nst in enumerate(levels):
-                out = euler_maruyama_ito(H, inc, T, u0, nst)
-                errs[li] += abs(out[0] - exact)
+                out = euler_maruyama_ito(modes, inc, T, nst)
+                errs[li] += abs(out[0, 0] - exact)
         errs /= n_paths
         dts = np.array([T / n for n in levels])
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -167,11 +168,12 @@ class TestEulerMaruyama:
         c[sel] = np.exp(-np.arange(sel.sum()))
         c /= np.linalg.norm(c)
         u0 = H.from_eigenbasis(c)
-        inc = path_rng(7, 0).normal(0.0, np.sqrt(1.0 / 1024), 1024)
+        modes = occupied_modes(H, u0, mode_tol=1e-12)
+        inc = path_rng(7, 0).normal(0.0, np.sqrt(1.0 / 1024), (1, 1024))
         exact = propagate_batch(H, [inc.sum()], u0)[:, 0]
         errs = []
         for nst in (16, 64, 256, 1024):
-            em = euler_maruyama_ito(H, inc, 1.0, u0, nst)
+            em = euler_maruyama_ito(modes, inc, 1.0, nst)[:, 0]
             errs.append(np.linalg.norm(em - exact))
         assert errs[-1] < errs[0]
         assert errs[-1] < 0.1 * np.linalg.norm(u0)
@@ -183,12 +185,13 @@ class TestEulerMaruyama:
         H = single_mode_hamiltonian(lam)
         u0 = np.zeros(16, complex)
         u0[0] = 1.0
-        inc = path_rng(4, 0).normal(0.0, 0.05, 32)
+        modes = occupied_modes(H, u0, mode_tol=1e-12)
+        inc = path_rng(4, 0).normal(0.0, 0.05, (1, 32))
         tampered = inc.copy()
-        tampered[20:] = 99.0
+        tampered[:, 20:] = 99.0
         for k in range(1, 33):
-            u = euler_maruyama_ito(H, inc[:k], k / 32, u0, k)
-            u2 = euler_maruyama_ito(H, tampered[:k], k / 32, u0, k)
+            u = euler_maruyama_ito(modes, inc[:, :k], k / 32, k)
+            u2 = euler_maruyama_ito(modes, tampered[:, :k], k / 32, k)
             if k <= 20:
                 assert np.array_equal(u, u2)
             else:
@@ -197,14 +200,14 @@ class TestEulerMaruyama:
     def test_stability_warning(self, ham_gauss_1024):
         H = ham_gauss_1024
         u0 = np.ones(H.n, complex)  # occupies every mode
-        inc = path_rng(5, 0).normal(0.0, np.sqrt(1.0 / 64), 64)
+        inc = path_rng(5, 0).normal(0.0, np.sqrt(1.0 / 64), (1, 64))
         with pytest.warns(StabilityWarning):
-            euler_maruyama_ito(H, inc, 1.0, u0, 64)
+            euler_maruyama_ito(occupied_modes(H, u0, mode_tol=1e-12), inc, 1.0, 64)
 
     def test_steps_must_divide(self, ham_gauss_1024):
-        inc = np.zeros(100)
+        modes = occupied_modes(ham_gauss_1024, np.ones(1024, complex), mode_tol=1e-12)
         with pytest.raises(DomainError):
-            euler_maruyama_ito(ham_gauss_1024, inc, 1.0, np.ones(1024, complex), 64)
+            euler_maruyama_ito(modes, np.zeros((1, 100)), 1.0, 64)
 
 
 def euler_maruyama_reference(H, increments, horizon, u0, n_steps):
@@ -231,15 +234,15 @@ class TestBatchedEulerMaruyama:
         c[H.eigenvalues > 2.5] = 0.0
         u0 = H.from_eigenbasis(c / np.linalg.norm(c))
         ens = sample_brownian(1.0, 256, 6, seed=9)
-        return H, u0, ens
+        return H, u0, occupied_modes(H, u0, mode_tol=1e-12), ens
 
     @pytest.mark.parametrize("n_steps", [16, 64, 256])
     def test_matches_per_path_and_reference(self, setup, n_steps):
-        H, u0, ens = setup
-        batch = euler_maruyama_ito(H, ens.increments, 1.0, u0, n_steps)
+        H, u0, modes, ens = setup
+        batch = euler_maruyama_ito(modes, ens.increments, 1.0, n_steps)
         assert batch.shape == (H.n, ens.n_paths)
         for p in range(ens.n_paths):
-            one = euler_maruyama_ito(H, ens.increments[p], 1.0, u0, n_steps)
+            one = euler_maruyama_ito(modes, ens.increments[p : p + 1], 1.0, n_steps)[:, 0]
             ref = euler_maruyama_reference(H, ens.increments[p], 1.0, u0, n_steps)
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(batch[:, p] - one) <= 1e-13 * scale

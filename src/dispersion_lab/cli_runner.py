@@ -197,7 +197,7 @@ class ExperimentConfig:
         try:
             potential = PotentialSpec(**doc["potential"])
         except ValidationError as exc:
-            raise ValidationError(f"potential: {exc}") from exc
+            raise ValidationError(f"potential.{exc}") from exc
         return cls(
             experiment=exp,
             potential=potential,
@@ -461,7 +461,7 @@ _ORACLE_NODES = (16, 2_000_001)
     "resolvent-check",
     "Jost-built resolvent kernel against a banded linear-solve oracle at matched energies",
     lambdas=Param([0.5, 1.0, 2.0], 0, ends="(]"),
-    probe_half_width=Param(2.0, 0),
+    probe_half_width=Param(2.0, 0, lambda doc: doc["grid"]["l_box"], note="probes lie in the box"),
     n_probes=Param(5, 1),
     oracle_h=Param(
         0.008,
@@ -477,18 +477,16 @@ def _run_resolvent_check(ctx: RunContext):
         probes = np.linspace(-pr["probe_half_width"], pr["probe_half_width"], pr["n_probes"])
     # the oracle spans the run's box: both it and the Jost kernel take V as 0 outside
     grid_or = Grid(ctx.grid.l_box, int(round(2 * ctx.grid.l_box / pr["oracle_h"])) + 1)
-    with _field("params.probe_half_width"):  # before any Jost march or solve
+    with _field("params.probe_half_width"):  # off-grid probes, before any Jost march or solve
         for y in probes:
             spectral_operator.node_index(grid_or, float(y))
     vals_or = ctx.cfg.potential(grid_or.x)
     rows = []
     max_rel = 0.0
     for lam in pr["lambdas"]:
-        jost_tab = scattering.resolvent_kernel_jost_table(ctx.V, lam, probes, probes)
+        jost_tab = scattering.resolvent_kernel_jost_table(ctx.V, lam, probes)
         with _field("params.oracle_h"):
-            dense_tab = spectral_operator.outgoing_resolvent_table(
-                grid_or, vals_or, lam**2, probes, probes
-            )
+            dense_tab = spectral_operator.outgoing_resolvent_table(grid_or, vals_or, lam**2, probes)
         for j, y in enumerate(probes):
             for i, x in enumerate(probes):
                 jv, dv = jost_tab[i, j], dense_tab[i, j]

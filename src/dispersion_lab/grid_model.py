@@ -59,7 +59,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Analytic potential family.
+    """Analytic potential family; each ValidationError leads with the field at fault.
 
     family       one of FAMILIES
     amplitude    overall prefactor (sign included)
@@ -75,20 +75,20 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValidationError(f"unknown potential family {self.family!r}")
+            raise ValidationError(f"family: unknown potential family {self.family!r}")
         if self.family == "custom_table":
             if not self.table:
-                raise ValidationError("custom_table requires a non-empty table")
+                raise ValidationError("table: custom_table requires a non-empty table")
             xs = [p[0] for p in self.table]
             if sorted(xs) != xs:
-                raise ValidationError("custom_table abscissae must be sorted")
+                raise ValidationError("table: custom_table abscissae must be sorted")
             if not all(np.isfinite(p[0]) and np.isfinite(p[1]) for p in self.table):
-                raise ValidationError("custom_table entries must be finite")
+                raise ValidationError("table: custom_table entries must be finite")
         else:
             if not np.isfinite(self.amplitude):
-                raise ValidationError("amplitude must be finite")
+                raise ValidationError("amplitude: must be finite")
             if self.family != "zero" and (not np.isfinite(self.width) or self.width <= 0):
-                raise ValidationError("width must be positive and finite")
+                raise ValidationError("width: must be positive and finite")
 
     @property
     def vanishes(self) -> bool:

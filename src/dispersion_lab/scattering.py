@@ -277,8 +277,9 @@ def scattering_coefficients(V: PotentialGrid, lam: float) -> ScatteringData:
     )
 
 
-def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, xs, ys) -> np.ndarray:
-    """Kernel f+(max(x, y)) f-(min(x, y)) / W(lam) on the probe mesh xs x ys.
+def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, probes) -> np.ndarray:
+    """Kernel f+(max(x, y)) f-(min(x, y)) / W(lam) at every pair of probes,
+    entry [i, j] at (x, y) = (probes[i], probes[j]).
 
     One table per sign, each read once for every probe; W comes from the
     same tables' midpoint node, equal to midpoint_wronskian(V, lam).
@@ -291,7 +292,8 @@ def resolvent_kernel_jost_table(V: PotentialGrid, lam: float, xs, ys) -> np.ndar
     w = _wronskian_at(fp.at_node(i0), fm.at_node(i0))
     if abs(w) < KERNEL_W_TOL * max(1.0, 2.0 * abs(lam)):
         raise ConditioningError(f"|W({lam})| = {abs(w):.2e} below tolerance")
-    return fp.f_at(np.maximum.outer(xs, ys)) * fm.f_at(np.minimum.outer(xs, ys)) / w
+    upper, lower = np.maximum.outer(probes, probes), np.minimum.outer(probes, probes)
+    return fp.f_at(upper) * fm.f_at(lower) / w
 
 
 def lambda_sweep_grid(lam0: float, n: int = 48) -> np.ndarray:

@@ -799,16 +799,16 @@ def outgoing_closure(grid: Grid, values: np.ndarray, energy: float) -> np.ndarra
     return closed
 
 
-def outgoing_resolvent_table(grid: Grid, values: np.ndarray, energy: float, xs, ys) -> np.ndarray:
-    """R(energy + i0)(x_i, y_j) on grid nodes, the box closed by outgoing_closure:
-    one factorization and one solve against the block of grid deltas (unit
-    mass), a column per y_j.  An x or y that is not a grid node is a DomainError."""
-    ixs = [node_index(grid, float(x)) for x in xs]
-    iys = [node_index(grid, float(y)) for y in ys]
+def outgoing_resolvent_table(grid: Grid, values: np.ndarray, energy: float, probes) -> np.ndarray:
+    """R(energy + i0)(probes[i], probes[j]) on grid nodes, the box closed by
+    outgoing_closure: one factorization and one solve against the block of
+    grid deltas (unit mass), a column per probe.  A probe that is not a grid
+    node is a DomainError."""
+    nodes = [node_index(grid, float(y)) for y in probes]
     factors = _shifted_factor(grid, outgoing_closure(grid, values, energy), energy)
-    deltas = np.zeros((grid.n_points, len(iys)), dtype=complex, order="F")
-    deltas[iys, range(len(iys))] = 1.0 / grid.h
-    return _shifted_solve(factors, deltas)[ixs]
+    deltas = np.zeros((grid.n_points, len(nodes)), dtype=complex, order="F")
+    deltas[nodes, range(len(nodes))] = 1.0 / grid.h
+    return _shifted_solve(factors, deltas)[nodes]
 
 
 @dataclass(frozen=True)

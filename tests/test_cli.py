@@ -419,6 +419,31 @@ class TestReproducibility:
         else:  # scipy's LAPACK is no OpenBLAS of its wheel: nothing to pin
             assert at_two == ["1", "False", "1"]
 
+    def test_blas_kernels_agree_within_rounding(self, tmp_path):
+        # data.csv bytes are equal per BLAS kernel only.  OpenBLAS picks its
+        # kernel when it loads, so the run goes in fresh processes, at the
+        # default kernel and at OPENBLAS_CORETYPE=Prescott.  Measured on this
+        # config, against the default SkylakeX: Prescott (reported as Katmai)
+        # moved 144 of 318 cells, by at most 1.2e-15 relative, and Haswell
+        # 115, by at most 1.0e-15.  The tolerance, 1e-12, leaves a margin of
+        # about 800 over that and still fails on anything above rounding
+        stochastic = {"horizon": 8.0, "n_steps": 64, "n_paths": 40, "seed": 11}
+        path = small_dispersive_config(tmp_path, stochastic=stochastic)
+        cells, kernels = [], []
+        for coretype in (None, "Prescott"):
+            out = tmp_path / f"kernel-{coretype}"
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update({"OPENBLAS_CORETYPE": coretype} if coretype else {})
+            cmd = [sys.executable, "-m", "dispersion_lab.cli_runner", "run", str(path), "--out", str(out)]
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            kernels.append(manifest["blas"].get("corename"))
+            cells.append(np.loadtxt(out / "data.csv", delimiter=",", skiprows=2))
+        if kernels[0] == kernels[1]:
+            pytest.skip(f"OPENBLAS_CORETYPE=Prescott left numpy's BLAS at {kernels[0]}: one kernel only")
+        np.testing.assert_allclose(cells[1], cells[0], rtol=1e-12, atol=0.0)
+
     def test_different_seed_changes_bytes(self, tmp_path):
         path = small_dispersive_config(tmp_path)
         cfg = load_config(path)
@@ -593,17 +618,6 @@ RUN_ONLY_FAILURES = {
     "resolvent-probes-off-oracle-grid": (
         {"experiment": "resolvent-check", "params": {"probe_half_width": 1.5, "n_probes": 4}},
         "params.probe_half_width: probe y=-1.5 is not a grid node",
-    ),
-    # probes -3, 0, 3: the oracle spans the run's box, so -3 is no node of it
-    # (nor a point of the Jost kernel's table, whose f_at raises there)
-    "resolvent-probes-beyond-the-box": (
-        {
-            "experiment": "resolvent-check",
-            "potential": {"family": "gaussian", "amplitude": 3, "width": 1},
-            "grid": {"l_box": 2},
-            "params": {"probe_half_width": 3, "n_probes": 3},
-        },
-        "params.probe_half_width: probe y=-3.0 is not a grid node",
     ),
     # a grid too coarse for the Jost march (h = 40 / 63 against sqrt(3) at
     # lam = 0), which no experiment's schema sees: its step names the field

@@ -52,6 +52,9 @@ MALFORMED = [
     # would allocate 8 GB of sample times before dropping the duplicates
     ("dispersive", {"n_time_samples": 10**9}, "n_time_samples"),
     ("expectation-decay", {"n_time_samples": 65}, "n_time_samples"),
+    # probes -4.5, 0, 4.5 beyond the box [-4, 4], which the oracle grid and
+    # the Jost tables span
+    ("resolvent-check", {"probe_half_width": 4.5, "n_probes": 3}, "probe_half_width"),
 ]
 
 # malformed values of the other sections, each keyed by the field path its
@@ -84,6 +87,10 @@ MALFORMED_SECTIONS = [
     ("potential.table", {"potential": {"table": [[0, 1, 2]]}}),
     ("norms.p", {"norms": {"p": 0.5}}),
     ("norms.p", {"norms": {"p": [4]}}),
+    # PotentialSpec's own checks, each message led by its field
+    ("potential.width", {"potential": {"width": -1}}),
+    ("potential.table", {"potential": {"family": "custom_table"}}),
+    ("potential.table", {"potential": {"family": "custom_table", "table": [[50, 0], [-50, 0], [60, 1]]}}),
 ]
 
 # small enough that any experiment runs in well under a second

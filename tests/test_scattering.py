@@ -152,8 +152,8 @@ class TestScatteringCoefficients:
 
 
 def kernel_at(V, lam, x, y):
-    """One kernel value, read from a 1 x 1 probe table."""
-    return resolvent_kernel_jost_table(V, lam, [x], [y])[0, 0]
+    """One kernel value, read from the table of the probes [x, y]."""
+    return resolvent_kernel_jost_table(V, lam, [x, y])[0, 1]
 
 
 class TestResolventKernel:
@@ -176,7 +176,7 @@ class TestResolventKernel:
         # exact outgoing boundary; both take V as 0 outside the box
         lam = 1.5
         grid_or = Grid(l_box=20.0, n_points=5001)
-        dense = outgoing_resolvent_table(grid_or, GAUSS31(grid_or.x), lam**2, [-1.0], [1.0])[0, 0]
+        dense = outgoing_resolvent_table(grid_or, GAUSS31(grid_or.x), lam**2, [-1.0, 1.0])[0, 1]
         jost = kernel_at(gauss_pot, lam, -1.0, 1.0)
         assert abs(jost - dense) / abs(dense) < 1e-3
 
@@ -188,9 +188,9 @@ class TestResolventKernel:
         # m is only known on the box; the interval index would clamp at the ends
         V = sample_potential(GAUSS31, Grid(l_box=2.0, n_points=401))
         with pytest.raises(DomainError, match=r"x=3\.0 lies outside the box"):
-            resolvent_kernel_jost_table(V, 1.0, [3.0], [0.0])
+            resolvent_kernel_jost_table(V, 1.0, [3.0, 0.0])
         with pytest.raises(DomainError, match=r"x=-3\.0 lies outside the box"):
-            resolvent_kernel_jost_table(V, 1.0, [0.0, 1.0], [-3.0, -4.0])
+            resolvent_kernel_jost_table(V, 1.0, [0.0, 1.0, -3.0, -4.0])
 
     def test_near_resonance_guard(self, sech_pot, monkeypatch):
         # resonant family: |W(lam)| ~ 2 lam near zero trips a loose tolerance
@@ -200,9 +200,11 @@ class TestResolventKernel:
 
     def test_table_matches_scalar(self, gauss_pot):
         # every entry of a probe table equals its own single-point table
-        tab = resolvent_kernel_jost_table(gauss_pot, 1.0, [-1.0, 0.0], [0.5])
-        assert tab[0, 0] == pytest.approx(kernel_at(gauss_pot, 1.0, -1.0, 0.5))
-        assert tab[1, 0] == pytest.approx(kernel_at(gauss_pot, 1.0, 0.0, 0.5))
+        probes = [-1.0, 0.0, 0.5]
+        tab = resolvent_kernel_jost_table(gauss_pot, 1.0, probes)
+        for i, x in enumerate(probes):
+            for j, y in enumerate(probes):
+                assert tab[i, j] == pytest.approx(kernel_at(gauss_pot, 1.0, x, y))
 
 
 def reference_jost(V, lam, sign):

@@ -1187,7 +1187,7 @@ class TestOutgoingClosure:
         c = 1.0 - 0.5 * energy * h**2
         zeta = complex(c, math.sqrt(1.0 - c * c))
         idx = np.linspace(0, n - 1, 12).round().astype(int)
-        tab = outgoing_resolvent_table(grid, np.zeros(n), energy, grid.x[idx], grid.x[idx])
+        tab = outgoing_resolvent_table(grid, np.zeros(n), energy, grid.x[idx])
         exact = h * zeta ** np.abs(idx[:, None] - idx[None, :]) / (1.0 / zeta - zeta)
         assert np.max(np.abs(tab - exact) / np.abs(exact)) <= 1e-12
 
@@ -1200,7 +1200,7 @@ class TestOutgoingClosure:
         # the higher orders.  Measured on criterion 5's probes, h = 0.01:
         # 3.1e-6 to 1.4e-4, at most 1.0001 times the leading-order bound
         h, n, probes = scatter_grid.h, scatter_grid.n_points, np.linspace(-2.0, 2.0, 5)
-        tab = outgoing_resolvent_table(scatter_grid, np.zeros(n), lam**2, probes, probes)
+        tab = outgoing_resolvent_table(scatter_grid, np.zeros(n), lam**2, probes)
         dist = np.abs(probes[:, None] - probes[None, :])
         exact = 1j / (2.0 * lam) * np.exp(1j * lam * dist)
         bound = 1.01 * (lam * h) ** 2 * (1 / 8 + lam * dist / 24)
@@ -1211,7 +1211,7 @@ class TestOutgoingClosure:
         grid = Grid(l_box=5.0, n_points=n)
         vals = sample_potential(GAUSS31, grid).values
         energy, nodes = 2.25, [0, 7, n // 2, n - 1]
-        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes], grid.x[nodes])
+        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes])
         for j, iy in enumerate(nodes):
             delta = np.zeros(n, dtype=complex)
             delta[iy] = 1.0 / grid.h
@@ -1224,7 +1224,7 @@ class TestOutgoingClosure:
         grid = Grid(l_box=5.0, n_points=n)
         vals = sample_potential(GAUSS31, grid).values
         energy, nodes = 2.25, [0, 7, n // 2, n - 1]
-        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes], grid.x[nodes])
+        tab = outgoing_resolvent_table(grid, vals, energy, grid.x[nodes])
         closed = outgoing_closure(grid, vals, energy)
         for j, iy in enumerate(nodes):
             delta = np.zeros(n)
@@ -1235,9 +1235,9 @@ class TestOutgoingClosure:
     def test_off_grid_probe_rejected(self):
         grid = Grid(l_box=10.0, n_points=101)
         with pytest.raises(DomainError, match="probe y=0.05 is not a grid node"):
-            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [0.0], [0.05])
+            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [0.0, 0.05])
         with pytest.raises(DomainError, match="is not a grid node"):
-            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [10.2], [0.0])
+            outgoing_resolvent_table(grid, np.zeros(101), 1.0, [10.2, 0.0])
 
     @pytest.mark.parametrize("energy", [0.0, -1.0, 4.0 / 0.2**2, 1e6])
     def test_closure_outside_the_band_rejected(self, energy):

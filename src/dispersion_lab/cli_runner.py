@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__, estimates, scattering, spectral_operator, stochastic
 from ._parallel import BLAS_CORENAME, BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
 from .errors import (
+    CoarseStepError,
     DispersionLabError,
     DomainError,
     HypothesisViolationWarning,
@@ -255,10 +256,15 @@ class RunContext:
         return spectral_operator.build_hamiltonian(self.V)
 
     @property
+    def scale_field(self) -> str:
+        """The field that scales V."""
+        table = self.cfg.potential.family == "custom_table"
+        return "potential.table" if table else "potential.amplitude"
+
+    @property
     def born_threshold(self) -> float:
         """||V||_1^2; where it overflows, a DomainError that names the field scaling V."""
-        table = self.cfg.potential.family == "custom_table"
-        with _field("potential.table" if table else "potential.amplitude"):
+        with _field(self.scale_field):
             return self.V.born_threshold()
 
     @property
@@ -813,6 +819,12 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         ctx = RunContext(config)
         try:
             report, header, rows = EXPERIMENTS[config.experiment].runner(ctx)
+        except CoarseStepError as exc:  # V is at fault where no grid the run takes has nodes enough:
+            # at most the eigensolvers' cap, or the float nodes numpy can size
+            solves = EXPERIMENTS[config.experiment].solves_eigenpairs
+            cap = spectral_operator.DENSE_SOLVER_CAP if solves else sys.maxsize // 8
+            field = "grid.n_points" if exc.potential_nodes <= cap else ctx.scale_field
+            raise DomainError(f"{field}: {exc}") from None
         finally:
             fired = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
             for w in fired:

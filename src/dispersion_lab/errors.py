@@ -26,6 +26,15 @@ def fits_in_memory(what: str):
         raise SizeError(f"{what} do not fit in memory ({exc})") from None
 
 
+class CoarseStepError(DomainError):
+    """A grid step too coarse for a march.  potential_nodes is how many nodes
+    the box needs for the potential alone, at any momentum."""
+
+    def __init__(self, message: str, potential_nodes: float):
+        super().__init__(message)
+        self.potential_nodes = potential_nodes
+
+
 class ValidationError(DispersionLabError, ValueError):
     """Malformed input data or configuration."""
 

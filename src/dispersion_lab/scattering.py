@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ContractViolationError, DomainError, fits_in_memory
+from .errors import (
+    CoarseStepError,
+    ConditioningError,
+    ContractViolationError,
+    DomainError,
+    fits_in_memory,
+)
 from .grid_model import Grid, PotentialGrid
 
 SIGNS = ("plus", "minus")
@@ -118,9 +124,11 @@ def _step_matrices(V: PotentialGrid, lam: float, sign: str, n_steps: int) -> lis
     v = V.values
     vmax = float(np.max(np.abs(v))) if len(v) else 0.0
     if h * (abs(lam) + np.sqrt(vmax)) > 0.5:
-        raise DomainError(
-            f"grid.n_points: step h={h:.4g} too coarse for lam={lam} and this potential; "
-            "refine the grid"
+        nodes = 4.0 * V.grid.l_box * np.sqrt(vmax) + 1.0
+        raise CoarseStepError(
+            f"step h={h:.4g} too coarse for lam={lam} and this potential, "
+            f"which alone needs {nodes:.3g} nodes on this box",
+            potential_nodes=nodes,
         )
     vm = _midpoint_values(v)
     s = 1.0 if sign == "plus" else -1.0

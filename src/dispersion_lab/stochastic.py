@@ -100,6 +100,13 @@ def euler_maruyama_ito(
     increments so every refinement level sees the same path.  Returns
     u(T), one column per path (n, n_paths).  u(t_k) is the k-step run on
     the path's first k steps, with horizon k dt.
+
+    The step factor 1 - lam^2 dt / 2 - i lam dbeta lives in one complex
+    (n_paths, m) buffer: its real part is set once, and each step writes
+    dbeta (-lam) into its imaginary view.  Those are the values the complex
+    expression drift - 1j lam dbeta rounds to (its real part subtracts a
+    zero, its imaginary part negates one rounded product), so c *= step
+    is that expression's product bit for bit, with no real-to-complex casts.
     """
     n_paths, n_fine = np.shape(increments)
     if n_steps < 1 or n_fine % n_steps != 0:
@@ -115,12 +122,14 @@ def euler_maruyama_ito(
             StabilityWarning,
             stacklevel=2,
         )
-    drift = 1.0 - 0.5 * lam**2 * dt
-    ilam = 1j * lam
+    step = np.empty((n_paths, len(lam)), dtype=complex)
+    step.real = 1.0 - 0.5 * lam**2 * dt
+    neg_lam = -lam
     c = np.tile(modes.coef, (n_paths, 1))  # (n_paths, n_modes)
     # an amplifying step may overflow the state to inf/nan; the
     # StabilityWarning above already flags that, numpy need not repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            c = c * (drift - ilam * dbeta[:, k, None])
+            np.multiply(dbeta[:, k, None], neg_lam, out=step.imag)
+            c *= step
         return modes.basis.product(c.T)

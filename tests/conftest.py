@@ -60,14 +60,14 @@ def panel_sum_norms(panels, p, grid):
     """lp_norms_columns of RowPanels written out: |u| of each of its
     panel_blocks, each mirror block from its own product slice, then per
     block the column maxima (p = inf) or the row sums of |u|^p, folded in
-    block order."""
+    block order; |u|^4 is (|u|^2)^2, as estimates.abs_power squares it."""
     acc = None
     for a in map(np.abs, panel_blocks(panels)):
         if p == math.inf:
             part = a.max(axis=0)
             acc = part if acc is None else np.maximum(acc, part)
         else:
-            part = (a**p).sum(axis=0)
+            part = (np.square(np.square(a)) if p == 4 else a**p).sum(axis=0)
             acc = part if acc is None else acc + part
     return acc if p == math.inf else (grid.h * acc) ** (1.0 / p)
 

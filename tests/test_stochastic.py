@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from dispersion_lab.errors import DomainError, SizeError, StabilityWarning
-from dispersion_lab.grid_model import Grid, PotentialGrid
+from dispersion_lab.estimates import gaussian_packet
+from dispersion_lab.grid_model import Grid, PotentialGrid, PotentialSpec, sample_potential
 from dispersion_lab.spectral_operator import (
     DiscreteHamiltonian,
     Eigenbasis,
+    OccupiedModes,
+    build_hamiltonian,
     evolve,
     occupied_modes,
     propagate_batch,
@@ -247,3 +250,79 @@ class TestBatchedEulerMaruyama:
             scale = np.linalg.norm(ref)
             assert np.linalg.norm(batch[:, p] - one) <= 1e-13 * scale
             assert np.linalg.norm(batch[:, p] - ref) <= 1e-13 * scale
+
+
+def euler_maruyama_expression(modes, increments, horizon, n_steps):
+    """euler_maruyama_ito's loop as it stood before its factor buffer: each
+    step forms drift - 1j lam dbeta afresh, through numpy's real-to-complex
+    casts."""
+    n_paths, n_fine = np.shape(increments)
+    dbeta = np.reshape(increments, (n_paths, n_steps, n_fine // n_steps)).sum(axis=2)
+    dt = horizon / n_steps
+    lam = modes.energies
+    drift = 1.0 - 0.5 * lam**2 * dt
+    ilam = 1j * lam
+    c = np.tile(modes.coef, (n_paths, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            c = c * (drift - ilam * dbeta[:, k, None])
+        return modes.basis.product(c.T)
+
+
+def criterion4_modes(H, cut):
+    """sde-convergence's datum: the width-2 Gaussian's modes at or below cut, normalized."""
+    packet = occupied_modes(H, gaussian_packet(H.grid, width=2.0))
+    modes = packet.restricted(packet.energies <= cut)
+    return OccupiedModes(modes.basis, modes.energies, modes.coef / np.linalg.norm(modes.coef))
+
+
+class TestStepFactorBuffer:
+    """The in-place step factor is the complex expression's product bit for
+    bit: its real part subtracts a zero, its imaginary part negates one
+    rounded product, and the same complex multiply uses them."""
+
+    @staticmethod
+    def assert_same_bits(modes, increments, levels, horizon=1.0):
+        """Per level, the new and old u(T); returns the new ones."""
+        out = []
+        for n_steps in levels:
+            out.append(euler_maruyama_ito(modes, increments, horizon, n_steps))
+            old = euler_maruyama_expression(modes, increments, horizon, n_steps)
+            assert np.array_equal(out[-1], old, equal_nan=True)
+        return out
+
+    def test_criterion_4_shape(self, ham_gauss_1024):
+        # gaussian(3,1), 1024 nodes, cut 2.5, 200 paths, levels 6-12
+        modes = criterion4_modes(ham_gauss_1024, 2.5)
+        ens = sample_brownian(1.0, 2**12, 200, seed=9)
+        self.assert_same_bits(modes, ens.increments, [2**k for k in range(6, 13)])
+
+    def test_single_path(self, ham_gauss_1024):
+        modes = criterion4_modes(ham_gauss_1024, 2.5)
+        ens = sample_brownian(1.0, 256, 1, seed=4)
+        self.assert_same_bits(modes, ens.increments, [16, 256])
+
+    def test_zero_eigenvalue_modes(self):
+        # one mode at lam = 2, fifteen at lam = 0
+        H = single_mode_hamiltonian(2.0)
+        u0 = path_rng(2, 0).normal(size=16) + 1j * path_rng(2, 1).normal(size=16)
+        modes = occupied_modes(H, u0)
+        assert np.count_nonzero(modes.energies == 0.0) == 15
+        self.assert_same_bits(modes, sample_brownian(1.0, 64, 5, seed=6).increments, [8, 64])
+
+    def test_bound_state_energy(self, ham_sech_1024_l30):
+        # the -2 sech^2 well's bound state at E = -1 is occupied
+        modes = criterion4_modes(ham_sech_1024_l30, 2.5)
+        assert np.any(modes.energies < 0)
+        self.assert_same_bits(modes, sample_brownian(1.0, 256, 8, seed=3).increments, [16, 256])
+
+    def test_overflowing_config(self):
+        # sde-convergence's gaussian(1,1) on 161 nodes, l_box 4, energy_cut 40,
+        # at the default horizon 8: dt lam^2 is 143 at 64 steps, and the state
+        # overflows to nan at 256 to 2048 steps; those match too
+        H = build_hamiltonian(sample_potential(PotentialSpec("gaussian", 1.0, 1.0), Grid(4.0, 161)))
+        modes = criterion4_modes(H, 40.0)
+        inc = sample_brownian(8.0, 2**12, 20, seed=1).increments
+        with pytest.warns(StabilityWarning):
+            out = self.assert_same_bits(modes, inc, [2**k for k in range(6, 13)], horizon=8.0)
+        assert np.isnan(out[2]).any() and np.all(np.isfinite(out[-1]))

@@ -10,7 +10,9 @@ pinned (MKL, Accelerate, an OpenBLAS outside numpy.libs), it keeps its
 threads and the lab runs 1 worker.  scipy's LAPACK links its own
 OpenBLAS copy, which spectral_operator pins with pin_blas too, once its
 LAPACK extension has loaded it: an idle LAPACK thread would spin on a
-core the workers need.
+core the workers need.  Each copy has one pin record, the dict pin_blas
+returns (BLAS here, spectral_operator.LAPACK), which the run manifest
+writes as it stands.
 """
 
 import ctypes
@@ -20,55 +22,40 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# thread-count symbols of numpy's and scipy's scipy-openblas wheels (ILP64 and
-# LP64), then of older OpenBLAS builds
-_BLAS_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-    "openblas_{}_num_threads",
-)
-# the name of the kernel OpenBLAS picked at load, in the same builds' order
-_CORENAME_SYMBOLS = (
-    "scipy_openblas_get_corename64_",
-    "scipy_openblas_get_corename",
-    "openblas_get_corename64_",
-    "openblas_get_corename",
-)
+# the symbol families of numpy's and scipy's scipy-openblas wheels (ILP64 and LP64),
+# then of older OpenBLAS builds: the (prefix, suffix) around get_num_threads,
+# set_num_threads and get_corename, the name of the kernel OpenBLAS picked at load
+_FAMILIES = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "64_"), ("openblas_", ""))
 
 
-def pin_blas(libs_dir: str) -> tuple[int, bool, str | None]:
-    """Pin the OpenBLAS in libs_dir to one thread.
+def pin_blas(libs_dir: str) -> dict:
+    """Pin the OpenBLAS in libs_dir to one thread; the manifest's record of it.
 
-    Returns the thread count it started with, whether the pin took and
-    the kernel's name (None where the library exports no name symbol);
-    (1, False, None) where no library there exports a known symbol pair.
+    threads_found is the thread count it started with, pinned whether the pin
+    took, corename the kernel's name in the family of the pinned thread pair, or
+    None; 1, False and None where no library there exports a known thread pair.
     """
     for path in sorted(glob.glob(os.path.join(libs_dir, "lib*openblas*.so*"))):
         try:
             lib = ctypes.CDLL(path)  # the copy its package already loaded
         except OSError:
             continue
-        for name in _BLAS_SYMBOLS:
-            get = getattr(lib, name.format("get"), None)
-            put = getattr(lib, name.format("set"), None)
+        for prefix, suffix in _FAMILIES:
+            get, put, name = (
+                getattr(lib, f"{prefix}{fn}{suffix}", None)
+                for fn in ("get_num_threads", "set_num_threads", "get_corename")
+            )
             if get is None or put is None:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             found = max(1, get())
             put(1)
-            return found, get() == 1, _corename(lib)
-    return 1, False, None
-
-
-def _corename(lib) -> str | None:
-    """The name of the kernel lib runs, None where it exports no name symbol."""
-    for name in _CORENAME_SYMBOLS:
-        if (fn := getattr(lib, name, None)) is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_char_p
-            return fn().decode()
-    return None
+            if name is not None:
+                name.argtypes, name.restype = [], ctypes.c_char_p
+            corename = name().decode() if name is not None else None
+            return {"threads_found": found, "pinned": get() == 1, "corename": corename}
+    return {"threads_found": 1, "pinned": False, "corename": None}
 
 
 def bundled_libs(package) -> str:
@@ -77,7 +64,7 @@ def bundled_libs(package) -> str:
     return os.path.join(site, f"{package.__name__}.libs")
 
 
-BLAS_THREADS_FOUND, BLAS_PINNED, BLAS_CORENAME = pin_blas(bundled_libs(np))
+BLAS = pin_blas(bundled_libs(np))
 
 
 def usable_cores() -> int:
@@ -90,7 +77,7 @@ def usable_cores() -> int:
 
 def worker_count() -> int:
     """The BLAS threads found, clamped to the usable cores."""
-    return min(BLAS_THREADS_FOUND, usable_cores())
+    return min(BLAS["threads_found"], usable_cores())
 
 
 def ordered_map(fn, items):

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, estimates, scattering, spectral_operator, stochastic
-from ._parallel import BLAS_CORENAME, BLAS_PINNED, BLAS_THREADS_FOUND, usable_cores, worker_count
+from ._parallel import BLAS, usable_cores, worker_count
 from .errors import (
     CoarseStepError,
     DispersionLabError,
@@ -186,7 +186,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ValidationError("config root must be a JSON object")
         exp = raw.get("experiment")
-        if exp not in EXPERIMENTS:
+        if not isinstance(exp, str) or exp not in EXPERIMENTS:
             raise ValidationError(
                 f"experiment: unknown name {exp!r}; run `dispersion-lab list`"
             )
@@ -220,12 +220,17 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config at path, read as bytes, so that JSON in UTF-8, -16 or -32 loads
+    whatever the locale; every failure, from reading to the schema, is a ValidationError."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    except MemoryError:
+        raise ValidationError("cannot read config: out of memory") from None
+    # bad syntax or encoding, an integer past int's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(raw)
 
 
@@ -401,10 +406,12 @@ def _field(path: str, error: type[DomainError] = DomainError):
 _ENSEMBLE = "stochastic.n_paths, stochastic.n_steps"
 
 
-def _report_from_estimate(rep: estimates.EstimateReport, cfg: ExperimentConfig) -> dict:
-    """The fit, the run's sampling and the fit's extras; the samples themselves go to data.csv."""
+def _fitted(ctx: RunContext, rep: estimates.EstimateReport, header: list[str], *columns):
+    """A fitted Monte Carlo run's report (the fit, the run's sampling and the fit's
+    extras), header and rows (the samples, then any further columns)."""
     fit = {k: getattr(rep, k) for k in ("fitted_slope", "fitted_intercept", "slope_ci_95")}
-    return {**fit, "n_paths": cfg.n_paths, "seed": cfg.seed, "extras": rep.extras}
+    report = {**fit, "n_paths": ctx.cfg.n_paths, "seed": ctx.cfg.seed, "extras": rep.extras}
+    return report, header, list(zip(rep.abscissa, rep.values, *columns))
 
 
 @_experiment(
@@ -539,7 +546,6 @@ def _run_born_check(ctx: RunContext):
     ratios = [math.nan] + [b / a if min(a, b) >= tiny else math.nan for a, b in zip(sups, sups[1:])]
     max_ratio = max((q for q in ratios if not math.isnan(q)), default=math.nan)
     bound = V.l1_norm() / (2.0 * np.sqrt(energy))
-    rows = list(zip(range(len(sups)), sups, ratios))
     report = {
         "energy": energy,
         "lambda0": lam0,
@@ -547,7 +553,7 @@ def _run_born_check(ctx: RunContext):
         "max_ratio": max_ratio,
         "ratios_ok": bool(max_ratio <= 1.1 * bound),
     }
-    return report, ["n", "term_sup", "ratio"], rows
+    return report, ["n", "term_sup", "ratio"], list(zip(range(len(sups)), sups, ratios))
 
 
 @_experiment(
@@ -580,16 +586,14 @@ def _run_stone_density(ctx: RunContext):
             f"(epsilon) collapses to [{a}, {b}]"
         )
     est = spectral_operator.stone_spectral_density(ctx.V, a, b, eps, f)
-    mass = est.integral()
-    rows = list(zip(est.lambda_grid, est.density))
     report = {
         "eigenindex": k,
         "eigenvalue": float(w_k),
         "epsilon": eps,
         "interval": [a, b],
-        "mass": mass,
+        "mass": est.integral(),
     }
-    return report, ["lambda", "density"], rows
+    return report, ["lambda", "density"], list(zip(est.lambda_grid, est.density))
 
 
 @_experiment(
@@ -634,10 +638,19 @@ def _run_sde_convergence(ctx: RunContext):
     dts = np.array([cfg.horizon / n for n in levels])
     # an unstable step can overflow the errors: a degenerate fit, not an error
     rep = estimates.fit_report(dts, errs, min_points=len(levels))
-    rows = list(zip(dts, errs))
     # extras holds only the degenerate flag and its reason, when set
     report = {"fitted_order": rep.fitted_slope, "slope_ci_95": rep.slope_ci_95, **rep.extras}
-    return report, ["dt", "strong_error"], rows
+    return report, ["dt", "strong_error"], list(zip(dts, errs))
+
+
+def _decay(ctx: RunContext, experiment: Callable, **kwargs) -> estimates.EstimateReport:
+    """Run a decay experiment on H, the datum and the Brownian ensemble, built in that
+    order; an ensemble that does not fit names the counts that size it."""
+    cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
+    with _field(_ENSEMBLE):
+        ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
+    pr = ctx.params
+    return experiment(H, ens, u0, t_min=pr["t_min"], n_time_samples=pr["n_time_samples"], **kwargs)
 
 
 @_experiment(
@@ -649,22 +662,12 @@ def _run_sde_convergence(ctx: RunContext):
     **_packet_params(0.5),
 )
 def _run_dispersive(ctx: RunContext):
-    cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
-    with _field(_ENSEMBLE):
-        ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
-    rep = estimates.dispersive_experiment(
-        H,
-        ens,
-        u0,
-        t_min=ctx.params["t_min"],
-        n_time_samples=ctx.params["n_time_samples"],
-    )
-    report = _report_from_estimate(rep, cfg)
+    rep = _decay(ctx, estimates.dispersive_experiment)
+    report, header, rows = _fitted(ctx, rep, ["abs_beta", "sup_norm"])
     report["hypothesis_violation"] = rep.extras["resonant"]
     if rep.extras["resonant"]:
         report["warning"] = "zero-energy resonance detected"
-    rows = list(zip(rep.abscissa, rep.values))
-    return report, ["abs_beta", "sup_norm"], rows
+    return report, header, rows
 
 
 @_experiment(
@@ -677,19 +680,8 @@ def _run_dispersive(ctx: RunContext):
     **_packet_params(0.18),
 )
 def _run_expectation_decay(ctx: RunContext):
-    cfg, H, u0 = ctx.cfg, ctx.H, _initial_data(ctx)
-    with _field(_ENSEMBLE):
-        ens = stochastic.sample_brownian(cfg.horizon, cfg.n_steps, cfg.n_paths, cfg.seed)
-    rep = estimates.expectation_decay_experiment(
-        H,
-        ens,
-        u0,
-        p=ctx.params["p_exponent"],
-        t_min=ctx.params["t_min"],
-        n_time_samples=ctx.params["n_time_samples"],
-    )
-    rows = list(zip(rep.abscissa, rep.values))
-    return _report_from_estimate(rep, cfg), ["t", "mean_sup_norm"], rows
+    rep = _decay(ctx, estimates.expectation_decay_experiment, p=ctx.params["p_exponent"])
+    return _fitted(ctx, rep, ["t", "mean_sup_norm"])
 
 
 def _admissible(cfg: ExperimentConfig, mu: Callable) -> None:
@@ -714,8 +706,7 @@ def _window_scaling(ctx: RunContext, experiment: Callable, *args, **kwargs):
             seed=cfg.seed,
             **kwargs,
         )
-    rows = list(zip(rep.abscissa, rep.values, rep.extras["ratios"]))
-    return _report_from_estimate(rep, cfg), ["horizon", "lhs", "ratio"], rows
+    return _fitted(ctx, rep, ["horizon", "lhs", "ratio"], rep.extras["ratios"])
 
 
 def _convolution_horizon(doc: dict, end: int) -> float:
@@ -856,11 +847,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
         },
         "workers": worker_count(),
         "blas": _blas(),
-        "lapack": {
-            "threads_found": spectral_operator.LAPACK_THREADS_FOUND,
-            "pinned": spectral_operator.LAPACK_PINNED,
-            "corename": spectral_operator.LAPACK_CORENAME,
-        },
+        "lapack": spectral_operator.LAPACK,
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "usable_cores": usable_cores(),
         "peak_rss_mb": _peak_rss_mb(),
@@ -873,15 +860,9 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None) -> int:
 
 
 def _blas() -> dict:
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    blas = deps.get("blas", {})
-    return {
-        "name": blas.get("name"),
-        "version": blas.get("version"),
-        "threads_found": BLAS_THREADS_FOUND,
-        "pinned": BLAS_PINNED,
-        "corename": BLAS_CORENAME,
-    }
+    """numpy's BLAS build, from its show_config, and the pin record of its OpenBLAS."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"), **BLAS}
 
 
 def _peak_rss_mb() -> float | None:
@@ -927,7 +908,10 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list experiment names")
     p_val = sub.add_parser("validate", help="validate a config file and exit")
     p_val.add_argument("config", help="path to a JSON config")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, and 2 on a usage error: 1 here
+        return 1 if exc.code else 0
 
     if args.command == "list":
         width = max(len(n) for n in EXPERIMENTS)
@@ -948,18 +932,16 @@ def main(argv=None) -> int:
             doc = config.to_canonical_dict()
             doc["stochastic"]["seed"] = args.seed
             config = ExperimentConfig.from_dict(doc)
-        try:
-            return run(config, out_dir=args.out)
-        except DispersionLabError:
-            raise  # reported below, with its own message and field path
-        except MemoryError as exc:  # sizes are uncapped, so a valid config may ask for too much
-            print(f"error: {config.experiment}: out of memory ({exc})", file=sys.stderr)
-            return 1
-        except ValueError as exc:  # or more than numpy can size: "Maximum allowed size exceeded"
-            print(f"error: {config.experiment}: {exc}", file=sys.stderr)
-            return 1
+        return run(config, out_dir=args.out)
+    # load_config raises only the lab's errors, so the branches after the first have a config
     except (DispersionLabError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes are uncapped, so a valid config may ask for too much
+        print(f"error: {config.experiment}: out of memory ({exc})", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # or more than numpy can size: "Maximum allowed size exceeded"
+        print(f"error: {config.experiment}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -53,8 +53,8 @@ def _load_flapack():
 _flapack = _load_flapack()
 # the OpenBLAS copy of scipy's wheel, which that load brought in and dstevd
 # runs on, pinned to one thread as numpy's is: idle, its threads spin on the
-# cores of the lab's workers.  (1, False, None) where scipy's LAPACK is no such copy
-LAPACK_THREADS_FOUND, LAPACK_PINNED, LAPACK_CORENAME = pin_blas(bundled_libs(scipy))
+# cores of the lab's workers.  1 thread, unpinned, where scipy's LAPACK is no such copy
+LAPACK = pin_blas(bundled_libs(scipy))
 
 
 @dataclass(frozen=True)

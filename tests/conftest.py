@@ -169,7 +169,7 @@ def workers():
     @contextlib.contextmanager
     def at(n: int):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_parallel, "BLAS_THREADS_FOUND", n)
+            mp.setitem(_parallel.BLAS, "threads_found", n)
             mp.setattr(_parallel.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
             assert _parallel.worker_count() == n
             yield

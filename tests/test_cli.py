@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersion_lab import estimates, spectral_operator, stochastic
+from dispersion_lab import _parallel, cli_runner, estimates, spectral_operator, stochastic
 from dispersion_lab.cli_runner import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -263,6 +263,8 @@ class TestManifest:
             assert run(cfg, out_dir=tmp_path / tag) == 0
         man = json.loads((tmp_path / "a" / "run_manifest.json").read_text())
         assert all(isinstance(man["blas"][k], str) for k in ("name", "version"))
+        # each OpenBLAS copy's pin record, as pin_blas returned it
+        assert man["blas"].items() >= _parallel.BLAS.items()
         # the thread count numpy's BLAS started with, and whether it is now pinned to one
         assert isinstance(man["blas"]["threads_found"], int) and man["blas"]["threads_found"] >= 1
         assert isinstance(man["blas"]["pinned"], bool)
@@ -275,7 +277,7 @@ class TestManifest:
         lapack = man["lapack"]
         assert set(lapack) == {"threads_found", "pinned", "corename"}
         assert isinstance(lapack["threads_found"], int) and lapack["threads_found"] >= 1
-        assert lapack["pinned"] is spectral_operator.LAPACK_PINNED
+        assert lapack == spectral_operator.LAPACK
         if lapack["pinned"]:
             assert isinstance(lapack["corename"], str) and lapack["corename"]
         else:
@@ -403,8 +405,8 @@ class TestReproducibility:
             "w, v = spectral_operator.build_hamiltonian(V).half(1); "
             "assert v.shape == (1024, 1024); "
             "print(hashlib.sha256(w.tobytes() + v.tobytes()).hexdigest(), "
-            "spectral_operator.LAPACK_THREADS_FOUND, spectral_operator.LAPACK_PINNED, "
-            "_parallel.pin_blas(_parallel.bundled_libs(scipy))[0])"
+            "spectral_operator.LAPACK['threads_found'], spectral_operator.LAPACK['pinned'], "
+            "_parallel.pin_blas(_parallel.bundled_libs(scipy))['threads_found'])"
         )
         records = []
         for blas in (1, 2):
@@ -414,7 +416,7 @@ class TestReproducibility:
             records.append(proc.stdout.split())
         (digest, *_), (other, *at_two) = records
         assert len(digest) == 64 and digest == other
-        if spectral_operator.LAPACK_PINNED:
+        if spectral_operator.LAPACK["pinned"]:
             assert at_two == ["2", "True", "1"]
         else:  # scipy's LAPACK is no OpenBLAS of its wheel: nothing to pin
             assert at_two == ["1", "False", "1"]
@@ -877,6 +879,89 @@ def test_stone_narrow_interval_samples_two_lambdas(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())["metrics"]
     assert [float(r.split(",")[0]) for r in rows] == report["interval"]
     assert report["mass"] > 0
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# config files that the lab cannot read as JSON text, each with the words of its
+# one error line; None stands for a document too large to parse
+NOT_JSON_TEXT = {
+    "utf-16-mark-before-utf-8": (
+        b'\xff\xfe{"experiment": "resonance"}',
+        "error: config is not valid JSON: 'utf-16-le' codec can't decode",
+    ),
+    "integer-of-5000-digits": (
+        b'{"experiment": "resonance", "grid": {"n_points": ' + b"9" * 5000 + b"}}",
+        "error: config is not valid JSON: Exceeds the limit (4300 digits)",
+    ),
+    "nesting-past-the-recursion-limit": (
+        b"[" * 100000,
+        "error: config is not valid JSON: maximum recursion depth exceeded",
+    ),
+    "experiment-name-not-a-string": (b'{"experiment": []}', "error: experiment: unknown name []"),
+    "out-of-memory": (None, "error: cannot read config: out of memory"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text, words", NOT_JSON_TEXT.values(), ids=list(NOT_JSON_TEXT))
+def test_config_that_is_not_json_text_ends_in_one_error_line(
+    tmp_path, capsys, monkeypatch, command, text, words
+):
+    path = tmp_path / "config.json"
+    if text is None:
+        path.write_text('{"experiment": "resonance"}')
+        monkeypatch.setattr(cli_runner.json, "loads", _out_of_memory)
+    else:
+        path.write_bytes(text)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(words)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_config_is_read_as_bytes_whatever_the_locale(tmp_path):
+    # valid UTF-8 with a non-ASCII output_dir, under a locale whose text
+    # encoding is ASCII: it validates, to the hash it has here
+    path = tmp_path / "config.json"
+    path.write_bytes('{"experiment": "resonance", "output_dir": "café"}'.encode())
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dispersion_lab.cli_runner", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"ok: resonance (hash {load_config(path).config_hash()[:12]})\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["run", "CONFIG", "--seed", "abc"], 1),
+        ([], 1),
+        (["run"], 1),
+        (["--help"], 0),
+        (["run", "--help"], 0),
+    ],
+    ids=["seed-not-an-integer", "no-command", "no-config", "help", "run-help"],
+)
+def test_usage_error_exits_one_and_help_zero(tmp_path, capsys, argv, code):
+    # exit 2 means a completed run whose hypothesis was violated, never a bad command line
+    config = str(small_dispersive_config(tmp_path))
+    assert main([config if a == "CONFIG" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and "usage: dispersion-lab" in err and "error: " in err
+    else:
+        assert "usage: dispersion-lab" in out and err == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("override", [True, False], ids=["out", "output_dir"])

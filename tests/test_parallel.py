@@ -1,5 +1,6 @@
 import os
 import threading
+import types
 
 import pytest
 
@@ -23,7 +24,7 @@ def blas_found(monkeypatch):
     """Pretend numpy's BLAS started with a given thread count."""
 
     def set_found(n):
-        monkeypatch.setattr(_parallel, "BLAS_THREADS_FOUND", n)
+        monkeypatch.setitem(_parallel.BLAS, "threads_found", n)
 
     return set_found
 
@@ -54,9 +55,9 @@ class TestWorkerCount:
         # no OpenBLAS with known symbols (MKL, Accelerate): nothing is pinned,
         # one thread is counted, no kernel is named, and the lab runs one worker
         (tmp_path / "libopenblas_fake.so").write_bytes(b"not a shared object")
-        found, pinned, corename = _parallel.pin_blas(str(tmp_path))
-        assert (found, pinned, corename) == (1, False, None)
-        blas_found(found)
+        record = _parallel.pin_blas(str(tmp_path))
+        assert record == {"threads_found": 1, "pinned": False, "corename": None}
+        blas_found(record["threads_found"])
         cores(8)
         assert worker_count() == 1
 
@@ -72,6 +73,63 @@ class TestWorkerCount:
     def test_real_affinity_is_at_least_one(self):
         assert usable_cores() >= 1
         assert usable_cores() <= (os.cpu_count() or 1)
+
+
+def fake_openblas(threads: int = 4, pins: bool = True, **symbols: tuple[str, str]):
+    """A loaded library exporting, for each key of symbols (get_num_threads,
+    set_num_threads, get_corename), that function with the (prefix, suffix)
+    given: the thread count starts at threads and takes a set only if pins."""
+    count = [threads]
+
+    def set_num_threads(n):
+        count[0] = n if pins else count[0]
+
+    funcs = {
+        "get_num_threads": lambda: count[0],
+        "set_num_threads": set_num_threads,
+        "get_corename": lambda: b"Zen",
+    }
+    return types.SimpleNamespace(
+        **{f"{prefix}{fn}{suffix}": funcs[fn] for fn, (prefix, suffix) in symbols.items()}
+    )
+
+
+LP64 = ("scipy_openblas_", "")
+ILP64 = ("scipy_openblas_", "64_")
+
+
+class TestPinRecord:
+    @pytest.fixture()
+    def pin(self, monkeypatch, tmp_path):
+        """pin(lib): pin_blas's record of a directory whose one OpenBLAS loads as lib."""
+
+        def pin(lib):
+            (tmp_path / "libscipy_openblas64_-fake.so").write_bytes(b"")
+            monkeypatch.setattr(_parallel.ctypes, "CDLL", lambda path: lib)
+            return _parallel.pin_blas(str(tmp_path))
+
+        return pin
+
+    def test_lp64_thread_pair_names_its_kernel(self, pin):
+        lib = fake_openblas(get_num_threads=LP64, set_num_threads=LP64, get_corename=LP64)
+        assert pin(lib) == {"threads_found": 4, "pinned": True, "corename": "Zen"}
+
+    def test_thread_pair_without_a_name_symbol(self, pin):
+        lib = fake_openblas(get_num_threads=LP64, set_num_threads=LP64)
+        assert pin(lib) == {"threads_found": 4, "pinned": True, "corename": None}
+
+    def test_name_is_read_from_the_pinned_family_only(self, pin):
+        # an ILP64 name beside an LP64 thread pair names no kernel of that pair
+        lib = fake_openblas(get_num_threads=LP64, set_num_threads=LP64, get_corename=ILP64)
+        assert pin(lib) == {"threads_found": 4, "pinned": True, "corename": None}
+
+    def test_half_a_thread_pair_is_no_pair(self, pin):
+        lib = fake_openblas(get_num_threads=LP64, set_num_threads=ILP64, get_corename=LP64)
+        assert pin(lib) == {"threads_found": 1, "pinned": False, "corename": None}
+
+    def test_a_pin_that_does_not_take(self, pin):
+        lib = fake_openblas(2, pins=False, get_num_threads=LP64, set_num_threads=LP64, get_corename=LP64)
+        assert pin(lib) == {"threads_found": 2, "pinned": False, "corename": "Zen"}
 
 
 class TestOrderedMap:
